@@ -52,7 +52,12 @@ def _worker_count() -> int:
     cap = os.environ.get("HRM_THREADS")
     n = os.cpu_count() or 1
     if cap:
-        n = min(n, max(1, int(cap)))
+        try:
+            n = min(n, max(1, int(cap)))
+        except ValueError:
+            raise errors.InvalidInput(
+                f"HRM_THREADS must be an integer, got {cap!r}"
+            ) from None
     return n
 
 
@@ -151,21 +156,31 @@ def _read_detections(path, ref_box) -> list:
     return out
 
 
+def _read_meta(path) -> tuple[float, float]:
+    """The reference box (ref_w, ref_h) that ``detect`` wrote next to its output."""
+    try:
+        kv = dict(line.split() for line in path.read_text().splitlines() if line.strip())
+        return (float(kv["ref_w"]), float(kv["ref_h"]))
+    except (ValueError, KeyError) as e:
+        raise errors.ParseError(
+            f"{path}: needs 'ref_w <float>' and 'ref_h <float>' lines ({e})"
+        ) from e
+
+
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     ds = load_dataset(args.annotations)
 
     if args.ref_size:
-        ref = tuple(float(v) for v in args.ref_size.split("x"))
+        try:
+            ref = tuple(float(v) for v in args.ref_size.split("x"))
+        except ValueError:
+            ref = ()
         if len(ref) != 2:
-            raise errors.ParseError("--ref-size must look like WxH")
+            raise errors.ParseError(f"--ref-size must look like WxH, got {args.ref_size!r}")
     else:
         meta = Path(str(args.detections) + ".meta")
-        if meta.exists():
-            kv = dict(line.split() for line in meta.read_text().splitlines() if line)
-            ref = (float(kv["ref_w"]), float(kv["ref_h"]))
-        else:
-            ref = median_box_size(ds)
+        ref = _read_meta(meta) if meta.exists() else median_box_size(ds)
 
     detections = _read_detections(args.detections, ref)
     ground_truth = {p.name: list(boxes) for p, boxes in ds.entries}

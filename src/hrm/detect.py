@@ -1,7 +1,8 @@
 """End-to-end detection on a single image.
 
-Pipeline: feature volume -> dense context-encoded patches -> votes per
-regressor -> multi-scale accumulation -> per-level maxima -> NPMI fusion.
+Pipeline: feature volume -> every regressor as one linear filter bank over
+the patch windows -> per-context votes -> multi-scale accumulation ->
+per-level maxima -> NPMI fusion.
 """
 
 from __future__ import annotations
@@ -9,11 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from . import pls
-from .errors import IncompatibleModel
+from .errors import IncompatibleModel, InvalidInput
 from .evaluate import Detection, box_from_hypothesis
-from .features import EXTRACTOR_VERSION, compute_channels, extract_patch_vector
+from .features import DERIVATIVE_KERNELS, EXTRACTOR_VERSION, compute_channels
+# Not called here: perfbench counts detection-time patch extractions
+# through this name, and with the filter bank that count is 0.
+from .features import extract_patch_vector  # noqa: F401
 from .fusion import FusionConfig, fuse
 from .training import ModelBank
 from .voting import (
@@ -24,7 +28,7 @@ from .voting import (
     find_maxima,
 )
 
-_CHUNK = 2048  # patches per batched prediction block
+_BLOCK_BYTES = 1 << 22  # gathered patch windows per GEMM block
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,23 @@ class VotingConfig:
     maxima_radius: int = 3  # cells
     derivative_kernel: str = "sobel"
 
+    def __post_init__(self):
+        if self.stride < 1:
+            raise InvalidInput(f"stride must be >= 1, got {self.stride}")
+        if self.bin_size < 1:
+            raise InvalidInput(f"bin_size must be >= 1, got {self.bin_size}")
+        if not self.smoothing >= 0:
+            raise InvalidInput(f"smoothing must be >= 0, got {self.smoothing}")
+        if self.maxima_radius < 1:
+            raise InvalidInput(
+                f"maxima_radius must be >= 1, got {self.maxima_radius}"
+            )
+        if self.derivative_kernel not in DERIVATIVE_KERNELS:
+            raise InvalidInput(
+                f"derivative_kernel must be one of {DERIVATIVE_KERNELS}, "
+                f"got {self.derivative_kernel!r}"
+            )
+
 
 @dataclass
 class DetectionResult:
@@ -47,45 +68,108 @@ class DetectionResult:
     total_mass: float
 
 
+def _stacked_head(bank: ModelBank) -> tuple[np.ndarray, np.ndarray]:
+    """Every regressor of the bank as one linear map.
+
+    Returns coefficients (d, m+1, 3) and intercepts (m+1, 3): entry j holds
+    voting model j's two outputs, then label model j's output.
+    """
+    pairs = list(zip(bank.hrms, bank.lrms))
+    coef = np.stack(
+        [np.hstack([h.coefficients, l.coefficients]) for h, l in pairs], axis=1
+    )
+    bias = np.stack(
+        [
+            np.concatenate([m.mean_y - m.mean_x @ m.coefficients for m in (h, l)])
+            for h, l in pairs
+        ]
+    )
+    return coef, bias
+
+
+def _needed_starts(grid: np.ndarray, offsets: np.ndarray, limit: int) -> np.ndarray:
+    """Grid starts plus every in-bounds grid + offset start, sorted."""
+    shifted = grid[:, None] + offsets[None, :]
+    return np.union1d(grid, shifted[(shifted >= 0) & (shifted < limit)])
+
+
+def _responses(vol, ps: int, rows: np.ndarray, cols: np.ndarray, coef: np.ndarray):
+    """Raw patch vector @ coef at every (row, col) start.
+
+    coef is (d, ...); the result is (rows, cols, ...).  Windows are
+    gathered from a strided view of the (H, W, 26) volume, in which each
+    patch row is already contiguous in the patch-vector layout; row blocks
+    keep the gathered copy near _BLOCK_BYTES.
+    """
+    hwc = np.ascontiguousarray(vol.planes.transpose(1, 2, 0))
+    h, w, c = hwc.shape
+    s_row, s_col, s_val = hwc.strides
+    windows = as_strided(
+        hwc,
+        shape=(h - ps + 1, w - ps + 1, ps, ps * c),
+        strides=(s_row, s_col, s_row, s_val),
+        writeable=False,
+    )
+    d, k = coef.shape[0], coef.shape[1:]
+    flat = coef.reshape(d, -1)
+    out = np.empty((len(rows), len(cols)) + k)
+    step = max(1, _BLOCK_BYTES // (len(cols) * d * hwc.itemsize))
+    for i in range(0, len(rows), step):
+        block = windows[rows[i : i + step, None], cols]  # (b, cols, ps, ps*26)
+        out[i : i + step] = (block.reshape(-1, d) @ flat).reshape(block.shape[:2] + k)
+    return out
+
+
 def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig):
-    """Cast votes for every patch on the sampling grid; returns PatchVotes."""
+    """Cast votes for every patch on the sampling grid; returns PatchVotes.
+
+    Every regressor is linear, so context j's output at start l is
+    ``bias_j + R_j(l) - R_j(l + offset_j)`` with ``R = patch vector @ B``;
+    the neighbor term is zero where the neighbor is clipped, as in
+    :func:`~hrm.features.context_vectors`.  R is one GEMM over the starts
+    the grid and its neighbors need.
+    """
     vol = compute_channels(np.asarray(image, dtype=np.float64), cfg.derivative_kernel)
     geom = bank.geometry
     ps = geom.patch_size
-    xs = np.arange(0, vol.width - ps + 1, cfg.stride)
-    ys = np.arange(0, vol.height - ps + 1, cfg.stride)
-    grid = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)  # (r, 2) topleft
+    n_x, n_y = vol.width - ps + 1, vol.height - ps + 1  # valid starts per axis
+    if n_x < 1 or n_y < 1:
+        return []
+    xs = np.arange(0, n_x, cfg.stride)
+    ys = np.arange(0, n_y, cfg.stride)
 
-    mplus1 = geom.num_context
-    out: list[PatchVotes] = []
-    for start in range(0, len(grid), _CHUNK):
-        block = grid[start : start + _CHUNK]
-        raw = np.empty((len(block), geom.vector_length))
-        for i, (x, y) in enumerate(block):
-            raw[i] = extract_patch_vector(vol, (x, y), geom)
+    coef, bias = _stacked_head(bank)
+    if coef.shape[0] != geom.vector_length:
+        raise InvalidInput(
+            f"dimension mismatch: patches have {geom.vector_length}, "
+            f"models expect {coef.shape[0]}"
+        )
+    mplus1 = bias.shape[0]
+    offsets = np.array(geom.neighbor_offsets, dtype=np.intp).reshape(-1, 2)
+    rows = _needed_starts(ys, offsets[:, 1], n_y)
+    cols = _needed_starts(xs, offsets[:, 0], n_x)
+    resp = _responses(vol, ps, rows, cols, coef)  # (rows, cols, m+1, 3)
+    row_of = np.full(n_y, -1)
+    row_of[rows] = np.arange(len(rows))
+    col_of = np.full(n_x, -1)
+    col_of[cols] = np.arange(len(cols))
 
-        votes = np.empty((len(block), mplus1, 2))
-        labels = np.empty((len(block), mplus1))
-        for j in range(mplus1):
-            if j == 0:
-                Xc = raw
-            else:
-                dx, dy = geom.neighbor_offsets[j - 1]
-                Xc = raw.copy()
-                for i, (x, y) in enumerate(block):
-                    nx, ny = x + dx, y + dy
-                    if 0 <= nx and 0 <= ny and nx + ps <= vol.width and ny + ps <= vol.height:
-                        Xc[i] -= extract_patch_vector(vol, (nx, ny), geom)
-            votes[:, j, :] = pls.predict(bank.hrms[j], Xc)
-            labels[:, j] = pls.predict(bank.lrms[j], Xc)[:, 0]
+    gy, gx = (a.ravel() for a in np.meshgrid(ys, xs, indexing="ij"))  # grid order
+    out = resp[row_of[gy], col_of[gx]]  # (r, m+1, 3)
+    for j, (dx, dy) in enumerate(offsets, start=1):
+        ny, nx = gy + dy, gx + dx
+        inside = (nx >= 0) & (ny >= 0) & (nx < n_x) & (ny < n_y)
+        out[inside, j] -= resp[row_of[ny[inside]], col_of[nx[inside]], j]
+    out += bias
 
-        weights = (labels > 0).sum(axis=1) / mplus1
-        centers = block + ps / 2.0
-        for i in range(len(block)):
-            out.append(
-                PatchVotes(centers[i], votes[i], labels[i], float(weights[i]))
-            )
-    return out
+    votes = np.ascontiguousarray(out[..., :2])
+    labels = np.ascontiguousarray(out[..., 2])
+    weights = (labels > 0).sum(axis=1) / mplus1
+    centers = np.stack([gx, gy], axis=1) + ps / 2.0
+    return [
+        PatchVotes(centers[i], votes[i], labels[i], float(weights[i]))
+        for i in range(len(centers))
+    ]
 
 
 def detect(

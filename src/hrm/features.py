@@ -24,6 +24,7 @@ N_BASE_CHANNELS = 13
 N_CHANNELS = 2 * N_BASE_CHANNELS
 HOG_BINS = 9
 _WINDOW = 5  # orientation-histogram and min/max filter window
+DERIVATIVE_KERNELS = ("sobel", "central")
 
 
 def _default_offsets(patch_size: int) -> tuple[tuple[int, int], ...]:

@@ -151,7 +151,9 @@ def accumulate_cuboid(
             cy = cells[..., 1].ravel()
             m = np.broadcast_to(mass[:, None], (len(all_votes), mplus1)).ravel()
             inside = (cx >= 0) & (cx < gw) & (cy >= 0) & (cy < gh)
-            np.add.at(levels[s], (cy[inside], cx[inside]), m[inside])
+            levels[s] = np.bincount(
+                cy[inside] * gw + cx[inside], weights=m[inside], minlength=gh * gw
+            ).reshape(gh, gw)
             level_mass[s] = float(m.sum())
             dropped[s] = int(np.count_nonzero(~inside))
 

@@ -143,6 +143,37 @@ class TestDetectCommand:
                      "--out", str(tmp_path / "det1.tsv")]) == 0
         assert (workspace / "det.tsv").read_bytes() == (tmp_path / "det1.tsv").read_bytes()
 
+    def test_byte_identical_across_thread_counts(self, workspace, tmp_path, monkeypatch):
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("HRM_THREADS", threads)
+            out = tmp_path / f"det{threads}.tsv"
+            assert main(["detect", "--config", str(workspace / "cfg.ini"),
+                         "--model", str(workspace / "model.hrmb"),
+                         "--images", str(workspace / "scenes"),
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0] == (workspace / "det.tsv").read_bytes()
+
+    def test_non_integer_thread_cap_is_input_error(self, workspace, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setenv("HRM_THREADS", "abc")
+        assert main(["detect", "--config", str(workspace / "cfg.ini"),
+                     "--model", str(workspace / "model.hrmb"),
+                     "--images", str(workspace / "scenes"),
+                     "--out", str(tmp_path / "d.tsv")]) == 2
+
+    def test_invalid_voting_config_is_input_error(self, workspace, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text((workspace / "cfg.ini").read_text().replace(
+            "stride = 2", "stride = 0"))
+        assert main(["detect", "--config", str(cfg),
+                     "--model", str(workspace / "model.hrmb"),
+                     "--images", str(workspace / "scenes"),
+                     "--out", str(tmp_path / "d.tsv")]) == 2
+        assert not (tmp_path / "d.tsv").exists()
+
     def test_corrupt_model_is_model_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.hrmb"
         bad.write_bytes((workspace / "model.hrmb").read_bytes()[:40])
@@ -169,6 +200,20 @@ class TestEvalCommand:
                      "--annotations", str(workspace / "scenes" / "annotations.txt"),
                      "--ref-size", "40x40",
                      "--out", str(tmp_path / "pr.csv")]) == 0
+
+    def test_malformed_ref_size_is_input_error(self, workspace, tmp_path):
+        assert main(["eval", "--detections", str(workspace / "det.tsv"),
+                     "--annotations", str(workspace / "scenes" / "annotations.txt"),
+                     "--ref-size", "axb",
+                     "--out", str(tmp_path / "pr.csv")]) == 2
+
+    def test_meta_without_ref_h_is_input_error(self, workspace, tmp_path):
+        det = tmp_path / "det.tsv"
+        det.write_bytes((workspace / "det.tsv").read_bytes())
+        (tmp_path / "det.tsv.meta").write_text("ref_w 20.000000\n")
+        assert main(["eval", "--detections", str(det),
+                     "--annotations", str(workspace / "scenes" / "annotations.txt"),
+                     "--out", str(tmp_path / "pr.csv")]) == 2
 
     def test_malformed_detections_is_input_error(self, workspace, tmp_path):
         bad = tmp_path / "det.tsv"

@@ -2,10 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrm import pls
 from hrm.detect import VotingConfig, compute_patch_votes, detect
-from hrm.errors import IncompatibleModel
+from hrm.errors import IncompatibleModel, InvalidInput
 from hrm.features import PatchGeometry, compute_channels, context_vectors
 from hrm.training import ModelBank
 from hrm.voting import ScaleSet, cast_votes
@@ -41,6 +43,37 @@ def gated_off_bank():
     return ModelBank(hrms, lrms, GEOM, reference_box=(20.0, 20.0))
 
 
+def random_linear_bank(geom, rng):
+    """A bank of random linear heads with outputs of order one."""
+    dim = geom.vector_length
+
+    def model(q):
+        return pls.RegressionModel(
+            np.zeros((dim, 1)), np.zeros((1, 1)),
+            rng.standard_normal((dim, q)) / dim, np.zeros((1, q)),
+            rng.random(dim), rng.standard_normal(q), 1, 0.0,
+        )
+
+    hrms = tuple(model(2) for _ in range(geom.num_context))
+    lrms = tuple(model(1) for _ in range(geom.num_context))
+    return ModelBank(hrms, lrms, geom, reference_box=(20.0, 20.0))
+
+
+class TestVotingConfig:
+    @pytest.mark.parametrize("kwargs", [
+        dict(stride=0), dict(stride=-1), dict(bin_size=0), dict(smoothing=-0.5),
+        dict(smoothing=float("nan")), dict(maxima_radius=0),
+        dict(derivative_kernel="prewitt"),
+    ])
+    def test_rejects_invalid(self, kwargs):
+        with pytest.raises(InvalidInput):
+            VotingConfig(**kwargs)
+
+    def test_accepts_edges(self):
+        VotingConfig(stride=1, bin_size=1, smoothing=0.0, maxima_radius=1,
+                     derivative_kernel="central")
+
+
 class TestComputePatchVotes:
     def test_matches_context_oracle(self):
         rng = np.random.default_rng(1)
@@ -61,6 +94,49 @@ class TestComputePatchVotes:
             assert np.allclose(a.votes, b.votes, atol=1e-12)
             assert np.allclose(a.labels, b.labels, atol=1e-12)
             assert a.weight == b.weight
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        height=st.integers(5, 22),
+        width=st.integers(5, 22),
+        ps=st.integers(1, 8),
+        stride=st.integers(1, 5),
+        offsets=st.lists(
+            st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+            max_size=4,
+            unique=True,
+        ),
+    )
+    def test_matches_oracle_over_geometries(
+        self, seed, height, width, ps, stride, offsets
+    ):
+        """Odd, negative, clipped and out-of-image offsets; empty grids too."""
+        rng = np.random.default_rng(seed)
+        geom = PatchGeometry(ps, tuple(offsets))
+        bank = random_linear_bank(geom, rng)
+        img = rng.random((height, width))
+        out = compute_patch_votes(img, bank, VotingConfig(stride=stride))
+
+        vol = compute_channels(img)
+        expected = [
+            cast_votes(context_vectors(vol, (x, y), geom), bank,
+                       (x + ps / 2, y + ps / 2))
+            for y in range(0, height - ps + 1, stride)
+            for x in range(0, width - ps + 1, stride)
+        ]
+        assert len(out) == len(expected)
+        for a, b in zip(out, expected):
+            assert np.array_equal(a.location, b.location)
+            assert np.abs(a.votes - b.votes).max() <= 1e-12
+            assert np.abs(a.labels - b.labels).max() <= 1e-12
+            assert a.weight == b.weight
+
+    def test_image_smaller_than_patch(self):
+        geom = PatchGeometry(12, ((12, 0),))
+        bank = random_linear_bank(geom, np.random.default_rng(0))
+        img = np.random.default_rng(1).random((10, 10))
+        assert compute_patch_votes(img, bank, VotingConfig()) == []
 
     def test_stride_controls_grid(self):
         img = np.random.default_rng(2).random((15, 15))
