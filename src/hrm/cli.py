@@ -86,8 +86,9 @@ def cmd_train(args) -> int:
         cfg.voting.derivative_kernel,
         reference_box=ref,
     )
-    save_model(args.out, bank, cfg.pls.components, cfg.pls.ridge)
-    print(f"trained {len(bank.hrms)} voting + {len(bank.lrms)} label models -> {args.out}")
+    save_model(args.out, bank)
+    n = bank.num_context
+    print(f"trained {n} voting + {n} label models -> {args.out}")
     return 0
 
 

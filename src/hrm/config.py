@@ -39,10 +39,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .detect import VotingConfig
-from .errors import ParseError
+from .errors import InvalidInput, ParseError
 from .features import PatchGeometry
 from .fusion import FusionConfig
-from .pls import LatentConfig
+from .pls import METHODS, LatentConfig
 from .voting import ScaleSet
 
 
@@ -53,6 +53,14 @@ class TrainingConfig:
     seed: int = 0
     method: str = "bpls"
     scale_normalize: bool = False
+
+    def __post_init__(self):
+        if self.n_pos < 1 or self.n_neg < 1:
+            raise InvalidInput(
+                f"n_pos and n_neg must be >= 1, got {self.n_pos} and {self.n_neg}"
+            )
+        if self.method not in METHODS:
+            raise InvalidInput(f"method must be one of {METHODS}, got {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -96,11 +104,6 @@ def load_config(path=None) -> PipelineConfig:
     pls_cfg = LatentConfig(
         components=_get(s, "components", int, 100),
         ridge=_get(s, "ridge", float, 1e-10),
-        cv_folds=_get(s, "cv_folds", int, 5),
-        cv_candidates=tuple(
-            int(v) for v in _get(s, "cv_candidates", str, "1 2 4 8 16").split()
-        ),
-        cv_seed=_get(s, "cv_seed", int, 0),
     )
 
     s = section("features")

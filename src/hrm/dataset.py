@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingAsset, ParseError
+from .errors import InvalidDataset, MissingAsset, ParseError
 from .image_io import load_image
 
 Box = tuple[int, int, int, int]
@@ -30,9 +30,18 @@ class Dataset:
     entries: tuple[tuple[Path, tuple[Box, ...]], ...]
 
     def load_entries(self):
-        """Decode every image; yields (image_id, image, boxes)."""
+        """Decode every image; yields (image_id, image, boxes).
+
+        A box that reaches past its image's right or bottom edge raises
+        InvalidDataset.
+        """
         for path, boxes in self.entries:
-            yield str(path), load_image(path), boxes
+            img = load_image(path)
+            h, w = img.shape[:2]
+            for box in boxes:
+                if box[2] > w or box[3] > h:
+                    raise InvalidDataset(f"{path}: box {box} leaves the {w}x{h} image")
+            yield str(path), img, boxes
 
 
 def load_dataset(annotation_path) -> Dataset:

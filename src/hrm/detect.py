@@ -7,7 +7,7 @@ per-level maxima -> NPMI fusion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -68,25 +68,6 @@ class DetectionResult:
     total_mass: float
 
 
-def _stacked_head(bank: ModelBank) -> tuple[np.ndarray, np.ndarray]:
-    """Every regressor of the bank as one linear map.
-
-    Returns coefficients (d, m+1, 3) and intercepts (m+1, 3): entry j holds
-    voting model j's two outputs, then label model j's output.
-    """
-    pairs = list(zip(bank.hrms, bank.lrms))
-    coef = np.stack(
-        [np.hstack([h.coefficients, l.coefficients]) for h, l in pairs], axis=1
-    )
-    bias = np.stack(
-        [
-            np.concatenate([m.mean_y - m.mean_x @ m.coefficients for m in (h, l)])
-            for h, l in pairs
-        ]
-    )
-    return coef, bias
-
-
 def _needed_starts(grid: np.ndarray, offsets: np.ndarray, limit: int) -> np.ndarray:
     """Grid starts plus every in-bounds grid + offset start, sorted."""
     shifted = grid[:, None] + offsets[None, :]
@@ -124,7 +105,7 @@ def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig):
     """Cast votes for every patch on the sampling grid; returns PatchVotes.
 
     Every regressor is linear, so context j's output at start l is
-    ``bias_j + R_j(l) - R_j(l + offset_j)`` with ``R = patch vector @ B``;
+    ``intercept_j + R_j(l) - R_j(l + offset_j)`` with ``R = patch vector @ B``;
     the neighbor term is zero where the neighbor is clipped, as in
     :func:`~hrm.features.context_vectors`.  R is one GEMM over the starts
     the grid and its neighbors need.
@@ -138,17 +119,10 @@ def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig):
     xs = np.arange(0, n_x, cfg.stride)
     ys = np.arange(0, n_y, cfg.stride)
 
-    coef, bias = _stacked_head(bank)
-    if coef.shape[0] != geom.vector_length:
-        raise InvalidInput(
-            f"dimension mismatch: patches have {geom.vector_length}, "
-            f"models expect {coef.shape[0]}"
-        )
-    mplus1 = bias.shape[0]
     offsets = np.array(geom.neighbor_offsets, dtype=np.intp).reshape(-1, 2)
     rows = _needed_starts(ys, offsets[:, 1], n_y)
     cols = _needed_starts(xs, offsets[:, 0], n_x)
-    resp = _responses(vol, ps, rows, cols, coef)  # (rows, cols, m+1, 3)
+    resp = _responses(vol, ps, rows, cols, bank.coefficients)  # (rows, cols, m+1, 3)
     row_of = np.full(n_y, -1)
     row_of[rows] = np.arange(len(rows))
     col_of = np.full(n_x, -1)
@@ -160,11 +134,11 @@ def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig):
         ny, nx = gy + dy, gx + dx
         inside = (nx >= 0) & (ny >= 0) & (nx < n_x) & (ny < n_y)
         out[inside, j] -= resp[row_of[ny[inside]], col_of[nx[inside]], j]
-    out += bias
+    out += bank.intercepts
 
     votes = np.ascontiguousarray(out[..., :2])
     labels = np.ascontiguousarray(out[..., 2])
-    weights = (labels > 0).sum(axis=1) / mplus1
+    weights = (labels > 0).sum(axis=1) / geom.num_context
     centers = np.stack([gx, gy], axis=1) + ps / 2.0
     return [
         PatchVotes(centers[i], votes[i], labels[i], float(weights[i]))

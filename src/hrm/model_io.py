@@ -1,25 +1,25 @@
-"""Binary model-bank serialization.
+"""Binary model-bank serialization: the stacked linear head.
 
-Layout (all integers little-endian):
+Layout, format version 2 (all integers little-endian):
 
     magic   4 bytes  "HRMB"
     u32     format version
     str     extractor version (u32 length + utf-8)
     u32     patch size
     u32     m (neighbor count), then m pairs of i32 (dx, dy)
-    f64     train scale
     f64 x2  reference box (width, height)
-    u32     c (latent components), f64 alpha
-    u32     number of models (2 * (m + 1): voting models then label models)
-    per model: u32 components, f64 ridge, then 6 matrices
-               (weights, scores, coefficients, residual, mean_x, mean_y),
-               each as u64 rows, u64 cols, row-major f64 data.
+    array   coefficients (d, m+1, 3): voting model j's two outputs, then
+            label model j's output
+    array   intercepts (m+1, 3)
 
-Round-trips are bit-exact.  Writes go through a temp file and rename.
+Each array is u32 ndim, ndim u64 dimensions, then row-major f64 data.
+Version 1 files, which held every fit record, are refused.  Round-trips
+are bit-exact.  Writes go through a temp file and rename.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -28,11 +28,10 @@ import numpy as np
 
 from .errors import CorruptModel, IncompatibleModel
 from .features import EXTRACTOR_VERSION, PatchGeometry
-from .pls import RegressionModel
 from .training import ModelBank
 
 MAGIC = b"HRMB"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class _Reader:
@@ -51,31 +50,19 @@ class _Reader:
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
 
 
-def _pack_matrix(a: np.ndarray) -> bytes:
-    a = np.ascontiguousarray(np.atleast_2d(np.asarray(a, dtype="<f8")))
-    return struct.pack("<QQ", a.shape[0], a.shape[1]) + a.tobytes()
+def _pack_array(a: np.ndarray) -> bytes:
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return struct.pack(f"<I{a.ndim}Q", a.ndim, *a.shape) + a.tobytes()
 
 
-def _read_matrix(r: _Reader) -> np.ndarray:
-    rows, cols = r.unpack("QQ")
-    data = r.take(rows * cols * 8)
-    return np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
+def _read_array(r: _Reader) -> np.ndarray:
+    (ndim,) = r.unpack("I")
+    shape = r.unpack(f"{ndim}Q")
+    data = r.take(math.prod(shape) * 8)
+    return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
 
 
-def _pack_model(m: RegressionModel) -> bytes:
-    parts = [struct.pack("<Id", m.components, m.ridge)]
-    for a in (m.weights, m.scores, m.coefficients, m.residual, m.mean_x, m.mean_y):
-        parts.append(_pack_matrix(a))
-    return b"".join(parts)
-
-
-def _read_model(r: _Reader) -> RegressionModel:
-    components, ridge = r.unpack("Id")
-    W, T, B, R, mx, my = (_read_matrix(r) for _ in range(6))
-    return RegressionModel(W, T, B, R, mx.ravel(), my.ravel(), components, ridge)
-
-
-def save_model(path, bank: ModelBank, components: int = 0, alpha: float = 0.0) -> None:
+def save_model(path, bank: ModelBank) -> None:
     geom = bank.geometry
     ext = bank.extractor_version.encode()
     parts = [
@@ -87,19 +74,9 @@ def save_model(path, bank: ModelBank, components: int = 0, alpha: float = 0.0) -
     ]
     for dx, dy in geom.neighbor_offsets:
         parts.append(struct.pack("<ii", dx, dy))
-    parts.append(
-        struct.pack(
-            "<dddId",
-            bank.train_scale,
-            bank.reference_box[0],
-            bank.reference_box[1],
-            components,
-            alpha,
-        )
-    )
-    parts.append(struct.pack("<I", len(bank.hrms) + len(bank.lrms)))
-    for m in bank.hrms + bank.lrms:
-        parts.append(_pack_model(m))
+    parts.append(struct.pack("<dd", *bank.reference_box))
+    parts.append(_pack_array(bank.coefficients))
+    parts.append(_pack_array(bank.intercepts))
 
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -114,7 +91,9 @@ def load_model(path) -> ModelBank:
         raise IncompatibleModel("bad magic; not a model-bank file")
     (version,) = r.unpack("I")
     if version != FORMAT_VERSION:
-        raise IncompatibleModel(f"format version {version}, expected {FORMAT_VERSION}")
+        raise IncompatibleModel(
+            f"format version {version}, expected {FORMAT_VERSION}; retrain the model"
+        )
     (ext_len,) = r.unpack("I")
     extractor = r.take(ext_len).decode()
     if extractor != EXTRACTOR_VERSION:
@@ -123,21 +102,15 @@ def load_model(path) -> ModelBank:
         )
     patch_size, m = r.unpack("II")
     offsets = tuple(r.unpack("ii") for _ in range(m))
-    train_scale, ref_w, ref_h, _components, _alpha = r.unpack("dddId")
-    (count,) = r.unpack("I")
-    if count % 2 != 0:
-        raise CorruptModel("odd model count")
-    models = [_read_model(r) for _ in range(count)]
+    ref_w, ref_h = r.unpack("dd")
+    coefficients = _read_array(r)
+    intercepts = _read_array(r)
     if r.pos != len(data):
         raise CorruptModel("trailing bytes after model data")
-
-    geom = PatchGeometry(patch_size, offsets)
-    half = count // 2
     return ModelBank(
-        tuple(models[:half]),
-        tuple(models[half:]),
-        geom,
-        train_scale,
+        coefficients,
+        intercepts,
+        PatchGeometry(patch_size, offsets),
         extractor,
         (ref_w, ref_h),
     )

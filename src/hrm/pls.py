@@ -10,7 +10,7 @@ component counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,9 @@ from .errors import DegenerateFit, InvalidComponents, InvalidInput
 # Condition-number ceiling for the score Gram matrix before a fit is
 # declared degenerate.
 _COND_LIMIT = 1e12
+
+# Fitting methods: iterative PLS and Bridge PLS.
+METHODS = ("pls", "bpls")
 
 # Eigendecomposition call counter, used by efficiency tests.  Incremented by
 # dominant_eigenvectors; read/reset through the helpers below.
@@ -58,13 +61,10 @@ class RegressionModel:
 
 @dataclass(frozen=True)
 class LatentConfig:
-    """Latent-subspace settings, including cross-validation controls."""
+    """Latent-subspace settings: component count c and bridge ridge alpha."""
 
     components: int = 100
     ridge: float = 1e-10
-    cv_folds: int = 5
-    cv_candidates: tuple[int, ...] = (1, 2, 4, 8, 16)
-    cv_seed: int = 0
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -203,7 +203,15 @@ def predict(model: RegressionModel, x) -> np.ndarray:
     return model.mean_y + (x - model.mean_x) @ model.coefficients
 
 
-def cross_validate_components(X, Y, cfg: LatentConfig, method: str = "bpls") -> int:
+def cross_validate_components(
+    X,
+    Y,
+    candidates,
+    folds: int = 5,
+    seed: int = 0,
+    ridge: float = 1e-10,
+    method: str = "bpls",
+) -> int:
     """Pick the candidate component count with the lowest k-fold MSE.
 
     Folds are contiguous blocks of a single seeded shuffle; ties go to the
@@ -212,26 +220,26 @@ def cross_validate_components(X, Y, cfg: LatentConfig, method: str = "bpls") -> 
     X = _as_matrix(X, "X")
     Y = _as_matrix(Y, "Y")
     n = X.shape[0]
-    if cfg.cv_folds < 2:
-        raise InvalidInput("cv_folds must be >= 2")
-    if n < cfg.cv_folds:
-        raise InvalidInput(f"{n} samples cannot fill {cfg.cv_folds} folds")
-    if not cfg.cv_candidates:
-        raise InvalidInput("cv_candidates is empty")
+    if folds < 2:
+        raise InvalidInput("folds must be >= 2")
+    if n < folds:
+        raise InvalidInput(f"{n} samples cannot fill {folds} folds")
+    if not candidates:
+        raise InvalidInput("candidates is empty")
 
-    rng = np.random.default_rng(cfg.cv_seed)
+    rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    folds = np.array_split(order, cfg.cv_folds)
+    held_out = np.array_split(order, folds)
 
     best_c, best_err = None, np.inf
-    for c in sorted(cfg.cv_candidates):
+    for c in sorted(candidates):
         errs = []
-        for held in folds:
+        for held in held_out:
             train = np.setdiff1d(order, held, assume_unique=True)
             if method == "pls":
                 model = pls_fit(X[train], Y[train], c)
             else:
-                model = bpls_fit(X[train], Y[train], c, cfg.ridge)
+                model = bpls_fit(X[train], Y[train], c, ridge)
             resid = predict(model, X[held]) - Y[held]
             errs.append(np.mean(resid**2))
         err = float(np.mean(errs))

@@ -15,12 +15,11 @@ import numpy as np
 from scipy import ndimage
 
 from . import pls
-from .errors import DegenerateFit, InvalidDataset
+from .errors import DegenerateFit, IncompatibleModel, InvalidDataset, InvalidInput
 from .features import (
     EXTRACTOR_VERSION,
     PatchGeometry,
     compute_channels,
-    context_vectors,
     extract_patch_vector,
 )
 
@@ -49,27 +48,50 @@ class SampleSet:
 
 
 @dataclass(frozen=True)
-class TrainingSets:
-    """The m+1 predictor/response pairs for both model families."""
-
-    hrm: tuple[tuple[np.ndarray, np.ndarray], ...]  # (X_j, voting targets)
-    lrm: tuple[tuple[np.ndarray, np.ndarray], ...]  # (X_j, +-1 labels)
-
-
-@dataclass(frozen=True)
 class ModelBank:
-    """m+1 voting regressors and m+1 label regressors with shared geometry."""
+    """Every voting and label regressor as one stacked linear head.
 
-    hrms: tuple[pls.RegressionModel, ...]
-    lrms: tuple[pls.RegressionModel, ...]
+    coefficients: (d, m+1, 3); entry [:, j] holds voting model j's two
+    outputs, then label model j's output.
+    intercepts: (m+1, 3), so context j predicts ``x_j @ B_j + intercepts[j]``.
+    """
+
+    coefficients: np.ndarray
+    intercepts: np.ndarray
     geometry: PatchGeometry
-    train_scale: float = 1.0
     extractor_version: str = EXTRACTOR_VERSION
     reference_box: tuple[float, float] = (0.0, 0.0)
 
+    def __post_init__(self):
+        mplus1 = self.geometry.num_context
+        shapes = ((self.geometry.vector_length, mplus1, 3), (mplus1, 3))
+        if (self.coefficients.shape, self.intercepts.shape) != shapes:
+            raise IncompatibleModel(
+                f"head shapes {self.coefficients.shape}, {self.intercepts.shape} "
+                f"do not match the patch geometry's {shapes[0]}, {shapes[1]}"
+            )
+
+    @classmethod
+    def from_fits(cls, hrms, lrms, geometry, reference_box=(0.0, 0.0)) -> ModelBank:
+        """Stack fitted voting models and label models, one pair per context.
+
+        Each fit ``mean_y + (x - mean_x) B`` becomes ``x B + (mean_y - mean_x B)``.
+        """
+        pairs = list(zip(hrms, lrms))
+        coef = np.stack(
+            [np.hstack([h.coefficients, l.coefficients]) for h, l in pairs], axis=1
+        )
+        bias = np.stack(
+            [
+                np.concatenate([m.mean_y - m.mean_x @ m.coefficients for m in (h, l)])
+                for h, l in pairs
+            ]
+        )
+        return cls(coef, bias, geometry, reference_box=reference_box)
+
     @property
     def num_context(self) -> int:
-        return len(self.hrms)
+        return self.geometry.num_context
 
 
 def _positive_candidates(boxes, shape, ps):
@@ -183,35 +205,6 @@ def sample_patches(
     return SampleSet(tuple(canvases), tuple(samples))
 
 
-def build_training_sets(
-    sample_set: SampleSet,
-    geom: PatchGeometry,
-    derivative_kernel: str = "sobel",
-) -> TrainingSets:
-    """Assemble the m+1 context-encoded (X_j, Y) pairs for both families."""
-    used = sorted({s.canvas_id for s in sample_set.samples})
-    volumes = {
-        cid: compute_channels(sample_set.canvases[cid], derivative_kernel)
-        for cid in used
-    }
-
-    mplus1 = geom.num_context
-    rows = np.empty((len(sample_set.samples), mplus1, geom.vector_length))
-    labels = np.empty(len(sample_set.samples))
-    for i, s in enumerate(sample_set.samples):
-        rows[i] = context_vectors(volumes[s.canvas_id], s.topleft, geom).vectors
-        labels[i] = s.label
-
-    pos = labels > 0
-    votes = np.array(
-        [s.voting for s in sample_set.samples if s.label > 0], dtype=np.float64
-    ).reshape(int(pos.sum()), 2)
-
-    hrm = tuple((rows[pos, j, :], votes) for j in range(mplus1))
-    lrm = tuple((rows[:, j, :], labels[:, None]) for j in range(mplus1))
-    return TrainingSets(hrm, lrm)
-
-
 def train_from_samples(
     sample_set: SampleSet,
     geom: PatchGeometry,
@@ -220,12 +213,14 @@ def train_from_samples(
     derivative_kernel: str = "sobel",
     reference_box: tuple[float, float] = (0.0, 0.0),
 ) -> ModelBank:
-    """Fit the bank one context index at a time.
+    """Fit the voting and label models of every context and stack them.
 
-    Equivalent to build_training_sets followed by train_bank, but holds a
-    single (n, d) predictor matrix in memory at once, which matters for
-    real patch dimensionalities.
+    Fits one context index at a time, so a single (n, d) predictor matrix
+    is in memory at once, which matters for real patch dimensionalities.
+    ``method`` is ``pls`` or ``bpls``.
     """
+    if method not in pls.METHODS:
+        raise InvalidInput(f"method must be one of {pls.METHODS}, got {method!r}")
     used = sorted({s.canvas_id for s in sample_set.samples})
     volumes = {
         cid: compute_channels(sample_set.canvases[cid], derivative_kernel)
@@ -269,33 +264,4 @@ def train_from_samples(
         X = context_matrix(j)
         hrms.append(fit(X[pos], votes, j, "voting"))
         lrms.append(fit(X, labels[:, None], j, "label"))
-    return ModelBank(tuple(hrms), tuple(lrms), geom, reference_box=reference_box)
-
-
-def train_bank(
-    sets: TrainingSets,
-    cfg: pls.LatentConfig,
-    method: str = "bpls",
-    geometry: PatchGeometry | None = None,
-    reference_box: tuple[float, float] = (0.0, 0.0),
-) -> ModelBank:
-    """Fit every voting and label regressor; method picks pls or bpls."""
-    if method not in ("pls", "bpls"):
-        raise ValueError(f"unknown method {method!r}")
-
-    def fit(X, Y, j, family):
-        try:
-            if method == "pls":
-                return pls.pls_fit(X, Y, cfg.components)
-            return pls.bpls_fit(X, Y, cfg.components, cfg.ridge)
-        except DegenerateFit as e:
-            raise DegenerateFit(f"{family} model j={j}: {e}") from e
-
-    hrms = tuple(fit(X, Y, j, "voting") for j, (X, Y) in enumerate(sets.hrm))
-    lrms = tuple(fit(X, Y, j, "label") for j, (X, Y) in enumerate(sets.lrm))
-    return ModelBank(
-        hrms,
-        lrms,
-        geometry if geometry is not None else PatchGeometry(),
-        reference_box=reference_box,
-    )
+    return ModelBank.from_fits(hrms, lrms, geom, reference_box=reference_box)

@@ -9,12 +9,11 @@ in level ``s``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from . import pls
 from .errors import InvalidInput
 from .features import ContextSet
 from .training import ModelBank
@@ -53,7 +52,6 @@ class Hypothesis:
     center: tuple[float, float]
     scale: float
     score: float
-    category: str = "object"
 
 
 @dataclass
@@ -82,38 +80,17 @@ def patch_weight(labels: np.ndarray) -> float:
 
 def cast_votes(context: ContextSet, bank: ModelBank, loc) -> PatchVotes:
     """Run every voting and label regressor on one patch's context set."""
-    if context.vectors.shape[0] != bank.num_context:
+    expected = (bank.num_context, bank.geometry.vector_length)
+    if context.vectors.shape != expected:
         raise InvalidInput(
-            f"context set has {context.vectors.shape[0]} vectors, bank expects "
-            f"{bank.num_context}"
+            f"context set has shape {context.vectors.shape}, bank expects {expected}"
         )
-    votes = np.array(
-        [pls.predict(m, v) for m, v in zip(bank.hrms, context.vectors)]
-    )
-    labels = np.array(
-        [float(pls.predict(m, v)[0]) for m, v in zip(bank.lrms, context.vectors)]
-    )
+    out = np.array(
+        [v @ bank.coefficients[:, j] + bank.intercepts[j]
+         for j, v in enumerate(context.vectors)]
+    )  # (m+1, 3)
+    votes, labels = out[:, :2], out[:, 2]
     return PatchVotes(np.asarray(loc, dtype=np.float64), votes, labels, patch_weight(labels))
-
-
-def cast_votes_batch(contexts: np.ndarray, bank: ModelBank, locs: np.ndarray):
-    """Vectorized cast_votes over r patches.
-
-    contexts: (r, m+1, d); locs: (r, 2).  Returns a list of PatchVotes
-    identical to per-patch casting.
-    """
-    r, mplus1, _ = contexts.shape
-    if mplus1 != bank.num_context:
-        raise InvalidInput("context count does not match the bank")
-    votes = np.empty((r, mplus1, 2))
-    labels = np.empty((r, mplus1))
-    for j in range(mplus1):
-        votes[:, j, :] = pls.predict(bank.hrms[j], contexts[:, j, :])
-        labels[:, j] = pls.predict(bank.lrms[j], contexts[:, j, :])[:, 0]
-    weights = (labels > 0).sum(axis=1) / mplus1
-    return [
-        PatchVotes(locs[i], votes[i], labels[i], float(weights[i])) for i in range(r)
-    ]
 
 
 def accumulate_cuboid(

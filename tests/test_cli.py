@@ -1,5 +1,6 @@
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 import hrm
 from hrm.cli import main
+from hrm.features import EXTRACTOR_VERSION
 
 if sys.version_info >= (3, 11):
     import tomllib
@@ -116,6 +118,30 @@ class TestTrainCommand:
                      "--annotations", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "m.hrmb")]) == 2
 
+    @pytest.mark.parametrize("old, new", [
+        ("seed = 0", "seed = 0\nmethod = foo"),
+        ("n_pos = 150", "n_pos = -1"),
+        ("n_neg = 150", "n_neg = 0"),
+    ])
+    def test_invalid_training_config_is_input_error(self, workspace, tmp_path,
+                                                    old, new):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text((workspace / "cfg.ini").read_text().replace(old, new))
+        assert main(["train", "--config", str(cfg),
+                     "--annotations", str(workspace / "scenes" / "annotations.txt"),
+                     "--out", str(tmp_path / "m.hrmb")]) == 2
+        assert not (tmp_path / "m.hrmb").exists()
+
+    def test_box_outside_image_is_input_error(self, workspace, tmp_path):
+        # scene images are 96 x 96
+        ann = tmp_path / "annotations.txt"
+        image = workspace / "scenes" / "scene_0000.pgm"
+        ann.write_text(f"{image} 50 50 500 500\n")
+        assert main(["train", "--config", str(workspace / "cfg.ini"),
+                     "--annotations", str(ann),
+                     "--out", str(tmp_path / "m.hrmb")]) == 2
+        assert not (tmp_path / "m.hrmb").exists()
+
 
 class TestDetectCommand:
     def test_output_format(self, workspace):
@@ -180,6 +206,37 @@ class TestDetectCommand:
         assert main(["detect", "--model", str(bad),
                      "--images", str(workspace / "scenes"),
                      "--out", str(tmp_path / "d.tsv")]) == 3
+
+    def test_v1_model_refused(self, workspace, tmp_path):
+        # the format-1 header: geometry, train scale, reference box, c, alpha,
+        # then the model count (every fit record followed)
+        ext = EXTRACTOR_VERSION.encode()
+        old = tmp_path / "v1.hrmb"
+        old.write_bytes(
+            b"HRMB" + struct.pack("<II", 1, len(ext)) + ext
+            + struct.pack("<II", 6, 1) + struct.pack("<ii", 6, 0)
+            + struct.pack("<dddId", 1.0, 24.0, 24.0, 4, 1e-10)
+            + struct.pack("<I", 0)
+        )
+        assert main(["detect", "--model", str(old),
+                     "--images", str(workspace / "scenes"),
+                     "--out", str(tmp_path / "d.tsv")]) == 3
+        assert not (tmp_path / "d.tsv").exists()
+
+    def test_head_rows_disagreeing_with_patch_size_is_model_error(
+        self, workspace, tmp_path
+    ):
+        data = bytearray((workspace / "model.hrmb").read_bytes())
+        (ext_len,) = struct.unpack_from("<I", data, 8)
+        at = 12 + ext_len  # the patch-size field
+        assert struct.unpack_from("<I", data, at) == (6,)
+        struct.pack_into("<I", data, at, 5)
+        bad = tmp_path / "bad.hrmb"
+        bad.write_bytes(bytes(data))
+        assert main(["detect", "--model", str(bad),
+                     "--images", str(workspace / "scenes"),
+                     "--out", str(tmp_path / "d.tsv")]) == 3
+        assert not (tmp_path / "d.tsv").exists()
 
     def test_missing_images_is_input_error(self, workspace, tmp_path):
         assert main(["detect", "--model", str(workspace / "model.hrmb"),

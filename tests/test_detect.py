@@ -25,7 +25,7 @@ def fitted_bank(seed=0):
         X = rng.standard_normal((12, DIM))
         hrms.append(pls.bpls_fit(X, rng.standard_normal((12, 2)), 2, 1e-10))
         lrms.append(pls.bpls_fit(X, rng.standard_normal((12, 1)), 2, 1e-10))
-    return ModelBank(tuple(hrms), tuple(lrms), GEOM, reference_box=(20.0, 20.0))
+    return ModelBank.from_fits(hrms, lrms, GEOM, reference_box=(20.0, 20.0))
 
 
 def gated_off_bank():
@@ -40,7 +40,7 @@ def gated_off_bank():
 
     hrms = tuple(const([0.0, 0.0]) for _ in range(GEOM.num_context))
     lrms = tuple(const([-1.0]) for _ in range(GEOM.num_context))
-    return ModelBank(hrms, lrms, GEOM, reference_box=(20.0, 20.0))
+    return ModelBank.from_fits(hrms, lrms, GEOM, reference_box=(20.0, 20.0))
 
 
 def random_linear_bank(geom, rng):
@@ -56,7 +56,7 @@ def random_linear_bank(geom, rng):
 
     hrms = tuple(model(2) for _ in range(geom.num_context))
     lrms = tuple(model(1) for _ in range(geom.num_context))
-    return ModelBank(hrms, lrms, geom, reference_box=(20.0, 20.0))
+    return ModelBank.from_fits(hrms, lrms, geom, reference_box=(20.0, 20.0))
 
 
 class TestVotingConfig:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from hrm import dataset, image_io, model_io, pls
+from hrm import dataset, image_io, model_io, pls, voting
 from hrm.errors import CorruptModel, IncompatibleModel, MissingAsset, ParseError
-from hrm.features import PatchGeometry
+from hrm.features import ContextSet, PatchGeometry
 from hrm.training import ModelBank
 
 
@@ -151,9 +151,10 @@ class TestDataset:
         assert img.shape == (32, 32) and boxes == ((1, 1, 9, 9),)
 
 
-def random_bank(seed=0, dim=6, mplus1=2):
+def random_bank(seed=0, mplus1=2):
     rng = np.random.default_rng(seed)
     geom = PatchGeometry(4, tuple((k + 1, -k) for k in range(mplus1 - 1)))
+    dim = geom.vector_length
     hrms = tuple(
         pls.bpls_fit(rng.standard_normal((12, dim)), rng.standard_normal((12, 2)),
                      3, 1e-10)
@@ -164,27 +165,20 @@ def random_bank(seed=0, dim=6, mplus1=2):
                      3, 1e-10)
         for _ in range(mplus1)
     )
-    return ModelBank(hrms, lrms, geom, reference_box=(24.0, 30.0))
+    return ModelBank.from_fits(hrms, lrms, geom, reference_box=(24.0, 30.0))
 
 
 class TestModelIO:
     def test_roundtrip_bit_exact(self, tmp_path):
         bank = random_bank()
         path = tmp_path / "bank.hrmb"
-        model_io.save_model(path, bank, components=3, alpha=1e-10)
+        model_io.save_model(path, bank)
         back = model_io.load_model(path)
         assert back.geometry == bank.geometry
-        assert back.train_scale == bank.train_scale
         assert back.reference_box == bank.reference_box
         assert back.extractor_version == bank.extractor_version
-        for a, b in zip(bank.hrms + bank.lrms, back.hrms + back.lrms):
-            assert a.components == b.components and a.ridge == b.ridge
-            for field in ("weights", "scores", "coefficients", "residual",
-                          "mean_x", "mean_y"):
-                assert np.array_equal(
-                    np.atleast_2d(getattr(a, field)).ravel(),
-                    np.atleast_2d(getattr(b, field)).ravel(),
-                )
+        assert np.array_equal(back.coefficients, bank.coefficients)
+        assert np.array_equal(back.intercepts, bank.intercepts)
 
     def test_save_is_deterministic(self, tmp_path):
         bank = random_bank(3)
@@ -245,6 +239,8 @@ class TestModelIO:
         path = tmp_path / "bank.hrmb"
         model_io.save_model(path, bank)
         back = model_io.load_model(path)
-        x = np.random.default_rng(6).standard_normal(6)
-        for a, b in zip(bank.hrms, back.hrms):
-            assert np.array_equal(pls.predict(a, x), pls.predict(b, x))
+        x = np.random.default_rng(6).standard_normal((2, bank.geometry.vector_length))
+        ctx = ContextSet(x, (False, False))
+        a, b = (voting.cast_votes(ctx, k, (0.0, 0.0)) for k in (bank, back))
+        assert np.array_equal(a.votes, b.votes)
+        assert np.array_equal(a.labels, b.labels)

@@ -234,27 +234,23 @@ class TestCrossValidation:
         U = rng.standard_normal((60, 2))
         X = U @ rng.standard_normal((2, 8)) + 0.2 * rng.standard_normal((60, 8))
         Y = U @ rng.standard_normal((2, 2)) + 0.5 * rng.standard_normal((60, 2))
-        cfg = pls.LatentConfig(cv_folds=5, cv_candidates=(1, 2, 5), cv_seed=0)
-        assert pls.cross_validate_components(X, Y, cfg) == 2
+        assert pls.cross_validate_components(X, Y, (1, 2, 5), folds=5, seed=0) == 2
 
     def test_single_candidate(self):
         rng = np.random.default_rng(19)
         X = rng.standard_normal((20, 6))
         Y = rng.standard_normal((20, 2))
-        cfg = pls.LatentConfig(cv_folds=4, cv_candidates=(4,))
-        assert pls.cross_validate_components(X, Y, cfg) == 4
+        assert pls.cross_validate_components(X, Y, (4,), folds=4) == 4
 
     def test_pure_noise_prefers_smallest(self):
         rng = np.random.default_rng(20)
         X = rng.standard_normal((50, 8))
         Y = rng.standard_normal((50, 2))
-        cfg = pls.LatentConfig(cv_folds=5, cv_candidates=(1, 3, 6), cv_seed=1)
-        assert pls.cross_validate_components(X, Y, cfg) == 1
+        assert pls.cross_validate_components(X, Y, (1, 3, 6), folds=5, seed=1) == 1
 
     def test_too_few_samples(self):
-        cfg = pls.LatentConfig(cv_folds=10, cv_candidates=(1,))
         with pytest.raises(InvalidInput):
-            pls.cross_validate_components(np.eye(4), np.ones((4, 1)), cfg)
+            pls.cross_validate_components(np.eye(4), np.ones((4, 1)), (1,), folds=10)
 
 
 class TestEigensolverCounting:

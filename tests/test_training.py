@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hrm import pls, training
-from hrm.errors import InvalidDataset
-from hrm.features import PatchGeometry
+from hrm.errors import InvalidDataset, InvalidInput
+from hrm.features import PatchGeometry, compute_channels, context_vectors
 from hrm.model_io import save_model
 from hrm.synth import synth_scene
 
@@ -18,6 +18,23 @@ def scene_entry(seed=0, box=(20, 16, 44, 40), canvas=(64, 64)):
     scale = (box[2] - box[0]) / 40.0
     img, boxes = synth_scene([(cx, cy, scale)], canvas, noise=0.01, seed=seed)
     return img, list(boxes)
+
+
+def context_sets(ss, geom):
+    """Rows (n, m+1, d) from the per-patch oracle, +-1 labels, positive votes."""
+    vols = {cid: compute_channels(c) for cid, c in enumerate(ss.canvases)}
+    rows = np.array(
+        [context_vectors(vols[s.canvas_id], s.topleft, geom).vectors
+         for s in ss.samples]
+    )
+    labels = np.array([float(s.label) for s in ss.samples])
+    votes = np.array([s.voting for s in ss.samples if s.label > 0])
+    return rows, labels, votes
+
+
+def head_votes(bank, X):
+    """The raw-patch context's two voting outputs for the rows of X."""
+    return X @ bank.coefficients[:, 0, :2] + bank.intercepts[0, :2]
 
 
 class TestSamplePatches:
@@ -108,60 +125,33 @@ class TestSamplePatches:
                 assert s.canvas_id == 1
 
 
-class TestBuildTrainingSets:
-    def test_shapes_and_raw_first_set(self):
-        entries = [scene_entry(10)]
-        ss = training.sample_patches(entries, 12, 8, GEOM, seed=1)
-        sets = training.build_training_sets(ss, GEOM)
-        assert len(sets.hrm) == len(sets.lrm) == GEOM.num_context == 3
-        X0, votes = sets.hrm[0]
-        assert X0.shape == (12, GEOM.vector_length)
-        assert votes.shape == (12, 2)
-        Xl, labels = sets.lrm[0]
-        assert Xl.shape == (20, GEOM.vector_length)
-        assert sorted(np.unique(labels.ravel())) == [-1.0, 1.0]
-
-    def test_m_zero_single_set(self):
-        geom = PatchGeometry(PS, ())
-        entries = [scene_entry(11)]
-        ss = training.sample_patches(entries, 6, 6, geom, seed=2)
-        sets = training.build_training_sets(ss, geom)
-        assert len(sets.hrm) == len(sets.lrm) == 1
-
-    def test_context_rows_match_feature_module(self):
-        from hrm.features import compute_channels, context_vectors
-
-        entries = [scene_entry(12)]
-        ss = training.sample_patches(entries, 5, 5, GEOM, seed=3)
-        sets = training.build_training_sets(ss, GEOM)
-        vol = compute_channels(ss.canvases[0])
-        for j in range(GEOM.num_context):
-            X, _ = sets.lrm[j]
-            for i, s in enumerate(ss.samples):
-                ctx = context_vectors(vol, s.topleft, GEOM)
-                assert np.array_equal(X[i], ctx.vectors[j])
-
-
 class TestTrainBank:
     def test_bank_structure(self):
         entries = [scene_entry(13)]
         ss = training.sample_patches(entries, 10, 10, GEOM, seed=0)
         cfg = pls.LatentConfig(components=4)
         bank = training.train_from_samples(ss, GEOM, cfg)
-        assert len(bank.hrms) == len(bank.lrms) == GEOM.num_context
-        dims = {m.coefficients.shape[0] for m in bank.hrms + bank.lrms}
-        assert dims == {GEOM.vector_length}
+        assert bank.num_context == GEOM.num_context == 3
+        assert bank.coefficients.shape == (GEOM.vector_length, 3, 3)
+        assert bank.intercepts.shape == (3, 3)
 
-    def test_streaming_matches_materialized(self):
+    @pytest.mark.parametrize("offsets", [((PS, 0), (0, PS)), ()], ids=["m2", "m0"])
+    def test_matches_fits_on_context_vectors(self, offsets):
+        # every X_j built from the per-patch oracle, fitted directly
+        geom = PatchGeometry(PS, offsets)
         entries = [scene_entry(14)]
-        ss = training.sample_patches(entries, 8, 8, GEOM, seed=1)
+        ss = training.sample_patches(entries, 8, 8, geom, seed=1)
         cfg = pls.LatentConfig(components=3)
-        sets = training.build_training_sets(ss, GEOM)
-        a = training.train_bank(sets, cfg, geometry=GEOM)
-        b = training.train_from_samples(ss, GEOM, cfg)
-        for ma, mb in zip(a.hrms + a.lrms, b.hrms + b.lrms):
-            assert np.array_equal(ma.coefficients, mb.coefficients)
-            assert np.array_equal(ma.mean_x, mb.mean_x)
+        rows, labels, votes = context_sets(ss, geom)
+        pos = labels > 0
+        hrms = [pls.bpls_fit(rows[pos, j, :], votes, 3, cfg.ridge)
+                for j in range(geom.num_context)]
+        lrms = [pls.bpls_fit(rows[:, j, :], labels[:, None], 3, cfg.ridge)
+                for j in range(geom.num_context)]
+        a = training.ModelBank.from_fits(hrms, lrms, geom)
+        b = training.train_from_samples(ss, geom, cfg)
+        assert np.array_equal(a.coefficients, b.coefficients)
+        assert np.array_equal(a.intercepts, b.intercepts)
 
     def test_exact_interpolation_small_sample(self):
         # with c = n_pos - 1 components the fit spans the full centered
@@ -171,9 +161,8 @@ class TestTrainBank:
         ss = training.sample_patches(entries, 8, 8, geom, seed=2)
         cfg = pls.LatentConfig(components=7)
         bank = training.train_from_samples(ss, geom, cfg)
-        sets = training.build_training_sets(ss, geom)
-        X, votes = sets.hrm[0]
-        pred = pls.predict(bank.hrms[0], X)
+        rows, labels, votes = context_sets(ss, geom)
+        pred = head_votes(bank, rows[labels > 0, 0, :])
         assert np.max(np.abs(pred - votes)) <= 1e-6
 
     def test_pls_and_bpls_agree_on_full_rank_fit(self):
@@ -183,17 +172,18 @@ class TestTrainBank:
         cfg = pls.LatentConfig(components=7)
         a = training.train_from_samples(ss, geom, cfg, method="pls")
         b = training.train_from_samples(ss, geom, cfg, method="bpls")
-        sets = training.build_training_sets(ss, geom)
-        X, _ = sets.hrm[0]
-        d = np.abs(pls.predict(a.hrms[0], X) - pls.predict(b.hrms[0], X))
+        rows, labels, _ = context_sets(ss, geom)
+        X = rows[labels > 0, 0, :]
+        d = np.abs(head_votes(a, X) - head_votes(b, X))
         assert np.max(d) <= 1e-4
 
     def test_unknown_method(self):
         entries = [scene_entry(17)]
         ss = training.sample_patches(entries, 4, 4, GEOM, seed=0)
-        sets = training.build_training_sets(ss, GEOM)
-        with pytest.raises(ValueError):
-            training.train_bank(sets, pls.LatentConfig(components=2), method="ols")
+        with pytest.raises(InvalidInput):
+            training.train_from_samples(
+                ss, GEOM, pls.LatentConfig(components=2), method="ols"
+            )
 
     def test_reproducible_serialization(self, tmp_path):
         cfg = pls.LatentConfig(components=3)
@@ -203,6 +193,6 @@ class TestTrainBank:
             ss = training.sample_patches(entries, 8, 8, GEOM, seed=5)
             bank = training.train_from_samples(ss, GEOM, cfg)
             path = tmp_path / f"bank{run}.hrmb"
-            save_model(path, bank, cfg.components, cfg.ridge)
+            save_model(path, bank)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]

@@ -25,14 +25,13 @@ def constant_model(dim, out):
     )
 
 
-def constant_bank(dim, votes, labels, geom=None):
-    """Bank whose j-th models always output votes[j] / labels[j]."""
-    if geom is None:
-        offsets = tuple((k + 1, 0) for k in range(len(votes) - 1))
-        geom = PatchGeometry(4, offsets)
+def constant_fits(votes, labels):
+    """Geometry plus fits whose j-th models always output votes[j] / labels[j]."""
+    geom = PatchGeometry(4, tuple((k + 1, 0) for k in range(len(votes) - 1)))
+    dim = geom.vector_length
     hrms = tuple(constant_model(dim, v) for v in votes)
     lrms = tuple(constant_model(dim, [l]) for l in labels)
-    return ModelBank(hrms, lrms, geom)
+    return geom, hrms, lrms
 
 
 def patch(loc, votes, labels):
@@ -82,49 +81,26 @@ class TestPatchWeight:
 
 class TestCastVotes:
     def test_matches_per_model_predict(self):
-        dim = 3
         votes_out = [(1.0, 2.0), (0.5, -1.0), (-2.0, 0.0)]
         labels_out = [1.0, -0.5, 0.2]
-        bank = constant_bank(dim, votes_out, labels_out)
+        geom, hrms, lrms = constant_fits(votes_out, labels_out)
+        bank = ModelBank.from_fits(hrms, lrms, geom)
+        dim = geom.vector_length
         ctx = ContextSet(np.random.default_rng(0).random((3, dim)), (False,) * 3)
         pv = voting.cast_votes(ctx, bank, (10.0, 20.0))
         for j in range(3):
-            assert np.allclose(pv.votes[j], pls.predict(bank.hrms[j], ctx.vectors[j]))
+            assert np.allclose(pv.votes[j], pls.predict(hrms[j], ctx.vectors[j]))
             assert pv.labels[j] == pytest.approx(
-                float(pls.predict(bank.lrms[j], ctx.vectors[j])[0])
+                float(pls.predict(lrms[j], ctx.vectors[j])[0])
             )
         assert pv.weight == pytest.approx(2.0 / 3.0)
 
     def test_context_count_mismatch(self):
-        bank = constant_bank(3, [(0, 0)] * 3, [1.0] * 3)
-        ctx = ContextSet(np.zeros((2, 3)), (False, False))
+        geom, hrms, lrms = constant_fits([(0, 0)] * 3, [1.0] * 3)
+        bank = ModelBank.from_fits(hrms, lrms, geom)
+        ctx = ContextSet(np.zeros((2, geom.vector_length)), (False, False))
         with pytest.raises(InvalidInput):
             voting.cast_votes(ctx, bank, (0, 0))
-
-    def test_batch_matches_scalar_path(self):
-        rng = np.random.default_rng(1)
-        dim, mplus1, r = 4, 3, 6
-        hrms = tuple(
-            pls.bpls_fit(rng.standard_normal((10, dim)),
-                         rng.standard_normal((10, 2)), 2, 1e-10)
-            for _ in range(mplus1)
-        )
-        lrms = tuple(
-            pls.bpls_fit(rng.standard_normal((10, dim)),
-                         rng.standard_normal((10, 1)), 2, 1e-10)
-            for _ in range(mplus1)
-        )
-        bank = ModelBank(hrms, lrms, PatchGeometry(4, ((4, 0), (0, 4))))
-        contexts = rng.standard_normal((r, mplus1, dim))
-        locs = rng.random((r, 2)) * 50
-        batched = voting.cast_votes_batch(contexts, bank, locs)
-        for i in range(r):
-            single = voting.cast_votes(
-                ContextSet(contexts[i], (False,) * mplus1), bank, locs[i]
-            )
-            assert np.allclose(batched[i].votes, single.votes)
-            assert np.allclose(batched[i].labels, single.labels)
-            assert batched[i].weight == single.weight
 
 
 class TestAccumulateCuboid:
