@@ -2,7 +2,9 @@
 
 Pipeline: feature volume -> every regressor as one linear filter bank over
 the patch windows -> per-context votes -> multi-scale accumulation ->
-per-level maxima -> NPMI fusion.
+per-level maxima -> NPMI fusion.  The votes stay in one VoteField of
+stacked arrays from the filter bank to the end of fusion, which drops the
+zero-weight patches once per image.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from .fusion import FusionConfig, fuse
 from .training import ModelBank
 from .voting import (
     HoughCuboid,
-    PatchVotes,
     ScaleSet,
+    VoteField,
     accumulate_cuboid,
     find_maxima,
 )
@@ -101,8 +103,8 @@ def _responses(vol, ps: int, rows: np.ndarray, cols: np.ndarray, coef: np.ndarra
     return out
 
 
-def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig):
-    """Cast votes for every patch on the sampling grid; returns PatchVotes.
+def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig) -> VoteField:
+    """Cast votes for every patch on the sampling grid, in grid order.
 
     Every regressor is linear, so context j's output at start l is
     ``intercept_j + R_j(l) - R_j(l + offset_j)`` with ``R = patch vector @ B``;
@@ -115,7 +117,7 @@ def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig):
     ps = geom.patch_size
     n_x, n_y = vol.width - ps + 1, vol.height - ps + 1  # valid starts per axis
     if n_x < 1 or n_y < 1:
-        return []
+        return VoteField.of([])
     xs = np.arange(0, n_x, cfg.stride)
     ys = np.arange(0, n_y, cfg.stride)
 
@@ -140,10 +142,7 @@ def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig):
     labels = np.ascontiguousarray(out[..., 2])
     weights = (labels > 0).sum(axis=1) / geom.num_context
     centers = np.stack([gx, gy], axis=1) + ps / 2.0
-    return [
-        PatchVotes(centers[i], votes[i], labels[i], float(weights[i]))
-        for i in range(len(centers))
-    ]
+    return VoteField(centers, votes, labels, weights)
 
 
 def detect(

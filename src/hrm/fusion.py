@@ -6,6 +6,12 @@ through the scale ratio between the two levels and normalized so that
 self-conditioning equals 1.  Hypothesis probabilities are accumulator
 scores normalized by the total vote mass.  NPMI > 0 marks a dependent
 pair; the lower-scoring member is dropped.
+
+The kernel sum runs over a :class:`FusionSupport`: the locations and
+weights of the patches with nonzero weight, read from the image's
+:class:`~hrm.voting.VoteField`, plus the total weight.  Zero-weight
+patches add nothing to either sum, so :func:`fuse` drops them once per
+image rather than once per pair.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, ZeroSupport
-from .voting import Hypothesis
+from .voting import Hypothesis, VoteField
 
 _KERNELS = {
     "gaussian": lambda sq: np.exp(-0.5 * sq),
@@ -41,11 +47,22 @@ class FusionConfig:
             raise InvalidInput(f"unknown kernel {self.kernel!r}")
 
 
-@dataclass(frozen=True)
-class CorrelatedPair:
-    a: Hypothesis
-    b: Hypothesis
-    npmi: float
+@dataclass(frozen=True, eq=False)
+class FusionSupport:
+    """The nonzero-weight patches of one image and the total patch weight."""
+
+    locations: np.ndarray  # (k, 2)
+    weights: np.ndarray  # (k,), all nonzero
+    total: float
+
+    @classmethod
+    def of(cls, votes) -> "FusionSupport":
+        """Support of a VoteField or PatchVotes sequence; a support is kept."""
+        if isinstance(votes, cls):
+            return votes
+        field = VoteField.of(votes)
+        keep = field.weights != 0
+        return cls(field.locations[keep], field.weights[keep], float(field.weights.sum()))
 
 
 def conditional_prob(h_i: Hypothesis, h_j: Hypothesis, votes, cfg: FusionConfig) -> float:
@@ -53,21 +70,21 @@ def conditional_prob(h_i: Hypothesis, h_j: Hypothesis, votes, cfg: FusionConfig)
 
     Patch locations supporting h_i are mapped to the level of h_j through
     the scale ratio; the weighted kernel mass at h_j's center, relative to
-    the mass at zero offset, is the conditional probability.
+    the mass at zero offset, is the conditional probability.  ``votes`` is
+    a FusionSupport, a VoteField or a sequence of PatchVotes.
     """
     if h_i.scale <= 0 or h_j.scale <= 0:
         raise InvalidInput("hypothesis scales must be positive")
-    w = np.array([pv.weight for pv in votes])
-    total = w.sum()
-    if total <= 0:
+    support = FusionSupport.of(votes)
+    if support.total <= 0:
         raise ZeroSupport("no patch weight supports the hypotheses")
-    locs = np.array([pv.location for pv in votes])
+    locs, w = support.locations, support.weights
     zi = np.asarray(h_i.center, dtype=np.float64)
     zj = np.asarray(h_j.center, dtype=np.float64)
     ratio = h_j.scale / h_i.scale
     offsets = (ratio * (zi - locs) + locs - zj) / cfg.bandwidth
     k = _KERNELS[cfg.kernel](np.sum(offsets**2, axis=1))
-    return float(np.dot(k, w) / total)
+    return float(np.dot(k, w) / support.total)
 
 
 def npmi(
@@ -109,11 +126,13 @@ def fuse(hypotheses, votes, cfg: FusionConfig, total_mass: float):
     """Drop the weaker member of every positively correlated pair.
 
     Pairs are visited in descending order of the stronger member; removed
-    hypotheses take part in no further pairs.  Returns survivors sorted by
-    descending score.
+    hypotheses take part in no further pairs.  The support is built once,
+    so ZeroSupport is raised only when a pair is evaluated.  Returns
+    survivors sorted by descending score.
     """
+    support = FusionSupport.of(votes)
     survivors = []
     for h in sorted(hypotheses, key=_order_key):
-        if all(npmi(s, h, votes, cfg, total_mass) <= 0 for s in survivors):
+        if all(npmi(s, h, support, cfg, total_mass) <= 0 for s in survivors):
             survivors.append(h)
     return survivors

@@ -10,6 +10,7 @@ component counts.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,13 @@ class LatentConfig:
 
     components: int = 100
     ridge: float = 1e-10
+
+    def __post_init__(self):
+        c = self.components
+        if isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 1:
+            raise InvalidInput(f"components must be an integer >= 1, got {c!r}")
+        if not 0.0 <= self.ridge <= 1.0:  # NaN fails too
+            raise InvalidInput(f"ridge must lie in [0, 1], got {self.ridge}")
 
 
 def _as_matrix(a, name: str) -> np.ndarray:

@@ -2,6 +2,10 @@
 
 Every test patch produces m+1 predicted voting vectors plus m+1 label
 estimates; the fraction of positive labels gates the patch's vote mass.
+The votes of one image are held as a :class:`VoteField`: the locations,
+votes, labels and weights of all r patches as four stacked arrays, which
+accumulation and fusion both read.  :class:`PatchVotes` and
+:func:`cast_votes` are the per-patch form and oracle.
 A single pass over the image fills S accumulator grids at once: a vote
 ``v`` cast from patch center ``l`` lands at ``l + (scale_s / train_scale) * v``
 in level ``s``.
@@ -43,6 +47,40 @@ class PatchVotes:
     votes: np.ndarray  # (m+1, 2)
     labels: np.ndarray  # (m+1,)
     weight: float
+
+
+@dataclass(frozen=True, eq=False)
+class VoteField:
+    """The votes of every patch of one image, stacked; row i is patch i."""
+
+    locations: np.ndarray  # (r, 2) patch centers, image pixels
+    votes: np.ndarray  # (r, m+1, 2)
+    labels: np.ndarray  # (r, m+1)
+    weights: np.ndarray  # (r,)
+
+    @classmethod
+    def of(cls, votes) -> "VoteField":
+        """Stack a sequence of PatchVotes; a VoteField is returned unchanged."""
+        if isinstance(votes, cls):
+            return votes
+        votes = list(votes)
+        if not votes:
+            empty = np.empty((0, 0))
+            return cls(np.empty((0, 2)), np.empty((0, 0, 2)), empty, np.empty(0))
+        return cls(
+            np.array([pv.location for pv in votes], dtype=np.float64),
+            np.array([pv.votes for pv in votes], dtype=np.float64),
+            np.array([pv.labels for pv in votes], dtype=np.float64),
+            np.array([pv.weight for pv in votes], dtype=np.float64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def __getitem__(self, i) -> PatchVotes:
+        return PatchVotes(
+            self.locations[i], self.votes[i], self.labels[i], float(self.weights[i])
+        )
 
 
 @dataclass(frozen=True)
@@ -102,10 +140,12 @@ def accumulate_cuboid(
 ) -> HoughCuboid:
     """Bin every (patch, vote, scale) landing point into the S-level cuboid.
 
-    Each vote carries mass weight / (m+1); landings outside the grid are
-    dropped and counted.  Optional Gaussian smoothing (sigma in cells) is
-    applied per level afterward.
+    ``all_votes`` is a VoteField or a sequence of PatchVotes.  Each vote
+    carries mass weight / (m+1); landings outside the grid are dropped and
+    counted.  Optional Gaussian smoothing (sigma in cells) is applied per
+    level afterward.
     """
+    field = VoteField.of(all_votes)
     width, height = image_size
     gw = -(-width // bin_size)
     gh = -(-height // bin_size)
@@ -114,11 +154,10 @@ def accumulate_cuboid(
     level_mass = np.zeros(S)
     dropped = np.zeros(S, dtype=np.int64)
 
-    if all_votes:
-        locs = np.array([pv.location for pv in all_votes])  # (r, 2)
-        votes = np.array([pv.votes for pv in all_votes])  # (r, m+1, 2)
-        mplus1 = votes.shape[1]
-        mass = np.array([pv.weight for pv in all_votes]) / mplus1  # per vote
+    if len(field):
+        locs, votes = field.locations, field.votes
+        r, mplus1 = votes.shape[:2]
+        mass = field.weights / mplus1  # per vote
 
         for s, sigma in enumerate(scales.scales):
             ratio = sigma / scales.train_scale
@@ -126,7 +165,7 @@ def accumulate_cuboid(
             cells = np.floor(landing / bin_size).astype(np.int64)
             cx = cells[..., 0].ravel()
             cy = cells[..., 1].ravel()
-            m = np.broadcast_to(mass[:, None], (len(all_votes), mplus1)).ravel()
+            m = np.broadcast_to(mass[:, None], (r, mplus1)).ravel()
             inside = (cx >= 0) & (cx < gw) & (cy >= 0) & (cy < gh)
             levels[s] = np.bincount(
                 cy[inside] * gw + cx[inside], weights=m[inside], minlength=gh * gw
@@ -167,19 +206,3 @@ def find_maxima(cuboid: HoughCuboid, min_score: float, radius: int = 3):
             out.append(Hypothesis(center, sigma, float(level[y, x])))
     out.sort(key=lambda h: (-h.score, h.scale, h.center[0], h.center[1]))
     return out
-
-
-def dump_levels_pgm(cuboid: HoughCuboid, directory, prefix: str = "level") -> list:
-    """Debug dump of each level as an 8-bit PGM heatmap."""
-    from pathlib import Path
-
-    from .image_io import write_pgm
-
-    paths = []
-    top = float(cuboid.levels.max())
-    for s, sigma in enumerate(cuboid.scales.scales):
-        img = cuboid.levels[s] / top if top > 0 else cuboid.levels[s]
-        path = Path(directory) / f"{prefix}_{sigma:g}.pgm"
-        write_pgm(path, img)
-        paths.append(path)
-    return paths

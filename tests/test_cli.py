@@ -122,6 +122,9 @@ class TestTrainCommand:
         ("seed = 0", "seed = 0\nmethod = foo"),
         ("n_pos = 150", "n_pos = -1"),
         ("n_neg = 150", "n_neg = 0"),
+        ("components = 4", "components = 0"),
+        ("components = 4", "components = 4\nridge = 2"),
+        ("components = 4", "components = 4\nridge = nan"),
     ])
     def test_invalid_training_config_is_input_error(self, workspace, tmp_path,
                                                     old, new):

@@ -89,7 +89,8 @@ class TestComputePatchVotes:
                 ctx = context_vectors(vol, (x, y), GEOM)
                 expected.append(cast_votes(ctx, bank, (x + PS / 2, y + PS / 2)))
         assert len(out) == len(expected)
-        for a, b in zip(out, expected):
+        for i, b in enumerate(expected):
+            a = out[i]
             assert np.array_equal(a.location, b.location)
             assert np.allclose(a.votes, b.votes, atol=1e-12)
             assert np.allclose(a.labels, b.labels, atol=1e-12)
@@ -126,7 +127,8 @@ class TestComputePatchVotes:
             for x in range(0, width - ps + 1, stride)
         ]
         assert len(out) == len(expected)
-        for a, b in zip(out, expected):
+        for i, b in enumerate(expected):
+            a = out[i]
             assert np.array_equal(a.location, b.location)
             assert np.abs(a.votes - b.votes).max() <= 1e-12
             assert np.abs(a.labels - b.labels).max() <= 1e-12
@@ -136,7 +138,7 @@ class TestComputePatchVotes:
         geom = PatchGeometry(12, ((12, 0),))
         bank = random_linear_bank(geom, np.random.default_rng(0))
         img = np.random.default_rng(1).random((10, 10))
-        assert compute_patch_votes(img, bank, VotingConfig()) == []
+        assert len(compute_patch_votes(img, bank, VotingConfig())) == 0
 
     def test_stride_controls_grid(self):
         img = np.random.default_rng(2).random((15, 15))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hrm import fusion
 from hrm.errors import InvalidInput, ZeroSupport
-from hrm.voting import Hypothesis, PatchVotes
+from hrm.voting import Hypothesis, PatchVotes, VoteField
 
 
 def voter(loc, weight):
@@ -207,3 +207,83 @@ class TestFuse:
             for b in out:
                 if a is not b and a.score >= b.score:
                     assert fusion.npmi(a, b, far_votes, CFG, 100.0) <= 0
+
+    def test_lone_hypothesis_with_zero_support_survives(self):
+        # no pair is evaluated, so the missing support is never consulted
+        h = Hypothesis((5.0, 5.0), 1.0, 1.0)
+        votes = [voter((1.0, 1.0), 0.0), voter((9.0, 3.0), 0.0)]
+        assert fusion.fuse([h], votes, CFG, total_mass=10.0) == [h]
+
+    def test_pair_with_zero_support_raises(self):
+        a = Hypothesis((5.0, 5.0), 1.0, 2.0)
+        b = Hypothesis((40.0, 5.0), 1.25, 1.0)
+        votes = [voter((1.0, 1.0), 0.0), voter((9.0, 3.0), 0.0)]
+        with pytest.raises(ZeroSupport):
+            fusion.fuse([a, b], votes, CFG, total_mass=10.0)
+        with pytest.raises(ZeroSupport):
+            fusion.fuse([a, b], VoteField.of(votes), CFG, total_mass=10.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        patches=st.lists(
+            st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0), st.integers(0, 4)),
+            max_size=30,
+        ),
+        hyps=st.lists(
+            st.builds(
+                Hypothesis,
+                st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0)),
+                st.sampled_from((0.75, 1.0, 1.25, 1.5)),
+                st.floats(0.5, 40.0),
+            ),
+            max_size=12,
+        ),
+        bandwidth=st.floats(1.0, 16.0),
+        kernel=st.sampled_from(("gaussian", "epanechnikov")),
+    )
+    def test_matches_per_pair_reference(self, patches, hyps, bandwidth, kernel):
+        """Zero-weight patches, several scales, list and field input."""
+        votes = [voter((x, y), q / 4.0) for x, y, q in patches]
+        cfg = fusion.FusionConfig(kernel=kernel, bandwidth=bandwidth)
+        outcomes = []
+        for fn, arg in ((reference_fuse, votes), (fusion.fuse, votes),
+                        (fusion.fuse, VoteField.of(votes))):
+            try:
+                outcomes.append(fn(hyps, arg, cfg, 50.0))
+            except ZeroSupport:
+                outcomes.append(ZeroSupport)
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
+
+
+def reference_fuse(hypotheses, votes, cfg, total_mass):
+    """The per-pair loop that rebuilds the support arrays for every pair."""
+
+    def conditional_prob(h_i, h_j):
+        w = np.array([pv.weight for pv in votes])
+        total = w.sum()
+        if total <= 0:
+            raise ZeroSupport("no patch weight supports the hypotheses")
+        locs = np.array([pv.location for pv in votes])
+        zi = np.asarray(h_i.center, dtype=np.float64)
+        zj = np.asarray(h_j.center, dtype=np.float64)
+        ratio = h_j.scale / h_i.scale
+        offsets = (ratio * (zi - locs) + locs - zj) / cfg.bandwidth
+        k = fusion._KERNELS[cfg.kernel](np.sum(offsets**2, axis=1))
+        return float(np.dot(k, w) / total)
+
+    def npmi(h_i, h_j):
+        eps = cfg.probability_floor
+        p_i = max(h_i.score / total_mass, eps)
+        p_j = max(h_j.score / total_mass, eps)
+        cond = conditional_prob(h_i, h_j)
+        if cond <= eps:
+            return -1.0
+        value = math.log(cond / p_j) / -math.log(p_i * cond)
+        return min(1.0, max(-1.0, value))
+
+    survivors = []
+    for h in sorted(hypotheses, key=lambda h: (-h.score, h.scale, *h.center)):
+        if all(npmi(s, h) <= 0 for s in survivors):
+            survivors.append(h)
+    return survivors

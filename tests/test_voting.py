@@ -103,6 +103,33 @@ class TestCastVotes:
             voting.cast_votes(ctx, bank, (0, 0))
 
 
+class TestVoteField:
+    def test_stacks_and_indexes_patch_votes(self):
+        rng = np.random.default_rng(7)
+        pvs = [
+            patch(rng.random(2) * 30, rng.standard_normal((3, 2)), rng.standard_normal(3))
+            for _ in range(6)
+        ]
+        field = voting.VoteField.of(pvs)
+        assert len(field) == 6
+        assert field.locations.shape == (6, 2)
+        assert field.votes.shape == (6, 3, 2)
+        assert field.labels.shape == (6, 3)
+        assert field.weights.shape == (6,)
+        assert voting.VoteField.of(field) is field
+        for i, pv in enumerate(pvs):
+            got = field[i]
+            assert np.array_equal(got.location, pv.location)
+            assert np.array_equal(got.votes, pv.votes)
+            assert np.array_equal(got.labels, pv.labels)
+            assert got.weight == pv.weight
+
+    def test_empty(self):
+        field = voting.VoteField.of([])
+        assert len(field) == 0
+        assert field.locations.shape == (0, 2)
+
+
 class TestAccumulateCuboid:
     def test_landing_geometry(self):
         # vote (d, 0) from location l lands at l + (scale/train) * (d, 0)
