@@ -82,7 +82,6 @@ def cmd_train(args) -> int:
         samples,
         cfg.geometry,
         cfg.pls,
-        cfg.training.method,
         cfg.voting.derivative_kernel,
         reference_box=ref,
     )

@@ -18,6 +18,7 @@ Example:
 
     [voting]
     scales = 0.75 1 1.25 1.5
+    train_scale = 1
     stride = 1
     bin_size = 4
     smoothing = 1.5
@@ -29,7 +30,8 @@ Example:
     bandwidth = 8
     probability_floor = 1e-12
 
-CLI flags override file values; unspecified keys keep the defaults above.
+Unspecified keys keep the defaults above; an unknown section or key is a
+ParseError.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .detect import VotingConfig
 from .errors import InvalidInput, ParseError
 from .features import PatchGeometry
 from .fusion import FusionConfig
-from .pls import METHODS, LatentConfig
+from .pls import LatentConfig
 from .voting import ScaleSet
 
 
@@ -51,7 +53,6 @@ class TrainingConfig:
     n_pos: int = 12000
     n_neg: int = 12000
     seed: int = 0
-    method: str = "bpls"
     scale_normalize: bool = False
 
     def __post_init__(self):
@@ -59,8 +60,6 @@ class TrainingConfig:
             raise InvalidInput(
                 f"n_pos and n_neg must be >= 1, got {self.n_pos} and {self.n_neg}"
             )
-        if self.method not in METHODS:
-            raise InvalidInput(f"method must be one of {METHODS}, got {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -72,6 +71,24 @@ class PipelineConfig:
     voting: VotingConfig = field(default_factory=VotingConfig)
     fusion: FusionConfig | None = None  # None = bandwidth from bin size
     iou_threshold: float = 0.5
+
+
+# Every section and key load_config reads.
+_KEYS = {
+    "pls": {"components", "ridge"},
+    "features": {"patch_size", "neighbor_offsets", "derivative_kernel"},
+    "training": {"n_pos", "n_neg", "seed", "scale_normalize"},
+    "voting": {
+        "scales", "train_scale", "stride", "bin_size", "smoothing",
+        "min_score_fraction", "maxima_radius",
+    },
+    "fusion": {"kernel", "bandwidth", "probability_floor"},
+    "pipeline": {"iou_threshold"},
+}
+
+
+def _split(cast):
+    return lambda text: [cast(v) for v in text.split()]
 
 
 def _get(section, key, cast, default):
@@ -96,6 +113,14 @@ def load_config(path=None) -> PipelineConfig:
             parser.read(path)
         except configparser.Error as e:
             raise ParseError(str(e)) from e
+    if parser.defaults():
+        raise ParseError(f"{path}: unknown config section [{parser.default_section}]")
+    for name in parser.sections():
+        if name not in _KEYS:
+            raise ParseError(f"{path}: unknown config section [{name}]")
+        for key in parser[name]:
+            if key not in _KEYS[name]:
+                raise ParseError(f"{path}: unknown key {key!r} in section [{name}]")
 
     def section(name):
         return parser[name] if parser.has_section(name) else None
@@ -109,8 +134,8 @@ def load_config(path=None) -> PipelineConfig:
     s = section("features")
     patch_size = _get(s, "patch_size", int, 16)
     offsets = None
-    if s is not None and "neighbor_offsets" in s:
-        vals = [int(v) for v in s["neighbor_offsets"].split()]
+    vals = _get(s, "neighbor_offsets", _split(int), None)
+    if vals is not None:
         if len(vals) % 2:
             raise ParseError("neighbor_offsets needs an even count of integers")
         offsets = tuple(zip(vals[::2], vals[1::2]))
@@ -122,15 +147,12 @@ def load_config(path=None) -> PipelineConfig:
         n_pos=_get(s, "n_pos", int, 12000),
         n_neg=_get(s, "n_neg", int, 12000),
         seed=_get(s, "seed", int, 0),
-        method=_get(s, "method", str, "bpls"),
         scale_normalize=_get(s, "scale_normalize", bool, False),
     )
 
     s = section("voting")
-    scale_list = tuple(
-        float(v) for v in _get(s, "scales", str, "0.75 1 1.25 1.5").split()
-    )
-    scales = ScaleSet(scale_list, _get(s, "train_scale", float, 1.0))
+    scale_list = _get(s, "scales", _split(float), [0.75, 1.0, 1.25, 1.5])
+    scales = ScaleSet(tuple(scale_list), _get(s, "train_scale", float, 1.0))
     voting = VotingConfig(
         stride=_get(s, "stride", int, 1),
         bin_size=_get(s, "bin_size", int, 4),

@@ -50,10 +50,14 @@ def load_dataset(annotation_path) -> Dataset:
     if not annotation_path.exists():
         raise MissingAsset(str(annotation_path))
     root = annotation_path.parent
+    try:
+        lines = annotation_path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{annotation_path}: not UTF-8 text ({e})") from None
 
     order: list[Path] = []
     boxes_by_path: dict[Path, list[Box]] = {}
-    for lineno, line in enumerate(annotation_path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

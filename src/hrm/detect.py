@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import IncompatibleModel, InvalidInput
 from .evaluate import Detection, box_from_hypothesis
 from .features import DERIVATIVE_KERNELS, EXTRACTOR_VERSION, compute_channels
+from .features import patch_windows
 # Not called here: perfbench counts detection-time patch extractions
 # through this name, and with the filter bank that count is 0.
 from .features import extract_patch_vector  # noqa: F401
@@ -80,25 +80,16 @@ def _responses(vol, ps: int, rows: np.ndarray, cols: np.ndarray, coef: np.ndarra
     """Raw patch vector @ coef at every (row, col) start.
 
     coef is (d, ...); the result is (rows, cols, ...).  Windows are
-    gathered from a strided view of the (H, W, 26) volume, in which each
-    patch row is already contiguous in the patch-vector layout; row blocks
+    gathered from :func:`~hrm.features.patch_windows` in row blocks that
     keep the gathered copy near _BLOCK_BYTES.
     """
-    hwc = np.ascontiguousarray(vol.planes.transpose(1, 2, 0))
-    h, w, c = hwc.shape
-    s_row, s_col, s_val = hwc.strides
-    windows = as_strided(
-        hwc,
-        shape=(h - ps + 1, w - ps + 1, ps, ps * c),
-        strides=(s_row, s_col, s_row, s_val),
-        writeable=False,
-    )
+    windows = patch_windows(vol, ps)
     d, k = coef.shape[0], coef.shape[1:]
     flat = coef.reshape(d, -1)
     out = np.empty((len(rows), len(cols)) + k)
-    step = max(1, _BLOCK_BYTES // (len(cols) * d * hwc.itemsize))
+    step = max(1, _BLOCK_BYTES // (len(cols) * d * vol.planes.itemsize))
     for i in range(0, len(rows), step):
-        block = windows[rows[i : i + step, None], cols]  # (b, cols, ps, ps*26)
+        block = windows[rows[i : i + step, None], cols]  # (b, cols, ps, ps, 26)
         out[i : i + step] = (block.reshape(-1, d) @ flat).reshape(block.shape[:2] + k)
     return out
 

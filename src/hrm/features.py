@@ -3,8 +3,9 @@
 An image becomes a 26-plane feature volume: 13 base channels (absolute x/y
 derivatives, absolute second x/y derivatives, and 9 orientation-histogram
 channels accumulated over a 5x5 window), max-filtered in planes 0-12 and
-min-filtered in planes 13-25.  Patch vectors concatenate all 26 channels
-per pixel, row-major over the patch.
+min-filtered in planes 13-25.  The volume is stored pixel-major, so a
+patch vector (all 26 channels per pixel, row-major over the patch) is a
+window of it; :func:`patch_windows` is the view training and detection read.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .errors import InvalidInput, OutOfBounds
@@ -68,17 +70,17 @@ class PatchGeometry:
 
 @dataclass(frozen=True)
 class FeatureVolume:
-    """26 feature planes of one image, stored as (26, height, width)."""
+    """26 feature planes of one image, stored as (height, width, 26)."""
 
     planes: np.ndarray
 
     @property
     def height(self) -> int:
-        return self.planes.shape[1]
+        return self.planes.shape[0]
 
     @property
     def width(self) -> int:
-        return self.planes.shape[2]
+        return self.planes.shape[1]
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,16 @@ def compute_channels(img, derivative_kernel: str = "sobel") -> FeatureVolume:
         planes[N_BASE_CHANNELS + k] = ndimage.minimum_filter(
             base[k], size=_WINDOW, mode="nearest"
         )
-    return FeatureVolume(planes)
+    return FeatureVolume(np.ascontiguousarray(planes.transpose(1, 2, 0)))
+
+
+def patch_windows(vol: FeatureVolume, patch_size: int) -> np.ndarray:
+    """Read-only view of every patch: ``[y, x]`` is the (ps, ps, 26) patch at (x, y).
+
+    A gathered window reshaped to one row is that patch's vector.
+    """
+    windows = sliding_window_view(vol.planes, (patch_size, patch_size), axis=(0, 1))
+    return windows.transpose(0, 1, 3, 4, 2)
 
 
 def _check_patch(vol: FeatureVolume, topleft, patch_size: int) -> tuple[int, int]:
@@ -172,8 +183,7 @@ def extract_patch_vector(vol: FeatureVolume, topleft, geom: PatchGeometry) -> np
     """Patch feature vector: row-major pixels, channels contiguous per pixel."""
     ps = geom.patch_size
     x, y = _check_patch(vol, topleft, ps)
-    block = vol.planes[:, y : y + ps, x : x + ps]
-    return np.ascontiguousarray(block.transpose(1, 2, 0)).ravel()
+    return vol.planes[y : y + ps, x : x + ps].flatten()
 
 
 def context_vectors(vol: FeatureVolume, topleft, geom: PatchGeometry) -> ContextSet:

@@ -28,6 +28,13 @@ def _tokens(data: bytes):
         yield m.group(2), pos
 
 
+def _integer(token: bytes, path) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"{path}: PNM token {token[:20]!r} is not an integer") from None
+
+
 def read_pnm(path) -> np.ndarray:
     """Read a PGM/PPM file to a float64 array in [0, 1] (HxW or HxWx3)."""
     path = Path(path)
@@ -43,7 +50,7 @@ def read_pnm(path) -> np.ndarray:
     fields = []
     for _ in range(3):
         tok, pos = next(gen)
-        fields.append(int(tok))
+        fields.append(_integer(tok, path))
     width, height, maxval = fields
     if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise ParseError(f"{path}: bad PNM dimensions")
@@ -62,7 +69,7 @@ def read_pnm(path) -> np.ndarray:
         body = data[2 + pos :].split()
         if len(body) < count:
             raise ParseError(f"{path}: truncated ASCII PNM body")
-        raw = np.array([int(t) for t in body[:count]])
+        raw = np.array([_integer(t, path) for t in body[:count]])
 
     if raw.size < count:
         raise ParseError(f"{path}: truncated PNM body")

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptModel, IncompatibleModel
+from .errors import CorruptModel, IncompatibleModel, InvalidInput, MissingAsset
 from .features import EXTRACTOR_VERSION, PatchGeometry
 from .training import ModelBank
 
@@ -59,7 +59,10 @@ def _read_array(r: _Reader) -> np.ndarray:
     (ndim,) = r.unpack("I")
     shape = r.unpack(f"{ndim}Q")
     data = r.take(math.prod(shape) * 8)
-    return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+    try:
+        return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+    except ValueError as e:  # an empty array with a dimension past intp
+        raise CorruptModel(f"array dimensions: {e}") from None
 
 
 def save_model(path, bank: ModelBank) -> None:
@@ -85,7 +88,10 @@ def save_model(path, bank: ModelBank) -> None:
 
 
 def load_model(path) -> ModelBank:
-    data = Path(path).read_bytes()
+    path = Path(path)
+    if not path.is_file():
+        raise MissingAsset(f"model file not found: {path}")
+    data = path.read_bytes()
     r = _Reader(data)
     if r.take(4) != MAGIC:
         raise IncompatibleModel("bad magic; not a model-bank file")
@@ -95,7 +101,10 @@ def load_model(path) -> ModelBank:
             f"format version {version}, expected {FORMAT_VERSION}; retrain the model"
         )
     (ext_len,) = r.unpack("I")
-    extractor = r.take(ext_len).decode()
+    try:
+        extractor = r.take(ext_len).decode()
+    except UnicodeDecodeError:
+        raise CorruptModel("extractor version is not UTF-8") from None
     if extractor != EXTRACTOR_VERSION:
         raise IncompatibleModel(
             f"extractor version {extractor!r}, this build uses {EXTRACTOR_VERSION!r}"
@@ -107,10 +116,8 @@ def load_model(path) -> ModelBank:
     intercepts = _read_array(r)
     if r.pos != len(data):
         raise CorruptModel("trailing bytes after model data")
-    return ModelBank(
-        coefficients,
-        intercepts,
-        PatchGeometry(patch_size, offsets),
-        extractor,
-        (ref_w, ref_h),
-    )
+    try:
+        geometry = PatchGeometry(patch_size, offsets)
+    except InvalidInput as e:
+        raise CorruptModel(f"patch geometry: {e}") from None
+    return ModelBank(coefficients, intercepts, geometry, extractor, (ref_w, ref_h))

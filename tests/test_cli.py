@@ -120,6 +120,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("old, new", [
         ("seed = 0", "seed = 0\nmethod = foo"),
+        ("components = 4", "compnents = 4"),
         ("n_pos = 150", "n_pos = -1"),
         ("n_neg = 150", "n_neg = 0"),
         ("components = 4", "components = 0"),
@@ -142,6 +143,19 @@ class TestTrainCommand:
         ann.write_text(f"{image} 50 50 500 500\n")
         assert main(["train", "--config", str(workspace / "cfg.ini"),
                      "--annotations", str(ann),
+                     "--out", str(tmp_path / "m.hrmb")]) == 2
+        assert not (tmp_path / "m.hrmb").exists()
+
+
+    @pytest.mark.parametrize("pnm", [
+        b"P5\nabc 3\n255\n",
+        b"P2\n2 2\n255\n1 x 3 4\n",
+    ], ids=["header-token", "ascii-body-token"])
+    def test_non_integer_pnm_token_is_input_error(self, workspace, tmp_path, pnm):
+        (tmp_path / "bad.pgm").write_bytes(pnm)
+        (tmp_path / "annotations.txt").write_text("bad.pgm\n")
+        assert main(["train", "--config", str(workspace / "cfg.ini"),
+                     "--annotations", str(tmp_path / "annotations.txt"),
                      "--out", str(tmp_path / "m.hrmb")]) == 2
         assert not (tmp_path / "m.hrmb").exists()
 
@@ -234,6 +248,23 @@ class TestDetectCommand:
         at = 12 + ext_len  # the patch-size field
         assert struct.unpack_from("<I", data, at) == (6,)
         struct.pack_into("<I", data, at, 5)
+        bad = tmp_path / "bad.hrmb"
+        bad.write_bytes(bytes(data))
+        assert main(["detect", "--model", str(bad),
+                     "--images", str(workspace / "scenes"),
+                     "--out", str(tmp_path / "d.tsv")]) == 3
+        assert not (tmp_path / "d.tsv").exists()
+
+    def test_missing_model_is_input_error(self, workspace, tmp_path):
+        assert main(["detect", "--model", str(tmp_path / "nope.hrmb"),
+                     "--images", str(workspace / "scenes"),
+                     "--out", str(tmp_path / "d.tsv")]) == 2
+        assert not (tmp_path / "d.tsv").exists()
+
+    def test_non_utf8_extractor_is_model_error(self, workspace, tmp_path):
+        data = bytearray((workspace / "model.hrmb").read_bytes())
+        (ext_len,) = struct.unpack_from("<I", data, 8)
+        data[12 : 12 + ext_len] = b"\xff" * ext_len
         bad = tmp_path / "bad.hrmb"
         bad.write_bytes(bytes(data))
         assert main(["detect", "--model", str(bad),

@@ -28,7 +28,7 @@ class TestFileParsing:
             "[pls]\ncomponents = 8\nridge = 0.5\n"
             "[features]\npatch_size = 6\nneighbor_offsets = 6 0 -6 0\n"
             "derivative_kernel = central\n"
-            "[training]\nn_pos = 100\nn_neg = 50\nseed = 9\nmethod = pls\n"
+            "[training]\nn_pos = 100\nn_neg = 50\nseed = 9\n"
             "[voting]\nscales = 0.5 1.0 2.0\nstride = 2\nbin_size = 2\n"
             "smoothing = 0.5\n"
             "[fusion]\nkernel = epanechnikov\nbandwidth = 3.5\n"
@@ -39,7 +39,7 @@ class TestFileParsing:
         assert cfg.geometry.patch_size == 6
         assert cfg.geometry.neighbor_offsets == ((6, 0), (-6, 0))
         assert cfg.voting.derivative_kernel == "central"
-        assert cfg.training.n_pos == 100 and cfg.training.method == "pls"
+        assert cfg.training.n_pos == 100
         assert cfg.scales.scales == (0.5, 1.0, 2.0)
         assert cfg.voting.stride == 2 and cfg.voting.smoothing == 0.5
         assert cfg.fusion.kernel == "epanechnikov"
@@ -61,6 +61,36 @@ class TestFileParsing:
         path = tmp_path / "cfg.ini"
         path.write_text("[pls]\ncomponents = many\n")
         with pytest.raises(ParseError):
+            load_config(path)
+
+    @pytest.mark.parametrize("text", [
+        "[features]\nneighbor_offsets = 6 x\n",
+        "[voting]\nscales = 1 y\n",
+    ])
+    def test_bad_number_in_list(self, tmp_path, text):
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            load_config(path)
+
+    def test_misspelled_key(self, tmp_path):
+        # would otherwise load silently with components = 100
+        path = tmp_path / "cfg.ini"
+        path.write_text("[pls]\ncompnents = 4\n")
+        with pytest.raises(ParseError, match=r"'compnents'.*\[pls\]"):
+            load_config(path)
+
+    def test_unknown_section(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[pls]\ncomponents = 4\n[plsx]\ncomponents = 4\n")
+        with pytest.raises(ParseError, match=r"\[plsx\]"):
+            load_config(path)
+
+    def test_default_section_is_unknown(self, tmp_path):
+        # configparser would copy [DEFAULT] keys into every section
+        path = tmp_path / "cfg.ini"
+        path.write_text("[DEFAULT]\nseed = 3\n")
+        with pytest.raises(ParseError, match=r"\[DEFAULT\]"):
             load_config(path)
 
     def test_odd_offset_count(self, tmp_path):

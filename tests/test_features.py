@@ -126,7 +126,7 @@ class TestHogChannels:
 class TestComputeChannels:
     def test_plane_count(self):
         vol = features.compute_channels(random_image(6))
-        assert vol.planes.shape == (26, 32, 32)
+        assert vol.planes.shape == (32, 32, 26)
         assert vol.height == 32 and vol.width == 32
 
     def test_min_max_sandwich_oracle(self):
@@ -139,8 +139,8 @@ class TestComputeChannels:
                 y0, y1 = max(0, y - 2), min(32, y + 3)
                 x0, x1 = max(0, x - 2), min(32, x + 3)
                 win = base[k][y0:y1, x0:x1]
-                assert vol.planes[k][y, x] == win.max()
-                assert vol.planes[13 + k][y, x] == win.min()
+                assert vol.planes[y, x, k] == win.max()
+                assert vol.planes[y, x, 13 + k] == win.min()
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
@@ -148,8 +148,8 @@ class TestComputeChannels:
         img = random_image(seed, 12, 14)
         base = features.base_channels(img)
         vol = features.compute_channels(img)
-        assert np.all(vol.planes[13:] <= base + 1e-12)
-        assert np.all(base <= vol.planes[:13] + 1e-12)
+        assert np.all(vol.planes[..., 13:] <= base.transpose(1, 2, 0) + 1e-12)
+        assert np.all(base.transpose(1, 2, 0) <= vol.planes[..., :13] + 1e-12)
 
     def test_determinism(self):
         img = random_image(8)
@@ -173,7 +173,7 @@ class TestExtractPatchVector:
             for c in range(4):
                 for k in range(26):
                     idx = (r * 4 + c) * 26 + k
-                    assert v[idx] == vol.planes[k, y0 + r, x0 + c]
+                    assert v[idx] == vol.planes[y0 + r, x0 + c, k]
 
     def test_periodic_translation(self):
         # two patches one full period apart see identical content, so
@@ -193,6 +193,20 @@ class TestExtractPatchVector:
             features.extract_patch_vector(vol, (20, 0), geom)
         with pytest.raises(OutOfBounds):
             features.extract_patch_vector(vol, (-1, 0), geom)
+
+
+class TestPatchWindows:
+    @pytest.mark.parametrize("ps", [1, 2, 3, 4, 5])
+    def test_matches_extract_patch_vector_at_every_start(self, ps):
+        vol = features.compute_channels(random_image(16, 9, 11))
+        geom = features.PatchGeometry(ps, ())
+        windows = features.patch_windows(vol, ps)
+        assert windows.shape == (9 - ps + 1, 11 - ps + 1, ps, ps, 26)
+        assert not windows.flags.writeable
+        for y in range(windows.shape[0]):
+            for x in range(windows.shape[1]):
+                v = features.extract_patch_vector(vol, (x, y), geom)
+                assert np.array_equal(windows[y, x].reshape(-1), v)
 
 
 class TestContextVectors:

@@ -1,9 +1,21 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrm import dataset, image_io, model_io, pls, voting
-from hrm.errors import CorruptModel, IncompatibleModel, MissingAsset, ParseError
-from hrm.features import ContextSet, PatchGeometry
+from hrm.errors import (
+    CorruptModel,
+    HRMError,
+    IncompatibleModel,
+    MissingAsset,
+    ParseError,
+)
+from hrm.features import EXTRACTOR_VERSION, ContextSet, PatchGeometry
 from hrm.training import ModelBank
 
 
@@ -133,6 +145,12 @@ class TestDataset:
         with pytest.raises(MissingAsset):
             dataset.load_dataset(tmp_path / "nope.txt")
 
+    def test_non_utf8_annotation_file(self, tmp_path):
+        path = tmp_path / "ann.txt"
+        path.write_bytes(b"img\xff.pgm 1 1 9 9\n")
+        with pytest.raises(ParseError):
+            dataset.load_dataset(path)
+
     def test_median_box_size(self, tmp_path):
         name = write_scene(tmp_path)
         ann = tmp_path / "ann.txt"
@@ -166,6 +184,17 @@ def random_bank(seed=0, mplus1=2):
         for _ in range(mplus1)
     )
     return ModelBank.from_fits(hrms, lrms, geom, reference_box=(24.0, 30.0))
+
+
+def v2_header(patch_size=4, offsets=()):
+    """A format-2 model file up to its arrays."""
+    ext = EXTRACTOR_VERSION.encode()
+    return (
+        b"HRMB" + struct.pack("<II", 2, len(ext)) + ext
+        + struct.pack("<II", patch_size, len(offsets))
+        + b"".join(struct.pack("<ii", *o) for o in offsets)
+        + struct.pack("<dd", 1.0, 1.0)
+    )
 
 
 class TestModelIO:
@@ -234,6 +263,35 @@ class TestModelIO:
         with pytest.raises(IncompatibleModel):
             model_io.load_model(path)
 
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(MissingAsset):
+            model_io.load_model(tmp_path / "none.hrmb")
+        with pytest.raises(MissingAsset):
+            model_io.load_model(tmp_path)
+
+    def test_non_utf8_extractor(self, tmp_path):
+        path = tmp_path / "bank.hrmb"
+        model_io.save_model(path, random_bank())
+        data = bytearray(path.read_bytes())
+        data[12] = 0xFF  # first byte of the extractor tag
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptModel):
+            model_io.load_model(path)
+
+    @pytest.mark.parametrize("patch_size, offsets", [(0, ()), (4, ((1, 0), (1, 0)))])
+    def test_invalid_geometry(self, tmp_path, patch_size, offsets):
+        path = tmp_path / "bank.hrmb"
+        scalar = struct.pack("<I", 0) + bytes(8)  # a 0-d array
+        path.write_bytes(v2_header(patch_size, offsets) + scalar + scalar)
+        with pytest.raises(CorruptModel):
+            model_io.load_model(path)
+
+    def test_empty_array_with_dimension_past_intp(self, tmp_path):
+        path = tmp_path / "bank.hrmb"
+        path.write_bytes(v2_header() + struct.pack("<I2Q", 2, 0, 2**64 - 1))
+        with pytest.raises(CorruptModel):
+            model_io.load_model(path)
+
     def test_roundtrip_preserves_predictions(self, tmp_path):
         bank = random_bank(5)
         path = tmp_path / "bank.hrmb"
@@ -244,3 +302,72 @@ class TestModelIO:
         a, b = (voting.cast_votes(ctx, k, (0.0, 0.0)) for k in (bank, back))
         assert np.array_equal(a.votes, b.votes)
         assert np.array_equal(a.labels, b.labels)
+
+
+def read_or_refuse(reader, name: str, data: bytes) -> None:
+    """Write data to a fresh file and read it; an HRMError is a refusal."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(data)
+        (Path(tmp) / "a.pgm").write_bytes(b"P5\n2 2\n255\n\x00\x01\x02\x03")
+        try:
+            reader(path)
+        except HRMError:
+            pass
+
+
+def joined(tokens, sep):
+    return st.lists(tokens, max_size=12).map(sep.join)
+
+
+# numbers, junk and comment/line breaks, so generated headers often parse
+PNM_TOKENS = st.one_of(
+    st.integers(-2, 300).map(lambda v: str(v).encode()),
+    st.sampled_from([b"#", b"\n", b"65535", b"1e3", b"x"]),
+    st.binary(max_size=3),
+)
+
+
+@st.composite
+def model_tails(draw):
+    """Bytes after ``HRMB`` and version 2: header fields, then two arrays."""
+    valid = EXTRACTOR_VERSION.encode()
+    ext = draw(st.sampled_from([valid, valid, valid, b"\xff\xfe", b""]))
+    m = draw(st.integers(0, 3))
+    out = struct.pack("<I", len(ext)) + ext
+    out += struct.pack("<II", draw(st.integers(0, 5)), m)
+    for _ in range(m):
+        out += struct.pack("<ii", *draw(st.tuples(st.integers(-6, 6), st.integers(-6, 6))))
+    out += struct.pack("<dd", *draw(st.tuples(st.floats(), st.floats())))
+    for _ in range(2):
+        dims = draw(st.lists(st.integers(0, 4) | st.integers(0, 2**64 - 1), max_size=4))
+        out += struct.pack(f"<I{len(dims)}Q", len(dims), *dims)
+        n = int(np.prod(dims, dtype=object)) if dims else 1
+        out += bytes(8 * min(n, 64))
+    cut = draw(st.integers(0, len(out)))
+    return draw(st.sampled_from([out, out[:cut], out + b"\x00"]))
+
+
+class TestReaderFuzz:
+    """Every input to a file reader is read or refused with an HRMError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([b"P2", b"P5"]),
+           st.one_of(joined(PNM_TOKENS, b" "), st.binary(max_size=40)))
+    def test_read_pnm(self, magic, body):
+        read_or_refuse(image_io.read_pnm, "x.pgm", magic + body)
+
+    @pytest.mark.filterwarnings("ignore:.*empty dataset")
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(joined(st.one_of(
+        st.sampled_from(["a.pgm", "b.pgm", ".", "#", "\n", "-1", "0", "1", "2", "x"]),
+        st.text(max_size=4),
+    ), " ").map(str.encode), st.binary(max_size=40)))
+    def test_load_dataset(self, data):
+        read_or_refuse(dataset.load_dataset, "ann.txt", data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(model_tails(), st.binary(max_size=80)))
+    def test_load_model(self, tail):
+        data = b"HRMB" + struct.pack("<I", 2) + tail
+        read_or_refuse(model_io.load_model, "m.hrmb", data)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hrm import pls, training
-from hrm.errors import InvalidDataset, InvalidInput
+from hrm.errors import InvalidDataset
 from hrm.features import PatchGeometry, compute_channels, context_vectors
 from hrm.model_io import save_model
 from hrm.synth import synth_scene
@@ -30,6 +30,17 @@ def context_sets(ss, geom):
     labels = np.array([float(s.label) for s in ss.samples])
     votes = np.array([s.voting for s in ss.samples if s.label > 0])
     return rows, labels, votes
+
+
+def oracle_bank(ss, geom, cfg):
+    """The bank fitted directly on every X_j built from the per-patch oracle."""
+    rows, labels, votes = context_sets(ss, geom)
+    pos = labels > 0
+    hrms = [pls.bpls_fit(rows[pos, j, :], votes, cfg.components, cfg.ridge)
+            for j in range(geom.num_context)]
+    lrms = [pls.bpls_fit(rows[:, j, :], labels[:, None], cfg.components, cfg.ridge)
+            for j in range(geom.num_context)]
+    return training.ModelBank.from_fits(hrms, lrms, geom)
 
 
 def head_votes(bank, X):
@@ -135,20 +146,38 @@ class TestTrainBank:
         assert bank.coefficients.shape == (GEOM.vector_length, 3, 3)
         assert bank.intercepts.shape == (3, 3)
 
-    @pytest.mark.parametrize("offsets", [((PS, 0), (0, PS)), ()], ids=["m2", "m0"])
-    def test_matches_fits_on_context_vectors(self, offsets):
+    @pytest.mark.parametrize("offsets, entries, reference_size", [
+        (((PS, 0), (0, PS)), [scene_entry(14)], None),
+        ((), [scene_entry(14)], None),
+        # positives on rescaled canvases; +-PS neighbors clip at canvas edges
+        (((PS, 0), (-PS, 0), (0, PS), (0, -PS)),
+         [scene_entry(14), scene_entry(19, (8, 30, 40, 62))], 20.0),
+    ], ids=["m2", "m0", "m4-two-scenes-rescaled"])
+    def test_matches_fits_on_context_vectors(self, offsets, entries, reference_size):
         # every X_j built from the per-patch oracle, fitted directly
         geom = PatchGeometry(PS, offsets)
-        entries = [scene_entry(14)]
-        ss = training.sample_patches(entries, 8, 8, geom, seed=1)
+        ss = training.sample_patches(
+            entries, 8, 8, geom, seed=1, reference_size=reference_size
+        )
         cfg = pls.LatentConfig(components=3)
-        rows, labels, votes = context_sets(ss, geom)
-        pos = labels > 0
-        hrms = [pls.bpls_fit(rows[pos, j, :], votes, 3, cfg.ridge)
-                for j in range(geom.num_context)]
-        lrms = [pls.bpls_fit(rows[:, j, :], labels[:, None], 3, cfg.ridge)
-                for j in range(geom.num_context)]
-        a = training.ModelBank.from_fits(hrms, lrms, geom)
+        a = oracle_bank(ss, geom, cfg)
+        b = training.train_from_samples(ss, geom, cfg)
+        assert np.array_equal(a.coefficients, b.coefficients)
+        assert np.array_equal(a.intercepts, b.intercepts)
+
+    def test_matches_fits_at_every_start(self):
+        # every patch start of a small canvas, so each neighbor bound is hit
+        geom = PatchGeometry(PS, ((PS, 0), (-PS, 0), (0, PS), (0, -PS)))
+        img, _ = scene_entry(20, (2, 2, 14, 14), canvas=(16, 17))
+        starts = [(x, y) for y in range(17 - PS + 1) for x in range(16 - PS + 1)]
+        samples = tuple(
+            training.TrainingSample(0, xy, +1, np.array([i, -i]) / 7.0)
+            if i % 2 else training.TrainingSample(0, xy, -1)
+            for i, xy in enumerate(starts)
+        )
+        ss = training.SampleSet((img,), samples)
+        cfg = pls.LatentConfig(components=3)
+        a = oracle_bank(ss, geom, cfg)
         b = training.train_from_samples(ss, geom, cfg)
         assert np.array_equal(a.coefficients, b.coefficients)
         assert np.array_equal(a.intercepts, b.intercepts)
@@ -170,20 +199,12 @@ class TestTrainBank:
         entries = [scene_entry(16)]
         ss = training.sample_patches(entries, 8, 8, geom, seed=3)
         cfg = pls.LatentConfig(components=7)
-        a = training.train_from_samples(ss, geom, cfg, method="pls")
-        b = training.train_from_samples(ss, geom, cfg, method="bpls")
-        rows, labels, _ = context_sets(ss, geom)
+        bank = training.train_from_samples(ss, geom, cfg)
+        rows, labels, votes = context_sets(ss, geom)
         X = rows[labels > 0, 0, :]
-        d = np.abs(head_votes(a, X) - head_votes(b, X))
+        reference = pls.pls_fit(X, votes, cfg.components)
+        d = np.abs(pls.predict(reference, X) - head_votes(bank, X))
         assert np.max(d) <= 1e-4
-
-    def test_unknown_method(self):
-        entries = [scene_entry(17)]
-        ss = training.sample_patches(entries, 4, 4, GEOM, seed=0)
-        with pytest.raises(InvalidInput):
-            training.train_from_samples(
-                ss, GEOM, pls.LatentConfig(components=2), method="ols"
-            )
 
     def test_reproducible_serialization(self, tmp_path):
         cfg = pls.LatentConfig(components=3)
