@@ -1,8 +1,9 @@
 """Command-line interface: train, detect, eval, synth.
 
 Exit codes: 0 success, 2 input error, 3 model error.  HRM_THREADS caps
-the per-image detection worker pool.  All output files are written
-atomically (temp file + rename).
+both worker pools: detection's per-image pool and training's per-canvas
+feature-channel pool; outputs do not depend on it.  All output files are
+written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import errors
-from .config import load_config
+from .config import load_config, load_synth_spec
 from .dataset import load_dataset, median_box_size
 from .detect import detect
 from .evaluate import Detection, box_from_hypothesis, evaluate
@@ -84,6 +85,7 @@ def cmd_train(args) -> int:
         cfg.pls,
         cfg.voting.derivative_kernel,
         reference_box=ref,
+        workers=_worker_count(),
     )
     save_model(args.out, bank)
     n = bank.num_context
@@ -133,10 +135,14 @@ def cmd_detect(args) -> int:
 
 def _read_detections(path, ref_box) -> list:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise errors.MissingAsset(str(path))
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise errors.ParseError(f"{path}: not UTF-8 text ({e})") from None
     out = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -180,7 +186,7 @@ def cmd_eval(args) -> int:
             raise errors.ParseError(f"--ref-size must look like WxH, got {args.ref_size!r}")
     else:
         meta = Path(str(args.detections) + ".meta")
-        ref = _read_meta(meta) if meta.exists() else median_box_size(ds)
+        ref = _read_meta(meta) if meta.is_file() else median_box_size(ds)
 
     detections = _read_detections(args.detections, ref)
     ground_truth = {p.name: list(boxes) for p, boxes in ds.entries}
@@ -196,40 +202,23 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec_path = Path(args.spec)
-    if not spec_path.exists():
-        raise errors.MissingAsset(str(spec_path))
-    import configparser
-
-    parser = configparser.ConfigParser()
-    parser.read(spec_path)
-    if not parser.has_section("synth"):
-        raise errors.ParseError(f"{spec_path}: missing [synth] section")
-    s = parser["synth"]
-    n_scenes = s.getint("scenes", 10)
-    width = s.getint("canvas_width", 224)
-    height = s.getint("canvas_height", 224)
-    noise = s.getfloat("noise", 0.02)
-    min_obj = s.getint("min_objects", 1)
-    max_obj = s.getint("max_objects", 3)
-    scales = tuple(float(v) for v in s.get("scales", "0.75 1 1.25 1.5").split())
-
+    spec = load_synth_spec(args.spec)
+    size = (spec.canvas_width, spec.canvas_height)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     lines = []
-    for idx in range(n_scenes):
-        n_obj = int(rng.integers(min_obj, max_obj + 1))
-        specs = random_scene(rng, n_obj, scales, (width, height), noise)
-        img, boxes = synth_scene(
-            specs, (width, height), noise, seed=int(rng.integers(0, 2**31))
-        )
+    for idx in range(spec.scenes):
+        n_obj = int(rng.integers(spec.min_objects, spec.max_objects + 1))
+        specs = random_scene(rng, n_obj, spec.scales, size, spec.noise)
+        seed = int(rng.integers(0, 2**31))
+        img, boxes = synth_scene(specs, size, spec.noise, seed=seed)
         name = f"scene_{idx:04d}.pgm"
         write_pgm(out_dir / name, img)
         coord_text = " ".join(" ".join(str(v) for v in b) for b in boxes)
         lines.append(f"{name} {coord_text}".rstrip())
     _atomic_write_text(out_dir / "annotations.txt", "\n".join(lines) + "\n")
-    print(f"{n_scenes} scenes -> {out_dir}")
+    print(f"{spec.scenes} scenes -> {out_dir}")
     return 0
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .detect import VotingConfig
-from .errors import InvalidInput, ParseError
+from .errors import InvalidInput, InvalidSpec, MissingAsset, ParseError
 from .features import PatchGeometry
 from .fusion import FusionConfig
 from .pls import LatentConfig
@@ -73,6 +73,25 @@ class PipelineConfig:
     iou_threshold: float = 0.5
 
 
+@dataclass(frozen=True)
+class SynthSpec:
+    """The [synth] section of an ``hrm synth`` spec file."""
+
+    scenes: int = 10
+    canvas_width: int = 224
+    canvas_height: int = 224
+    noise: float = 0.02
+    min_objects: int = 1
+    max_objects: int = 3
+    scales: tuple[float, ...] = (0.75, 1.0, 1.25, 1.5)
+
+    def __post_init__(self):
+        if self.scenes < 0 or not 0 <= self.min_objects <= self.max_objects:
+            raise InvalidSpec("need scenes >= 0 and 0 <= min_objects <= max_objects")
+        if not self.scales or min(self.scales) <= 0 or not self.noise >= 0:
+            raise InvalidSpec("need at least one scale, all positive, and noise >= 0")
+
+
 # Every section and key load_config reads.
 _KEYS = {
     "pls": {"components", "ridge"},
@@ -102,25 +121,32 @@ def _get(section, key, cast, default):
         raise ParseError(f"config key {key!r}: {e}") from e
 
 
+def _read_ini(path, keys) -> configparser.ConfigParser:
+    """Parse an INI file whose sections and keys must all be listed in ``keys``."""
+    parser = configparser.ConfigParser()
+    try:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as e:
+        raise ParseError(f"{path}: {e}") from e
+    if parser.defaults():
+        raise ParseError(f"{path}: unknown config section [{parser.default_section}]")
+    for name in parser.sections():
+        if name not in keys:
+            raise ParseError(f"{path}: unknown config section [{name}]")
+        for key in parser[name]:
+            if key not in keys[name]:
+                raise ParseError(f"{path}: unknown key {key!r} in section [{name}]")
+    return parser
+
+
 def load_config(path=None) -> PipelineConfig:
     """Read a config file; a missing path yields all defaults."""
     parser = configparser.ConfigParser()
     if path is not None:
         path = Path(path)
-        if not path.exists():
+        if not path.is_file():
             raise ParseError(f"config file not found: {path}")
-        try:
-            parser.read(path)
-        except configparser.Error as e:
-            raise ParseError(str(e)) from e
-    if parser.defaults():
-        raise ParseError(f"{path}: unknown config section [{parser.default_section}]")
-    for name in parser.sections():
-        if name not in _KEYS:
-            raise ParseError(f"{path}: unknown config section [{name}]")
-        for key in parser[name]:
-            if key not in _KEYS[name]:
-                raise ParseError(f"{path}: unknown key {key!r} in section [{name}]")
+        parser = _read_ini(path, _KEYS)
 
     def section(name):
         return parser[name] if parser.has_section(name) else None
@@ -175,3 +201,23 @@ def load_config(path=None) -> PipelineConfig:
     iou_threshold = _get(s, "iou_threshold", float, 0.5)
 
     return PipelineConfig(pls_cfg, geometry, training, scales, voting, fusion, iou_threshold)
+
+
+def load_synth_spec(path) -> SynthSpec:
+    """Read an ``hrm synth`` spec: one [synth] section of SynthSpec fields."""
+    path = Path(path)
+    if not path.is_file():
+        raise MissingAsset(str(path))
+    parser = _read_ini(path, {"synth": set(SynthSpec.__dataclass_fields__)})
+    if not parser.has_section("synth"):
+        raise ParseError(f"{path}: missing [synth] section")
+    s, d = parser["synth"], SynthSpec()
+    return SynthSpec(
+        scenes=_get(s, "scenes", int, d.scenes),
+        canvas_width=_get(s, "canvas_width", int, d.canvas_width),
+        canvas_height=_get(s, "canvas_height", int, d.canvas_height),
+        noise=_get(s, "noise", float, d.noise),
+        min_objects=_get(s, "min_objects", int, d.min_objects),
+        max_objects=_get(s, "max_objects", int, d.max_objects),
+        scales=tuple(_get(s, "scales", _split(float), d.scales)),
+    )

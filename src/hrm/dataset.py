@@ -47,7 +47,7 @@ class Dataset:
 def load_dataset(annotation_path) -> Dataset:
     """Parse an annotation file; image paths resolve against its directory."""
     annotation_path = Path(annotation_path)
-    if not annotation_path.exists():
+    if not annotation_path.is_file():
         raise MissingAsset(str(annotation_path))
     root = annotation_path.parent
     try:
@@ -73,7 +73,7 @@ def load_dataset(annotation_path) -> Dataset:
         except ValueError as e:
             raise ParseError(f"{annotation_path}:{lineno}: {e}") from e
 
-        if not path.exists():
+        if not path.is_file():
             raise MissingAsset(f"{annotation_path}:{lineno}: {path}")
         if path not in boxes_by_path:
             order.append(path)

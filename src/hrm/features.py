@@ -26,6 +26,7 @@ N_BASE_CHANNELS = 13
 N_CHANNELS = 2 * N_BASE_CHANNELS
 HOG_BINS = 9
 _WINDOW = 5  # orientation-histogram and min/max filter window
+_STRIP = 16  # output rows per strip of the min/max filters
 DERIVATIVE_KERNELS = ("sobel", "central")
 
 
@@ -149,16 +150,37 @@ def hog_bin_map(img, derivative_kernel: str = "sobel") -> np.ndarray:
     return np.minimum((ang / (np.pi / HOG_BINS)).astype(np.intp), HOG_BINS - 1)
 
 
+def _running5(a: np.ndarray, op, out=None) -> np.ndarray:
+    """``op`` (np.maximum or np.minimum) of every 5 consecutive entries on axis 0.
+
+    Pairs, then quads, then the quads with the fifth entry: len(a) - 4 results.
+    """
+    pairs = op(a[:-1], a[1:])
+    quads = op(pairs[:-2], pairs[2:])
+    return op(quads[:-1], a[4:], out=out)
+
+
 def compute_channels(img, derivative_kernel: str = "sobel") -> FeatureVolume:
-    """The full 26-plane feature volume of an image."""
-    base = base_channels(img, derivative_kernel)
-    planes = np.empty((N_CHANNELS,) + base.shape[1:])
-    for k in range(N_BASE_CHANNELS):
-        planes[k] = ndimage.maximum_filter(base[k], size=_WINDOW, mode="nearest")
-        planes[N_BASE_CHANNELS + k] = ndimage.minimum_filter(
-            base[k], size=_WINDOW, mode="nearest"
-        )
-    return FeatureVolume(np.ascontiguousarray(planes.transpose(1, 2, 0)))
+    """The full 26-plane feature volume of an image.
+
+    The 5x5 max and min filters are separable running extremes over the
+    edge-padded base, equal to ``ndimage.maximum_filter``/``minimum_filter``
+    with ``mode="nearest"`` (max and min are exact).
+    """
+    base = base_channels(img, derivative_kernel).transpose(1, 2, 0)
+    padded = np.pad(base, ((2, 2), (2, 2), (0, 0)), mode="edge")
+    planes = np.empty(base.shape[:2] + (N_CHANNELS,))
+    # Strips of output rows keep each temporary to a few hundred kB, which the
+    # allocator reuses; whole-image ones are page-faulted in afresh each call.
+    for r in range(0, planes.shape[0], _STRIP):
+        rows = padded[r : r + _STRIP + 4]
+        for op, out in (
+            (np.maximum, planes[r : r + _STRIP, :, :N_BASE_CHANNELS]),
+            (np.minimum, planes[r : r + _STRIP, :, N_BASE_CHANNELS:]),
+        ):
+            across = _running5(rows.swapaxes(0, 1), op).swapaxes(0, 1)
+            _running5(across, op, out=out)
+    return FeatureVolume(planes)
 
 
 def patch_windows(vol: FeatureVolume, patch_size: int) -> np.ndarray:

@@ -38,7 +38,7 @@ def _integer(token: bytes, path) -> int:
 def read_pnm(path) -> np.ndarray:
     """Read a PGM/PPM file to a float64 array in [0, 1] (HxW or HxWx3)."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise MissingAsset(str(path))
     data = path.read_bytes()
     if len(data) < 2 or data[:1] != b"P" or data[1:2] not in b"2356":

@@ -112,6 +112,8 @@ def random_scene(
         for _ in range(max_tries):
             scale = float(rng.choice(scales))
             half = TEMPLATE_SIZE * scale / 2.0
+            if min(width, height) < 2 * (half + 1):
+                raise InvalidSpec(f"a scale-{scale} object does not fit the canvas")
             cx = float(rng.uniform(half + 1, width - half - 1))
             cy = float(rng.uniform(half + 1, height - half - 1))
             size = int(round(TEMPLATE_SIZE * scale))

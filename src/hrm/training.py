@@ -9,6 +9,7 @@ positive rows only, while the label models see both classes.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,11 +210,14 @@ def train_from_samples(
     cfg: pls.LatentConfig,
     derivative_kernel: str = "sobel",
     reference_box: tuple[float, float] = (0.0, 0.0),
+    workers: int = 1,
 ) -> ModelBank:
     """Fit the voting and label models of every context and stack them.
 
-    Fits one context index at a time, so a single (n, d) predictor matrix
-    is in memory at once, which matters for real patch dimensionalities.
+    The feature volumes of the used canvases are computed on ``workers``
+    threads.  Fits one context index at a time, so a single (n, d)
+    predictor matrix is in memory at once, which matters for real patch
+    dimensionalities.
     """
     samples = sample_set.samples
     cid, x, y, labels = np.array(
@@ -224,10 +228,16 @@ def train_from_samples(
     votes = np.array(
         [s.voting for s in samples if s.label > 0], dtype=np.float64
     ).reshape(int(pos.sum()), 2)
-    windows = {}  # canvas id -> (its sample indices, its patch windows)
-    for c in np.unique(cid):
-        vol = compute_channels(sample_set.canvases[c], derivative_kernel)
-        windows[c] = (np.flatnonzero(cid == c), patch_windows(vol, geom.patch_size))
+    used = np.unique(cid)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        vols = pool.map(
+            lambda c: compute_channels(sample_set.canvases[c], derivative_kernel), used
+        )
+        # canvas id -> (its sample indices, its patch windows)
+        windows = {
+            c: (np.flatnonzero(cid == c), patch_windows(vol, geom.patch_size))
+            for c, vol in zip(used, vols)
+        }
 
     def gather(dx, dy):
         """Patch vectors at every sample's top-left + (dx, dy), zero where clipped."""

@@ -100,6 +100,32 @@ class TestSynthCommand:
         assert main(["synth", "--spec", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def _synth_exit(self, tmp_path, old, new, capsys):
+        (tmp_path / "spec.ini").write_text(SYNTH_SPEC.replace(old, new))
+        code = main(["synth", "--spec", str(tmp_path / "spec.ini"),
+                     "--out", str(tmp_path / "o")])
+        return code, capsys.readouterr().err
+
+    def test_non_numeric_value_is_input_error(self, tmp_path, capsys):
+        code, err = self._synth_exit(tmp_path, "scenes = 6", "scenes = many", capsys)
+        assert code == 2 and "'scenes'" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_misspelled_key_is_input_error(self, tmp_path, capsys):
+        # would otherwise write the default 10 scenes silently
+        code, err = self._synth_exit(tmp_path, "scenes = 6", "scnes = 5", capsys)
+        assert code == 2 and "'scnes'" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("old, new", [
+        ("max_objects = 1", "max_objects = 0"),
+        ("scales = 0.75 1.0", "scales ="),
+        ("noise = 0.01", "noise = -1"),
+        ("canvas_width = 96", "canvas_width = 20"),
+    ])
+    def test_invalid_value_is_input_error(self, tmp_path, capsys, old, new):
+        assert self._synth_exit(tmp_path, old, new, capsys)[0] == 2
+
 
 class TestTrainCommand:
     def test_model_file_magic(self, workspace):
@@ -133,6 +159,33 @@ class TestTrainCommand:
         cfg.write_text((workspace / "cfg.ini").read_text().replace(old, new))
         assert main(["train", "--config", str(cfg),
                      "--annotations", str(workspace / "scenes" / "annotations.txt"),
+                     "--out", str(tmp_path / "m.hrmb")]) == 2
+        assert not (tmp_path / "m.hrmb").exists()
+
+    def test_byte_identical_across_thread_counts(self, workspace, tmp_path,
+                                                 monkeypatch):
+        models = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("HRM_THREADS", threads)
+            out = tmp_path / f"m{threads}.hrmb"
+            assert main(["train", "--config", str(workspace / "cfg.ini"),
+                         "--annotations", str(workspace / "scenes" / "annotations.txt"),
+                         "--out", str(out)]) == 0
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
+        assert models[0] == (workspace / "model.hrmb").read_bytes()
+
+    def test_annotations_directory_is_input_error(self, workspace, tmp_path):
+        assert main(["train", "--config", str(workspace / "cfg.ini"),
+                     "--annotations", str(tmp_path),
+                     "--out", str(tmp_path / "m.hrmb")]) == 2
+        assert not (tmp_path / "m.hrmb").exists()
+
+    def test_annotation_naming_directory_is_input_error(self, workspace, tmp_path):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "annotations.txt").write_text("sub 1 1 5 5\n")
+        assert main(["train", "--config", str(workspace / "cfg.ini"),
+                     "--annotations", str(tmp_path / "annotations.txt"),
                      "--out", str(tmp_path / "m.hrmb")]) == 2
         assert not (tmp_path / "m.hrmb").exists()
 
@@ -305,6 +358,15 @@ class TestEvalCommand:
         assert main(["eval", "--detections", str(det),
                      "--annotations", str(workspace / "scenes" / "annotations.txt"),
                      "--out", str(tmp_path / "pr.csv")]) == 2
+
+    def test_non_utf8_detections_is_input_error(self, workspace, tmp_path):
+        bad = tmp_path / "det.tsv"
+        bad.write_bytes(b"scene_\xff.pgm\t1.0\t2.0\t1.0\t0.5\n")
+        assert main(["eval", "--detections", str(bad),
+                     "--annotations", str(workspace / "scenes" / "annotations.txt"),
+                     "--ref-size", "40x40",
+                     "--out", str(tmp_path / "pr.csv")]) == 2
+        assert not (tmp_path / "pr.csv").exists()
 
     def test_malformed_detections_is_input_error(self, workspace, tmp_path):
         bad = tmp_path / "det.tsv"

@@ -151,6 +151,31 @@ class TestComputeChannels:
         assert np.all(vol.planes[..., 13:] <= base.transpose(1, 2, 0) + 1e-12)
         assert np.all(base.transpose(1, 2, 0) <= vol.planes[..., :13] + 1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(5, 40),
+        st.integers(5, 40),
+        st.integers(0, 10_000),
+        st.booleans(),
+        st.sampled_from(features.DERIVATIVE_KERNELS),
+    )
+    def test_matches_per_plane_ndimage_filters(self, h, w, seed, integer, kernel):
+        rng = np.random.default_rng(seed)
+        # small integers give flat runs and ties in every channel
+        if integer:
+            img = rng.integers(0, 4, (h, w)).astype(float)
+        else:
+            img = rng.random((h, w))
+        base = features.base_channels(img, kernel)
+        expected = np.stack(
+            [ndimage.maximum_filter(p, size=5, mode="nearest") for p in base]
+            + [ndimage.minimum_filter(p, size=5, mode="nearest") for p in base],
+            axis=-1,
+        )
+        planes = features.compute_channels(img, kernel).planes
+        assert planes.flags.c_contiguous
+        assert np.array_equal(planes, expected)
+
     def test_determinism(self):
         img = random_image(8)
         a = features.compute_channels(img.copy())
