@@ -80,15 +80,10 @@ def cmd_train(args) -> int:
         reference_size,
     )
     bank = train_from_samples(
-        samples,
-        cfg.geometry,
-        cfg.pls,
-        cfg.voting.derivative_kernel,
-        reference_box=ref,
-        workers=_worker_count(),
+        samples, cfg.geometry, cfg.pls, reference_box=ref, workers=_worker_count()
     )
     save_model(args.out, bank)
-    n = bank.num_context
+    n = bank.geometry.num_context
     print(f"trained {n} voting + {n} label models -> {args.out}")
     return 0
 
@@ -203,6 +198,8 @@ def cmd_eval(args) -> int:
 
 def cmd_synth(args) -> int:
     spec = load_synth_spec(args.spec)
+    if args.seed < 0:
+        raise errors.InvalidInput(f"--seed must be >= 0, got {args.seed}")
     size = (spec.canvas_width, spec.canvas_height)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

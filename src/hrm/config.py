@@ -8,6 +8,7 @@ Example:
 
     [features]
     patch_size = 16
+    neighbor_offsets = 16 0 -16 0 0 16 0 -16  # default: 8 at +-16, 8 at +-8
     derivative_kernel = sobel
 
     [training]
@@ -30,13 +31,19 @@ Example:
     bandwidth = 8
     probability_floor = 1e-12
 
+    [pipeline]
+    iou_threshold = 0.5
+
 Unspecified keys keep the defaults above; an unknown section or key is a
-ParseError.
+ParseError, and ``#`` after whitespace starts a comment.  [features] is
+the model's PatchGeometry: training records it in the model, and
+detection reads it from there.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,6 +67,8 @@ class TrainingConfig:
             raise InvalidInput(
                 f"n_pos and n_neg must be >= 1, got {self.n_pos} and {self.n_neg}"
             )
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +80,12 @@ class PipelineConfig:
     voting: VotingConfig = field(default_factory=VotingConfig)
     fusion: FusionConfig | None = None  # None = bandwidth from bin size
     iou_threshold: float = 0.5
+
+    def __post_init__(self):
+        if not 0 < self.iou_threshold <= 1:
+            raise InvalidInput(
+                f"iou_threshold must be in (0, 1], got {self.iou_threshold}"
+            )
 
 
 @dataclass(frozen=True)
@@ -88,8 +103,10 @@ class SynthSpec:
     def __post_init__(self):
         if self.scenes < 0 or not 0 <= self.min_objects <= self.max_objects:
             raise InvalidSpec("need scenes >= 0 and 0 <= min_objects <= max_objects")
-        if not self.scales or min(self.scales) <= 0 or not self.noise >= 0:
-            raise InvalidSpec("need at least one scale, all positive, and noise >= 0")
+        if not self.scales or not all(0 < s < math.inf for s in self.scales):
+            raise InvalidSpec("need at least one scale, all finite and positive")
+        if not 0 <= self.noise < math.inf:
+            raise InvalidSpec(f"noise must be finite and >= 0, got {self.noise}")
 
 
 # Every section and key load_config reads.
@@ -123,7 +140,7 @@ def _get(section, key, cast, default):
 
 def _read_ini(path, keys) -> configparser.ConfigParser:
     """Parse an INI file whose sections and keys must all be listed in ``keys``."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as e:
@@ -165,8 +182,9 @@ def load_config(path=None) -> PipelineConfig:
         if len(vals) % 2:
             raise ParseError("neighbor_offsets needs an even count of integers")
         offsets = tuple(zip(vals[::2], vals[1::2]))
-    geometry = PatchGeometry(patch_size, offsets)
-    derivative_kernel = _get(s, "derivative_kernel", str, "sobel")
+    geometry = PatchGeometry(
+        patch_size, offsets, _get(s, "derivative_kernel", str, "sobel")
+    )
 
     s = section("training")
     training = TrainingConfig(
@@ -185,7 +203,6 @@ def load_config(path=None) -> PipelineConfig:
         smoothing=_get(s, "smoothing", float, 1.5),
         min_score_fraction=_get(s, "min_score_fraction", float, 0.05),
         maxima_radius=_get(s, "maxima_radius", int, 3),
-        derivative_kernel=derivative_kernel,
     )
 
     s = section("fusion")

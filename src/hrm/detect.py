@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompatibleModel, InvalidInput
+from .errors import InvalidInput
 from .evaluate import Detection, box_from_hypothesis
-from .features import DERIVATIVE_KERNELS, EXTRACTOR_VERSION, compute_channels
-from .features import patch_windows
+from .features import compute_channels, patch_windows
 # Not called here: perfbench counts detection-time patch extractions
 # through this name, and with the filter bank that count is 0.
 from .features import extract_patch_vector  # noqa: F401
@@ -42,23 +41,21 @@ class VotingConfig:
     smoothing: float = 1.5  # Gaussian sigma in cells, 0 = off
     min_score_fraction: float = 0.05  # of the global cuboid maximum
     maxima_radius: int = 3  # cells
-    derivative_kernel: str = "sobel"
 
     def __post_init__(self):
         if self.stride < 1:
             raise InvalidInput(f"stride must be >= 1, got {self.stride}")
         if self.bin_size < 1:
             raise InvalidInput(f"bin_size must be >= 1, got {self.bin_size}")
-        if not self.smoothing >= 0:
-            raise InvalidInput(f"smoothing must be >= 0, got {self.smoothing}")
+        if not 0 <= self.smoothing < np.inf:
+            raise InvalidInput(f"smoothing must be finite, >= 0, got {self.smoothing}")
+        if not 0 <= self.min_score_fraction <= 1:
+            raise InvalidInput(
+                f"min_score_fraction must be in [0, 1], got {self.min_score_fraction}"
+            )
         if self.maxima_radius < 1:
             raise InvalidInput(
                 f"maxima_radius must be >= 1, got {self.maxima_radius}"
-            )
-        if self.derivative_kernel not in DERIVATIVE_KERNELS:
-            raise InvalidInput(
-                f"derivative_kernel must be one of {DERIVATIVE_KERNELS}, "
-                f"got {self.derivative_kernel!r}"
             )
 
 
@@ -87,7 +84,7 @@ def _responses(vol, ps: int, rows: np.ndarray, cols: np.ndarray, coef: np.ndarra
     d, k = coef.shape[0], coef.shape[1:]
     flat = coef.reshape(d, -1)
     out = np.empty((len(rows), len(cols)) + k)
-    step = max(1, _BLOCK_BYTES // (len(cols) * d * vol.planes.itemsize))
+    step = max(1, _BLOCK_BYTES // (len(cols) * d * vol.itemsize))
     for i in range(0, len(rows), step):
         block = windows[rows[i : i + step, None], cols]  # (b, cols, ps, ps, 26)
         out[i : i + step] = (block.reshape(-1, d) @ flat).reshape(block.shape[:2] + k)
@@ -103,10 +100,10 @@ def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig) -> VoteField:
     :func:`~hrm.features.context_vectors`.  R is one GEMM over the starts
     the grid and its neighbors need.
     """
-    vol = compute_channels(np.asarray(image, dtype=np.float64), cfg.derivative_kernel)
     geom = bank.geometry
+    vol = compute_channels(np.asarray(image, dtype=np.float64), geom.derivative_kernel)
     ps = geom.patch_size
-    n_x, n_y = vol.width - ps + 1, vol.height - ps + 1  # valid starts per axis
+    n_x, n_y = vol.shape[1] - ps + 1, vol.shape[0] - ps + 1  # valid starts per axis
     if n_x < 1 or n_y < 1:
         return VoteField.of([])
     xs = np.arange(0, n_x, cfg.stride)
@@ -146,10 +143,6 @@ def detect(
     apply_fusion: bool = True,
 ) -> DetectionResult:
     """Run the full detection pipeline on one image."""
-    if bank.extractor_version != EXTRACTOR_VERSION:
-        raise IncompatibleModel(
-            f"bank extractor {bank.extractor_version!r} != {EXTRACTOR_VERSION!r}"
-        )
     if fusion_cfg is None:
         fusion_cfg = FusionConfig(bandwidth=2.0 * voting_cfg.bin_size)
 

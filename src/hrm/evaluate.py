@@ -28,7 +28,6 @@ class Detection:
 class EvalReport:
     pr_points: tuple[tuple[float, float, float], ...]  # (threshold, P, R)
     eer: float
-    iou_threshold: float
     num_detections: int
     num_ground_truth: int
 
@@ -83,7 +82,7 @@ def evaluate(detections, ground_truth, iou_threshold: float = 0.5) -> EvalReport
     ordered, tp = match_detections(detections, ground_truth, iou_threshold)
 
     if not ordered or n_gt == 0:
-        return EvalReport((), 0.0, iou_threshold, len(ordered), n_gt)
+        return EvalReport((), 0.0, len(ordered), n_gt)
 
     scores = np.array([d.score for d in ordered])
     cum_tp = np.cumsum(tp)
@@ -97,7 +96,7 @@ def evaluate(detections, ground_truth, iou_threshold: float = 0.5) -> EvalReport
         (float(scores[i]), float(precision[i]), float(recall[i]))
         for i in np.nonzero(keep)[0]
     )
-    return EvalReport(points, _eer(precision, recall), iou_threshold, len(ordered), n_gt)
+    return EvalReport(points, _eer(precision, recall), len(ordered), n_gt)
 
 
 def _eer(precision: np.ndarray, recall: np.ndarray) -> float:

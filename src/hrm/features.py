@@ -43,21 +43,27 @@ def _default_offsets(patch_size: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class PatchGeometry:
-    """Patch size and the neighbor offsets used for context encoding."""
+    """The feature extractor: patch size, neighbor offsets, derivative kernel."""
 
     patch_size: int = 16
     neighbor_offsets: tuple[tuple[int, int], ...] = None
+    derivative_kernel: str = "sobel"
 
     def __post_init__(self):
         if self.patch_size < 1:
             raise InvalidInput("patch_size must be positive")
+        if self.derivative_kernel not in DERIVATIVE_KERNELS:
+            raise InvalidInput(
+                f"derivative_kernel must be one of {DERIVATIVE_KERNELS}, "
+                f"got {self.derivative_kernel!r}"
+            )
         if self.neighbor_offsets is None:
             object.__setattr__(
                 self, "neighbor_offsets", _default_offsets(self.patch_size)
             )
         offs = tuple(tuple(int(v) for v in o) for o in self.neighbor_offsets)
-        if len(set(offs)) != len(offs):
-            raise InvalidInput("neighbor offsets must be distinct")
+        if len(set(offs)) != len(offs) or (0, 0) in offs:
+            raise InvalidInput("neighbor offsets must be distinct and nonzero")
         object.__setattr__(self, "neighbor_offsets", offs)
 
     @property
@@ -67,21 +73,6 @@ class PatchGeometry:
     @property
     def vector_length(self) -> int:
         return self.patch_size * self.patch_size * N_CHANNELS
-
-
-@dataclass(frozen=True)
-class FeatureVolume:
-    """26 feature planes of one image, stored as (height, width, 26)."""
-
-    planes: np.ndarray
-
-    @property
-    def height(self) -> int:
-        return self.planes.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.planes.shape[1]
 
 
 @dataclass(frozen=True)
@@ -160,8 +151,8 @@ def _running5(a: np.ndarray, op, out=None) -> np.ndarray:
     return op(quads[:-1], a[4:], out=out)
 
 
-def compute_channels(img, derivative_kernel: str = "sobel") -> FeatureVolume:
-    """The full 26-plane feature volume of an image.
+def compute_channels(img, derivative_kernel: str = "sobel") -> np.ndarray:
+    """The full feature volume of an image, (H, W, 26) pixel-major.
 
     The 5x5 max and min filters are separable running extremes over the
     edge-padded base, equal to ``ndimage.maximum_filter``/``minimum_filter``
@@ -180,35 +171,34 @@ def compute_channels(img, derivative_kernel: str = "sobel") -> FeatureVolume:
         ):
             across = _running5(rows.swapaxes(0, 1), op).swapaxes(0, 1)
             _running5(across, op, out=out)
-    return FeatureVolume(planes)
+    return planes
 
 
-def patch_windows(vol: FeatureVolume, patch_size: int) -> np.ndarray:
+def patch_windows(vol: np.ndarray, patch_size: int) -> np.ndarray:
     """Read-only view of every patch: ``[y, x]`` is the (ps, ps, 26) patch at (x, y).
 
     A gathered window reshaped to one row is that patch's vector.
     """
-    windows = sliding_window_view(vol.planes, (patch_size, patch_size), axis=(0, 1))
+    windows = sliding_window_view(vol, (patch_size, patch_size), axis=(0, 1))
     return windows.transpose(0, 1, 3, 4, 2)
 
 
-def _check_patch(vol: FeatureVolume, topleft, patch_size: int) -> tuple[int, int]:
+def _check_patch(vol: np.ndarray, topleft, patch_size: int) -> tuple[int, int]:
     x, y = int(topleft[0]), int(topleft[1])
-    if x < 0 or y < 0 or x + patch_size > vol.width or y + patch_size > vol.height:
-        raise OutOfBounds(
-            f"patch at ({x}, {y}) size {patch_size} exceeds {vol.width}x{vol.height}"
-        )
+    h, w = vol.shape[:2]
+    if x < 0 or y < 0 or x + patch_size > w or y + patch_size > h:
+        raise OutOfBounds(f"patch at ({x}, {y}) size {patch_size} exceeds {w}x{h}")
     return x, y
 
 
-def extract_patch_vector(vol: FeatureVolume, topleft, geom: PatchGeometry) -> np.ndarray:
+def extract_patch_vector(vol: np.ndarray, topleft, geom: PatchGeometry) -> np.ndarray:
     """Patch feature vector: row-major pixels, channels contiguous per pixel."""
     ps = geom.patch_size
     x, y = _check_patch(vol, topleft, ps)
-    return vol.planes[y : y + ps, x : x + ps].flatten()
+    return vol[y : y + ps, x : x + ps].flatten()
 
 
-def context_vectors(vol: FeatureVolume, topleft, geom: PatchGeometry) -> ContextSet:
+def context_vectors(vol: np.ndarray, topleft, geom: PatchGeometry) -> ContextSet:
     """Raw patch vector plus differences against every neighbor patch.
 
     A neighbor that falls outside the image contributes a zero vector (the
@@ -223,7 +213,7 @@ def context_vectors(vol: FeatureVolume, topleft, geom: PatchGeometry) -> Context
     clipped = [False]
     for j, (dx, dy) in enumerate(geom.neighbor_offsets, start=1):
         nx, ny = x + dx, y + dy
-        if nx < 0 or ny < 0 or nx + ps > vol.width or ny + ps > vol.height:
+        if nx < 0 or ny < 0 or nx + ps > vol.shape[1] or ny + ps > vol.shape[0]:
             vectors[j] = raw
             clipped.append(True)
         else:

@@ -39,10 +39,10 @@ class FusionConfig:
     probability_floor: float = 1e-12
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise InvalidInput("bandwidth must be positive")
-        if self.probability_floor <= 0:
-            raise InvalidInput("probability_floor must be positive")
+        if not 0 < self.bandwidth < math.inf:
+            raise InvalidInput("bandwidth must be finite and positive")
+        if not 0 < self.probability_floor < math.inf:
+            raise InvalidInput("probability_floor must be finite and positive")
         if self.kernel not in _KERNELS:
             raise InvalidInput(f"unknown kernel {self.kernel!r}")
 

@@ -1,20 +1,22 @@
 """Binary model-bank serialization: the stacked linear head.
 
-Layout, format version 2 (all integers little-endian):
+Layout, format version 3 (all integers little-endian):
 
     magic   4 bytes  "HRMB"
     u32     format version
     str     extractor version (u32 length + utf-8)
     u32     patch size
     u32     m (neighbor count), then m pairs of i32 (dx, dy)
+    str     derivative kernel
     f64 x2  reference box (width, height)
     array   coefficients (d, m+1, 3): voting model j's two outputs, then
             label model j's output
     array   intercepts (m+1, 3)
 
 Each array is u32 ndim, ndim u64 dimensions, then row-major f64 data.
-Version 1 files, which held every fit record, are refused.  Round-trips
-are bit-exact.  Writes go through a temp file and rename.
+Version 1 files, which held every fit record, and version 2 files, which
+did not record the derivative kernel, are refused.  Round-trips are
+bit-exact.  Writes go through a temp file and rename.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .features import EXTRACTOR_VERSION, PatchGeometry
 from .training import ModelBank
 
 MAGIC = b"HRMB"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class _Reader:
@@ -48,6 +50,18 @@ class _Reader:
 
     def unpack(self, fmt: str):
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
+
+    def text(self, what: str) -> str:
+        (n,) = self.unpack("I")
+        try:
+            return self.take(n).decode()
+        except UnicodeDecodeError:
+            raise CorruptModel(f"{what} is not UTF-8") from None
+
+
+def _pack_text(text: str) -> bytes:
+    data = text.encode()
+    return struct.pack("<I", len(data)) + data
 
 
 def _pack_array(a: np.ndarray) -> bytes:
@@ -67,16 +81,15 @@ def _read_array(r: _Reader) -> np.ndarray:
 
 def save_model(path, bank: ModelBank) -> None:
     geom = bank.geometry
-    ext = bank.extractor_version.encode()
     parts = [
         MAGIC,
         struct.pack("<I", FORMAT_VERSION),
-        struct.pack("<I", len(ext)),
-        ext,
+        _pack_text(EXTRACTOR_VERSION),
         struct.pack("<II", geom.patch_size, len(geom.neighbor_offsets)),
     ]
     for dx, dy in geom.neighbor_offsets:
         parts.append(struct.pack("<ii", dx, dy))
+    parts.append(_pack_text(geom.derivative_kernel))
     parts.append(struct.pack("<dd", *bank.reference_box))
     parts.append(_pack_array(bank.coefficients))
     parts.append(_pack_array(bank.intercepts))
@@ -100,24 +113,21 @@ def load_model(path) -> ModelBank:
         raise IncompatibleModel(
             f"format version {version}, expected {FORMAT_VERSION}; retrain the model"
         )
-    (ext_len,) = r.unpack("I")
-    try:
-        extractor = r.take(ext_len).decode()
-    except UnicodeDecodeError:
-        raise CorruptModel("extractor version is not UTF-8") from None
+    extractor = r.text("extractor version")
     if extractor != EXTRACTOR_VERSION:
         raise IncompatibleModel(
             f"extractor version {extractor!r}, this build uses {EXTRACTOR_VERSION!r}"
         )
     patch_size, m = r.unpack("II")
     offsets = tuple(r.unpack("ii") for _ in range(m))
+    kernel = r.text("derivative kernel")
     ref_w, ref_h = r.unpack("dd")
     coefficients = _read_array(r)
     intercepts = _read_array(r)
     if r.pos != len(data):
         raise CorruptModel("trailing bytes after model data")
     try:
-        geometry = PatchGeometry(patch_size, offsets)
+        geometry = PatchGeometry(patch_size, offsets, kernel)
     except InvalidInput as e:
         raise CorruptModel(f"patch geometry: {e}") from None
-    return ModelBank(coefficients, intercepts, geometry, extractor, (ref_w, ref_h))
+    return ModelBank(coefficients, intercepts, geometry, (ref_w, ref_h))

@@ -17,7 +17,7 @@ from scipy import ndimage
 
 from . import pls
 from .errors import DegenerateFit, IncompatibleModel, InvalidDataset
-from .features import EXTRACTOR_VERSION, PatchGeometry, compute_channels, patch_windows
+from .features import PatchGeometry, compute_channels, patch_windows
 # Not called here: perfbench counts training-time patch extractions
 # through this name, and with the window gathers that count is 0.
 from .features import extract_patch_vector  # noqa: F401
@@ -58,7 +58,6 @@ class ModelBank:
     coefficients: np.ndarray
     intercepts: np.ndarray
     geometry: PatchGeometry
-    extractor_version: str = EXTRACTOR_VERSION
     reference_box: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
@@ -86,11 +85,7 @@ class ModelBank:
                 for h, l in pairs
             ]
         )
-        return cls(coef, bias, geometry, reference_box=reference_box)
-
-    @property
-    def num_context(self) -> int:
-        return self.geometry.num_context
+        return cls(coef, bias, geometry, reference_box)
 
 
 def _positive_candidates(boxes, shape, ps):
@@ -208,7 +203,6 @@ def train_from_samples(
     sample_set: SampleSet,
     geom: PatchGeometry,
     cfg: pls.LatentConfig,
-    derivative_kernel: str = "sobel",
     reference_box: tuple[float, float] = (0.0, 0.0),
     workers: int = 1,
 ) -> ModelBank:
@@ -231,7 +225,8 @@ def train_from_samples(
     used = np.unique(cid)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         vols = pool.map(
-            lambda c: compute_channels(sample_set.canvases[c], derivative_kernel), used
+            lambda c: compute_channels(sample_set.canvases[c], geom.derivative_kernel),
+            used,
         )
         # canvas id -> (its sample indices, its patch windows)
         windows = {

@@ -32,10 +32,11 @@ class ScaleSet:
 
     def __post_init__(self):
         s = tuple(float(v) for v in self.scales)
-        if not s or any(v <= 0 for v in s) or any(b <= a for a, b in zip(s, s[1:])):
-            raise InvalidInput("scales must be positive and strictly increasing")
-        if self.train_scale <= 0:
-            raise InvalidInput("train_scale must be positive")
+        in_range = all(0 < v < np.inf for v in s)
+        if not s or not in_range or any(b <= a for a, b in zip(s, s[1:])):
+            raise InvalidInput("scales must be finite, positive and strictly increasing")
+        if not 0 < self.train_scale < np.inf:
+            raise InvalidInput("train_scale must be finite and positive")
         object.__setattr__(self, "scales", s)
 
 
@@ -104,10 +105,8 @@ class HoughCuboid:
     levels: np.ndarray
     scales: ScaleSet
     bin_size: int
-    smoothing: float
-    image_size: tuple[int, int]  # (width, height)
-    level_mass: np.ndarray = None
-    dropped: np.ndarray = None
+    level_mass: np.ndarray
+    dropped: np.ndarray
 
 
 def patch_weight(labels: np.ndarray) -> float:
@@ -118,7 +117,8 @@ def patch_weight(labels: np.ndarray) -> float:
 
 def cast_votes(context: ContextSet, bank: ModelBank, loc) -> PatchVotes:
     """Run every voting and label regressor on one patch's context set."""
-    expected = (bank.num_context, bank.geometry.vector_length)
+    geom = bank.geometry
+    expected = (geom.num_context, geom.vector_length)
     if context.vectors.shape != expected:
         raise InvalidInput(
             f"context set has shape {context.vectors.shape}, bank expects {expected}"
@@ -177,9 +177,7 @@ def accumulate_cuboid(
         for s in range(S):
             levels[s] = ndimage.gaussian_filter(levels[s], smoothing, mode="constant")
 
-    return HoughCuboid(
-        levels, scales, bin_size, smoothing, (width, height), level_mass, dropped
-    )
+    return HoughCuboid(levels, scales, bin_size, level_mass, dropped)
 
 
 def find_maxima(cuboid: HoughCuboid, min_score: float, radius: int = 3):

@@ -96,6 +96,12 @@ class TestSynthCommand:
             b = (tmp_path / "again" / name).read_bytes()
             assert a == b
 
+    def test_negative_seed_is_input_error(self, workspace, tmp_path, capsys):
+        assert main(["synth", "--spec", str(workspace / "spec.ini"), "--seed", "-1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_spec_is_input_error(self, tmp_path):
         assert main(["synth", "--spec", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path / "o")]) == 2
@@ -122,6 +128,8 @@ class TestSynthCommand:
         ("scales = 0.75 1.0", "scales ="),
         ("noise = 0.01", "noise = -1"),
         ("canvas_width = 96", "canvas_width = 20"),
+        ("scales = 0.75 1.0", "scales = 0.75 nan"),
+        ("noise = 0.01", "noise = inf"),
     ])
     def test_invalid_value_is_input_error(self, tmp_path, capsys, old, new):
         assert self._synth_exit(tmp_path, old, new, capsys)[0] == 2
@@ -136,7 +144,7 @@ class TestTrainCommand:
 
         bank = load_model(workspace / "model.hrmb")
         assert bank.geometry.patch_size == 6
-        assert bank.num_context == 5
+        assert bank.geometry.num_context == 5
         assert bank.reference_box[0] > 0
 
     def test_missing_annotations_is_input_error(self, workspace, tmp_path):
@@ -152,6 +160,8 @@ class TestTrainCommand:
         ("components = 4", "components = 0"),
         ("components = 4", "components = 4\nridge = 2"),
         ("components = 4", "components = 4\nridge = nan"),
+        ("seed = 0", "seed = -1"),
+        ("neighbor_offsets = 6 0 -6 0 0 6 0 -6", "neighbor_offsets = 6 0 0 0"),
     ])
     def test_invalid_training_config_is_input_error(self, workspace, tmp_path,
                                                     old, new):
@@ -268,6 +278,56 @@ class TestDetectCommand:
                      "--model", str(workspace / "model.hrmb"),
                      "--images", str(workspace / "scenes"),
                      "--out", str(tmp_path / "d.tsv")]) == 2
+        assert not (tmp_path / "d.tsv").exists()
+
+    @pytest.mark.parametrize("old, new", [
+        ("scales = 0.75 1.0", "scales = nan"),
+        ("scales = 0.75 1.0", "scales = 1 inf"),
+        ("stride = 2", "stride = 2\ntrain_scale = nan"),
+        ("stride = 2", "stride = 2\nmin_score_fraction = nan"),
+        ("bin_size = 4", "bin_size = 4\n[fusion]\nbandwidth = nan"),
+        ("bin_size = 4", "bin_size = 4\n[pipeline]\niou_threshold = nan"),
+    ])
+    def test_non_finite_config_value_is_input_error(self, workspace, tmp_path,
+                                                    old, new):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text((workspace / "cfg.ini").read_text().replace(old, new))
+        assert main(["detect", "--config", str(cfg),
+                     "--model", str(workspace / "model.hrmb"),
+                     "--images", str(workspace / "scenes"),
+                     "--out", str(tmp_path / "d.tsv")]) == 2
+        assert not (tmp_path / "d.tsv").exists()
+
+    def test_derivative_kernel_is_read_from_the_model(self, workspace, tmp_path):
+        central = tmp_path / "central.ini"
+        central.write_text(CONFIG.replace(
+            "[training]", "derivative_kernel = central\n\n[training]"))
+        bare = tmp_path / "bare.ini"  # no [features]: sobel, 16 offsets
+        bare.write_text(re.sub(r"\[features\][^[]*", "", CONFIG))
+        scenes = workspace / "scenes"
+        assert main(["train", "--config", str(central),
+                     "--annotations", str(scenes / "annotations.txt"),
+                     "--out", str(tmp_path / "central.hrmb")]) == 0
+        outputs = []
+        for cfg in (central, bare):
+            out = tmp_path / f"{cfg.stem}.tsv"
+            assert main(["detect", "--config", str(cfg),
+                         "--model", str(tmp_path / "central.hrmb"),
+                         "--images", str(scenes), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        # the kernel matters: the sobel-trained fixture model detects otherwise
+        assert outputs[0] != (workspace / "det.tsv").read_bytes()
+
+    def test_format_2_model_refused(self, workspace, tmp_path, capsys):
+        data = bytearray((workspace / "model.hrmb").read_bytes())
+        struct.pack_into("<I", data, 4, 2)
+        old = tmp_path / "v2.hrmb"
+        old.write_bytes(bytes(data))
+        assert main(["detect", "--model", str(old),
+                     "--images", str(workspace / "scenes"),
+                     "--out", str(tmp_path / "d.tsv")]) == 3
+        assert "retrain" in capsys.readouterr().err
         assert not (tmp_path / "d.tsv").exists()
 
     def test_corrupt_model_is_model_error(self, workspace, tmp_path):

@@ -1,7 +1,13 @@
+import re
+from pathlib import Path
+
 import pytest
 
-from hrm.config import PipelineConfig, load_config
-from hrm.errors import ParseError
+from hrm import config
+from hrm.config import PipelineConfig, SynthSpec, load_config, load_synth_spec
+from hrm.errors import InvalidInput, ParseError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestDefaults:
@@ -38,7 +44,7 @@ class TestFileParsing:
         assert cfg.pls.components == 8 and cfg.pls.ridge == 0.5
         assert cfg.geometry.patch_size == 6
         assert cfg.geometry.neighbor_offsets == ((6, 0), (-6, 0))
-        assert cfg.voting.derivative_kernel == "central"
+        assert cfg.geometry.derivative_kernel == "central"
         assert cfg.training.n_pos == 100
         assert cfg.scales.scales == (0.5, 1.0, 2.0)
         assert cfg.voting.stride == 2 and cfg.voting.smoothing == 0.5
@@ -98,3 +104,73 @@ class TestFileParsing:
         path.write_text("[features]\nneighbor_offsets = 1 2 3\n")
         with pytest.raises(ParseError):
             load_config(path)
+
+    def test_inline_comment(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[pls]\ncomponents = 7   # latent components\n")
+        assert load_config(path).pls.components == 7
+
+    @pytest.mark.parametrize("text", [
+        "[features]\nderivative_kernel = prewitt\n",
+        "[features]\nneighbor_offsets = 6 0 0 0\n",
+        "[training]\nseed = -1\n",
+        "[voting]\nscales = 1 inf\n",
+        "[voting]\nmin_score_fraction = 1.5\n",
+        "[fusion]\nprobability_floor = inf\n",
+        "[pipeline]\niou_threshold = nan\n",
+    ])
+    def test_invalid_value(self, tmp_path, text):
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        with pytest.raises(InvalidInput):
+            load_config(path)
+
+    def test_features_section_is_the_patch_geometry(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text(
+            "[features]\npatch_size = 6\nneighbor_offsets = 6 0\n"
+            "derivative_kernel = central\n"
+        )
+        geom = load_config(path).geometry
+        assert (geom.patch_size, geom.neighbor_offsets) == (6, ((6, 0),))
+        assert geom.derivative_kernel == "central"
+
+
+class TestPipelineConfig:
+    @pytest.mark.parametrize("iou", [0.0, -0.1, 1.0001, float("nan")])
+    def test_rejects_iou_threshold(self, iou):
+        with pytest.raises(InvalidInput):
+            PipelineConfig(iou_threshold=iou)
+
+    def test_accepts_iou_threshold_one(self):
+        assert PipelineConfig(iou_threshold=1.0).iou_threshold == 1.0
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InvalidInput):
+            config.TrainingConfig(seed=-1)
+
+
+class TestReadmeExamples:
+    """The INI blocks of README.md load, and cover every key."""
+
+    def blocks(self, tmp_path):
+        texts = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+        assert len(texts) == 2
+        paths = [tmp_path / "cfg.ini", tmp_path / "synth.ini"]
+        for path, text in zip(paths, texts):
+            path.write_text(text)
+        return paths
+
+    def test_config_block(self, tmp_path):
+        path = self.blocks(tmp_path)[0]
+        load_config(path)
+        parser = config._read_ini(path, config._KEYS)
+        keys = {(s, k) for s in parser.sections() for k in parser[s]}
+        assert keys == {(s, k) for s, names in config._KEYS.items() for k in names}
+
+    def test_synth_block(self, tmp_path):
+        path = self.blocks(tmp_path)[1]
+        load_synth_spec(path)
+        parser = config._read_ini(path, {"synth": set(SynthSpec.__dataclass_fields__)})
+        assert parser.sections() == ["synth"]
+        assert set(parser["synth"]) == set(SynthSpec.__dataclass_fields__)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +5,7 @@ from hypothesis import strategies as st
 
 from hrm import pls
 from hrm.detect import VotingConfig, compute_patch_votes, detect
-from hrm.errors import IncompatibleModel, InvalidInput
+from hrm.errors import InvalidInput
 from hrm.features import PatchGeometry, compute_channels, context_vectors
 from hrm.training import ModelBank
 from hrm.voting import ScaleSet, cast_votes
@@ -63,7 +61,8 @@ class TestVotingConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(stride=0), dict(stride=-1), dict(bin_size=0), dict(smoothing=-0.5),
         dict(smoothing=float("nan")), dict(maxima_radius=0),
-        dict(derivative_kernel="prewitt"),
+        dict(min_score_fraction=-0.1), dict(min_score_fraction=1.5),
+        dict(min_score_fraction=float("nan")), dict(smoothing=float("inf")),
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(InvalidInput):
@@ -71,7 +70,8 @@ class TestVotingConfig:
 
     def test_accepts_edges(self):
         VotingConfig(stride=1, bin_size=1, smoothing=0.0, maxima_radius=1,
-                     derivative_kernel="central")
+                     min_score_fraction=0.0)
+        VotingConfig(min_score_fraction=1.0)
 
 
 class TestComputePatchVotes:
@@ -79,7 +79,7 @@ class TestComputePatchVotes:
         rng = np.random.default_rng(1)
         img = rng.random((16, 18))
         bank = fitted_bank()
-        cfg = VotingConfig(stride=3, derivative_kernel="sobel")
+        cfg = VotingConfig(stride=3)
         out = compute_patch_votes(img, bank, cfg)
 
         vol = compute_channels(img)
@@ -104,7 +104,9 @@ class TestComputePatchVotes:
         ps=st.integers(1, 8),
         stride=st.integers(1, 5),
         offsets=st.lists(
-            st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+            st.tuples(st.integers(-30, 30), st.integers(-30, 30)).filter(
+                lambda o: o != (0, 0)
+            ),
             max_size=4,
             unique=True,
         ),
@@ -134,6 +136,23 @@ class TestComputePatchVotes:
             assert np.abs(a.labels - b.labels).max() <= 1e-12
             assert a.weight == b.weight
 
+    def test_derivative_kernel_from_model_geometry(self):
+        rng = np.random.default_rng(7)
+        geom = PatchGeometry(PS, ((PS, 0),), derivative_kernel="central")
+        bank = random_linear_bank(geom, rng)
+        img = rng.random((14, 15))
+        out = compute_patch_votes(img, bank, VotingConfig(stride=2))
+
+        vol = compute_channels(img, "central")
+        assert not np.array_equal(vol, compute_channels(img, "sobel"))
+        starts = [(x, y) for y in range(0, 10, 2) for x in range(0, 11, 2)]  # ps 5
+        assert len(out) == len(starts)
+        for i, (x, y) in enumerate(starts):
+            b = cast_votes(context_vectors(vol, (x, y), geom), bank,
+                           (x + PS / 2, y + PS / 2))
+            assert np.abs(out[i].votes - b.votes).max() <= 1e-12
+            assert np.abs(out[i].labels - b.labels).max() <= 1e-12
+
     def test_image_smaller_than_patch(self):
         geom = PatchGeometry(12, ((12, 0),))
         bank = random_linear_bank(geom, np.random.default_rng(0))
@@ -156,11 +175,6 @@ class TestDetect:
         assert result.detections == []
         assert result.total_mass == 0.0
         assert float(result.cuboid.levels.max()) == 0.0
-
-    def test_extractor_version_checked(self):
-        bank = replace(fitted_bank(), extractor_version="other-v9")
-        with pytest.raises(IncompatibleModel):
-            detect(np.zeros((16, 16)), bank)
 
     def test_detections_sorted_and_boxed(self):
         img = np.random.default_rng(4).random((24, 24))

@@ -40,6 +40,17 @@ class TestPatchGeometry:
         with pytest.raises(InvalidInput):
             features.PatchGeometry(0)
 
+    def test_zero_offset_rejected(self):
+        # raw minus itself: the context would be all zeros
+        with pytest.raises(InvalidInput):
+            features.PatchGeometry(8, ((8, 0), (0, 0)))
+
+    def test_derivative_kernel(self):
+        assert features.PatchGeometry().derivative_kernel == "sobel"
+        assert features.PatchGeometry(8, (), "central").derivative_kernel == "central"
+        with pytest.raises(InvalidInput):
+            features.PatchGeometry(8, (), "prewitt")
+
 
 class TestBaseChannels:
     def test_constant_image_all_zero(self):
@@ -126,8 +137,8 @@ class TestHogChannels:
 class TestComputeChannels:
     def test_plane_count(self):
         vol = features.compute_channels(random_image(6))
-        assert vol.planes.shape == (32, 32, 26)
-        assert vol.height == 32 and vol.width == 32
+        assert vol.shape == (32, 32, 26)
+        assert vol.shape[0] == 32 and vol.shape[1] == 32
 
     def test_min_max_sandwich_oracle(self):
         img = random_image(7)
@@ -139,8 +150,8 @@ class TestComputeChannels:
                 y0, y1 = max(0, y - 2), min(32, y + 3)
                 x0, x1 = max(0, x - 2), min(32, x + 3)
                 win = base[k][y0:y1, x0:x1]
-                assert vol.planes[y, x, k] == win.max()
-                assert vol.planes[y, x, 13 + k] == win.min()
+                assert vol[y, x, k] == win.max()
+                assert vol[y, x, 13 + k] == win.min()
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
@@ -148,8 +159,8 @@ class TestComputeChannels:
         img = random_image(seed, 12, 14)
         base = features.base_channels(img)
         vol = features.compute_channels(img)
-        assert np.all(vol.planes[..., 13:] <= base.transpose(1, 2, 0) + 1e-12)
-        assert np.all(base.transpose(1, 2, 0) <= vol.planes[..., :13] + 1e-12)
+        assert np.all(vol[..., 13:] <= base.transpose(1, 2, 0) + 1e-12)
+        assert np.all(base.transpose(1, 2, 0) <= vol[..., :13] + 1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -172,7 +183,7 @@ class TestComputeChannels:
             + [ndimage.minimum_filter(p, size=5, mode="nearest") for p in base],
             axis=-1,
         )
-        planes = features.compute_channels(img, kernel).planes
+        planes = features.compute_channels(img, kernel)
         assert planes.flags.c_contiguous
         assert np.array_equal(planes, expected)
 
@@ -180,7 +191,7 @@ class TestComputeChannels:
         img = random_image(8)
         a = features.compute_channels(img.copy())
         b = features.compute_channels(img.copy())
-        assert np.array_equal(a.planes, b.planes)
+        assert np.array_equal(a, b)
 
 
 class TestExtractPatchVector:
@@ -198,7 +209,7 @@ class TestExtractPatchVector:
             for c in range(4):
                 for k in range(26):
                     idx = (r * 4 + c) * 26 + k
-                    assert v[idx] == vol.planes[y0 + r, x0 + c, k]
+                    assert v[idx] == vol[y0 + r, x0 + c, k]
 
     def test_periodic_translation(self):
         # two patches one full period apart see identical content, so

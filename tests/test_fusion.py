@@ -28,6 +28,14 @@ class TestFusionConfig:
         with pytest.raises(InvalidInput):
             fusion.FusionConfig(kernel="triangular")
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(bandwidth=float("nan")), dict(bandwidth=float("inf")),
+        dict(probability_floor=float("nan")), dict(probability_floor=float("inf")),
+    ])
+    def test_rejects_non_finite(self, kwargs):
+        with pytest.raises(InvalidInput):
+            fusion.FusionConfig(**kwargs)
+
 
 class TestConditionalProb:
     def test_self_conditioning_is_one(self):

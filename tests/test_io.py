@@ -186,15 +186,19 @@ def random_bank(seed=0, mplus1=2):
     return ModelBank.from_fits(hrms, lrms, geom, reference_box=(24.0, 30.0))
 
 
-def v2_header(patch_size=4, offsets=()):
-    """A format-2 model file up to its arrays."""
+def v3_header(patch_size=4, offsets=(), kernel=b"sobel"):
+    """A format-3 model file up to its arrays."""
     ext = EXTRACTOR_VERSION.encode()
     return (
-        b"HRMB" + struct.pack("<II", 2, len(ext)) + ext
+        b"HRMB" + struct.pack("<II", 3, len(ext)) + ext
         + struct.pack("<II", patch_size, len(offsets))
         + b"".join(struct.pack("<ii", *o) for o in offsets)
+        + struct.pack("<I", len(kernel)) + kernel
         + struct.pack("<dd", 1.0, 1.0)
     )
+
+
+SCALAR = struct.pack("<I", 0) + bytes(8)  # a 0-d array
 
 
 class TestModelIO:
@@ -205,7 +209,8 @@ class TestModelIO:
         back = model_io.load_model(path)
         assert back.geometry == bank.geometry
         assert back.reference_box == bank.reference_box
-        assert back.extractor_version == bank.extractor_version
+        ext = EXTRACTOR_VERSION.encode()
+        assert path.read_bytes()[12 : 12 + len(ext)] == ext
         assert np.array_equal(back.coefficients, bank.coefficients)
         assert np.array_equal(back.intercepts, bank.intercepts)
 
@@ -254,12 +259,11 @@ class TestModelIO:
         with pytest.raises(IncompatibleModel):
             model_io.load_model(path)
 
-    def test_extractor_mismatch(self, tmp_path):
-        from dataclasses import replace
-
-        bank = replace(random_bank(), extractor_version="chan26-v0")
+    def test_extractor_mismatch(self, tmp_path, monkeypatch):
         path = tmp_path / "bank.hrmb"
-        model_io.save_model(path, bank)
+        with monkeypatch.context() as m:
+            m.setattr(model_io, "EXTRACTOR_VERSION", "chan26-v0")
+            model_io.save_model(path, random_bank())
         with pytest.raises(IncompatibleModel):
             model_io.load_model(path)
 
@@ -278,17 +282,51 @@ class TestModelIO:
         with pytest.raises(CorruptModel):
             model_io.load_model(path)
 
-    @pytest.mark.parametrize("patch_size, offsets", [(0, ()), (4, ((1, 0), (1, 0)))])
+    @pytest.mark.parametrize(
+        "patch_size, offsets", [(0, ()), (4, ((1, 0), (1, 0))), (4, ((0, 0),))]
+    )
     def test_invalid_geometry(self, tmp_path, patch_size, offsets):
         path = tmp_path / "bank.hrmb"
-        scalar = struct.pack("<I", 0) + bytes(8)  # a 0-d array
-        path.write_bytes(v2_header(patch_size, offsets) + scalar + scalar)
+        path.write_bytes(v3_header(patch_size, offsets) + SCALAR + SCALAR)
         with pytest.raises(CorruptModel):
             model_io.load_model(path)
 
+    @pytest.mark.parametrize("kernel", [b"prewitt", b"\xffsobel", b""])
+    def test_invalid_derivative_kernel(self, tmp_path, kernel):
+        path = tmp_path / "bank.hrmb"
+        path.write_bytes(v3_header(kernel=kernel) + SCALAR + SCALAR)
+        with pytest.raises(CorruptModel):
+            model_io.load_model(path)
+
+    def test_format_2_refused(self, tmp_path):
+        # format 2 had no derivative kernel after the offsets
+        ext = EXTRACTOR_VERSION.encode()
+        path = tmp_path / "bank.hrmb"
+        path.write_bytes(
+            b"HRMB" + struct.pack("<II", 2, len(ext)) + ext
+            + struct.pack("<II", 4, 0) + struct.pack("<dd", 1.0, 1.0)
+            + SCALAR + SCALAR
+        )
+        with pytest.raises(IncompatibleModel, match="retrain"):
+            model_io.load_model(path)
+
+    def test_roundtrip_central_kernel_bit_exact(self, tmp_path):
+        bank = random_bank(4)
+        geom = PatchGeometry(4, bank.geometry.neighbor_offsets, "central")
+        bank = ModelBank(bank.coefficients, bank.intercepts, geom, (24.0, 30.0))
+        path = tmp_path / "bank.hrmb"
+        model_io.save_model(path, bank)
+        back = model_io.load_model(path)
+        assert back.geometry.derivative_kernel == "central"
+        assert back.geometry == geom and back.reference_box == bank.reference_box
+        assert np.array_equal(back.coefficients, bank.coefficients)
+        assert np.array_equal(back.intercepts, bank.intercepts)
+        model_io.save_model(tmp_path / "again.hrmb", back)
+        assert (tmp_path / "again.hrmb").read_bytes() == path.read_bytes()
+
     def test_empty_array_with_dimension_past_intp(self, tmp_path):
         path = tmp_path / "bank.hrmb"
-        path.write_bytes(v2_header() + struct.pack("<I2Q", 2, 0, 2**64 - 1))
+        path.write_bytes(v3_header() + struct.pack("<I2Q", 2, 0, 2**64 - 1))
         with pytest.raises(CorruptModel):
             model_io.load_model(path)
 
@@ -330,7 +368,7 @@ PNM_TOKENS = st.one_of(
 
 @st.composite
 def model_tails(draw):
-    """Bytes after ``HRMB`` and version 2: header fields, then two arrays."""
+    """Bytes after ``HRMB`` and version 3: header fields, then two arrays."""
     valid = EXTRACTOR_VERSION.encode()
     ext = draw(st.sampled_from([valid, valid, valid, b"\xff\xfe", b""]))
     m = draw(st.integers(0, 3))
@@ -338,6 +376,8 @@ def model_tails(draw):
     out += struct.pack("<II", draw(st.integers(0, 5)), m)
     for _ in range(m):
         out += struct.pack("<ii", *draw(st.tuples(st.integers(-6, 6), st.integers(-6, 6))))
+    kernel = draw(st.sampled_from([b"sobel", b"central", b"sobel", b"\xff", b"x"]))
+    out += struct.pack("<I", len(kernel)) + kernel
     out += struct.pack("<dd", *draw(st.tuples(st.floats(), st.floats())))
     for _ in range(2):
         dims = draw(st.lists(st.integers(0, 4) | st.integers(0, 2**64 - 1), max_size=4))
@@ -369,5 +409,5 @@ class TestReaderFuzz:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(model_tails(), st.binary(max_size=80)))
     def test_load_model(self, tail):
-        data = b"HRMB" + struct.pack("<I", 2) + tail
+        data = b"HRMB" + struct.pack("<I", 3) + tail
         read_or_refuse(model_io.load_model, "m.hrmb", data)

@@ -142,7 +142,7 @@ class TestTrainBank:
         ss = training.sample_patches(entries, 10, 10, GEOM, seed=0)
         cfg = pls.LatentConfig(components=4)
         bank = training.train_from_samples(ss, GEOM, cfg)
-        assert bank.num_context == GEOM.num_context == 3
+        assert bank.geometry.num_context == GEOM.num_context == 3
         assert bank.coefficients.shape == (GEOM.vector_length, 3, 3)
         assert bank.intercepts.shape == (3, 3)
 

@@ -59,6 +59,17 @@ class TestScaleSet:
         with pytest.raises(InvalidInput):
             voting.ScaleSet((1.0,), train_scale=0.0)
 
+    @pytest.mark.parametrize("scales, train_scale", [
+        ((float("nan"),), 1.0),
+        ((1.0, float("inf")), 1.0),
+        ((float("nan"), 1.0), 1.0),
+        ((1.0,), float("nan")),
+        ((1.0,), float("inf")),
+    ])
+    def test_rejects_non_finite(self, scales, train_scale):
+        with pytest.raises(InvalidInput):
+            voting.ScaleSet(scales, train_scale)
+
 
 class TestPatchWeight:
     def test_extremes(self):
@@ -248,8 +259,7 @@ class TestFindMaxima:
         levels = np.asarray(levels, dtype=np.float64)
         scales = voting.ScaleSet(tuple(1.0 + 0.25 * s for s in range(levels.shape[0])))
         return voting.HoughCuboid(
-            levels, scales, bin_size, 0.0,
-            (levels.shape[2] * bin_size, levels.shape[1] * bin_size),
+            levels, scales, bin_size,
             np.ones(levels.shape[0]), np.zeros(levels.shape[0], dtype=np.int64),
         )
 
