@@ -9,6 +9,7 @@ written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -148,6 +149,8 @@ def _read_detections(path, ref_box) -> list:
             x, y, scale, score = (float(v) for v in parts[1:])
         except ValueError as e:
             raise errors.ParseError(f"{path}:{lineno}: {e}") from e
+        if not all(math.isfinite(v) for v in (x, y, scale, score)):
+            raise errors.ParseError(f"{path}:{lineno}: fields must be finite")
         out.append(
             Detection(
                 image_id, (x, y), scale, score,
@@ -157,15 +160,29 @@ def _read_detections(path, ref_box) -> list:
     return out
 
 
+def _reference_size(values, where) -> tuple[float, float]:
+    """Two size strings as a (w, h) reference box, each finite and >= 0."""
+    try:
+        ref = tuple(float(v) for v in values)
+    except ValueError:
+        ref = ()
+    if len(ref) != 2 or not all(0 <= v < math.inf for v in ref):
+        raise errors.ParseError(
+            f"{where}: needs a width and height, finite and >= 0, got {values}"
+        )
+    return ref
+
+
 def _read_meta(path) -> tuple[float, float]:
     """The reference box (ref_w, ref_h) that ``detect`` wrote next to its output."""
     try:
         kv = dict(line.split() for line in path.read_text().splitlines() if line.strip())
-        return (float(kv["ref_w"]), float(kv["ref_h"]))
+        values = [kv["ref_w"], kv["ref_h"]]
     except (ValueError, KeyError) as e:
         raise errors.ParseError(
             f"{path}: needs 'ref_w <float>' and 'ref_h <float>' lines ({e})"
         ) from e
+    return _reference_size(values, path)
 
 
 def cmd_eval(args) -> int:
@@ -173,12 +190,7 @@ def cmd_eval(args) -> int:
     ds = load_dataset(args.annotations)
 
     if args.ref_size:
-        try:
-            ref = tuple(float(v) for v in args.ref_size.split("x"))
-        except ValueError:
-            ref = ()
-        if len(ref) != 2:
-            raise errors.ParseError(f"--ref-size must look like WxH, got {args.ref_size!r}")
+        ref = _reference_size(args.ref_size.split("x"), "--ref-size (WxH)")
     else:
         meta = Path(str(args.detections) + ".meta")
         ref = _read_meta(meta) if meta.is_file() else median_box_size(ds)

@@ -86,6 +86,14 @@ class PipelineConfig:
             raise InvalidInput(
                 f"iou_threshold must be in (0, 1], got {self.iou_threshold}"
             )
+        # The voting models are fitted on n_pos centered rows, of rank at most
+        # n_pos - 1, and vector_length columns.
+        bound = min(self.training.n_pos - 1, self.geometry.vector_length)
+        if self.pls.components > bound:
+            raise InvalidInput(
+                f"components must be <= min(n_pos - 1, patch_size^2 * 26) = {bound}, "
+                f"got {self.pls.components}"
+            )
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ Layout, format version 3 (all integers little-endian):
     array   intercepts (m+1, 3)
 
 Each array is u32 ndim, ndim u64 dimensions, then row-major f64 data.
+Every head value must be finite and the reference box finite and >= 0.
 Version 1 files, which held every fit record, and version 2 files, which
 did not record the derivative kernel, are refused.  Round-trips are
 bit-exact.  Writes go through a temp file and rename.
@@ -126,6 +127,12 @@ def load_model(path) -> ModelBank:
     intercepts = _read_array(r)
     if r.pos != len(data):
         raise CorruptModel("trailing bytes after model data")
+    if not (np.isfinite(coefficients).all() and np.isfinite(intercepts).all()):
+        raise CorruptModel("coefficients and intercepts must be finite")
+    if not (0 <= ref_w < math.inf and 0 <= ref_h < math.inf):
+        raise CorruptModel(
+            f"reference box must be finite and >= 0, got ({ref_w}, {ref_h})"
+        )
     try:
         geometry = PatchGeometry(patch_size, offsets, kernel)
     except InvalidInput as e:

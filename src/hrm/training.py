@@ -208,11 +208,15 @@ def train_from_samples(
 ) -> ModelBank:
     """Fit the voting and label models of every context and stack them.
 
-    The feature volumes of the used canvases are computed on ``workers``
-    threads.  Fits one context index at a time, so a single (n, d)
-    predictor matrix is in memory at once, which matters for real patch
-    dimensionalities.
+    Each used canvas is one task on ``workers`` threads: it computes the
+    canvas's feature volume and keeps only the pixels under its samples'
+    raw and neighbor windows, as (P, 26) rows plus an (H, W) map from each
+    pixel to its row.  The volume is then dropped, so at most ``workers``
+    volumes are alive at once.  Fits one context index at a time, so a
+    single (n, d) predictor matrix is in memory at once, which matters for
+    real patch dimensionalities.
     """
+    ps = geom.patch_size
     samples = sample_set.samples
     cid, x, y, labels = np.array(
         [(s.canvas_id, *s.topleft, s.label) for s in samples], dtype=np.intp
@@ -222,25 +226,36 @@ def train_from_samples(
     votes = np.array(
         [s.voting for s in samples if s.label > 0], dtype=np.float64
     ).reshape(int(pos.sum()), 2)
-    used = np.unique(cid)
+
+    def inside(rows, grid, dx, dy):
+        """Rows whose window at top-left + (dx, dy) is in ``grid``, and its (y, x)."""
+        nx, ny = x[rows] + dx, y[rows] + dy
+        ok = (nx >= 0) & (ny >= 0) & (nx < grid[1]) & (ny < grid[0])
+        return rows[ok], ny[ok], nx[ok]
+
+    def compact(c):
+        """Canvas c's sample rows, covered feature pixels and index-map windows."""
+        vol = compute_channels(sample_set.canvases[c], geom.derivative_kernel)
+        rows = np.flatnonzero(cid == c)
+        h, w = vol.shape[:2]
+        pixels = patch_windows(np.arange(h * w).reshape(h, w, 1), ps)
+        covered = np.zeros(h * w, dtype=bool)
+        for dx, dy in ((0, 0),) + geom.neighbor_offsets:
+            _, ny, nx = inside(rows, pixels.shape, dx, dy)
+            covered[pixels[ny, nx]] = True
+        # a covered pixel's row among the kept ones; other entries are never read
+        index = np.cumsum(covered, dtype=np.int32).reshape(h, w, 1) - 1
+        return rows, vol.reshape(h * w, -1)[covered], patch_windows(index, ps)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        vols = pool.map(
-            lambda c: compute_channels(sample_set.canvases[c], geom.derivative_kernel),
-            used,
-        )
-        # canvas id -> (its sample indices, its patch windows)
-        windows = {
-            c: (np.flatnonzero(cid == c), patch_windows(vol, geom.patch_size))
-            for c, vol in zip(used, vols)
-        }
+        canvases = list(pool.map(compact, np.unique(cid)))
 
     def gather(dx, dy):
         """Patch vectors at every sample's top-left + (dx, dy), zero where clipped."""
         out = np.zeros((len(samples), geom.vector_length))
-        for rows, win in windows.values():
-            nx, ny = x[rows] + dx, y[rows] + dy
-            ok = (nx >= 0) & (ny >= 0) & (nx < win.shape[1]) & (ny < win.shape[0])
-            out[rows[ok]] = win[ny[ok], nx[ok]].reshape(-1, geom.vector_length)
+        for rows, values, windows in canvases:
+            rows, ny, nx = inside(rows, windows.shape, dx, dy)
+            out[rows] = values[windows[ny, nx]].reshape(-1, geom.vector_length)
         return out
 
     def fit(X, Y, j, family):

@@ -160,6 +160,7 @@ class TestTrainCommand:
         ("components = 4", "components = 0"),
         ("components = 4", "components = 4\nridge = 2"),
         ("components = 4", "components = 4\nridge = nan"),
+        ("components = 4", "components = 150"),  # n_pos; centered rank is 149
         ("seed = 0", "seed = -1"),
         ("neighbor_offsets = 6 0 -6 0 0 6 0 -6", "neighbor_offsets = 6 0 0 0"),
     ])
@@ -368,6 +369,28 @@ class TestDetectCommand:
                      "--out", str(tmp_path / "d.tsv")]) == 3
         assert not (tmp_path / "d.tsv").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("coefficients", np.nan),
+        ("intercepts", np.inf),
+        ("reference_box", (np.nan, -3.0)),
+    ])
+    def test_non_finite_model_is_model_error(self, workspace, tmp_path, field, value):
+        from dataclasses import replace
+
+        from hrm.model_io import load_model, save_model
+
+        bank = load_model(workspace / "model.hrmb")
+        if field == "reference_box":
+            bank = replace(bank, reference_box=value)
+        else:
+            getattr(bank, field).flat[0] = value
+        bad = tmp_path / "bad.hrmb"
+        save_model(bad, bank)
+        assert main(["detect", "--model", str(bad),
+                     "--images", str(workspace / "scenes"),
+                     "--out", str(tmp_path / "d.tsv")]) == 3
+        assert not (tmp_path / "d.tsv").exists()
+
     def test_missing_model_is_input_error(self, workspace, tmp_path):
         assert main(["detect", "--model", str(tmp_path / "nope.hrmb"),
                      "--images", str(workspace / "scenes"),
@@ -410,6 +433,38 @@ class TestEvalCommand:
                      "--annotations", str(workspace / "scenes" / "annotations.txt"),
                      "--ref-size", "axb",
                      "--out", str(tmp_path / "pr.csv")]) == 2
+
+    @pytest.mark.parametrize("ref", ["nanx-5", "infx40", "40x-1", "40x40x40"])
+    def test_invalid_ref_size_is_input_error(self, workspace, tmp_path, ref):
+        assert main(["eval", "--detections", str(workspace / "det.tsv"),
+                     "--annotations", str(workspace / "scenes" / "annotations.txt"),
+                     "--ref-size", ref,
+                     "--out", str(tmp_path / "pr.csv")]) == 2
+        assert not (tmp_path / "pr.csv").exists()
+
+    @pytest.mark.parametrize("meta", ["ref_w nan\nref_h 20\n", "ref_w 20\nref_h -3\n"])
+    def test_invalid_meta_size_is_input_error(self, workspace, tmp_path, meta):
+        det = tmp_path / "det.tsv"
+        det.write_bytes((workspace / "det.tsv").read_bytes())
+        (tmp_path / "det.tsv.meta").write_text(meta)
+        assert main(["eval", "--detections", str(det),
+                     "--annotations", str(workspace / "scenes" / "annotations.txt"),
+                     "--out", str(tmp_path / "pr.csv")]) == 2
+        assert not (tmp_path / "pr.csv").exists()
+
+    @pytest.mark.parametrize("column", [1, 2, 3, 4])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_detection_is_input_error(self, workspace, tmp_path,
+                                                 column, value):
+        fields = (workspace / "det.tsv").read_text().splitlines()[0].split("\t")
+        fields[column] = value
+        bad = tmp_path / "det.tsv"
+        bad.write_text("\t".join(fields) + "\n")
+        assert main(["eval", "--detections", str(bad),
+                     "--annotations", str(workspace / "scenes" / "annotations.txt"),
+                     "--ref-size", "40x40",
+                     "--out", str(tmp_path / "pr.csv")]) == 2
+        assert not (tmp_path / "pr.csv").exists()
 
     def test_meta_without_ref_h_is_input_error(self, workspace, tmp_path):
         det = tmp_path / "det.tsv"

@@ -6,6 +6,8 @@ import pytest
 from hrm import config
 from hrm.config import PipelineConfig, SynthSpec, load_config, load_synth_spec
 from hrm.errors import InvalidInput, ParseError
+from hrm.features import PatchGeometry
+from hrm.pls import LatentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -144,6 +146,19 @@ class TestPipelineConfig:
 
     def test_accepts_iou_threshold_one(self):
         assert PipelineConfig(iou_threshold=1.0).iou_threshold == 1.0
+
+    @pytest.mark.parametrize("n_pos, patch_size", [(150, 6), (30, 1)])
+    def test_components_bound(self, n_pos, patch_size):
+        # voting models see n_pos centered rows of patch_size^2 * 26 columns
+        kw = dict(
+            training=config.TrainingConfig(n_pos=n_pos),
+            geometry=PatchGeometry(patch_size, ()),
+        )
+        bound = min(n_pos - 1, patch_size * patch_size * 26)
+        ok = PipelineConfig(LatentConfig(components=bound), **kw)
+        assert ok.pls.components == bound
+        with pytest.raises(InvalidInput, match=f"= {bound}, got {bound + 1}"):
+            PipelineConfig(LatentConfig(components=bound + 1), **kw)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(InvalidInput):

@@ -324,6 +324,34 @@ class TestModelIO:
         model_io.save_model(tmp_path / "again.hrmb", back)
         assert (tmp_path / "again.hrmb").read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("head", ["coefficients", "intercepts"])
+    def test_non_finite_head_refused(self, tmp_path, head, value):
+        bank = random_bank(6)
+        getattr(bank, head).flat[3] = value
+        path = tmp_path / "bank.hrmb"
+        model_io.save_model(path, bank)
+        with pytest.raises(CorruptModel, match="finite"):
+            model_io.load_model(path)
+
+    @pytest.mark.parametrize("box", [
+        (np.nan, -3.0), (np.nan, 24.0), (24.0, -3.0), (np.inf, 24.0), (24.0, -np.inf),
+    ])
+    def test_invalid_reference_box_refused(self, tmp_path, box):
+        bank = random_bank(7)
+        bank = ModelBank(bank.coefficients, bank.intercepts, bank.geometry, box)
+        path = tmp_path / "bank.hrmb"
+        model_io.save_model(path, bank)
+        with pytest.raises(CorruptModel, match="reference box"):
+            model_io.load_model(path)
+
+    def test_zero_reference_box_accepted(self, tmp_path):
+        bank = random_bank(7)
+        bank = ModelBank(bank.coefficients, bank.intercepts, bank.geometry)
+        path = tmp_path / "bank.hrmb"
+        model_io.save_model(path, bank)
+        assert model_io.load_model(path).reference_box == (0.0, 0.0)
+
     def test_empty_array_with_dimension_past_intp(self, tmp_path):
         path = tmp_path / "bank.hrmb"
         path.write_bytes(v3_header() + struct.pack("<I2Q", 2, 0, 2**64 - 1))

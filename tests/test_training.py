@@ -1,3 +1,6 @@
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -152,7 +155,12 @@ class TestTrainBank:
         # positives on rescaled canvases; +-PS neighbors clip at canvas edges
         (((PS, 0), (-PS, 0), (0, PS), (0, -PS)),
          [scene_entry(14), scene_entry(19, (8, 30, 40, 62))], 20.0),
-    ], ids=["m2", "m0", "m4-two-scenes-rescaled"])
+        # a shift past the 64-px canvas clips for every sample
+        (((70, 0), (0, PS)), [scene_entry(14)], None),
+        # shifts under PS make a sample's windows overlap
+        (((2, 0), (0, -1), (-3, 3)), [scene_entry(14), scene_entry(17)], None),
+    ], ids=["m2", "m0", "m4-two-scenes-rescaled", "m2-offset-past-canvas",
+            "m3-overlapping-windows"])
     def test_matches_fits_on_context_vectors(self, offsets, entries, reference_size):
         # every X_j built from the per-patch oracle, fitted directly
         geom = PatchGeometry(PS, offsets)
@@ -164,6 +172,34 @@ class TestTrainBank:
         b = training.train_from_samples(ss, geom, cfg)
         assert np.array_equal(a.coefficients, b.coefficients)
         assert np.array_equal(a.intercepts, b.intercepts)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_live_volumes_bounded_by_workers(self, monkeypatch, workers):
+        # each canvas's volume is dropped once its covered pixels are kept
+        lock = threading.Lock()
+        live = {"now": 0, "peak": 0, "calls": 0}
+
+        def release():
+            with lock:
+                live["now"] -= 1
+
+        def tracked(*args):
+            vol = compute_channels(*args)
+            with lock:
+                live["now"] += 1
+                live["calls"] += 1
+                live["peak"] = max(live["peak"], live["now"])
+            weakref.finalize(vol, release)
+            return vol
+
+        monkeypatch.setattr(training, "compute_channels", tracked)
+        entries = [scene_entry(s) for s in (21, 22, 23, 24)]
+        ss = training.sample_patches(entries, 16, 16, GEOM, seed=1)
+        training.train_from_samples(ss, GEOM, pls.LatentConfig(components=3),
+                                    workers=workers)
+        assert live["calls"] == len({s.canvas_id for s in ss.samples}) > 2
+        assert 1 <= live["peak"] <= workers
+        assert live["now"] == 0
 
     def test_matches_fits_at_every_start(self):
         # every patch start of a small canvas, so each neighbor bound is hit
