@@ -65,6 +65,7 @@ def _worker_count() -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
+    cfg.check_training()
     ds = load_dataset(args.annotations)
     entries = [(img, list(boxes)) for _, img, boxes in ds.load_entries()]
     ref = median_box_size(ds)

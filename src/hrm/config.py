@@ -86,6 +86,12 @@ class PipelineConfig:
             raise InvalidInput(
                 f"iou_threshold must be in (0, 1], got {self.iou_threshold}"
             )
+
+    def check_training(self) -> None:
+        """Refuse a ``components`` that training could not fit.
+
+        Only ``hrm train`` reads [pls], so only it calls this.
+        """
         # The voting models are fitted on n_pos centered rows, of rank at most
         # n_pos - 1, and vector_length columns.
         bound = min(self.training.n_pos - 1, self.geometry.vector_length)

@@ -1,7 +1,8 @@
 """End-to-end detection on a single image.
 
-Pipeline: feature volume -> every regressor as one linear filter bank over
-the patch windows -> per-context votes -> multi-scale accumulation ->
+Pipeline: feature volume -> every regressor as a linear filter bank over
+the patch windows (the grid's, then each stride coset's neighbors') ->
+per-context votes -> multi-scale accumulation ->
 per-level maxima -> NPMI fusion.  The votes stay in one VoteField of
 stacked arrays from the filter bank to the end of fusion, which drops the
 zero-weight patches once per image.
@@ -67,10 +68,10 @@ class DetectionResult:
     total_mass: float
 
 
-def _needed_starts(grid: np.ndarray, offsets: np.ndarray, limit: int) -> np.ndarray:
-    """Grid starts plus every in-bounds grid + offset start, sorted."""
-    shifted = grid[:, None] + offsets[None, :]
-    return np.union1d(grid, shifted[(shifted >= 0) & (shifted < limit)])
+def _shifted_starts(grid: np.ndarray, shifts: np.ndarray, limit: int) -> np.ndarray:
+    """Every in-bounds grid + shift start, sorted."""
+    shifted = grid[:, None] + shifts[None, :]
+    return np.unique(shifted[(shifted >= 0) & (shifted < limit)])
 
 
 def _responses(vol, ps: int, rows: np.ndarray, cols: np.ndarray, coef: np.ndarray):
@@ -97,8 +98,11 @@ def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig) -> VoteField:
     Every regressor is linear, so context j's output at start l is
     ``intercept_j + R_j(l) - R_j(l + offset_j)`` with ``R = patch vector @ B``;
     the neighbor term is zero where the neighbor is clipped, as in
-    :func:`~hrm.features.context_vectors`.  R is one GEMM over the starts
-    the grid and its neighbors need.
+    :func:`~hrm.features.context_vectors`.  R is one GEMM over the grid
+    with every column, plus one GEMM per stride coset of the neighbor
+    offsets (offsets equal mod stride on both axes) over the starts its
+    neighbors need, with only its contexts' columns.  The neighbors of the
+    zero coset lie on the grid and reuse the grid's R.
     """
     geom = bank.geometry
     vol = compute_channels(np.asarray(image, dtype=np.float64), geom.derivative_kernel)
@@ -106,24 +110,40 @@ def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig) -> VoteField:
     n_x, n_y = vol.shape[1] - ps + 1, vol.shape[0] - ps + 1  # valid starts per axis
     if n_x < 1 or n_y < 1:
         return VoteField.of([])
-    xs = np.arange(0, n_x, cfg.stride)
-    ys = np.arange(0, n_y, cfg.stride)
+    stride = cfg.stride
+    xs = np.arange(0, n_x, stride)
+    ys = np.arange(0, n_y, stride)
+    coef = bank.coefficients
+    grid = _responses(vol, ps, ys, xs, coef)  # (ys, xs, m+1, 3)
+    gy, gx = (a.ravel() for a in np.meshgrid(ys, xs, indexing="ij"))  # grid order
+    # A view of grid: context j's column is written only by its own
+    # neighbor subtraction, after that subtraction has read it.
+    out = grid.reshape((len(gy),) + coef.shape[1:])  # (r, m+1, 3)
 
     offsets = np.array(geom.neighbor_offsets, dtype=np.intp).reshape(-1, 2)
-    rows = _needed_starts(ys, offsets[:, 1], n_y)
-    cols = _needed_starts(xs, offsets[:, 0], n_x)
-    resp = _responses(vol, ps, rows, cols, bank.coefficients)  # (rows, cols, m+1, 3)
-    row_of = np.full(n_y, -1)
-    row_of[rows] = np.arange(len(rows))
-    col_of = np.full(n_x, -1)
-    col_of[cols] = np.arange(len(cols))
-
-    gy, gx = (a.ravel() for a in np.meshgrid(ys, xs, indexing="ij"))  # grid order
-    out = resp[row_of[gy], col_of[gx]]  # (r, m+1, 3)
+    cosets = {}
     for j, (dx, dy) in enumerate(offsets, start=1):
-        ny, nx = gy + dy, gx + dx
-        inside = (nx >= 0) & (ny >= 0) & (nx < n_x) & (ny < n_y)
-        out[inside, j] -= resp[row_of[ny[inside]], col_of[nx[inside]], j]
+        cosets.setdefault((dx % stride, dy % stride), []).append(j)
+    for coset, js in cosets.items():
+        if coset == (0, 0):
+            rows, cols, resp, ks = ys, xs, grid, js
+        else:
+            shifts = offsets[np.array(js) - 1]
+            rows = _shifted_starts(ys, shifts[:, 1], n_y)
+            cols = _shifted_starts(xs, shifts[:, 0], n_x)
+            if len(rows) == 0 or len(cols) == 0:
+                continue  # every neighbor of the coset is clipped
+            resp = _responses(vol, ps, rows, cols, coef[:, js])
+            ks = range(len(js))
+        row_of = np.full(n_y, -1)
+        row_of[rows] = np.arange(len(rows))
+        col_of = np.full(n_x, -1)
+        col_of[cols] = np.arange(len(cols))
+        for j, k in zip(js, ks):
+            dx, dy = offsets[j - 1]
+            ny, nx = gy + dy, gx + dx
+            inside = (nx >= 0) & (ny >= 0) & (nx < n_x) & (ny < n_y)
+            out[inside, j] -= resp[row_of[ny[inside]], col_of[nx[inside]], k]
     out += bank.intercepts
 
     votes = np.ascontiguousarray(out[..., :2])

@@ -186,8 +186,10 @@ def bpls_fit(X, Y, c: int, alpha: float) -> RegressionModel:
         raise InvalidInput(f"alpha={alpha} outside [0, 1]")
     Xc, mx, Yc, my = _center_pair(X, Y)
     n, p = Xc.shape
-    if not 1 <= c <= min(n, p):
-        raise InvalidComponents(f"c={c} must satisfy 1 <= c <= min(n, p) = {min(n, p)}")
+    if not 1 <= c <= min(n - 1, p):
+        raise InvalidComponents(
+            f"c={c} must satisfy 1 <= c <= min(n-1, p) = {min(n - 1, p)}"
+        )
 
     XtY = Xc.T @ Yc
     M = alpha * (Xc.T @ Xc) + (1.0 - alpha) * (XtY @ XtY.T)

@@ -225,6 +225,16 @@ class TestTrainCommand:
 
 
 class TestDetectCommand:
+    def test_untrainable_components_config(self, workspace, tmp_path):
+        # a config hrm train refuses (n_pos = 150) still drives detection
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(CONFIG.replace("components = 4", "components = 150"))
+        assert main(["detect", "--config", str(cfg),
+                     "--model", str(workspace / "model.hrmb"),
+                     "--images", str(workspace / "scenes"),
+                     "--out", str(tmp_path / "det.tsv")]) == 0
+        assert (tmp_path / "det.tsv").read_bytes() == (workspace / "det.tsv").read_bytes()
+
     def test_output_format(self, workspace):
         lines = (workspace / "det.tsv").read_text().splitlines()
         for line in lines:
@@ -415,6 +425,16 @@ class TestDetectCommand:
 
 
 class TestEvalCommand:
+    def test_untrainable_components_config(self, workspace, tmp_path):
+        # eval never reads [pls]
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(CONFIG.replace("components = 4", "components = 150"))
+        assert main(["eval", "--config", str(cfg),
+                     "--detections", str(workspace / "det.tsv"),
+                     "--annotations", str(workspace / "scenes" / "annotations.txt"),
+                     "--out", str(tmp_path / "pr.csv")]) == 0
+        assert (tmp_path / "pr.csv").read_bytes() == (workspace / "pr.csv").read_bytes()
+
     def test_csv_format(self, workspace):
         lines = (workspace / "pr.csv").read_text().splitlines()
         assert lines[0] == "threshold,precision,recall"

@@ -155,10 +155,10 @@ class TestPipelineConfig:
             geometry=PatchGeometry(patch_size, ()),
         )
         bound = min(n_pos - 1, patch_size * patch_size * 26)
-        ok = PipelineConfig(LatentConfig(components=bound), **kw)
-        assert ok.pls.components == bound
+        PipelineConfig(LatentConfig(components=bound), **kw).check_training()
+        over = PipelineConfig(LatentConfig(components=bound + 1), **kw)
         with pytest.raises(InvalidInput, match=f"= {bound}, got {bound + 1}"):
-            PipelineConfig(LatentConfig(components=bound + 1), **kw)
+            over.check_training()
 
     def test_rejects_negative_seed(self):
         with pytest.raises(InvalidInput):

@@ -1,6 +1,8 @@
+import importlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrm import pls
@@ -57,6 +59,33 @@ def random_linear_bank(geom, rng):
     return ModelBank.from_fits(hrms, lrms, geom, reference_box=(20.0, 20.0))
 
 
+def assert_matches_oracle(img, geom, stride, rng):
+    """compute_patch_votes equals the per-patch context oracle on every start."""
+    ps = geom.patch_size
+    bank = random_linear_bank(geom, rng)
+    out = compute_patch_votes(img, bank, VotingConfig(stride=stride))
+
+    vol = compute_channels(img)
+    height, width = img.shape
+    expected = [
+        cast_votes(context_vectors(vol, (x, y), geom), bank,
+                   (x + ps / 2, y + ps / 2))
+        for y in range(0, height - ps + 1, stride)
+        for x in range(0, width - ps + 1, stride)
+    ]
+    assert len(out) == len(expected)
+    for i, b in enumerate(expected):
+        a = out[i]
+        assert np.array_equal(a.location, b.location)
+        assert np.abs(a.votes - b.votes).max() <= 1e-12
+        assert np.abs(a.labels - b.labels).max() <= 1e-12
+        assert a.weight == b.weight
+
+
+CROWD_OFFSETS = ((6, 0), (-6, 0), (0, 6), (0, -6))
+WIDE_OFFSETS = ((8, 0), (-8, 0), (0, 8), (0, -8))
+
+
 class TestVotingConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(stride=0), dict(stride=-1), dict(bin_size=0), dict(smoothing=-0.5),
@@ -111,30 +140,44 @@ class TestComputePatchVotes:
             unique=True,
         ),
     )
+    # a stride coset whose every neighbor is clipped
+    @example(seed=0, height=5, width=5, ps=1, stride=2, offsets=[(5, 0)])
     def test_matches_oracle_over_geometries(
         self, seed, height, width, ps, stride, offsets
     ):
         """Odd, negative, clipped and out-of-image offsets; empty grids too."""
         rng = np.random.default_rng(seed)
-        geom = PatchGeometry(ps, tuple(offsets))
-        bank = random_linear_bank(geom, rng)
         img = rng.random((height, width))
-        out = compute_patch_votes(img, bank, VotingConfig(stride=stride))
+        assert_matches_oracle(img, PatchGeometry(ps, tuple(offsets)), stride, rng)
 
-        vol = compute_channels(img)
-        expected = [
-            cast_votes(context_vectors(vol, (x, y), geom), bank,
-                       (x + ps / 2, y + ps / 2))
-            for y in range(0, height - ps + 1, stride)
-            for x in range(0, width - ps + 1, stride)
-        ]
-        assert len(out) == len(expected)
-        for i, b in enumerate(expected):
-            a = out[i]
-            assert np.array_equal(a.location, b.location)
-            assert np.abs(a.votes - b.votes).max() <= 1e-12
-            assert np.abs(a.labels - b.labels).max() <= 1e-12
-            assert a.weight == b.weight
+    @pytest.mark.parametrize("geom, stride", [
+        (PatchGeometry(6), 1),  # every offset in the zero coset
+        (PatchGeometry(6), 2),  # c6: three nonzero cosets plus the zero one
+        (PatchGeometry(6, CROWD_OFFSETS), 4),  # crowd: two nonzero cosets
+    ])
+    def test_matches_oracle_per_coset(self, geom, stride):
+        rng = np.random.default_rng(8)
+        assert_matches_oracle(rng.random((31, 34)), geom, stride, rng)
+
+    @pytest.mark.parametrize("geom, stride, bound", [
+        (PatchGeometry(6), 2, 903_552),  # 2,446,011 over all needed starts
+        (PatchGeometry(8, WIDE_OFFSETS), 4, 45_375),  # all offsets on the grid
+    ])
+    def test_vote_gemm_work(self, monkeypatch, geom, stride, bound):
+        """Response entries (starts x columns) the vote GEMMs compute, 224² image."""
+        module = importlib.import_module("hrm.detect")
+        responses = module._responses
+        work = []
+
+        def counted(vol, ps, rows, cols, coef):
+            work.append(len(rows) * len(cols) * coef[0].size)
+            return responses(vol, ps, rows, cols, coef)
+
+        monkeypatch.setattr(module, "_responses", counted)
+        rng = np.random.default_rng(9)
+        bank = random_linear_bank(geom, rng)
+        compute_patch_votes(rng.random((224, 224)), bank, VotingConfig(stride=stride))
+        assert sum(work) <= bound
 
     def test_derivative_kernel_from_model_geometry(self):
         rng = np.random.default_rng(7)

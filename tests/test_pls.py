@@ -194,6 +194,15 @@ class TestBplsFit:
         with pytest.raises(InvalidInput):
             pls.bpls_fit(np.eye(4), np.ones((4, 1)), 1, alpha=1.5)
 
+    def test_component_count_guard(self):
+        # centered rows have rank <= n - 1, so c = n cannot be fitted
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((20, 30))
+        Y = rng.standard_normal((20, 2))
+        with pytest.raises(InvalidComponents, match=r"min\(n-1, p\) = 19"):
+            pls.bpls_fit(X, Y, c=20, alpha=1e-10)
+        assert pls.bpls_fit(X, Y, c=19, alpha=1e-10).components == 19
+
     def test_singular_scores(self):
         # duplicate columns make the score Gram matrix singular at c = p
         X = np.repeat(np.random.default_rng(13).standard_normal((10, 1)), 3, axis=1)
