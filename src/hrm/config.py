@@ -1,51 +1,20 @@
 """Key-value configuration files (INI sections mirror module names).
 
-Example:
-
-    [pls]
-    components = 100
-    ridge = 1e-10
-
-    [features]
-    patch_size = 16
-    neighbor_offsets = 16 0 -16 0 0 16 0 -16  # default: 8 at +-16, 8 at +-8
-    derivative_kernel = sobel
-
-    [training]
-    n_pos = 12000
-    n_neg = 12000
-    seed = 0
-    scale_normalize = false
-
-    [voting]
-    scales = 0.75 1 1.25 1.5
-    train_scale = 1
-    stride = 1
-    bin_size = 4
-    smoothing = 1.5
-    min_score_fraction = 0.05
-    maxima_radius = 3
-
-    [fusion]
-    kernel = gaussian
-    bandwidth = 8
-    probability_floor = 1e-12
-
-    [pipeline]
-    iou_threshold = 0.5
-
-Unspecified keys keep the defaults above; an unknown section or key is a
-ParseError, and ``#`` after whitespace starts a comment.  [features] is
-the model's PatchGeometry: training records it in the model, and
-detection reads it from there.
+Each section fills the fields of its dataclasses: a key is a field name,
+its value is read as the field's type, and an absent key keeps the field's
+default.  README.md's INI block lists every key.  An unknown section or
+key is a ParseError, and ``#`` after whitespace starts a comment.
+[features] is the model's PatchGeometry: training records it in the
+model, and detection reads it from there.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .detect import VotingConfig
 from .errors import InvalidInput, InvalidSpec, MissingAsset, ParseError
@@ -121,35 +90,52 @@ class SynthSpec:
             raise InvalidSpec("need at least one scale, all finite and positive")
         if not 0 <= self.noise < math.inf:
             raise InvalidSpec(f"noise must be finite and >= 0, got {self.noise}")
+        if self.canvas_width < 1 or self.canvas_height < 1:
+            w, h = self.canvas_width, self.canvas_height
+            raise InvalidSpec(f"canvas sides must be >= 1, got {w}x{h}")
 
 
-# Every section and key load_config reads.
-_KEYS = {
-    "pls": {"components", "ridge"},
-    "features": {"patch_size", "neighbor_offsets", "derivative_kernel"},
-    "training": {"n_pos", "n_neg", "seed", "scale_normalize"},
-    "voting": {
-        "scales", "train_scale", "stride", "bin_size", "smoothing",
-        "min_score_fraction", "maxima_radius",
-    },
-    "fusion": {"kernel", "bandwidth", "probability_floor"},
-    "pipeline": {"iou_threshold"},
+def _reader(key, tp):
+    """How to read ``key``'s INI text as type ``tp``; None for a nested config."""
+    if tp in (int, float, str, bool):
+        return tp  # bool is read with getboolean
+    if get_origin(tp) is not tuple:
+        return None
+    item = get_args(tp)[0]
+    if get_origin(item) is not tuple:
+        return lambda text: tuple(item(v) for v in text.split())
+
+    def pairs(text):
+        vals = [int(v) for v in text.split()]
+        if len(vals) % 2:
+            raise ParseError(f"{key} needs an even count of integers")
+        return tuple(zip(vals[::2], vals[1::2]))
+
+    return pairs
+
+
+def _readers(cls) -> dict:
+    """The reader of each field of ``cls`` that an INI key can set."""
+    hints = get_type_hints(cls)
+    readers = {f.name: _reader(f.name, hints[f.name]) for f in fields(cls)}
+    return {key: read for key, read in readers.items() if read is not None}
+
+
+# Each section and the dataclasses its keys fill.
+_SECTIONS = {
+    "pls": (LatentConfig,),
+    "features": (PatchGeometry,),
+    "training": (TrainingConfig,),
+    "voting": (ScaleSet, VotingConfig),
+    "fusion": (FusionConfig,),
+    "pipeline": (PipelineConfig,),  # its scalars; the rest are sections
 }
-
-
-def _split(cast):
-    return lambda text: [cast(v) for v in text.split()]
-
-
-def _get(section, key, cast, default):
-    if section is None or key not in section:
-        return default
-    try:
-        if cast is bool:
-            return section.getboolean(key)
-        return cast(section[key])
-    except ValueError as e:
-        raise ParseError(f"config key {key!r}: {e}") from e
+_READERS = {cls: _readers(cls) for cls in (*sum(_SECTIONS.values(), ()), SynthSpec)}
+_KEYS = {
+    name: {key for cls in classes for key in _READERS[cls]}
+    for name, classes in _SECTIONS.items()
+}
+_SYNTH_KEYS = {"synth": set(_READERS[SynthSpec])}
 
 
 def _read_ini(path, keys) -> configparser.ConfigParser:
@@ -170,6 +156,19 @@ def _read_ini(path, keys) -> configparser.ConfigParser:
     return parser
 
 
+def _build(parser, name, cls, **defaults):
+    """``cls`` from ``defaults`` and the keys of section ``name``, read as typed."""
+    values = dict(defaults)
+    s = parser[name] if parser.has_section(name) else {}
+    for key, read in _READERS[cls].items():
+        if key in s:
+            try:
+                values[key] = s.getboolean(key) if read is bool else read(s[key])
+            except ValueError as e:
+                raise ParseError(f"config key {key!r}: {e}") from e
+    return cls(**values)
+
+
 def load_config(path=None) -> PipelineConfig:
     """Read a config file; a missing path yields all defaults."""
     parser = configparser.ConfigParser()
@@ -179,59 +178,18 @@ def load_config(path=None) -> PipelineConfig:
             raise ParseError(f"config file not found: {path}")
         parser = _read_ini(path, _KEYS)
 
-    def section(name):
-        return parser[name] if parser.has_section(name) else None
-
-    s = section("pls")
-    pls_cfg = LatentConfig(
-        components=_get(s, "components", int, 100),
-        ridge=_get(s, "ridge", float, 1e-10),
-    )
-
-    s = section("features")
-    patch_size = _get(s, "patch_size", int, 16)
-    offsets = None
-    vals = _get(s, "neighbor_offsets", _split(int), None)
-    if vals is not None:
-        if len(vals) % 2:
-            raise ParseError("neighbor_offsets needs an even count of integers")
-        offsets = tuple(zip(vals[::2], vals[1::2]))
-    geometry = PatchGeometry(
-        patch_size, offsets, _get(s, "derivative_kernel", str, "sobel")
-    )
-
-    s = section("training")
-    training = TrainingConfig(
-        n_pos=_get(s, "n_pos", int, 12000),
-        n_neg=_get(s, "n_neg", int, 12000),
-        seed=_get(s, "seed", int, 0),
-        scale_normalize=_get(s, "scale_normalize", bool, False),
-    )
-
-    s = section("voting")
-    scale_list = _get(s, "scales", _split(float), [0.75, 1.0, 1.25, 1.5])
-    scales = ScaleSet(tuple(scale_list), _get(s, "train_scale", float, 1.0))
-    voting = VotingConfig(
-        stride=_get(s, "stride", int, 1),
-        bin_size=_get(s, "bin_size", int, 4),
-        smoothing=_get(s, "smoothing", float, 1.5),
-        min_score_fraction=_get(s, "min_score_fraction", float, 0.05),
-        maxima_radius=_get(s, "maxima_radius", int, 3),
-    )
-
-    s = section("fusion")
+    pls = _build(parser, "pls", LatentConfig)
+    geometry = _build(parser, "features", PatchGeometry)
+    training = _build(parser, "training", TrainingConfig)
+    scales = _build(parser, "voting", ScaleSet)
+    voting = _build(parser, "voting", VotingConfig)
     fusion = None
-    if s is not None:
-        fusion = FusionConfig(
-            kernel=_get(s, "kernel", str, "gaussian"),
-            bandwidth=_get(s, "bandwidth", float, 2.0 * voting.bin_size),
-            probability_floor=_get(s, "probability_floor", float, 1e-12),
-        )
-
-    s = section("pipeline")
-    iou_threshold = _get(s, "iou_threshold", float, 0.5)
-
-    return PipelineConfig(pls_cfg, geometry, training, scales, voting, fusion, iou_threshold)
+    if parser.has_section("fusion"):
+        fusion = _build(parser, "fusion", FusionConfig, bandwidth=2.0 * voting.bin_size)
+    return _build(
+        parser, "pipeline", PipelineConfig, pls=pls, geometry=geometry,
+        training=training, scales=scales, voting=voting, fusion=fusion,
+    )
 
 
 def load_synth_spec(path) -> SynthSpec:
@@ -239,16 +197,7 @@ def load_synth_spec(path) -> SynthSpec:
     path = Path(path)
     if not path.is_file():
         raise MissingAsset(str(path))
-    parser = _read_ini(path, {"synth": set(SynthSpec.__dataclass_fields__)})
+    parser = _read_ini(path, _SYNTH_KEYS)
     if not parser.has_section("synth"):
         raise ParseError(f"{path}: missing [synth] section")
-    s, d = parser["synth"], SynthSpec()
-    return SynthSpec(
-        scenes=_get(s, "scenes", int, d.scenes),
-        canvas_width=_get(s, "canvas_width", int, d.canvas_width),
-        canvas_height=_get(s, "canvas_height", int, d.canvas_height),
-        noise=_get(s, "noise", float, d.noise),
-        min_objects=_get(s, "min_objects", int, d.min_objects),
-        max_objects=_get(s, "max_objects", int, d.max_objects),
-        scales=tuple(_get(s, "scales", _split(float), d.scales)),
-    )
+    return _build(parser, "synth", SynthSpec)

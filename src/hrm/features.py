@@ -64,6 +64,8 @@ class PatchGeometry:
         offs = tuple(tuple(int(v) for v in o) for o in self.neighbor_offsets)
         if len(set(offs)) != len(offs) or (0, 0) in offs:
             raise InvalidInput("neighbor offsets must be distinct and nonzero")
+        if not all(-(2**31) <= v < 2**31 for o in offs for v in o):
+            raise InvalidInput("neighbor offsets must fit in 32-bit signed integers")
         object.__setattr__(self, "neighbor_offsets", offs)
 
     @property

@@ -189,6 +189,8 @@ def find_maxima(cuboid: HoughCuboid, min_score: float, radius: int = 3):
     """
     if radius < 1:
         raise InvalidInput("radius must be >= 1")
+    # A radius of the larger grid side already spans the whole level.
+    radius = min(radius, max(cuboid.levels.shape[1:]))
     footprint = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
     footprint[radius, radius] = False
 

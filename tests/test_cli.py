@@ -50,6 +50,17 @@ scales = 0.75 1.0
 """
 
 
+def _no_objects(side):
+    """An (old, new) spec edit that sets one canvas side and places no objects.
+
+    With objects to place, placement fails first and hides the side check.
+    """
+    old = ("canvas_width = 96\ncanvas_height = 96\nnoise = 0.01\n"
+           "min_objects = 1\nmax_objects = 1")
+    new = old.replace("_objects = 1", "_objects = 0")
+    return old, new.replace(side.split()[0] + " = 96", side)
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """synth -> train -> detect -> eval, shared by the assertions below."""
@@ -130,6 +141,9 @@ class TestSynthCommand:
         ("canvas_width = 96", "canvas_width = 20"),
         ("scales = 0.75 1.0", "scales = 0.75 nan"),
         ("noise = 0.01", "noise = inf"),
+        _no_objects("canvas_width = 0"),
+        _no_objects("canvas_width = -5"),
+        _no_objects("canvas_height = 0"),
     ])
     def test_invalid_value_is_input_error(self, tmp_path, capsys, old, new):
         assert self._synth_exit(tmp_path, old, new, capsys)[0] == 2
@@ -163,6 +177,8 @@ class TestTrainCommand:
         ("components = 4", "components = 150"),  # n_pos; centered rank is 149
         ("seed = 0", "seed = -1"),
         ("neighbor_offsets = 6 0 -6 0 0 6 0 -6", "neighbor_offsets = 6 0 0 0"),
+        # trains, but .hrmb stores offsets as int32
+        ("neighbor_offsets = 6 0 -6 0 0 6 0 -6", "neighbor_offsets = 3000000000 0"),
     ])
     def test_invalid_training_config_is_input_error(self, workspace, tmp_path,
                                                     old, new):

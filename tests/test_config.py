@@ -7,6 +7,7 @@ from hrm import config
 from hrm.config import PipelineConfig, SynthSpec, load_config, load_synth_spec
 from hrm.errors import InvalidInput, ParseError
 from hrm.features import PatchGeometry
+from hrm.fusion import FusionConfig
 from hrm.pls import LatentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -115,6 +116,7 @@ class TestFileParsing:
     @pytest.mark.parametrize("text", [
         "[features]\nderivative_kernel = prewitt\n",
         "[features]\nneighbor_offsets = 6 0 0 0\n",
+        "[features]\nneighbor_offsets = 3000000000 0\n",  # .hrmb stores int32
         "[training]\nseed = -1\n",
         "[voting]\nscales = 1 inf\n",
         "[voting]\nmin_score_fraction = 1.5\n",
@@ -136,6 +138,65 @@ class TestFileParsing:
         geom = load_config(path).geometry
         assert (geom.patch_size, geom.neighbor_offsets) == (6, ((6, 0),))
         assert geom.derivative_kernel == "central"
+
+
+class TestEveryKey:
+    # A non-default value for every key, as the field it must land on.
+    VALUES = {
+        "pls": {"components": 7, "ridge": 0.25},
+        "features": {
+            "patch_size": 6,
+            "neighbor_offsets": ((6, 0), (0, -3)),
+            "derivative_kernel": "central",
+        },
+        "training": {"n_pos": 20, "n_neg": 30, "seed": 5, "scale_normalize": True},
+        "voting": {
+            "scales": (0.5, 2.0),
+            "train_scale": 1.5,
+            "stride": 3,
+            "bin_size": 2,
+            "smoothing": 0.5,
+            "min_score_fraction": 0.2,
+            "maxima_radius": 5,
+        },
+        "fusion": {
+            "kernel": "epanechnikov", "bandwidth": 3.5, "probability_floor": 1e-6,
+        },
+        "pipeline": {"iou_threshold": 0.4},
+    }
+
+    @staticmethod
+    def ini(value):
+        if isinstance(value, bool):
+            return str(value).lower()
+        if isinstance(value, tuple):
+            return " ".join(TestEveryKey.ini(v) for v in value)
+        return str(value)
+
+    @staticmethod
+    def owners(cfg, fusion):
+        # [voting] fills two dataclasses: ScaleSet takes scales and train_scale
+        return {
+            "pls": cfg.pls, "features": cfg.geometry, "training": cfg.training,
+            "voting": cfg.voting, "scales": cfg.scales, "fusion": fusion,
+            "pipeline": cfg,
+        }
+
+    def test_every_key_lands_on_its_field(self, tmp_path):
+        assert {s: set(keys) for s, keys in self.VALUES.items()} == config._KEYS
+        path = tmp_path / "cfg.ini"
+        path.write_text("".join(
+            f"[{section}]\n" + "".join(f"{k} = {self.ini(v)}\n" for k, v in keys.items())
+            for section, keys in self.VALUES.items()
+        ))
+        cfg = load_config(path)
+        parsed = self.owners(cfg, cfg.fusion)
+        defaults = self.owners(load_config(None), FusionConfig())
+        for section, keys in self.VALUES.items():
+            for key, want in keys.items():
+                owner = "scales" if key in ("scales", "train_scale") else section
+                assert getattr(defaults[owner], key) != want, (section, key)
+                assert getattr(parsed[owner], key) == want, (section, key)
 
 
 class TestPipelineConfig:

@@ -322,6 +322,13 @@ class TestFindMaxima:
                         expected.add((scales[s], (x + 0.5, y + 0.5)))
         assert found == expected
 
+    def test_radius_beyond_the_grid_is_the_grid_side(self):
+        # a (2r+1)^2 footprint at r = 10**6 would need about 4 TB
+        rng = np.random.default_rng(9)
+        cuboid = self.make_cuboid(rng.random((2, 9, 14)))
+        whole = voting.find_maxima(cuboid, 0.0, 14)
+        assert voting.find_maxima(cuboid, 0.0, 10**6) == whole
+
     def test_radius_guard(self):
         with pytest.raises(InvalidInput):
             voting.find_maxima(self.make_cuboid(np.zeros((1, 4, 4))), 0.0, radius=0)
