@@ -22,7 +22,7 @@ from .config import load_config, load_synth_spec
 from .dataset import load_dataset, median_box_size
 from .detect import detect
 from .evaluate import Detection, box_from_hypothesis, evaluate
-from .image_io import load_image, write_pgm
+from .image_io import atomic_write, load_image, write_pgm
 from .model_io import load_model, save_model
 from .synth import random_scene, synth_scene
 from .training import sample_patches, train_from_samples
@@ -41,13 +41,6 @@ _MODEL_ERRORS = (
     errors.DegenerateFit,
     errors.InvalidComponents,
 )
-
-
-def _atomic_write_text(path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def _worker_count() -> int:
@@ -121,11 +114,9 @@ def cmd_detect(args) -> int:
                 f"{name}\t{d.center[0]:.6f}\t{d.center[1]:.6f}"
                 f"\t{d.scale:.6f}\t{d.score:.6f}"
             )
-    _atomic_write_text(args.out, "".join(line + "\n" for line in lines))
-    _atomic_write_text(
-        str(args.out) + ".meta",
-        f"ref_w {bank.reference_box[0]:.6f}\nref_h {bank.reference_box[1]:.6f}\n",
-    )
+    atomic_write(args.out, "".join(line + "\n" for line in lines).encode("utf-8"))
+    meta = f"ref_w {bank.reference_box[0]:.6f}\nref_h {bank.reference_box[1]:.6f}\n"
+    atomic_write(str(args.out) + ".meta", meta.encode("utf-8"))
     print(f"{sum(len(d) for _, d in results)} detections -> {args.out}")
     return 0
 
@@ -177,7 +168,8 @@ def _reference_size(values, where) -> tuple[float, float]:
 def _read_meta(path) -> tuple[float, float]:
     """The reference box (ref_w, ref_h) that ``detect`` wrote next to its output."""
     try:
-        kv = dict(line.split() for line in path.read_text().splitlines() if line.strip())
+        text = path.read_text(encoding="utf-8")
+        kv = dict(line.split() for line in text.splitlines() if line.strip())
         values = [kv["ref_w"], kv["ref_h"]]
     except (ValueError, KeyError) as e:
         raise errors.ParseError(
@@ -197,13 +189,18 @@ def cmd_eval(args) -> int:
         ref = _read_meta(meta) if meta.is_file() else median_box_size(ds)
 
     detections = _read_detections(args.detections, ref)
+    # det.tsv names images by file name alone, so names must be unique
+    paths = {}
+    for p, _ in ds.entries:
+        if paths.setdefault(p.name, p) != p:
+            raise errors.ParseError(f"{paths[p.name]} and {p} share a file name")
     ground_truth = {p.name: list(boxes) for p, boxes in ds.entries}
     report = evaluate(detections, ground_truth, cfg.iou_threshold)
 
     csv = "threshold,precision,recall\n" + "".join(
         f"{t:.6f},{p:.6f},{r:.6f}\n" for t, p, r in report.pr_points
     )
-    _atomic_write_text(args.out, csv)
+    atomic_write(args.out, csv.encode("utf-8"))
     print(f"EER {report.eer:.4f} ({report.num_detections} detections, "
           f"{report.num_ground_truth} objects) -> {args.out}")
     return 0
@@ -227,7 +224,7 @@ def cmd_synth(args) -> int:
         write_pgm(out_dir / name, img)
         coord_text = " ".join(" ".join(str(v) for v in b) for b in boxes)
         lines.append(f"{name} {coord_text}".rstrip())
-    _atomic_write_text(out_dir / "annotations.txt", "\n".join(lines) + "\n")
+    atomic_write(out_dir / "annotations.txt", ("\n".join(lines) + "\n").encode("utf-8"))
     print(f"{spec.scenes} scenes -> {out_dir}")
     return 0
 

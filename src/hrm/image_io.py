@@ -1,4 +1,4 @@
-"""Minimal PGM/PPM reader and writer.
+"""Minimal PGM/PPM reader and writer, and the atomic file writer.
 
 Supports ASCII (P2/P3) and binary (P5/P6) variants with 8-bit depth.
 Pixels are exposed as float64 in [0, 1]; color input is collapsed to
@@ -7,6 +7,7 @@ luminance.  Other formats can be layered behind load_image later.
 
 from __future__ import annotations
 
+import os
 import re
 from pathlib import Path
 
@@ -73,6 +74,8 @@ def read_pnm(path) -> np.ndarray:
 
     if raw.size < count:
         raise ParseError(f"{path}: truncated PNM body")
+    if raw.min() < 0 or raw.max() > maxval:
+        raise ParseError(f"{path}: PNM samples must lie in [0, maxval={maxval}]")
     img = raw.reshape((height, width, channels)).astype(np.float64) / maxval
     return img[..., 0] if channels == 1 else img
 
@@ -90,4 +93,12 @@ def write_pgm(path, img: np.ndarray) -> None:
     img = np.asarray(img, dtype=np.float64)
     quant = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode()
-    Path(path).write_bytes(header + quant.tobytes())
+    atomic_write(path, header + quant.tobytes())
+
+
+def atomic_write(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` by a temp file and a rename: never a partial file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)

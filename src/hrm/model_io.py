@@ -23,7 +23,6 @@ bit-exact.  Writes go through a temp file and rename.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from pathlib import Path
 
@@ -31,6 +30,7 @@ import numpy as np
 
 from .errors import CorruptModel, IncompatibleModel, InvalidInput, MissingAsset
 from .features import EXTRACTOR_VERSION, PatchGeometry
+from .image_io import atomic_write
 from .training import ModelBank
 
 MAGIC = b"HRMB"
@@ -95,10 +95,7 @@ def save_model(path, bank: ModelBank) -> None:
     parts.append(_pack_array(bank.coefficients))
     parts.append(_pack_array(bank.intercepts))
 
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(b"".join(parts))
-    os.replace(tmp, path)
+    atomic_write(path, b"".join(parts))
 
 
 def load_model(path) -> ModelBank:

@@ -1,12 +1,12 @@
 """Mean-centered linear regression via iterative PLS and Bridge PLS.
 
-Both fitting routines produce the same :class:`RegressionModel` container.
-The iterative path extracts one latent component per eigendecomposition
-(deflating the working matrices in between); the bridge path obtains all
-components from a single eigendecomposition of a ridge-stabilized
-cross-covariance matrix, which makes it the production choice for large
-component counts.  Training uses only the bridge path; the iterative one
-stays as the reference that tests compare against.
+A fit returns only its linear model (:class:`RegressionModel`).  Both fits
+centre the data, find latent weights W and scores T, and solve one head
+``B = W (T^T Xc W)^-1 T^T Yc``; only the latent step differs.
+:func:`pls_latents` takes one eigendecomposition per component, deflating
+in between; :func:`bpls_weights` takes all components from a single
+eigendecomposition of a ridge-stabilized cross-covariance matrix.  Training
+uses only the bridge path; the iterative one is the tests' reference.
 """
 
 from __future__ import annotations
@@ -39,23 +39,11 @@ def reset_eigendecomposition_count() -> None:
 
 @dataclass(frozen=True)
 class RegressionModel:
-    """A fitted mean-centered linear model ``Y ~ mean_y + (X - mean_x) B``.
+    """A fitted linear model ``Y ~ mean_y + (X - mean_x) B``, B = ``coefficients``."""
 
-    weights: (p, c) latent direction vectors, unit-norm columns.
-    scores: (n, c) latent components of the training predictors.
-    coefficients: (p, q) regression coefficient matrix B.
-    residual: (n, q) training residual, exactly ``Yc - Xc @ B``.
-    ridge: the bridge ridge parameter; 0 marks an iterative-PLS fit.
-    """
-
-    weights: np.ndarray
-    scores: np.ndarray
     coefficients: np.ndarray
-    residual: np.ndarray
     mean_x: np.ndarray
     mean_y: np.ndarray
-    components: int
-    ridge: float
 
 
 @dataclass(frozen=True)
@@ -119,38 +107,37 @@ def dominant_eigenvectors(M, c: int) -> np.ndarray:
     return _fix_signs(V)
 
 
-def _center_pair(X, Y):
+def _center_pair(X, Y, c: int):
+    """Validate a fit's inputs and component count; centre both matrices."""
     X = _as_matrix(X, "X")
     Y = _as_matrix(Y, "Y")
-    if X.shape[0] != Y.shape[0]:
-        raise InvalidInput(f"row count mismatch: X has {X.shape[0]}, Y has {Y.shape[0]}")
+    n, p = X.shape
+    if Y.shape[0] != n:
+        raise InvalidInput(f"row count mismatch: X has {n}, Y has {Y.shape[0]}")
+    if not 1 <= c <= min(n - 1, p):
+        raise InvalidComponents(
+            f"c={c} must satisfy 1 <= c <= min(n-1, p) = {min(n - 1, p)}"
+        )
     Xc, mx = mean_center(X)
     Yc, my = mean_center(Y)
     return Xc, mx, Yc, my
 
 
-def _coefficients_from_scores(W, T, G, Yc):
+def _linear_model(W, T, G, Yc, mx, my) -> RegressionModel:
     """Solve B = W G^-1 T^T Yc with a conditioning check on G."""
     if np.linalg.cond(G) > _COND_LIMIT:
         raise DegenerateFit("score Gram matrix is numerically singular")
-    B = W @ np.linalg.solve(G, T.T @ Yc)
-    return B
+    return RegressionModel(W @ np.linalg.solve(G, T.T @ Yc), mx, my)
 
 
-def pls_fit(X, Y, c: int) -> RegressionModel:
-    """Fit by the iterate-and-deflate procedure, one component per pass.
+def pls_latents(Xc, Yc, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Iterative latent step on centred data: (W, T), one column per pass.
 
-    Each pass extracts the dominant eigenvector of ``E^T F F^T E`` for the
-    current deflated matrices, takes the (normalized) score ``t = E w``,
-    and projects ``t`` out of both working matrices.
+    Each pass takes the dominant eigenvector ``w`` of ``E^T F F^T E`` for the
+    deflated matrices, the normalized score ``t = E w``, and projects ``t``
+    out of both working matrices.
     """
-    Xc, mx, Yc, my = _center_pair(X, Y)
     n, p = Xc.shape
-    if not 1 <= c <= min(n - 1, p):
-        raise InvalidComponents(
-            f"c={c} must satisfy 1 <= c <= min(n-1, p) = {min(n - 1, p)}"
-        )
-
     E = Xc.copy()
     F = Yc.copy()
     W = np.empty((p, c))
@@ -170,35 +157,34 @@ def pls_fit(X, Y, c: int) -> RegressionModel:
         proj = np.outer(t, t)
         E = E - proj @ E
         F = F - proj @ F
-
-    B = _coefficients_from_scores(W, T, T.T @ Xc @ W, Yc)
-    R = Yc - Xc @ B
-    return RegressionModel(W, T, B, R, mx, my, c, 0.0)
+    return W, T
 
 
-def bpls_fit(X, Y, c: int, alpha: float) -> RegressionModel:
-    """Fit by the bridge variant: one eigendecomposition yields all weights.
-
-    The weight matrix holds the first ``c`` dominant eigenvectors of
-    ``Xc^T (alpha I + (1 - alpha) Yc Yc^T) Xc``; scores are ``Xc W``.
+def bpls_weights(Xc, Yc, c: int, alpha: float) -> np.ndarray:
+    """Bridge latent step on centred data: W holds the first ``c`` dominant
+    eigenvectors of ``Xc^T (alpha I + (1 - alpha) Yc Yc^T) Xc``, from one eigensolve.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidInput(f"alpha={alpha} outside [0, 1]")
-    Xc, mx, Yc, my = _center_pair(X, Y)
-    n, p = Xc.shape
-    if not 1 <= c <= min(n - 1, p):
-        raise InvalidComponents(
-            f"c={c} must satisfy 1 <= c <= min(n-1, p) = {min(n - 1, p)}"
-        )
-
     XtY = Xc.T @ Yc
     M = alpha * (Xc.T @ Xc) + (1.0 - alpha) * (XtY @ XtY.T)
     M = 0.5 * (M + M.T)
-    W = dominant_eigenvectors(M, c)
+    return dominant_eigenvectors(M, c)
+
+
+def pls_fit(X, Y, c: int) -> RegressionModel:
+    """Fit by iterative PLS (:func:`pls_latents`), one component per pass."""
+    Xc, mx, Yc, my = _center_pair(X, Y, c)
+    W, T = pls_latents(Xc, Yc, c)
+    return _linear_model(W, T, T.T @ Xc @ W, Yc, mx, my)
+
+
+def bpls_fit(X, Y, c: int, alpha: float) -> RegressionModel:
+    """Fit by Bridge PLS (:func:`bpls_weights`); the scores are ``Xc W``."""
+    if not 0.0 <= alpha <= 1.0:
+        raise InvalidInput(f"alpha={alpha} outside [0, 1]")
+    Xc, mx, Yc, my = _center_pair(X, Y, c)
+    W = bpls_weights(Xc, Yc, c, alpha)
     T = Xc @ W
-    B = _coefficients_from_scores(W, T, T.T @ T, Yc)
-    R = Yc - Xc @ B
-    return RegressionModel(W, T, B, R, mx, my, c, float(alpha))
+    return _linear_model(W, T, T.T @ T, Yc, mx, my)
 
 
 def predict(model: RegressionModel, x) -> np.ndarray:

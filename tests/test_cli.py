@@ -107,6 +107,20 @@ class TestSynthCommand:
             b = (tmp_path / "again" / name).read_bytes()
             assert a == b
 
+    def test_failed_rename_keeps_old_scene(self, workspace, tmp_path, monkeypatch):
+        out = tmp_path / "o"
+        out.mkdir()
+        old = out / "scene_0000.pgm"
+        old.write_bytes(b"old scene")
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            main(["synth", "--spec", str(workspace / "spec.ini"), "--out", str(out)])
+        assert old.read_bytes() == b"old scene"
+
     def test_negative_seed_is_input_error(self, workspace, tmp_path, capsys):
         assert main(["synth", "--spec", str(workspace / "spec.ini"), "--seed", "-1",
                      "--out", str(tmp_path / "o")]) == 2
@@ -525,6 +539,22 @@ class TestEvalCommand:
         assert main(["eval", "--detections", str(bad),
                      "--annotations", str(workspace / "scenes" / "annotations.txt"),
                      "--out", str(tmp_path / "pr.csv")]) == 2
+
+    def test_shared_file_name_is_input_error(self, tmp_path, capsys):
+        # det.tsv names images by file name alone, so b/x.pgm would hide a/x.pgm
+        pgm = b"P5\n60 60\n255\n" + bytes(3600)
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            (tmp_path / d / "x.pgm").write_bytes(pgm)
+        ann = tmp_path / "annotations.txt"
+        ann.write_text("a/x.pgm 0 0 20 20\nb/x.pgm 30 30 50 50\n")
+        det = tmp_path / "det.tsv"
+        det.write_text("x.pgm\t10.0\t10.0\t1.0\t0.9\nx.pgm\t40.0\t40.0\t1.0\t0.8\n")
+        assert main(["eval", "--detections", str(det), "--annotations", str(ann),
+                     "--ref-size", "20x20", "--out", str(tmp_path / "pr.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(Path("a") / "x.pgm") in err and str(Path("b") / "x.pgm") in err
+        assert not (tmp_path / "pr.csv").exists()
 
 
 def _write_console_script(bin_dir):

@@ -33,10 +33,7 @@ def gated_off_bank():
 
     def const(out):
         out = np.atleast_1d(np.asarray(out, dtype=np.float64))
-        return pls.RegressionModel(
-            np.zeros((DIM, 1)), np.zeros((2, 1)), np.zeros((DIM, out.size)),
-            np.zeros((2, out.size)), np.zeros(DIM), out, 1, 0.0,
-        )
+        return pls.RegressionModel(np.zeros((DIM, out.size)), np.zeros(DIM), out)
 
     hrms = tuple(const([0.0, 0.0]) for _ in range(GEOM.num_context))
     lrms = tuple(const([-1.0]) for _ in range(GEOM.num_context))
@@ -49,9 +46,7 @@ def random_linear_bank(geom, rng):
 
     def model(q):
         return pls.RegressionModel(
-            np.zeros((dim, 1)), np.zeros((1, 1)),
-            rng.standard_normal((dim, q)) / dim, np.zeros((1, q)),
-            rng.random(dim), rng.standard_normal(q), 1, 0.0,
+            rng.standard_normal((dim, q)) / dim, rng.random(dim), rng.standard_normal(q)
         )
 
     hrms = tuple(model(2) for _ in range(geom.num_context))

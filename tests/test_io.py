@@ -78,6 +78,17 @@ class TestImageIO:
         with pytest.raises(MissingAsset):
             image_io.read_pnm(tmp_path / "nope.pgm")
 
+    @pytest.mark.parametrize("data", [
+        b"P2\n2 1\n255\n300 0\n",  # above maxval, read as 1.176
+        b"P5\n2 1\n100\n\xc8\x00",  # byte 200 at maxval 100, read as 2.0
+        b"P2\n2 1\n255\n-5 0\n",  # negative sample
+    ])
+    def test_sample_outside_maxval_refused(self, tmp_path, data):
+        path = tmp_path / "s.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="maxval"):
+            image_io.read_pnm(path)
+
 
 def write_scene(tmp_path, name="img.pgm", shape=(32, 32)):
     img = np.random.default_rng(1).random(shape)
@@ -370,16 +381,16 @@ class TestModelIO:
         assert np.array_equal(a.labels, b.labels)
 
 
-def read_or_refuse(reader, name: str, data: bytes) -> None:
-    """Write data to a fresh file and read it; an HRMError is a refusal."""
+def read_or_refuse(reader, name: str, data: bytes):
+    """Write data to a fresh file and read it; an HRMError is a refusal (None)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / name
         path.write_bytes(data)
         (Path(tmp) / "a.pgm").write_bytes(b"P5\n2 2\n255\n\x00\x01\x02\x03")
         try:
-            reader(path)
+            return reader(path)
         except HRMError:
-            pass
+            return None
 
 
 def joined(tokens, sep):
@@ -423,7 +434,8 @@ class TestReaderFuzz:
     @given(st.sampled_from([b"P2", b"P5"]),
            st.one_of(joined(PNM_TOKENS, b" "), st.binary(max_size=40)))
     def test_read_pnm(self, magic, body):
-        read_or_refuse(image_io.read_pnm, "x.pgm", magic + body)
+        img = read_or_refuse(image_io.read_pnm, "x.pgm", magic + body)
+        assert img is None or (img.min() >= 0.0 and img.max() <= 1.0)
 
     @pytest.mark.filterwarnings("ignore:.*empty dataset")
     @settings(max_examples=300, deadline=None)

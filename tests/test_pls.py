@@ -15,6 +15,11 @@ def lowrank_data(rng, n, p, q, rank, noise=0.0):
     return X, Y
 
 
+def centered(X, Y):
+    """Column-centred copies of X and Y, the input of the latent steps."""
+    return X - X.mean(axis=0), Y - Y.mean(axis=0)
+
+
 def nipals_oracle(X, Y, c):
     """Independent iterate-and-deflate implementation.
 
@@ -98,7 +103,6 @@ class TestPlsFit:
         X, Y = lowrank_data(rng, 30, 8, 2, rank=5)
         model = pls.pls_fit(X, Y, c=5)
         assert np.max(np.abs(pls.predict(model, X) - Y)) <= 1e-8
-        assert np.max(np.abs(model.residual)) <= 1e-8
 
     def test_cross_covariance_rank_two(self):
         rng = np.random.default_rng(4)
@@ -122,11 +126,11 @@ class TestPlsFit:
         rng = np.random.default_rng(6)
         X = rng.standard_normal((30, 12))
         Y = rng.standard_normal((30, 2))
-        model = pls.pls_fit(X, Y, c=4)
-        G = model.scores.T @ model.scores
+        W, T = pls.pls_latents(*centered(X, Y), c=4)
+        G = T.T @ T
         off = G - np.diag(np.diag(G))
         assert np.max(np.abs(off)) <= 1e-6 * np.max(np.diag(G))
-        assert np.allclose(np.linalg.norm(model.weights, axis=0), 1.0, atol=1e-8)
+        assert np.allclose(np.linalg.norm(W, axis=0), 1.0, atol=1e-8)
 
     def test_component_count_guard(self):
         rng = np.random.default_rng(8)
@@ -147,12 +151,12 @@ class TestBplsFit:
         rng = np.random.default_rng(9)
         X = rng.standard_normal((30, 6))
         Y = rng.standard_normal((30, 2))
-        model = pls.bpls_fit(X, Y, c=3, alpha=1.0)
+        W = pls.bpls_weights(*centered(X, Y), c=3, alpha=1.0)
         Xc = X - X.mean(axis=0)
         evals, evecs = np.linalg.eigh(Xc.T @ Xc)
         pcs = evecs[:, ::-1][:, :3]
         for k in range(3):
-            dot = abs(pcs[:, k] @ model.weights[:, k])
+            dot = abs(pcs[:, k] @ W[:, k])
             assert np.isclose(dot, 1.0, atol=1e-8)
 
     def test_small_alpha_matches_pls_predictions(self):
@@ -186,8 +190,8 @@ class TestBplsFit:
         rng = np.random.default_rng(12)
         X = rng.standard_normal((30, 9))
         Y = rng.standard_normal((30, 2))
-        model = pls.bpls_fit(X, Y, c=5, alpha=1e-10)
-        G = model.weights.T @ model.weights
+        W = pls.bpls_weights(*centered(X, Y), c=5, alpha=1e-10)
+        G = W.T @ W
         assert np.max(np.abs(G - np.eye(5))) <= 1e-8
 
     def test_alpha_guard(self):
@@ -201,7 +205,7 @@ class TestBplsFit:
         Y = rng.standard_normal((20, 2))
         with pytest.raises(InvalidComponents, match=r"min\(n-1, p\) = 19"):
             pls.bpls_fit(X, Y, c=20, alpha=1e-10)
-        assert pls.bpls_fit(X, Y, c=19, alpha=1e-10).components == 19
+        assert pls.bpls_fit(X, Y, c=19, alpha=1e-10).coefficients.shape == (30, 2)
 
     def test_singular_scores(self):
         # duplicate columns make the score Gram matrix singular at c = p
@@ -209,6 +213,41 @@ class TestBplsFit:
         Y = np.random.default_rng(14).standard_normal((10, 2))
         with pytest.raises(DegenerateFit):
             pls.bpls_fit(X, Y, c=3, alpha=1e-10)
+
+
+class TestLatentSteps:
+    """Each fit's coefficients lie in the span of its latent step's weights,
+    so the W and T checks above test the weights the fits use."""
+
+    @staticmethod
+    def span_residual(B, W):
+        Q, _ = np.linalg.qr(W)
+        return np.linalg.norm(B - Q @ (Q.T @ B)) / np.linalg.norm(B)
+
+    def test_pls_fit_uses_pls_latents(self):
+        rng = np.random.default_rng(20)
+        X = rng.standard_normal((30, 12))
+        Y = rng.standard_normal((30, 2))
+        W, _ = pls.pls_latents(*centered(X, Y), c=4)
+        assert self.span_residual(pls.pls_fit(X, Y, c=4).coefficients, W) <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [1e-10, 0.3, 1.0])
+    def test_bpls_fit_uses_bpls_weights(self, alpha):
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((30, 12))
+        Y = rng.standard_normal((30, 2))
+        W = pls.bpls_weights(*centered(X, Y), c=4, alpha=alpha)
+        B = pls.bpls_fit(X, Y, c=4, alpha=alpha).coefficients
+        assert self.span_residual(B, W) <= 1e-10
+
+    def test_span_check_rejects_other_weights(self):
+        # the check has teeth: a fit's B is not in another step's 4-dim span
+        rng = np.random.default_rng(22)
+        X = rng.standard_normal((30, 12))
+        Y = rng.standard_normal((30, 2))
+        W = pls.bpls_weights(*centered(X, Y), c=4, alpha=1.0)
+        B = pls.bpls_fit(X, Y, c=4, alpha=1e-10).coefficients
+        assert self.span_residual(B, W) > 1e-3
 
 
 class TestPredict:

@@ -14,14 +14,9 @@ def constant_model(dim, out):
     out = np.atleast_1d(np.asarray(out, dtype=np.float64))
     q = out.shape[0]
     return pls.RegressionModel(
-        weights=np.zeros((dim, 1)),
-        scores=np.zeros((2, 1)),
         coefficients=np.zeros((dim, q)),
-        residual=np.zeros((2, q)),
         mean_x=np.zeros(dim),
         mean_y=out,
-        components=1,
-        ridge=0.0,
     )
 
 
