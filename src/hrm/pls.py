@@ -1,12 +1,15 @@
 """Mean-centered linear regression via iterative PLS and Bridge PLS.
 
 A fit returns only its linear model (:class:`RegressionModel`).  Both fits
-centre the data, find latent weights W and scores T, and solve one head
-``B = W (T^T Xc W)^-1 T^T Yc``; only the latent step differs.
-:func:`pls_latents` takes one eigendecomposition per component, deflating
-in between; :func:`bpls_weights` takes all components from a single
-eigendecomposition of a ridge-stabilized cross-covariance matrix.  Training
-uses only the bridge path; the iterative one is the tests' reference.
+find latent weights W and solve one head ``B = W H^-1 R``; only the latent
+step differs.  :func:`pls_latents` takes one eigendecomposition per
+component of the centred data, deflating in between; :func:`bpls_weights`
+takes all components from one top-c eigensolve of a ridge-stabilized
+cross-covariance matrix built from :func:`centred_moments`, so the bridge
+fit never forms the centred data or the scores.  The bridge fit runs all
+its dense algebra in SciPy's BLAS/LAPACK: NumPy bundles a second OpenBLAS,
+and alternating the two slows both.  Training uses only the bridge path;
+the iterative one is the tests' reference.
 """
 
 from __future__ import annotations
@@ -15,12 +18,17 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
+from scipy.linalg import blas
 
 from .errors import DegenerateFit, InvalidComponents, InvalidInput
 
 # Condition-number ceiling for the score Gram matrix before a fit is
 # declared degenerate.
 _COND_LIMIT = 1e12
+
+# Rows centred at a time while accumulating the Gram matrix.
+_BLOCK_ROWS = 1024
 
 # Eigendecomposition call counter, used by efficiency tests.  Incremented by
 # dominant_eigenvectors; read/reset through the helpers below.
@@ -89,7 +97,8 @@ def dominant_eigenvectors(M, c: int) -> np.ndarray:
     """First ``c`` dominant eigenvectors of a symmetric matrix, as columns.
 
     Columns are unit-norm, ordered by descending eigenvalue, with signs
-    fixed so the largest-magnitude entry of each column is positive.
+    fixed so the largest-magnitude entry of each column is positive.  Only
+    the top ``c`` eigenpairs are computed.
     """
     M = _as_matrix(M, "M")
     if M.shape[0] != M.shape[1]:
@@ -97,18 +106,24 @@ def dominant_eigenvectors(M, c: int) -> np.ndarray:
     scale = np.max(np.abs(M))
     if scale > 0 and np.max(np.abs(M - M.T)) > 1e-9 * scale:
         raise InvalidInput("M is not symmetric")
-    if not 1 <= c <= M.shape[0]:
-        raise InvalidInput(f"component count {c} outside [1, {M.shape[0]}]")
+    p = M.shape[0]
+    if not 1 <= c <= p:
+        raise InvalidInput(f"component count {c} outside [1, {p}]")
 
     global _EIG_CALLS
     _EIG_CALLS += 1
-    evals, evecs = np.linalg.eigh(M)  # ascending order
-    V = evecs[:, ::-1][:, :c]
-    return _fix_signs(V)
+    try:
+        _, V = linalg.eigh(  # ascending order
+            M, subset_by_index=(p - c, p - 1), driver="evr", check_finite=False
+        )
+    except np.linalg.LinAlgError as e:
+        raise DegenerateFit(f"eigensolver failed: {e}") from e
+    return _fix_signs(V[:, ::-1])
 
 
-def _center_pair(X, Y, c: int):
-    """Validate a fit's inputs and component count; centre both matrices."""
+def _fit_inputs(X, Y, c: int):
+    """Validate a fit's inputs (each once) and component count; return
+    ``(X, Y, mean_x, mean_y)``."""
     X = _as_matrix(X, "X")
     Y = _as_matrix(Y, "Y")
     n, p = X.shape
@@ -118,16 +133,38 @@ def _center_pair(X, Y, c: int):
         raise InvalidComponents(
             f"c={c} must satisfy 1 <= c <= min(n-1, p) = {min(n - 1, p)}"
         )
-    Xc, mx = mean_center(X)
-    Yc, my = mean_center(Y)
-    return Xc, mx, Yc, my
+    return X, Y, X.mean(axis=0), Y.mean(axis=0)
 
 
-def _linear_model(W, T, G, Yc, mx, my) -> RegressionModel:
-    """Solve B = W G^-1 T^T Yc with a conditioning check on G."""
-    if np.linalg.cond(G) > _COND_LIMIT:
-        raise DegenerateFit("score Gram matrix is numerically singular")
-    return RegressionModel(W @ np.linalg.solve(G, T.T @ Yc), mx, my)
+def centred_moments(X, Y, c: int):
+    """Validate a fit's inputs; return ``(G, XtY, mean_x, mean_y)`` with
+    G = Xc^T Xc and XtY = Xc^T Yc.  Rows are centred a block at a time: no
+    n x p centred copy, and none of the cancellation of ``X^T X - n m m^T``.
+    """
+    X, Y, mx, my = _fit_inputs(X, Y, c)
+    p = X.shape[1]
+    G = np.zeros((p, p), order="F")
+    XtY = np.zeros((p, Y.shape[1]), order="F")
+    for i in range(0, len(X), _BLOCK_ROWS):
+        At = (X[i : i + _BLOCK_ROWS] - mx).T  # (p, rows), F-order
+        Yc = Y[i : i + _BLOCK_ROWS] - my
+        G = blas.dsyrk(1.0, At, beta=1.0, c=G, overwrite_c=1)  # upper triangle
+        XtY = blas.dgemm(1.0, At, Yc, beta=1.0, c=XtY, overwrite_c=1)
+    G += np.triu(G, 1).T  # mirror into the lower triangle, still zero
+    return G, XtY, mx, my
+
+
+def _linear_model(W, H, R, mx, my) -> RegressionModel:
+    """Solve B = W H^-1 R with a conditioning check on H."""
+    try:
+        s = linalg.svdvals(H, check_finite=False)
+        if not s[0] <= _COND_LIMIT * s[-1]:
+            raise DegenerateFit("score Gram matrix is numerically singular")
+        B = blas.dgemm(1.0, W, linalg.solve(H, R, check_finite=False))
+    except np.linalg.LinAlgError as e:
+        raise DegenerateFit(f"head solve failed: {e}") from e
+    # C order: the bank's layout, and the one a loaded model has
+    return RegressionModel(np.ascontiguousarray(B), mx, my)
 
 
 def pls_latents(Xc, Yc, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -160,31 +197,32 @@ def pls_latents(Xc, Yc, c: int) -> tuple[np.ndarray, np.ndarray]:
     return W, T
 
 
-def bpls_weights(Xc, Yc, c: int, alpha: float) -> np.ndarray:
-    """Bridge latent step on centred data: W holds the first ``c`` dominant
-    eigenvectors of ``Xc^T (alpha I + (1 - alpha) Yc Yc^T) Xc``, from one eigensolve.
+def bpls_weights(G, XtY, c: int, alpha: float) -> np.ndarray:
+    """Bridge latent step on centred moments: W holds the first ``c`` dominant
+    eigenvectors of ``M = alpha G + (1 - alpha) XtY XtY^T``, which is
+    ``Xc^T (alpha I + (1 - alpha) Yc Yc^T) Xc``, from one eigensolve.
     """
-    XtY = Xc.T @ Yc
-    M = alpha * (Xc.T @ Xc) + (1.0 - alpha) * (XtY @ XtY.T)
-    M = 0.5 * (M + M.T)
+    M = blas.dgemm(1.0 - alpha, XtY, XtY, trans_b=1, beta=alpha, c=G)
     return dominant_eigenvectors(M, c)
 
 
 def pls_fit(X, Y, c: int) -> RegressionModel:
     """Fit by iterative PLS (:func:`pls_latents`), one component per pass."""
-    Xc, mx, Yc, my = _center_pair(X, Y, c)
+    X, Y, mx, my = _fit_inputs(X, Y, c)
+    Xc, Yc = X - mx, Y - my
     W, T = pls_latents(Xc, Yc, c)
-    return _linear_model(W, T, T.T @ Xc @ W, Yc, mx, my)
+    return _linear_model(W, T.T @ Xc @ W, T.T @ Yc, mx, my)
 
 
 def bpls_fit(X, Y, c: int, alpha: float) -> RegressionModel:
-    """Fit by Bridge PLS (:func:`bpls_weights`); the scores are ``Xc W``."""
+    """Fit by Bridge PLS (:func:`bpls_weights`) from the centred moments;
+    the score Gram ``T^T T`` is ``W^T G W``."""
     if not 0.0 <= alpha <= 1.0:
         raise InvalidInput(f"alpha={alpha} outside [0, 1]")
-    Xc, mx, Yc, my = _center_pair(X, Y, c)
-    W = bpls_weights(Xc, Yc, c, alpha)
-    T = Xc @ W
-    return _linear_model(W, T, T.T @ T, Yc, mx, my)
+    G, XtY, mx, my = centred_moments(X, Y, c)
+    W = bpls_weights(G, XtY, c, alpha)
+    H = blas.dgemm(1.0, W, blas.dsymm(1.0, G, W), trans_a=1)
+    return _linear_model(W, H, blas.dgemm(1.0, W, XtY, trans_a=1), mx, my)
 
 
 def predict(model: RegressionModel, x) -> np.ndarray:

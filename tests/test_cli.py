@@ -240,6 +240,20 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "m.hrmb")]) == 2
         assert not (tmp_path / "m.hrmb").exists()
 
+    def test_eigensolver_failure_is_model_error(self, workspace, tmp_path,
+                                                monkeypatch, capsys):
+        from hrm import pls
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(pls.linalg, "eigh", fail)
+        assert main(["train", "--config", str(workspace / "cfg.ini"),
+                     "--annotations", str(workspace / "scenes" / "annotations.txt"),
+                     "--out", str(tmp_path / "m.hrmb")]) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"^model error: voting model j=0: eigensolver failed", err, re.M)
+        assert not (tmp_path / "m.hrmb").exists()
 
     @pytest.mark.parametrize("pnm", [
         b"P5\nabc 3\n255\n",

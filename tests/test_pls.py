@@ -20,6 +20,24 @@ def centered(X, Y):
     return X - X.mean(axis=0), Y - Y.mean(axis=0)
 
 
+def moments(X, Y, c):
+    """The centred moments (G, Xc^T Yc) a bridge fit of c components uses."""
+    return pls.centred_moments(X, Y, c)[:2]
+
+
+def bpls_reference(X, Y, c, alpha):
+    """The bridge fit on an explicit centred copy: M from Xc and Yc, a full
+    ``np.linalg.eigh``, scores T = Xc W and the head from T."""
+    Xc = X - X.mean(axis=0)
+    Yc = Y - Y.mean(axis=0)
+    XtY = Xc.T @ Yc
+    M = alpha * (Xc.T @ Xc) + (1.0 - alpha) * (XtY @ XtY.T)
+    _, evecs = np.linalg.eigh(0.5 * (M + M.T))
+    W = evecs[:, ::-1][:, :c]
+    T = Xc @ W
+    return W @ np.linalg.solve(T.T @ T, T.T @ Yc)
+
+
 def nipals_oracle(X, Y, c):
     """Independent iterate-and-deflate implementation.
 
@@ -96,6 +114,72 @@ class TestDominantEigenvectors:
         with pytest.raises(InvalidInput):
             pls.dominant_eigenvectors([[0.0, 1.0], [0.0, 0.0]], 1)
 
+    def test_training_shaped_spectrum(self):
+        # M as training builds it: a rank-2 cross term over 1e-10 G, so every
+        # eigenvalue past the second clusters near 0.
+        rng = np.random.default_rng(23)
+        X = rng.standard_normal((200, 40))
+        A = X.T @ rng.standard_normal((200, 2))
+        M = 1e-10 * (X.T @ X) + A @ A.T
+        V = pls.dominant_eigenvectors(M, 8)
+        assert np.max(np.abs(V.T @ V - np.eye(8))) <= 1e-10
+        top = np.linalg.eigh(M)[1][:, -2:]
+        assert np.linalg.norm(V[:, :2] @ V[:, :2].T - top @ top.T) <= 1e-8
+
+
+class TestCentredMoments:
+    """The moment-form bridge fit against the fit on an explicit centred copy."""
+
+    @staticmethod
+    def rel(B, B_ref):
+        return np.linalg.norm(B - B_ref) / np.linalg.norm(B_ref)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    def test_matches_centred_copy_fit(self, alpha):
+        rng = np.random.default_rng(24)
+        X = rng.standard_normal((40, 12)) * rng.uniform(0.5, 3, 12) + rng.uniform(-5, 5, 12)
+        Y = X @ rng.standard_normal((12, 2)) + rng.standard_normal((40, 2))
+        B = pls.bpls_fit(X, Y, 4, alpha).coefficients
+        assert self.rel(B, bpls_reference(X, Y, 4, alpha)) <= 1e-10
+
+    def test_matches_centred_copy_fit_small_alpha(self):
+        # latent rank c = q: the top-c subspace is the cross term's, far
+        # above the rounding floor of M
+        rng = np.random.default_rng(25)
+        X, Y = lowrank_data(rng, 40, 12, 2, rank=2, noise=0.05)
+        B = pls.bpls_fit(X, Y, 2, 1e-10).coefficients
+        assert self.rel(B, bpls_reference(X, Y, 2, 1e-10)) <= 1e-10
+
+    def test_small_alpha_fitted_values_past_q(self):
+        # latent rank c > q: weights past the q-th sit at 1e-10 of G, within
+        # rounding of M, so B is fixed only on the row space of Xc
+        rng = np.random.default_rng(26)
+        X, Y = lowrank_data(rng, 40, 12, 2, rank=4, noise=0.05)
+        Xc = X - X.mean(axis=0)
+        B = pls.bpls_fit(X, Y, 4, 1e-10).coefficients
+        assert self.rel(Xc @ B, Xc @ bpls_reference(X, Y, 4, 1e-10)) <= 1e-10
+
+    def test_gram_of_large_mean_columns(self):
+        # like the raw context j = 0: column means 100x the column spread
+        rng = np.random.default_rng(27)
+        S = rng.standard_normal((2500, 30)) * rng.uniform(0.5, 2.0, 30)
+        X = 100 * S.std(axis=0) + S
+        Y = rng.standard_normal((2500, 2))
+        G, XtY, mx, my = pls.centred_moments(X, Y, 2)
+        Xc = X - X.mean(axis=0)
+        assert np.linalg.norm(G - Xc.T @ Xc, 2) <= 1e-12 * np.linalg.norm(G, 2)
+        assert np.array_equal(G, G.T)
+        assert np.allclose(XtY, Xc.T @ (Y - Y.mean(axis=0)), rtol=0, atol=1e-9)
+        assert np.array_equal(mx, X.mean(axis=0)) and np.array_equal(my, Y.mean(axis=0))
+
+    def test_validates_like_the_fits(self):
+        X = np.ones((5, 3))
+        X[2, 1] = np.nan
+        with pytest.raises(InvalidInput, match="X contains non-finite"):
+            pls.centred_moments(X, np.ones((5, 1)), 1)
+        with pytest.raises(InvalidComponents):
+            pls.centred_moments(np.eye(5), np.ones((5, 1)), 5)
+
 
 class TestPlsFit:
     def test_noiseless_exact_fit(self):
@@ -151,7 +235,7 @@ class TestBplsFit:
         rng = np.random.default_rng(9)
         X = rng.standard_normal((30, 6))
         Y = rng.standard_normal((30, 2))
-        W = pls.bpls_weights(*centered(X, Y), c=3, alpha=1.0)
+        W = pls.bpls_weights(*moments(X, Y, 3), c=3, alpha=1.0)
         Xc = X - X.mean(axis=0)
         evals, evecs = np.linalg.eigh(Xc.T @ Xc)
         pcs = evecs[:, ::-1][:, :3]
@@ -190,7 +274,7 @@ class TestBplsFit:
         rng = np.random.default_rng(12)
         X = rng.standard_normal((30, 9))
         Y = rng.standard_normal((30, 2))
-        W = pls.bpls_weights(*centered(X, Y), c=5, alpha=1e-10)
+        W = pls.bpls_weights(*moments(X, Y, 5), c=5, alpha=1e-10)
         G = W.T @ W
         assert np.max(np.abs(G - np.eye(5))) <= 1e-8
 
@@ -215,6 +299,17 @@ class TestBplsFit:
             pls.bpls_fit(X, Y, c=3, alpha=1e-10)
 
 
+    @pytest.mark.parametrize("solver", ["eigh", "svdvals", "solve"])
+    def test_solver_failure_is_degenerate_fit(self, monkeypatch, solver):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(pls.linalg, solver, fail)
+        rng = np.random.default_rng(18)
+        with pytest.raises(DegenerateFit, match="failed: did not converge"):
+            pls.bpls_fit(rng.standard_normal((10, 4)), rng.standard_normal((10, 1)), 2, 0.5)
+
+
 class TestLatentSteps:
     """Each fit's coefficients lie in the span of its latent step's weights,
     so the W and T checks above test the weights the fits use."""
@@ -236,7 +331,7 @@ class TestLatentSteps:
         rng = np.random.default_rng(21)
         X = rng.standard_normal((30, 12))
         Y = rng.standard_normal((30, 2))
-        W = pls.bpls_weights(*centered(X, Y), c=4, alpha=alpha)
+        W = pls.bpls_weights(*moments(X, Y, 4), c=4, alpha=alpha)
         B = pls.bpls_fit(X, Y, c=4, alpha=alpha).coefficients
         assert self.span_residual(B, W) <= 1e-10
 
@@ -245,7 +340,7 @@ class TestLatentSteps:
         rng = np.random.default_rng(22)
         X = rng.standard_normal((30, 12))
         Y = rng.standard_normal((30, 2))
-        W = pls.bpls_weights(*centered(X, Y), c=4, alpha=1.0)
+        W = pls.bpls_weights(*moments(X, Y, 4), c=4, alpha=1.0)
         B = pls.bpls_fit(X, Y, c=4, alpha=1e-10).coefficients
         assert self.span_residual(B, W) > 1e-3
 
