@@ -26,7 +26,11 @@ N_BASE_CHANNELS = 13
 N_CHANNELS = 2 * N_BASE_CHANNELS
 HOG_BINS = 9
 _WINDOW = 5  # orientation-histogram and min/max filter window
-_STRIP = 16  # output rows per strip of the min/max filters
+_STRIP = 16  # output rows per strip of the 5x5 sums and min/max filters
+_BIN_IDS = np.arange(HOG_BINS)[:, None, None]
+# Pixels from a crop edge at which the channels can differ from the whole
+# image's: derivative radius 1, 5x5 sum radius 2, min/max radius 2.
+CROP_MARGIN = 5
 DERIVATIVE_KERNELS = ("sobel", "central")
 
 
@@ -119,14 +123,18 @@ def base_channels(img, derivative_kernel: str = "sobel") -> np.ndarray:
     mag = np.hypot(gx, gy)
     ang = np.mod(np.arctan2(gy, gx), np.pi)  # unsigned orientation in [0, pi)
     bins = np.minimum((ang / (np.pi / HOG_BINS)).astype(np.intp), HOG_BINS - 1)
-    for b in range(HOG_BINS):
-        weighted = np.where(bins == b, mag, 0.0)
-        # clamp the tiny negative residue the separable filter can leave
-        channels[4 + b] = np.maximum(
-            ndimage.uniform_filter(weighted, size=_WINDOW, mode="nearest")
-            * _WINDOW**2,
-            0.0,
-        )
+    # Each bin's magnitude summed over 5x5 as five shifted slices per axis of
+    # the edge-padded (9, rows, W) stack.  A running sum would make a pixel's
+    # value depend on where its line starts; this one reads only its window,
+    # so a crop's channels equal the image's at every pixel CROP_MARGIN or more
+    # inside each crop edge that is not an image edge.
+    bins, mag = (np.pad(a, 2, mode="edge") for a in (bins, mag))
+    for r in range(0, img.shape[0], _STRIP):
+        rows = slice(r, r + _STRIP + 4)
+        stack = np.where(bins[rows] == _BIN_IDS, mag[rows], 0.0)
+        across = _running5(stack.swapaxes(0, 2), np.add).swapaxes(0, 2)
+        out = channels[4:, r : r + _STRIP].swapaxes(0, 1)
+        _running5(across.swapaxes(0, 1), np.add, out=out)
     return channels
 
 
@@ -144,7 +152,8 @@ def hog_bin_map(img, derivative_kernel: str = "sobel") -> np.ndarray:
 
 
 def _running5(a: np.ndarray, op, out=None) -> np.ndarray:
-    """``op`` (np.maximum or np.minimum) of every 5 consecutive entries on axis 0.
+    """``op`` (np.add, np.maximum or np.minimum) of every 5 consecutive entries
+    on axis 0.
 
     Pairs, then quads, then the quads with the fifth entry: len(a) - 4 results.
     """

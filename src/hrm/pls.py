@@ -6,10 +6,12 @@ step differs.  :func:`pls_latents` takes one eigendecomposition per
 component of the centred data, deflating in between; :func:`bpls_weights`
 takes all components from one top-c eigensolve of a ridge-stabilized
 cross-covariance matrix built from :func:`centred_moments`, so the bridge
-fit never forms the centred data or the scores.  The bridge fit runs all
-its dense algebra in SciPy's BLAS/LAPACK: NumPy bundles a second OpenBLAS,
-and alternating the two slows both.  Training uses only the bridge path;
-the iterative one is the tests' reference.
+fit never forms the centred data or the scores.  Training forms one Gram
+per class: :func:`label_moments` pools the positives' moments with the
+negatives' for the label fit.  The bridge fit runs all its dense algebra in
+SciPy's BLAS/LAPACK: NumPy bundles a second OpenBLAS, and alternating the
+two slows both.  Training uses only the bridge path; the iterative one is
+the tests' reference.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ _COND_LIMIT = 1e12
 
 # Rows centred at a time while accumulating the Gram matrix.
 _BLOCK_ROWS = 1024
+
+# Columns per strip of the symmetry check, so that it forms no p x p
+# temporary.
+_SYMMETRY_STRIP = 64
 
 # Eigendecomposition call counter, used by efficiency tests.  Incremented by
 # dominant_eigenvectors; read/reset through the helpers below.
@@ -103,10 +109,14 @@ def dominant_eigenvectors(M, c: int) -> np.ndarray:
     M = _as_matrix(M, "M")
     if M.shape[0] != M.shape[1]:
         raise InvalidInput(f"M must be square, got {M.shape}")
-    scale = np.max(np.abs(M))
-    if scale > 0 and np.max(np.abs(M - M.T)) > 1e-9 * scale:
-        raise InvalidInput("M is not symmetric")
     p = M.shape[0]
+    tol = 1e-9 * max(M.max(), -M.min())
+    for k in range(0, p, _SYMMETRY_STRIP):
+        # the strip's columns from row k down against the mirrored rows; the
+        # pairs above row k were compared in earlier strips
+        strip = slice(k, k + _SYMMETRY_STRIP)
+        if np.max(np.abs(M[k:, strip] - M[strip, k:].T)) > tol:
+            raise InvalidInput("M is not symmetric")
     if not 1 <= c <= p:
         raise InvalidInput(f"component count {c} outside [1, {p}]")
 
@@ -121,6 +131,13 @@ def dominant_eigenvectors(M, c: int) -> np.ndarray:
     return _fix_signs(V[:, ::-1])
 
 
+def _check_components(c: int, n: int, p: int) -> None:
+    if not 1 <= c <= min(n - 1, p):
+        raise InvalidComponents(
+            f"c={c} must satisfy 1 <= c <= min(n-1, p) = {min(n - 1, p)}"
+        )
+
+
 def _fit_inputs(X, Y, c: int):
     """Validate a fit's inputs (each once) and component count; return
     ``(X, Y, mean_x, mean_y)``."""
@@ -129,29 +146,59 @@ def _fit_inputs(X, Y, c: int):
     n, p = X.shape
     if Y.shape[0] != n:
         raise InvalidInput(f"row count mismatch: X has {n}, Y has {Y.shape[0]}")
-    if not 1 <= c <= min(n - 1, p):
-        raise InvalidComponents(
-            f"c={c} must satisfy 1 <= c <= min(n-1, p) = {min(n - 1, p)}"
-        )
+    _check_components(c, n, p)
     return X, Y, X.mean(axis=0), Y.mean(axis=0)
+
+
+def _centred_products(X, mx, Y=None, my=None):
+    """G = Xc^T Xc, and Xc^T Yc when Y is given.  Rows are centred a block at
+    a time: no n x p centred copy, and none of the cancellation of
+    ``X^T X - n m m^T``."""
+    p = X.shape[1]
+    G = np.zeros((p, p), order="F")
+    XtY = None if Y is None else np.zeros((p, Y.shape[1]), order="F")
+    for i in range(0, len(X), _BLOCK_ROWS):
+        At = (X[i : i + _BLOCK_ROWS] - mx).T  # (p, rows), F-order
+        G = blas.dsyrk(1.0, At, beta=1.0, c=G, overwrite_c=1)  # upper triangle
+        if Y is not None:
+            Yc = Y[i : i + _BLOCK_ROWS] - my
+            XtY = blas.dgemm(1.0, At, Yc, beta=1.0, c=XtY, overwrite_c=1)
+    G += np.triu(G, 1).T  # mirror into the lower triangle, still zero
+    return G, XtY
 
 
 def centred_moments(X, Y, c: int):
     """Validate a fit's inputs; return ``(G, XtY, mean_x, mean_y)`` with
-    G = Xc^T Xc and XtY = Xc^T Yc.  Rows are centred a block at a time: no
-    n x p centred copy, and none of the cancellation of ``X^T X - n m m^T``.
-    """
+    G = Xc^T Xc and XtY = Xc^T Yc, formed a block of rows at a time."""
     X, Y, mx, my = _fit_inputs(X, Y, c)
-    p = X.shape[1]
-    G = np.zeros((p, p), order="F")
-    XtY = np.zeros((p, Y.shape[1]), order="F")
-    for i in range(0, len(X), _BLOCK_ROWS):
-        At = (X[i : i + _BLOCK_ROWS] - mx).T  # (p, rows), F-order
-        Yc = Y[i : i + _BLOCK_ROWS] - my
-        G = blas.dsyrk(1.0, At, beta=1.0, c=G, overwrite_c=1)  # upper triangle
-        XtY = blas.dgemm(1.0, At, Yc, beta=1.0, c=XtY, overwrite_c=1)
-    G += np.triu(G, 1).T  # mirror into the lower triangle, still zero
-    return G, XtY, mx, my
+    return (*_centred_products(X, mx, Y, my), mx, my)
+
+
+def label_moments(X, n_pos: int, G_pos, mean_pos):
+    """Centred moments ``(G, XtY, mean_x, mean_y)`` of X against the labels
+    +1 on its first ``n_pos`` rows and -1 on the rest, given G and the mean of
+    the first rows (from :func:`centred_moments`).
+
+    Only the rest is read: it is validated and its Gram G- formed.  The
+    classes pool as in Chan, Golub & LeVeque (1979), a sum of positive
+    semi-definite terms with no cancellation: G = G+ + G- + (n+ n-/n) d d^T
+    and XtY = (2 n+ n-/n) d, with d = m+ - m-.
+    """
+    X = np.asarray(X)
+    if not 1 <= n_pos < len(X):
+        raise InvalidInput(f"n_pos={n_pos} must leave rows of both labels in {len(X)}")
+    neg = _as_matrix(X[n_pos:], "X")
+    n_neg = len(neg)
+    n = n_pos + n_neg
+    mean_neg = neg.mean(axis=0)
+    G, _ = _centred_products(neg, mean_neg)
+    d = mean_pos - mean_neg
+    v = np.sqrt(n_pos * n_neg / n) * d
+    G += G_pos
+    G += v[:, None] * v  # v_i v_j == v_j v_i, so G stays exactly symmetric
+    mean_x = (n_pos * mean_pos + n_neg * mean_neg) / n
+    XtY = (2.0 * n_pos * n_neg / n * d)[:, None]
+    return G, XtY, mean_x, np.array([(n_pos - n_neg) / n])
 
 
 def _linear_model(W, H, R, mx, my) -> RegressionModel:
@@ -214,12 +261,21 @@ def pls_fit(X, Y, c: int) -> RegressionModel:
     return _linear_model(W, T.T @ Xc @ W, T.T @ Yc, mx, my)
 
 
-def bpls_fit(X, Y, c: int, alpha: float) -> RegressionModel:
+def bpls_fit(X, Y, c: int, alpha: float, moments=None) -> RegressionModel:
     """Fit by Bridge PLS (:func:`bpls_weights`) from the centred moments;
-    the score Gram ``T^T T`` is ``W^T G W``."""
+    the score Gram ``T^T T`` is ``W^T G W``.
+
+    ``moments``, when given, are the ``(G, XtY, mean_x, mean_y)`` of these X
+    and Y (from :func:`centred_moments` or :func:`label_moments`); X is then
+    read for its shape only, to bound c.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise InvalidInput(f"alpha={alpha} outside [0, 1]")
-    G, XtY, mx, my = centred_moments(X, Y, c)
+    if moments is None:
+        moments = centred_moments(X, Y, c)
+    else:
+        _check_components(c, *np.shape(X))
+    G, XtY, mx, my = moments
     W = bpls_weights(G, XtY, c, alpha)
     H = blas.dgemm(1.0, W, blas.dsymm(1.0, G, W), trans_a=1)
     return _linear_model(W, H, blas.dgemm(1.0, W, XtY, trans_a=1), mx, my)

@@ -17,7 +17,7 @@ from scipy import ndimage
 
 from . import pls
 from .errors import DegenerateFit, IncompatibleModel, InvalidDataset
-from .features import PatchGeometry, compute_channels, patch_windows
+from .features import CROP_MARGIN, PatchGeometry, compute_channels, patch_windows
 # Not called here: perfbench counts training-time patch extractions
 # through this name, and with the window gathers that count is 0.
 from .features import extract_patch_vector  # noqa: F401
@@ -199,6 +199,29 @@ def sample_patches(
     return SampleSet(tuple(canvases), tuple(samples))
 
 
+def fit_context(
+    X, votes, cfg: pls.LatentConfig, j: int
+) -> tuple[pls.RegressionModel, pls.RegressionModel]:
+    """Fit context j's voting and label models; return them as a pair.
+
+    The first ``len(votes)`` rows of X are the positives and the rest the
+    negatives.  One Gram per class: the voting fit uses the positives'
+    centred moments, and the label fit pools them with the negatives'.
+    """
+    n_pos = len(votes)
+    labels = np.where(np.arange(len(X)) < n_pos, 1.0, -1.0)[:, None]
+    vote = pls.centred_moments(X[:n_pos], votes, cfg.components)
+    label = pls.label_moments(X, n_pos, vote[0], vote[2])
+
+    def fit(X, Y, moments, family):
+        try:
+            return pls.bpls_fit(X, Y, cfg.components, cfg.ridge, moments)
+        except DegenerateFit as e:
+            raise DegenerateFit(f"{family} model j={j}: {e}") from e
+
+    return fit(X[:n_pos], votes, vote, "voting"), fit(X, labels, label, "label")
+
+
 def train_from_samples(
     sample_set: SampleSet,
     geom: PatchGeometry,
@@ -208,24 +231,32 @@ def train_from_samples(
 ) -> ModelBank:
     """Fit the voting and label models of every context and stack them.
 
-    Each used canvas is one task on ``workers`` threads: it computes the
-    canvas's feature volume and keeps only the pixels under its samples'
-    raw and neighbor windows, as (P, 26) rows plus an (H, W) map from each
-    pixel to its row.  The volume is then dropped, so at most ``workers``
-    volumes are alive at once.  Fits one context index at a time, so a
-    single (n, d) predictor matrix is in memory at once, which matters for
-    real patch dimensionalities.
+    Rows are ordered positives first, each class in sample order, so the
+    bank does not depend on how the classes interleave.  Each used canvas
+    is one task on ``workers`` threads: it computes the feature volume of
+    the bounding rectangle of the pixels under its samples' raw and
+    neighbor windows, widened by ``CROP_MARGIN`` (so those pixels equal the
+    whole canvas's), and keeps only those pixels, as (P, 26) rows plus an
+    (H, W) map from each canvas pixel to its row.  The volume is then
+    dropped, so at most ``workers`` volumes are alive at once.  Fits one
+    context index at a time, so a single (n, d) predictor matrix is in
+    memory at once, which matters for real patch dimensionalities.
     """
     ps = geom.patch_size
-    samples = sample_set.samples
-    cid, x, y, labels = np.array(
-        [(s.canvas_id, *s.topleft, s.label) for s in samples], dtype=np.intp
-    ).reshape(-1, 4).T
-    labels = labels.astype(np.float64)
-    pos = labels > 0
-    votes = np.array(
-        [s.voting for s in samples if s.label > 0], dtype=np.float64
-    ).reshape(int(pos.sum()), 2)
+    positives = [s for s in sample_set.samples if s.label == 1]
+    negatives = [s for s in sample_set.samples if s.label == -1]
+    if len(positives) + len(negatives) != len(sample_set.samples):
+        raise InvalidDataset("sample labels must be +1 or -1")
+    if not positives or not negatives:
+        raise InvalidDataset(
+            f"training needs samples of both labels, got {len(positives)} "
+            f"positive and {len(negatives)} negative"
+        )
+    samples = positives + negatives
+    cid, x, y = np.array(
+        [(s.canvas_id, *s.topleft) for s in samples], dtype=np.intp
+    ).T
+    votes = np.array([s.voting for s in positives], dtype=np.float64)
 
     def inside(rows, grid, dx, dy):
         """Rows whose window at top-left + (dx, dy) is in ``grid``, and its (y, x)."""
@@ -235,17 +266,23 @@ def train_from_samples(
 
     def compact(c):
         """Canvas c's sample rows, covered feature pixels and index-map windows."""
-        vol = compute_channels(sample_set.canvases[c], geom.derivative_kernel)
+        canvas = sample_set.canvases[c]
         rows = np.flatnonzero(cid == c)
-        h, w = vol.shape[:2]
+        h, w = canvas.shape[:2]
         pixels = patch_windows(np.arange(h * w).reshape(h, w, 1), ps)
-        covered = np.zeros(h * w, dtype=bool)
+        covered = np.zeros((h, w), dtype=bool)
         for dx, dy in ((0, 0),) + geom.neighbor_offsets:
             _, ny, nx = inside(rows, pixels.shape, dx, dy)
-            covered[pixels[ny, nx]] = True
+            covered.reshape(-1)[pixels[ny, nx]] = True
+        crop = tuple(
+            slice(max(0, k[0] - CROP_MARGIN), k[-1] + 1 + CROP_MARGIN)
+            for k in (np.flatnonzero(covered.any(axis=1)),
+                      np.flatnonzero(covered.any(axis=0)))
+        )
+        vol = compute_channels(canvas[crop], geom.derivative_kernel)
         # a covered pixel's row among the kept ones; other entries are never read
         index = np.cumsum(covered, dtype=np.int32).reshape(h, w, 1) - 1
-        return rows, vol.reshape(h * w, -1)[covered], patch_windows(index, ps)
+        return rows, vol[covered[crop]], patch_windows(index, ps)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         canvases = list(pool.map(compact, np.unique(cid)))
@@ -258,12 +295,6 @@ def train_from_samples(
             out[rows] = values[windows[ny, nx]].reshape(-1, geom.vector_length)
         return out
 
-    def fit(X, Y, j, family):
-        try:
-            return pls.bpls_fit(X, Y, cfg.components, cfg.ridge)
-        except DegenerateFit as e:
-            raise DegenerateFit(f"{family} model j={j}: {e}") from e
-
     def context_matrix(j):
         """X_j: the raw rows for j = 0, else raw minus the j-th neighbor's rows."""
         if j == 0:
@@ -272,9 +303,7 @@ def train_from_samples(
         return np.subtract(raw, neighbor, out=neighbor)
 
     raw = gather(0, 0)
-    hrms, lrms = [], []
-    for j in range(geom.num_context):
-        X = context_matrix(j)
-        hrms.append(fit(X[pos], votes, j, "voting"))
-        lrms.append(fit(X, labels[:, None], j, "label"))
+    hrms, lrms = zip(
+        *(fit_context(context_matrix(j), votes, cfg, j) for j in range(geom.num_context))
+    )
     return ModelBank.from_fits(hrms, lrms, geom, reference_box=reference_box)

@@ -187,6 +187,33 @@ class TestComputeChannels:
         assert planes.flags.c_contiguous
         assert np.array_equal(planes, expected)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(5, 48),
+        st.integers(5, 48),
+        st.integers(0, 10_000),
+        st.booleans(),
+        st.sampled_from(features.DERIVATIVE_KERNELS),
+        st.data(),
+    )
+    def test_crop_matches_image_inside_margin(self, h, w, seed, integer, kernel, data):
+        # a crop's channels equal the image's at every pixel CROP_MARGIN or
+        # more inside each crop edge that is not an image edge
+        rng = np.random.default_rng(seed)
+        img = rng.integers(0, 4, (h, w)).astype(float) if integer else rng.random((h, w))
+        y0 = data.draw(st.integers(0, h - 5))
+        y1 = data.draw(st.integers(y0 + 5, h))
+        x0 = data.draw(st.integers(0, w - 5))
+        x1 = data.draw(st.integers(x0 + 5, w))
+        m = features.CROP_MARGIN
+        ya, yb = y0 + (m if y0 > 0 else 0), y1 - (m if y1 < h else 0)
+        xa, xb = x0 + (m if x0 > 0 else 0), x1 - (m if x1 < w else 0)
+        crop = features.compute_channels(img[y0:y1, x0:x1], kernel)
+        whole = features.compute_channels(img, kernel)
+        assert np.array_equal(
+            crop[ya - y0 : yb - y0, xa - x0 : xb - x0], whole[ya:yb, xa:xb]
+        )
+
     def test_determinism(self):
         img = random_image(8)
         a = features.compute_channels(img.copy())

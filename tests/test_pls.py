@@ -114,6 +114,17 @@ class TestDominantEigenvectors:
         with pytest.raises(InvalidInput):
             pls.dominant_eigenvectors([[0.0, 1.0], [0.0, 0.0]], 1)
 
+    def test_rejects_asymmetry_in_last_strip(self):
+        # the symmetry check runs in column strips; its only asymmetric pair
+        # lies in the last, partial one
+        p = 2 * pls._SYMMETRY_STRIP + 7
+        A = np.random.default_rng(28).standard_normal((p, p))
+        M = A + A.T
+        assert pls.dominant_eigenvectors(M, 1).shape == (p, 1)
+        M[p - 2, p - 1] += 1e-6 * np.max(np.abs(M))
+        with pytest.raises(InvalidInput, match="not symmetric"):
+            pls.dominant_eigenvectors(M, 1)
+
     def test_training_shaped_spectrum(self):
         # M as training builds it: a rank-2 cross term over 1e-10 G, so every
         # eigenvalue past the second clusters near 0.
@@ -179,6 +190,85 @@ class TestCentredMoments:
             pls.centred_moments(X, np.ones((5, 1)), 1)
         with pytest.raises(InvalidComponents):
             pls.centred_moments(np.eye(5), np.ones((5, 1)), 5)
+
+
+class TestLabelMoments:
+    """Label moments pooled from the two classes against those of the
+    stacked rows; positives first, labelled +1, then negatives, -1."""
+
+    @staticmethod
+    def classes(rng, n_pos, n_neg, p=30):
+        # like the raw context j = 0: column means 100x the column spread,
+        # and class means apart by a few spreads
+        spread = rng.uniform(0.5, 2.0, p)
+        X = rng.standard_normal((n_pos + n_neg, p)) * spread + 100 * spread
+        X[n_pos:] += 3 * spread * rng.standard_normal(p)
+        Y = np.where(np.arange(n_pos + n_neg) < n_pos, 1.0, -1.0)[:, None]
+        return X, Y
+
+    @staticmethod
+    def pooled(X, n_pos, c):
+        G_pos, _, mean_pos, _ = pls.centred_moments(X[:n_pos], np.ones((n_pos, 1)), c)
+        return pls.label_moments(X, n_pos, G_pos, mean_pos)
+
+    def test_matches_moments_of_stacked_rows(self):
+        # more than one 1024-row block per class
+        rng = np.random.default_rng(29)
+        X, Y = self.classes(rng, 1300, 1100)
+        G, XtY, mx, my = self.pooled(X, 1300, 2)
+        G_ref, XtY_ref, mx_ref, my_ref = pls.centred_moments(X, Y, 2)
+        assert np.linalg.norm(G - G_ref, 2) <= 1e-12 * np.linalg.norm(G_ref, 2)
+        assert np.array_equal(G, G.T)
+        assert np.linalg.norm(XtY - XtY_ref) <= 1e-12 * np.linalg.norm(XtY_ref)
+        assert np.allclose(mx, mx_ref, rtol=1e-14, atol=0)
+        assert np.allclose(my, my_ref, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    def test_label_head_matches_stacked_fit(self, alpha):
+        rng = np.random.default_rng(30)
+        X, Y = self.classes(rng, 40, 25, p=12)
+        B = pls.bpls_fit(X, Y, 4, alpha, self.pooled(X, 40, 4)).coefficients
+        B_ref = pls.bpls_fit(X, Y, 4, alpha).coefficients
+        assert np.linalg.norm(B - B_ref) <= 1e-10 * np.linalg.norm(B_ref)
+
+    def test_label_head_fitted_values_small_alpha(self):
+        # latent rank c > q: B is fixed only on the row space of Xc, as in
+        # TestCentredMoments
+        rng = np.random.default_rng(31)
+        U = rng.standard_normal((65, 4))
+        U[40:] += 3 * rng.standard_normal(4)
+        X = U @ rng.standard_normal((4, 12)) + 200.0
+        Y = np.where(np.arange(65) < 40, 1.0, -1.0)[:, None]
+        Xc = X - X.mean(axis=0)
+        B = pls.bpls_fit(X, Y, 4, 1e-10, self.pooled(X, 40, 4)).coefficients
+        B_ref = pls.bpls_fit(X, Y, 4, 1e-10).coefficients
+        assert np.linalg.norm(Xc @ (B - B_ref)) <= 1e-10 * np.linalg.norm(Xc @ B_ref)
+
+    def test_single_negative(self):
+        rng = np.random.default_rng(32)
+        X, Y = self.classes(rng, 20, 1, p=6)
+        G, XtY, mx, my = self.pooled(X, 20, 2)
+        G_ref, XtY_ref, mx_ref, my_ref = pls.centred_moments(X, Y, 2)
+        assert np.linalg.norm(G - G_ref) <= 1e-12 * np.linalg.norm(G_ref)
+        assert np.allclose(XtY, XtY_ref, rtol=1e-12, atol=0)
+
+    def test_validates_the_negatives_and_the_split(self):
+        X = np.ones((6, 3))
+        G, mean = np.zeros((3, 3)), np.ones(3)
+        X[4, 1] = np.inf
+        with pytest.raises(InvalidInput, match="X contains non-finite"):
+            pls.label_moments(X, 3, G, mean)
+        for n_pos in (0, 6):
+            with pytest.raises(InvalidInput, match="both labels"):
+                pls.label_moments(np.ones((6, 3)), n_pos, G, mean)
+
+    def test_fit_from_moments_bounds_components_by_its_rows(self):
+        rng = np.random.default_rng(33)
+        X, Y = self.classes(rng, 5, 1, p=8)
+        moments = self.pooled(X, 5, 4)
+        with pytest.raises(InvalidComponents, match=r"min\(n-1, p\) = 5"):
+            pls.bpls_fit(X, Y, 6, 0.5, moments)
+        assert pls.bpls_fit(X, Y, 5, 0.5, moments).coefficients.shape == (8, 1)
 
 
 class TestPlsFit:

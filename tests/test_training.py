@@ -36,13 +36,12 @@ def context_sets(ss, geom):
 
 
 def oracle_bank(ss, geom, cfg):
-    """The bank fitted directly on every X_j built from the per-patch oracle."""
+    """The bank fitted on every X_j built from the per-patch oracle, rows
+    positives first, through training's per-context fit."""
     rows, labels, votes = context_sets(ss, geom)
-    pos = labels > 0
-    hrms = [pls.bpls_fit(rows[pos, j, :], votes, cfg.components, cfg.ridge)
-            for j in range(geom.num_context)]
-    lrms = [pls.bpls_fit(rows[:, j, :], labels[:, None], cfg.components, cfg.ridge)
-            for j in range(geom.num_context)]
+    order = np.argsort(labels < 0, kind="stable")
+    hrms, lrms = zip(*(training.fit_context(rows[order, j, :], votes, cfg, j)
+                       for j in range(geom.num_context)))
     return training.ModelBank.from_fits(hrms, lrms, geom)
 
 
@@ -241,6 +240,53 @@ class TestTrainBank:
         reference = pls.pls_fit(X, votes, cfg.components)
         d = np.abs(pls.predict(reference, X) - head_votes(bank, X))
         assert np.max(d) <= 1e-4
+
+    def test_bank_does_not_depend_on_sample_order(self):
+        ss = training.sample_patches([scene_entry(25)], 8, 8, GEOM, seed=2)
+        pos = [s for s in ss.samples if s.label > 0]
+        neg = [s for s in ss.samples if s.label < 0]
+        interleaved = [s for pair in zip(neg, pos) for s in pair]
+        cfg = pls.LatentConfig(components=3)
+        a = training.train_from_samples(
+            training.SampleSet(ss.canvases, tuple(pos + neg)), GEOM, cfg
+        )
+        b = training.train_from_samples(
+            training.SampleSet(ss.canvases, tuple(interleaved)), GEOM, cfg
+        )
+        assert np.array_equal(a.coefficients, b.coefficients)
+        assert np.array_equal(a.intercepts, b.intercepts)
+
+    @pytest.mark.parametrize("label", [+1, -1])
+    def test_one_class_refused(self, label):
+        ss = training.sample_patches([scene_entry(26)], 8, 8, GEOM, seed=3)
+        one = tuple(s for s in ss.samples if s.label == label)
+        with pytest.raises(InvalidDataset, match="both labels"):
+            training.train_from_samples(
+                training.SampleSet(ss.canvases, one), GEOM, pls.LatentConfig(components=3)
+            )
+
+    def test_single_negative_trains(self):
+        ss = training.sample_patches([scene_entry(27)], 8, 1, GEOM, seed=4)
+        cfg = pls.LatentConfig(components=3)
+        bank = training.train_from_samples(ss, GEOM, cfg)
+        assert np.array_equal(bank.coefficients, oracle_bank(ss, GEOM, cfg).coefficients)
+
+    def test_channels_cover_only_the_sampled_region(self, monkeypatch):
+        # a rescaled canvas's samples read around its one box, so its
+        # volume is a crop of it
+        shapes = []
+
+        def recorded(img, kernel):
+            shapes.append(img.shape)
+            return compute_channels(img, kernel)
+
+        monkeypatch.setattr(training, "compute_channels", recorded)
+        entries = [scene_entry(28, (8, 8, 48, 48), canvas=(96, 96))]
+        ss = training.sample_patches(entries, 8, 8, GEOM, seed=1, reference_size=20.0)
+        training.train_from_samples(ss, GEOM, pls.LatentConfig(components=3))
+        assert len(ss.canvases) == len(shapes) == 2
+        assert shapes[1] != ss.canvases[1].shape
+        assert sum(h * w for h, w in shapes) < sum(c.size for c in ss.canvases)
 
     def test_fits_called_through_module(self, monkeypatch):
         # one bpls_fit and one eigensolve per voting and label model, each
