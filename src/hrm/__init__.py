@@ -6,7 +6,7 @@ hypotheses across scales are removed by normalized pointwise mutual
 information.
 """
 
-from .detect import DetectionResult, VotingConfig, detect
+from .detect import DetectionResult, VotingConfig
 from .errors import HRMError
 from .features import PatchGeometry, compute_channels
 from .fusion import FusionConfig, fuse, npmi
@@ -28,7 +28,6 @@ __all__ = [
     "accumulate_cuboid",
     "bpls_fit",
     "compute_channels",
-    "detect",
     "find_maxima",
     "fuse",
     "npmi",

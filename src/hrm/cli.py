@@ -21,7 +21,7 @@ from . import errors
 from .config import load_config, load_synth_spec
 from .dataset import load_dataset, median_box_size
 from .detect import detect
-from .evaluate import Detection, box_from_hypothesis, evaluate
+from .evaluate import Detection, evaluate
 from .image_io import atomic_write, load_image, write_pgm
 from .model_io import load_model, save_model
 from .synth import random_scene, synth_scene
@@ -48,11 +48,14 @@ def _worker_count() -> int:
     n = os.cpu_count() or 1
     if cap:
         try:
-            n = min(n, max(1, int(cap)))
+            limit = int(cap)
         except ValueError:
+            limit = 0
+        if limit < 1:
             raise errors.InvalidInput(
-                f"HRM_THREADS must be an integer, got {cap!r}"
-            ) from None
+                f"HRM_THREADS must be an integer >= 1, got {cap!r}"
+            )
+        n = min(n, limit)
     return n
 
 
@@ -107,21 +110,18 @@ def cmd_detect(args) -> int:
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         results = list(pool.map(run, paths))
 
-    lines = []
-    for name, dets in results:
-        for d in dets:
-            lines.append(
-                f"{name}\t{d.center[0]:.6f}\t{d.center[1]:.6f}"
-                f"\t{d.scale:.6f}\t{d.score:.6f}"
-            )
+    lines = [
+        name + "".join(f"\t{v:.6f}" for v in (*d.center, d.scale, d.score, *d.box))
+        for name, dets in results
+        for d in dets
+    ]
     atomic_write(args.out, "".join(line + "\n" for line in lines).encode("utf-8"))
-    meta = f"ref_w {bank.reference_box[0]:.6f}\nref_h {bank.reference_box[1]:.6f}\n"
-    atomic_write(str(args.out) + ".meta", meta.encode("utf-8"))
     print(f"{sum(len(d) for _, d in results)} detections -> {args.out}")
     return 0
 
 
-def _read_detections(path, ref_box) -> list:
+def _read_detections(path) -> list:
+    """The detections of a ``det.tsv``, each with the box ``detect`` wrote."""
     path = Path(path)
     if not path.is_file():
         raise errors.MissingAsset(str(path))
@@ -134,61 +134,24 @@ def _read_detections(path, ref_box) -> list:
         if not line.strip():
             continue
         parts = line.split("\t")
-        if len(parts) != 5:
-            raise errors.ParseError(f"{path}:{lineno}: expected 5 tab-separated fields")
-        image_id = parts[0]
+        if len(parts) != 9:
+            raise errors.ParseError(f"{path}:{lineno}: expected 9 tab-separated fields")
         try:
-            x, y, scale, score = (float(v) for v in parts[1:])
+            x, y, scale, score, *box = (float(v) for v in parts[1:])
         except ValueError as e:
             raise errors.ParseError(f"{path}:{lineno}: {e}") from e
-        if not all(math.isfinite(v) for v in (x, y, scale, score)):
+        if not all(math.isfinite(v) for v in (x, y, scale, score, *box)):
             raise errors.ParseError(f"{path}:{lineno}: fields must be finite")
-        out.append(
-            Detection(
-                image_id, (x, y), scale, score,
-                box_from_hypothesis((x, y), scale, ref_box),
-            )
-        )
+        if box[0] > box[2] or box[1] > box[3]:
+            raise errors.ParseError(f"{path}:{lineno}: box needs x0 <= x1 and y0 <= y1")
+        out.append(Detection(parts[0], (x, y), scale, score, tuple(box)))
     return out
-
-
-def _reference_size(values, where) -> tuple[float, float]:
-    """Two size strings as a (w, h) reference box, each finite and >= 0."""
-    try:
-        ref = tuple(float(v) for v in values)
-    except ValueError:
-        ref = ()
-    if len(ref) != 2 or not all(0 <= v < math.inf for v in ref):
-        raise errors.ParseError(
-            f"{where}: needs a width and height, finite and >= 0, got {values}"
-        )
-    return ref
-
-
-def _read_meta(path) -> tuple[float, float]:
-    """The reference box (ref_w, ref_h) that ``detect`` wrote next to its output."""
-    try:
-        text = path.read_text(encoding="utf-8")
-        kv = dict(line.split() for line in text.splitlines() if line.strip())
-        values = [kv["ref_w"], kv["ref_h"]]
-    except (ValueError, KeyError) as e:
-        raise errors.ParseError(
-            f"{path}: needs 'ref_w <float>' and 'ref_h <float>' lines ({e})"
-        ) from e
-    return _reference_size(values, path)
 
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     ds = load_dataset(args.annotations)
-
-    if args.ref_size:
-        ref = _reference_size(args.ref_size.split("x"), "--ref-size (WxH)")
-    else:
-        meta = Path(str(args.detections) + ".meta")
-        ref = _read_meta(meta) if meta.is_file() else median_box_size(ds)
-
-    detections = _read_detections(args.detections, ref)
+    detections = _read_detections(args.detections)
     # det.tsv names images by file name alone, so names must be unique
     paths = {}
     for p, _ in ds.entries:
@@ -253,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detections", required=True)
     p.add_argument("--annotations", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--ref-size", default=None, help="reference box as WxH")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate synthetic annotated scenes")

@@ -17,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .errors import InvalidInput, OutOfBounds
+from .image_io import LUMA
 
 # Bump whenever the channel layout or filtering changes; serialized models
 # record this tag and refuse to load against a different extractor.
@@ -98,8 +99,7 @@ def base_channels(img, derivative_kernel: str = "sobel") -> np.ndarray:
     """The 13 unfiltered channels of an image, shape (13, H, W)."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim == 3:
-        # luminance conversion for RGB input
-        img = img @ np.array([0.299, 0.587, 0.114])
+        img = img @ LUMA  # the grey of load_image
     if img.ndim != 2 or img.shape[0] < _WINDOW or img.shape[1] < _WINDOW:
         raise InvalidInput(f"image must be at least {_WINDOW}x{_WINDOW} grayscale")
 

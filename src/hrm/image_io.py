@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import MissingAsset, ParseError
 
-_LUMA = np.array([0.299, 0.587, 0.114])
+LUMA = np.array([0.299, 0.587, 0.114])  # RGB -> grey weights
 
 
 def _tokens(data: bytes):
@@ -84,7 +84,7 @@ def load_image(path) -> np.ndarray:
     """Decode an image to grayscale float64 in [0, 1]."""
     img = read_pnm(path)
     if img.ndim == 3:
-        img = img @ _LUMA
+        img = img @ LUMA
     return img
 
 

@@ -7,8 +7,8 @@ votes, labels and weights of all r patches as four stacked arrays, which
 accumulation and fusion both read.  :class:`PatchVotes` and
 :func:`cast_votes` are the per-patch form and oracle.
 A single pass over the image fills S accumulator grids at once: a vote
-``v`` cast from patch center ``l`` lands at ``l + (scale_s / train_scale) * v``
-in level ``s``.
+``v`` cast from patch center ``l`` lands at ``l + scale_s * v`` in level
+``s``.
 """
 
 from __future__ import annotations
@@ -25,18 +25,15 @@ from .training import ModelBank
 
 @dataclass(frozen=True)
 class ScaleSet:
-    """The detection scales and the scale objects were trained at."""
+    """The detection scales: level s is an object s times the training size."""
 
     scales: tuple[float, ...] = (0.75, 1.0, 1.25, 1.5)
-    train_scale: float = 1.0
 
     def __post_init__(self):
         s = tuple(float(v) for v in self.scales)
         in_range = all(0 < v < np.inf for v in s)
         if not s or not in_range or any(b <= a for a, b in zip(s, s[1:])):
             raise InvalidInput("scales must be finite, positive and strictly increasing")
-        if not 0 < self.train_scale < np.inf:
-            raise InvalidInput("train_scale must be finite and positive")
         object.__setattr__(self, "scales", s)
 
 
@@ -160,8 +157,7 @@ def accumulate_cuboid(
         mass = field.weights / mplus1  # per vote
 
         for s, sigma in enumerate(scales.scales):
-            ratio = sigma / scales.train_scale
-            landing = locs[:, None, :] + ratio * votes  # (r, m+1, 2)
+            landing = locs[:, None, :] + sigma * votes  # (r, m+1, 2)
             cells = np.floor(landing / bin_size).astype(np.int64)
             cx = cells[..., 0].ravel()
             cy = cells[..., 1].ravel()

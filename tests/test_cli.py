@@ -280,14 +280,25 @@ class TestDetectCommand:
         assert (tmp_path / "det.tsv").read_bytes() == (workspace / "det.tsv").read_bytes()
 
     def test_output_format(self, workspace):
+        from hrm.evaluate import box_from_hypothesis
+        from hrm.model_io import load_model
+
+        ref = load_model(workspace / "model.hrmb").reference_box
         lines = (workspace / "det.tsv").read_text().splitlines()
+        assert lines
         for line in lines:
             parts = line.split("\t")
-            assert len(parts) == 5
+            assert len(parts) == 9
             assert parts[0].startswith("scene_")
             for field in parts[1:]:
                 float(field)
                 assert len(field.split(".")[-1]) == 6  # 6-decimal fixed point
+            x, y, scale, _, *box = (float(v) for v in parts[1:])
+            want = box_from_hypothesis((x, y), scale, ref)
+            assert box == pytest.approx(want, abs=1e-5)
+
+    def test_writes_no_sidecar(self, workspace):
+        assert [p.name for p in workspace.glob("det.tsv*")] == ["det.tsv"]
 
     def test_rerun_byte_identical(self, workspace, tmp_path):
         assert main(["detect", "--config", str(workspace / "cfg.ini"),
@@ -317,9 +328,10 @@ class TestDetectCommand:
         assert outputs[0] == outputs[1]
         assert outputs[0] == (workspace / "det.tsv").read_bytes()
 
+    @pytest.mark.parametrize("cap", ["abc", "0", "-2"])
     def test_non_integer_thread_cap_is_input_error(self, workspace, tmp_path,
-                                                   monkeypatch):
-        monkeypatch.setenv("HRM_THREADS", "abc")
+                                                   monkeypatch, cap):
+        monkeypatch.setenv("HRM_THREADS", cap)
         assert main(["detect", "--config", str(workspace / "cfg.ini"),
                      "--model", str(workspace / "model.hrmb"),
                      "--images", str(workspace / "scenes"),
@@ -338,7 +350,6 @@ class TestDetectCommand:
     @pytest.mark.parametrize("old, new", [
         ("scales = 0.75 1.0", "scales = nan"),
         ("scales = 0.75 1.0", "scales = 1 inf"),
-        ("stride = 2", "stride = 2\ntrain_scale = nan"),
         ("stride = 2", "stride = 2\nmin_score_fraction = nan"),
         ("bin_size = 4", "bin_size = 4\n[fusion]\nbandwidth = nan"),
         ("bin_size = 4", "bin_size = 4\n[pipeline]\niou_threshold = nan"),
@@ -351,6 +362,19 @@ class TestDetectCommand:
                      "--model", str(workspace / "model.hrmb"),
                      "--images", str(workspace / "scenes"),
                      "--out", str(tmp_path / "d.tsv")]) == 2
+        assert not (tmp_path / "d.tsv").exists()
+
+    def test_train_scale_is_unknown_key(self, workspace, tmp_path, capsys):
+        # an old config is refused, not run without the key: train_scale t
+        # with scales S is now written as scales S/t
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text((workspace / "cfg.ini").read_text().replace(
+            "stride = 2", "stride = 2\ntrain_scale = 1"))
+        assert main(["detect", "--config", str(cfg),
+                     "--model", str(workspace / "model.hrmb"),
+                     "--images", str(workspace / "scenes"),
+                     "--out", str(tmp_path / "d.tsv")]) == 2
+        assert "unknown key 'train_scale' in section [voting]" in capsys.readouterr().err
         assert not (tmp_path / "d.tsv").exists()
 
     def test_derivative_kernel_is_read_from_the_model(self, workspace, tmp_path):
@@ -486,37 +510,28 @@ class TestEvalCommand:
             t, p, r = (float(v) for v in line.split(","))
             assert 0.0 <= p <= 1.0 and 0.0 <= r <= 1.0
 
-    def test_ref_size_flag(self, workspace, tmp_path):
-        assert main(["eval", "--detections", str(workspace / "det.tsv"),
-                     "--annotations", str(workspace / "scenes" / "annotations.txt"),
-                     "--ref-size", "40x40",
-                     "--out", str(tmp_path / "pr.csv")]) == 0
-
-    def test_malformed_ref_size_is_input_error(self, workspace, tmp_path):
-        assert main(["eval", "--detections", str(workspace / "det.tsv"),
-                     "--annotations", str(workspace / "scenes" / "annotations.txt"),
-                     "--ref-size", "axb",
-                     "--out", str(tmp_path / "pr.csv")]) == 2
-
-    @pytest.mark.parametrize("ref", ["nanx-5", "infx40", "40x-1", "40x40x40"])
-    def test_invalid_ref_size_is_input_error(self, workspace, tmp_path, ref):
-        assert main(["eval", "--detections", str(workspace / "det.tsv"),
-                     "--annotations", str(workspace / "scenes" / "annotations.txt"),
-                     "--ref-size", ref,
-                     "--out", str(tmp_path / "pr.csv")]) == 2
-        assert not (tmp_path / "pr.csv").exists()
-
-    @pytest.mark.parametrize("meta", ["ref_w nan\nref_h 20\n", "ref_w 20\nref_h -3\n"])
-    def test_invalid_meta_size_is_input_error(self, workspace, tmp_path, meta):
+    def test_detections_alone_evaluate_the_same(self, workspace, tmp_path):
         det = tmp_path / "det.tsv"
         det.write_bytes((workspace / "det.tsv").read_bytes())
-        (tmp_path / "det.tsv.meta").write_text(meta)
-        assert main(["eval", "--detections", str(det),
+        assert main(["eval", "--config", str(workspace / "cfg.ini"),
+                     "--detections", str(det),
                      "--annotations", str(workspace / "scenes" / "annotations.txt"),
-                     "--out", str(tmp_path / "pr.csv")]) == 2
-        assert not (tmp_path / "pr.csv").exists()
+                     "--out", str(tmp_path / "pr.csv")]) == 0
+        assert (tmp_path / "pr.csv").read_bytes() == (workspace / "pr.csv").read_bytes()
 
-    @pytest.mark.parametrize("column", [1, 2, 3, 4])
+    def test_box_is_read_as_written(self, tmp_path):
+        # centre and scale say nothing of the box: only columns 6-9 are matched
+        (tmp_path / "x.pgm").write_bytes(b"P5\n60 60\n255\n" + bytes(3600))
+        ann = tmp_path / "annotations.txt"
+        ann.write_text("x.pgm 10 10 30 40\n")
+        det = tmp_path / "det.tsv"
+        det.write_text("x.pgm\t0.0\t0.0\t9.0\t0.5\t10.0\t10.0\t30.0\t40.0\n")
+        assert main(["eval", "--detections", str(det), "--annotations", str(ann),
+                     "--out", str(tmp_path / "pr.csv")]) == 0
+        rows = (tmp_path / "pr.csv").read_text().splitlines()
+        assert rows[1:] == ["0.500000,1.000000,1.000000"]
+
+    @pytest.mark.parametrize("column", [1, 2, 3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_detection_is_input_error(self, workspace, tmp_path,
                                                  column, value):
@@ -526,24 +541,29 @@ class TestEvalCommand:
         bad.write_text("\t".join(fields) + "\n")
         assert main(["eval", "--detections", str(bad),
                      "--annotations", str(workspace / "scenes" / "annotations.txt"),
-                     "--ref-size", "40x40",
                      "--out", str(tmp_path / "pr.csv")]) == 2
         assert not (tmp_path / "pr.csv").exists()
 
-    def test_meta_without_ref_h_is_input_error(self, workspace, tmp_path):
-        det = tmp_path / "det.tsv"
-        det.write_bytes((workspace / "det.tsv").read_bytes())
-        (tmp_path / "det.tsv.meta").write_text("ref_w 20.000000\n")
-        assert main(["eval", "--detections", str(det),
+    @pytest.mark.parametrize("line", [
+        "scene_0000.pgm\t10.0\t10.0\t1.0\t0.5",  # the 5-column layout
+        "scene_0000.pgm\t10.0\t10.0\t1.0\t0.5\t30.0\t0.0\t10.0\t20.0",  # x0 > x1
+        "scene_0000.pgm\t10.0\t10.0\t1.0\t0.5\t0.0\t30.0\t20.0\t10.0",  # y0 > y1
+    ], ids=["five-fields", "x-inverted", "y-inverted"])
+    def test_malformed_detection_line_is_input_error(self, workspace, tmp_path,
+                                                     line, capsys):
+        bad = tmp_path / "det.tsv"
+        bad.write_text(line + "\n")
+        assert main(["eval", "--detections", str(bad),
                      "--annotations", str(workspace / "scenes" / "annotations.txt"),
                      "--out", str(tmp_path / "pr.csv")]) == 2
+        assert f"{bad}:1:" in capsys.readouterr().err
+        assert not (tmp_path / "pr.csv").exists()
 
     def test_non_utf8_detections_is_input_error(self, workspace, tmp_path):
         bad = tmp_path / "det.tsv"
-        bad.write_bytes(b"scene_\xff.pgm\t1.0\t2.0\t1.0\t0.5\n")
+        bad.write_bytes(b"scene_\xff.pgm\t1.0\t2.0\t1.0\t0.5\t0\t0\t4\t4\n")
         assert main(["eval", "--detections", str(bad),
                      "--annotations", str(workspace / "scenes" / "annotations.txt"),
-                     "--ref-size", "40x40",
                      "--out", str(tmp_path / "pr.csv")]) == 2
         assert not (tmp_path / "pr.csv").exists()
 
@@ -563,9 +583,10 @@ class TestEvalCommand:
         ann = tmp_path / "annotations.txt"
         ann.write_text("a/x.pgm 0 0 20 20\nb/x.pgm 30 30 50 50\n")
         det = tmp_path / "det.tsv"
-        det.write_text("x.pgm\t10.0\t10.0\t1.0\t0.9\nx.pgm\t40.0\t40.0\t1.0\t0.8\n")
+        det.write_text("x.pgm\t10.0\t10.0\t1.0\t0.9\t0.0\t0.0\t20.0\t20.0\n"
+                       "x.pgm\t40.0\t40.0\t1.0\t0.8\t30.0\t30.0\t50.0\t50.0\n")
         assert main(["eval", "--detections", str(det), "--annotations", str(ann),
-                     "--ref-size", "20x20", "--out", str(tmp_path / "pr.csv")]) == 2
+                     "--out", str(tmp_path / "pr.csv")]) == 2
         err = capsys.readouterr().err
         assert str(Path("a") / "x.pgm") in err and str(Path("b") / "x.pgm") in err
         assert not (tmp_path / "pr.csv").exists()

@@ -152,7 +152,6 @@ class TestEveryKey:
         "training": {"n_pos": 20, "n_neg": 30, "seed": 5, "scale_normalize": True},
         "voting": {
             "scales": (0.5, 2.0),
-            "train_scale": 1.5,
             "stride": 3,
             "bin_size": 2,
             "smoothing": 0.5,
@@ -175,7 +174,7 @@ class TestEveryKey:
 
     @staticmethod
     def owners(cfg, fusion):
-        # [voting] fills two dataclasses: ScaleSet takes scales and train_scale
+        # [voting] fills two dataclasses: ScaleSet takes scales
         return {
             "pls": cfg.pls, "features": cfg.geometry, "training": cfg.training,
             "voting": cfg.voting, "scales": cfg.scales, "fusion": fusion,
@@ -194,7 +193,7 @@ class TestEveryKey:
         defaults = self.owners(load_config(None), FusionConfig())
         for section, keys in self.VALUES.items():
             for key, want in keys.items():
-                owner = "scales" if key in ("scales", "train_scale") else section
+                owner = "scales" if key == "scales" else section
                 assert getattr(defaults[owner], key) != want, (section, key)
                 assert getattr(parsed[owner], key) == want, (section, key)
 

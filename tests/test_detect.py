@@ -1,4 +1,5 @@
 import importlib
+import types
 
 import numpy as np
 import pytest
@@ -207,6 +208,12 @@ class TestComputePatchVotes:
 
 
 class TestDetect:
+    def test_submodule_is_not_shadowed(self):
+        import hrm.detect as m
+
+        assert isinstance(m, types.ModuleType)
+        assert callable(m.detect) and callable(m._responses)
+
     def test_fully_gated_image_yields_nothing(self):
         img = np.random.default_rng(3).random((24, 24))
         result = detect(img, gated_off_bank(), ScaleSet((1.0,)))

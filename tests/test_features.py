@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from hrm import features
+from hrm import features, image_io
 from hrm.errors import InvalidInput, OutOfBounds
 
 
@@ -94,6 +94,15 @@ class TestBaseChannels:
         luma = img @ np.array([0.299, 0.587, 0.114])
         assert np.allclose(
             features.base_channels(img), features.base_channels(luma)
+        )
+
+    def test_rgb_grey_matches_load_image(self, tmp_path):
+        rgb = np.random.default_rng(4).integers(0, 256, (12, 10, 3), dtype=np.uint8)
+        path = tmp_path / "c.ppm"
+        path.write_bytes(b"P6\n10 12\n255\n" + rgb.tobytes())
+        assert np.array_equal(
+            features.compute_channels(rgb / 255.0),
+            features.compute_channels(image_io.load_image(path)),
         )
 
 
