@@ -1,18 +1,21 @@
 """Command-line interface: train, detect, eval, synth.
 
-Exit codes: 0 success, 2 input error, 3 model error.  HRM_THREADS caps
-both worker pools: detection's per-image pool and training's per-canvas
-feature-channel pool; outputs do not depend on it.  All output files are
-written atomically (temp file + rename).
+Exit codes: 0 success, 2 input error, 3 model error.  Both worker pools,
+detection's per image and training's per canvas, run at most HRM_THREADS
+threads and at most the usable cores (the CPU affinity).  Detection's image
+threads x NumPy BLAS threads <= usable cores.  Outputs depend on neither
+count.  All output files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +46,15 @@ _MODEL_ERRORS = (
 )
 
 
+def _usable_cores() -> int:  # the CPU affinity, where the OS has one
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _worker_count() -> int:
     cap = os.environ.get("HRM_THREADS")
-    n = os.cpu_count() or 1
+    n = _usable_cores()
     if cap:
         try:
             limit = int(cap)
@@ -57,6 +66,35 @@ def _worker_count() -> int:
             )
         n = min(n, limit)
     return n
+
+
+def _detect_plan(n_images: int) -> tuple[int, int]:
+    """(image threads, NumPy BLAS threads): their product fits the usable cores."""
+    workers = max(1, min(_worker_count(), n_images))
+    return workers, max(1, _usable_cores() // workers)
+
+
+def _numpy_blas():
+    """(get, set) of the thread count of NumPy's bundled OpenBLAS, or None.
+    ``CDLL`` on a loaded library's file returns the instance already loaded."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    try:
+        lib = ctypes.CDLL(str(next(libs.glob("libscipy_openblas64_*.so"))))
+        return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (StopIteration, OSError, AttributeError):
+        return None
+
+
+@contextmanager
+def _numpy_blas_threads(n: int):
+    """Cap NumPy's OpenBLAS at ``n`` threads for the body, where it is found."""
+    get, set_threads = _numpy_blas() or (lambda: n, lambda _: None)
+    before = get()
+    set_threads(min(before, n))
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def cmd_train(args) -> int:
@@ -107,7 +145,8 @@ def cmd_detect(args) -> int:
         )
         return path.name, result.detections
 
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+    workers, blas_threads = _detect_plan(len(paths))
+    with _numpy_blas_threads(blas_threads), ThreadPoolExecutor(workers) as pool:
         results = list(pool.map(run, paths))
 
     lines = [

@@ -32,8 +32,8 @@ _COND_LIMIT = 1e12
 # Rows centred at a time while accumulating the Gram matrix.
 _BLOCK_ROWS = 1024
 
-# Columns per strip of the symmetry check, so that it forms no p x p
-# temporary.
+# Columns per strip of the symmetry check and of the Gram's mirror, so that
+# neither forms a p x p temporary.
 _SYMMETRY_STRIP = 64
 
 # Eigendecomposition call counter, used by efficiency tests.  Incremented by
@@ -163,7 +163,11 @@ def _centred_products(X, mx, Y=None, my=None):
         if Y is not None:
             Yc = Y[i : i + _BLOCK_ROWS] - my
             XtY = blas.dgemm(1.0, At, Yc, beta=1.0, c=XtY, overwrite_c=1)
-    G += np.triu(G, 1).T  # mirror into the lower triangle, still zero
+    s = _SYMMETRY_STRIP  # mirror into the lower triangle, still zero, by strips
+    for k in range(0, p, s):
+        strip = slice(k, k + s)
+        G[strip, strip] += np.triu(G[strip, strip], 1).T
+        G[k + s :, strip] = G[strip, k + s :].T
     return G, XtY
 
 

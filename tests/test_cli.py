@@ -1,5 +1,6 @@
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import hrm
+from hrm import cli
 from hrm.cli import main
 from hrm.features import EXTRACTOR_VERSION
 
@@ -327,6 +329,87 @@ class TestDetectCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert outputs[0] == (workspace / "det.tsv").read_bytes()
+
+    def _detect_args(self, workspace, images, out):
+        return ["detect", "--config", str(workspace / "cfg.ini"),
+                "--model", str(workspace / "model.hrmb"),
+                "--images", str(images), "--out", str(out)]
+
+    def test_numpy_blas_threads_set_for_the_pool_and_restored(
+            self, workspace, tmp_path, monkeypatch):
+        blas = cli._numpy_blas()
+        if blas is None:
+            pytest.skip("NumPy bundles no OpenBLAS here")
+        get, set_threads = blas
+        seen = []
+        detect = cli.detect
+
+        def recorded(*args, **kwargs):
+            seen.append(get())
+            return detect(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "detect", recorded)
+        monkeypatch.setenv("HRM_THREADS", "2")
+        images = tmp_path / "images"
+        images.mkdir()
+        for name in ("scene_0000.pgm", "scene_0001.pgm"):
+            shutil.copy(workspace / "scenes" / name, images / name)
+        args = self._detect_args(workspace, images, tmp_path / "d.tsv")
+        original = get()
+        set_threads(3)  # apart from the capped count below six cores
+        try:
+            assert main(args) == 0
+            assert seen == [min(3, cli._detect_plan(2)[1])] * 2
+            assert get() == 3
+            (images / "scene_0002.pgm").write_bytes(b"P5\n4 4\n255\nxx")
+            assert main(args) == 2  # truncated body
+            assert get() == 3
+        finally:
+            set_threads(original)
+
+    @pytest.mark.parametrize("cores, cap, n_images, plan", [
+        (2, None, 20, (2, 1)),
+        (2, "1", 20, (1, 2)),
+        (2, None, 1, (1, 2)),
+        (1, None, 20, (1, 1)),
+        (4, "3", 20, (3, 1)),
+        (8, "3", 20, (3, 2)),
+        (16, "4", 2, (2, 8)),
+        (4, None, 0, (1, 4)),
+    ])
+    def test_thread_plan_fits_the_usable_cores(self, monkeypatch, cores, cap,
+                                               n_images, plan):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        if cap is None:
+            monkeypatch.delenv("HRM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("HRM_THREADS", cap)
+        workers, blas_threads = cli._detect_plan(n_images)
+        assert (workers, blas_threads) == plan
+        assert workers * blas_threads <= cores
+
+    def test_workers_count_usable_not_installed_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.delenv("HRM_THREADS", raising=False)
+        assert cli._worker_count() == 1
+        monkeypatch.setenv("HRM_THREADS", "4")
+        assert cli._worker_count() == 1
+
+    def test_byte_identical_without_numpy_blas(self, workspace, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_numpy_blas", lambda: None)
+        out = tmp_path / "d.tsv"
+        assert main(self._detect_args(workspace, workspace / "scenes", out)) == 0
+        assert out.read_bytes() == (workspace / "det.tsv").read_bytes()
+
+    def test_directory_without_images_writes_empty_detections(self, workspace,
+                                                              tmp_path):
+        images = tmp_path / "images"
+        images.mkdir()
+        (images / "notes.txt").write_text("no images here\n")
+        out = tmp_path / "d.tsv"
+        assert main(self._detect_args(workspace, images, out)) == 0
+        assert out.read_bytes() == b""
 
     @pytest.mark.parametrize("cap", ["abc", "0", "-2"])
     def test_non_integer_thread_cap_is_input_error(self, workspace, tmp_path,

@@ -183,6 +183,16 @@ class TestCentredMoments:
         assert np.allclose(XtY, Xc.T @ (Y - Y.mean(axis=0)), rtol=0, atol=1e-9)
         assert np.array_equal(mx, X.mean(axis=0)) and np.array_equal(my, Y.mean(axis=0))
 
+    def test_gram_mirror_matches_triu_mirror(self):
+        # the Gram is mirrored in column strips; this p leaves a partial last one
+        p = 2 * pls._SYMMETRY_STRIP + 7
+        rng = np.random.default_rng(29)
+        X = rng.standard_normal((300, p))
+        G = pls.centred_moments(X, rng.standard_normal((300, 1)), 1)[0]
+        assert np.array_equal(G, np.triu(G) + np.triu(G, 1).T)
+        Xc = X - X.mean(axis=0)
+        assert np.linalg.norm(G - Xc.T @ Xc, 2) <= 1e-12 * np.linalg.norm(G, 2)
+
     def test_validates_like_the_fits(self):
         X = np.ones((5, 3))
         X[2, 1] = np.nan
