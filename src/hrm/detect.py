@@ -30,7 +30,17 @@ from .voting import (
     find_maxima,
 )
 
-_BLOCK_BYTES = 1 << 22  # gathered patch windows per GEMM block
+# Gathered patch windows per GEMM block, sized to the L2 cache: at 1 MB a
+# block (one c6 grid row, 110 starts) and OpenBLAS's packed copy of it stay
+# in a core's 2 MB L2, where larger blocks leave it before they are packed.
+# Single-thread compute_patch_votes per c6 image (2-core Xeon, 2 MB L2 per
+# core): 4 MB 213-248 ms, 2 MB 192-207, 1 MB 170-193, 512 KB 183-200.
+_BLOCK_BYTES = 1 << 20
+# SciPy's gaussian_filter builds 2 * int(4 sigma + 0.5) + 1 float64 taps
+# and runs every one over every cell.  At 1e6 cells that is a 64 MB kernel
+# and over half a minute per level of a 224^2 image at 4 px cells; each
+# tenfold costs ten times more, until the kernel outgrows memory.
+_MAX_SMOOTHING = 1e6
 
 
 @dataclass(frozen=True)
@@ -44,12 +54,14 @@ class VotingConfig:
     maxima_radius: int = 3  # cells
 
     def __post_init__(self):
-        if self.stride < 1:
-            raise InvalidInput(f"stride must be >= 1, got {self.stride}")
+        if not 1 <= self.stride < 2**63:
+            raise InvalidInput(f"stride must be in [1, 2**63), got {self.stride}")
         if self.bin_size < 1:
             raise InvalidInput(f"bin_size must be >= 1, got {self.bin_size}")
-        if not 0 <= self.smoothing < np.inf:
-            raise InvalidInput(f"smoothing must be finite, >= 0, got {self.smoothing}")
+        if not 0 <= self.smoothing <= _MAX_SMOOTHING:
+            raise InvalidInput(
+                f"smoothing must be in [0, {_MAX_SMOOTHING:g}], got {self.smoothing}"
+            )
         if not 0 <= self.min_score_fraction <= 1:
             raise InvalidInput(
                 f"min_score_fraction must be in [0, 1], got {self.min_score_fraction}"
@@ -72,6 +84,19 @@ def _shifted_starts(grid: np.ndarray, shifts: np.ndarray, limit: int) -> np.ndar
     """Every in-bounds grid + shift start, sorted."""
     shifted = grid[:, None] + shifts[None, :]
     return np.unique(shifted[(shifted >= 0) & (shifted < limit)])
+
+
+def _inside_run(starts: np.ndarray, shift: int, limit: int, needed: np.ndarray):
+    """Slices of the starts whose start + shift is in bounds, and of those in needed.
+
+    starts is an arithmetic run of step stride, so the in-bounds ones are
+    contiguous.  Every entry of needed is sorted, unique and equal to
+    start + shift mod stride, so those neighbors are contiguous in it too.
+    """
+    lo = np.searchsorted(starts, -shift)
+    hi = np.searchsorted(starts, limit - shift)
+    first = np.searchsorted(needed, starts[lo] + shift) if lo < hi else 0
+    return slice(lo, hi), slice(first, first + hi - lo)
 
 
 def _responses(vol, ps: int, rows: np.ndarray, cols: np.ndarray, coef: np.ndarray):
@@ -102,7 +127,8 @@ def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig) -> VoteField:
     with every column, plus one GEMM per stride coset of the neighbor
     offsets (offsets equal mod stride on both axes) over the starts its
     neighbors need, with only its contexts' columns.  The neighbors of the
-    zero coset lie on the grid and reuse the grid's R.
+    zero coset lie on the grid and reuse the grid's R.  Each context's
+    in-bounds starts and their neighbors are one slice of each grid.
     """
     geom = bank.geometry
     vol = compute_channels(np.asarray(image, dtype=np.float64), geom.derivative_kernel)
@@ -115,10 +141,6 @@ def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig) -> VoteField:
     ys = np.arange(0, n_y, stride)
     coef = bank.coefficients
     grid = _responses(vol, ps, ys, xs, coef)  # (ys, xs, m+1, 3)
-    gy, gx = (a.ravel() for a in np.meshgrid(ys, xs, indexing="ij"))  # grid order
-    # A view of grid: context j's column is written only by its own
-    # neighbor subtraction, after that subtraction has read it.
-    out = grid.reshape((len(gy),) + coef.shape[1:])  # (r, m+1, 3)
 
     offsets = np.array(geom.neighbor_offsets, dtype=np.intp).reshape(-1, 2)
     cosets = {}
@@ -135,15 +157,15 @@ def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig) -> VoteField:
                 continue  # every neighbor of the coset is clipped
             resp = _responses(vol, ps, rows, cols, coef[:, js])
             ks = range(len(js))
-        row_of = np.full(n_y, -1)
-        row_of[rows] = np.arange(len(rows))
-        col_of = np.full(n_x, -1)
-        col_of[cols] = np.arange(len(cols))
         for j, k in zip(js, ks):
             dx, dy = offsets[j - 1]
-            ny, nx = gy + dy, gx + dx
-            inside = (nx >= 0) & (ny >= 0) & (nx < n_x) & (ny < n_y)
-            out[inside, j] -= resp[row_of[ny[inside]], col_of[nx[inside]], k]
+            iy, ry = _inside_run(ys, dy, n_y, rows)
+            ix, rx = _inside_run(xs, dx, n_x, cols)
+            # In the zero coset resp is grid: column j is written only by
+            # its own subtraction, and NumPy buffers the overlapping read.
+            grid[iy, ix, j] -= resp[ry, rx, k]
+    gy, gx = (a.ravel() for a in np.meshgrid(ys, xs, indexing="ij"))  # grid order
+    out = grid.reshape((len(gy),) + coef.shape[1:])  # (r, m+1, 3)
     out += bank.intercepts
 
     votes = np.ascontiguousarray(out[..., :2])

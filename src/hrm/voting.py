@@ -96,7 +96,8 @@ class HoughCuboid:
 
     levels: (S, grid_h, grid_w) accumulated vote mass (post smoothing).
     level_mass: per-level total mass before border drops and smoothing.
-    dropped: count of votes that landed outside the grid, per level.
+    dropped: count of votes of nonzero mass that landed outside the grid,
+        per level; votes of patches with weight 0 are never landed.
     """
 
     levels: np.ndarray
@@ -138,9 +139,11 @@ def accumulate_cuboid(
     """Bin every (patch, vote, scale) landing point into the S-level cuboid.
 
     ``all_votes`` is a VoteField or a sequence of PatchVotes.  Each vote
-    carries mass weight / (m+1); landings outside the grid are dropped and
-    counted.  Optional Gaussian smoothing (sigma in cells) is applied per
-    level afterward.
+    carries mass weight / (m+1), and only votes of nonzero mass are
+    landed: a vote of mass 0 would add nothing to any bin.  Landings
+    outside the grid are dropped and counted.  ``level_mass`` sums every
+    vote's mass.  Optional Gaussian smoothing (sigma in cells) is applied
+    per level afterward.
     """
     field = VoteField.of(all_votes)
     width, height = image_size
@@ -152,21 +155,22 @@ def accumulate_cuboid(
     dropped = np.zeros(S, dtype=np.int64)
 
     if len(field):
-        locs, votes = field.locations, field.votes
-        r, mplus1 = votes.shape[:2]
+        mplus1 = field.votes.shape[1]
         mass = field.weights / mplus1  # per vote
+        level_mass[:] = np.repeat(mass, mplus1).sum()
+        carrying = np.flatnonzero(mass)
+        locs, votes = field.locations[carrying], field.votes[carrying]
+        m = np.repeat(mass[carrying], mplus1)
 
         for s, sigma in enumerate(scales.scales):
-            landing = locs[:, None, :] + sigma * votes  # (r, m+1, 2)
+            landing = locs[:, None, :] + sigma * votes  # (n, m+1, 2)
             cells = np.floor(landing / bin_size).astype(np.int64)
             cx = cells[..., 0].ravel()
             cy = cells[..., 1].ravel()
-            m = np.broadcast_to(mass[:, None], (r, mplus1)).ravel()
             inside = (cx >= 0) & (cx < gw) & (cy >= 0) & (cy < gh)
             levels[s] = np.bincount(
                 cy[inside] * gw + cx[inside], weights=m[inside], minlength=gh * gw
             ).reshape(gh, gw)
-            level_mass[s] = float(m.sum())
             dropped[s] = int(np.count_nonzero(~inside))
 
     if smoothing > 0:

@@ -431,6 +431,21 @@ class TestDetectCommand:
         assert not (tmp_path / "d.tsv").exists()
 
     @pytest.mark.parametrize("old, new", [
+        ("stride = 2", "stride = 9223372036854775808"),  # 2**63
+        ("stride = 2", "stride = 2\nsmoothing = 1e300"),  # kernel beyond memory
+    ])
+    def test_out_of_range_voting_value_is_input_error(self, workspace, tmp_path,
+                                                      capsys, old, new):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text((workspace / "cfg.ini").read_text().replace(old, new))
+        assert main(["detect", "--config", str(cfg),
+                     "--model", str(workspace / "model.hrmb"),
+                     "--images", str(workspace / "scenes"),
+                     "--out", str(tmp_path / "d.tsv")]) == 2
+        assert "must be in" in capsys.readouterr().err
+        assert not (tmp_path / "d.tsv").exists()
+
+    @pytest.mark.parametrize("old, new", [
         ("scales = 0.75 1.0", "scales = nan"),
         ("scales = 0.75 1.0", "scales = 1 inf"),
         ("stride = 2", "stride = 2\nmin_score_fraction = nan"),

@@ -88,6 +88,7 @@ class TestVotingConfig:
         dict(smoothing=float("nan")), dict(maxima_radius=0),
         dict(min_score_fraction=-0.1), dict(min_score_fraction=1.5),
         dict(min_score_fraction=float("nan")), dict(smoothing=float("inf")),
+        dict(stride=2**63), dict(smoothing=1e300), dict(smoothing=1e6 * (1 + 1e-15)),
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(InvalidInput):
@@ -97,6 +98,7 @@ class TestVotingConfig:
         VotingConfig(stride=1, bin_size=1, smoothing=0.0, maxima_radius=1,
                      min_score_fraction=0.0)
         VotingConfig(min_score_fraction=1.0)
+        VotingConfig(stride=2**63 - 1, smoothing=1e6)
 
 
 class TestComputePatchVotes:
@@ -151,7 +153,12 @@ class TestComputePatchVotes:
         (PatchGeometry(6), 2),  # c6: three nonzero cosets plus the zero one
         (PatchGeometry(6, CROWD_OFFSETS), 4),  # crowd: two nonzero cosets
     ])
-    def test_matches_oracle_per_coset(self, geom, stride):
+    @pytest.mark.parametrize("block_bytes", [1, None, 1 << 30],
+                             ids=["row-blocks", "default-blocks", "one-block"])
+    def test_matches_oracle_per_coset(self, monkeypatch, geom, stride, block_bytes):
+        if block_bytes is not None:
+            detect_module = importlib.import_module("hrm.detect")
+            monkeypatch.setattr(detect_module, "_BLOCK_BYTES", block_bytes)
         rng = np.random.default_rng(8)
         assert_matches_oracle(rng.random((31, 34)), geom, stride, rng)
 

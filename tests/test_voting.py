@@ -227,6 +227,33 @@ class TestAccumulateCuboid:
                     oracle[y, x] += pv.weight / len(pv.votes)
         assert np.allclose(cub.levels[0], oracle)
 
+    def test_binning_only_mass_carrying_votes_is_exact(self):
+        """Mostly gated-off patches, some votes off the grid: an all-votes oracle."""
+        rng = np.random.default_rng(11)
+        r, mplus1, bin_size, size = 300, 5, 4, (61, 47)
+        labels = rng.standard_normal((r, mplus1))
+        labels[rng.random(r) < 0.85] = -1.0  # weight 0
+        field = voting.VoteField(
+            rng.random((r, 2)) * size, rng.standard_normal((r, mplus1, 2)) * 30,
+            labels, (labels > 0).sum(axis=1) / mplus1,
+        )
+        scales = voting.ScaleSet((0.75, 1.0, 1.5))
+        cub = voting.accumulate_cuboid(field, scales, size, bin_size, 0.0)
+
+        gw, gh = -(-size[0] // bin_size), -(-size[1] // bin_size)
+        m = np.broadcast_to(field.weights[:, None] / mplus1, (r, mplus1)).ravel()
+        for s, sigma in enumerate(scales.scales):
+            landing = field.locations[:, None, :] + sigma * field.votes
+            cells = np.floor(landing / bin_size).astype(np.int64)
+            cx, cy = cells[..., 0].ravel(), cells[..., 1].ravel()
+            inside = (cx >= 0) & (cx < gw) & (cy >= 0) & (cy < gh)
+            oracle = np.bincount(cy[inside] * gw + cx[inside], weights=m[inside],
+                                 minlength=gh * gw).reshape(gh, gw)
+            assert np.array_equal(cub.levels[s], oracle)
+            assert cub.level_mass[s] == m.sum()
+            assert np.count_nonzero(~inside & (m == 0)) > 0  # zero-mass votes fell off
+            assert cub.dropped[s] == np.count_nonzero(~inside & (m != 0)) > 0
+
     def test_empty_votes(self):
         cub = voting.accumulate_cuboid([], voting.ScaleSet(), (32, 32), 4, 0.0)
         assert cub.levels.shape == (4, 8, 8)
