@@ -107,9 +107,8 @@ def main(argv=None):
                         smoothing=args.smoothing,
                         min_score_fraction=args.min_score,
                         maxima_radius=args.maxima_radius)
-    fcfg = None
-    if args.bandwidth:
-        fcfg = FusionConfig(bandwidth=args.bandwidth)
+    # without --bandwidth, two accumulator cells, as hrm.config.load_config sets
+    fcfg = FusionConfig(bandwidth=args.bandwidth or 2.0 * args.bin_size)
     scales = ScaleSet(SCALES)
 
     total_obj = 0

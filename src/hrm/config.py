@@ -47,7 +47,7 @@ class PipelineConfig:
     training: TrainingConfig = field(default_factory=TrainingConfig)
     scales: ScaleSet = field(default_factory=ScaleSet)
     voting: VotingConfig = field(default_factory=VotingConfig)
-    fusion: FusionConfig | None = None  # None = bandwidth from bin size
+    fusion: FusionConfig = field(default_factory=FusionConfig)
     iou_threshold: float = 0.5
 
     def __post_init__(self):
@@ -183,9 +183,8 @@ def load_config(path=None) -> PipelineConfig:
     training = _build(parser, "training", TrainingConfig)
     scales = _build(parser, "voting", ScaleSet)
     voting = _build(parser, "voting", VotingConfig)
-    fusion = None
-    if parser.has_section("fusion"):
-        fusion = _build(parser, "fusion", FusionConfig, bandwidth=2.0 * voting.bin_size)
+    # the default bandwidth is two accumulator cells
+    fusion = _build(parser, "fusion", FusionConfig, bandwidth=2.0 * voting.bin_size)
     return _build(
         parser, "pipeline", PipelineConfig, pls=pls, geometry=geometry,
         training=training, scales=scales, voting=voting, fusion=fusion,

@@ -180,14 +180,10 @@ def detect(
     bank: ModelBank,
     scales: ScaleSet = ScaleSet(),
     voting_cfg: VotingConfig = VotingConfig(),
-    fusion_cfg: FusionConfig | None = None,
+    fusion_cfg: FusionConfig = FusionConfig(),
     image_id: str = "",
-    apply_fusion: bool = True,
 ) -> DetectionResult:
     """Run the full detection pipeline on one image."""
-    if fusion_cfg is None:
-        fusion_cfg = FusionConfig(bandwidth=2.0 * voting_cfg.bin_size)
-
     image = np.asarray(image, dtype=np.float64)
     patch_votes = compute_patch_votes(image, bank, voting_cfg)
     cuboid = accumulate_cuboid(
@@ -201,10 +197,9 @@ def detect(
     hypotheses = find_maxima(cuboid, min_score, voting_cfg.maxima_radius)
 
     total_mass = float(cuboid.level_mass.sum())
-    if apply_fusion and total_mass > 0:
+    kept = hypotheses
+    if total_mass > 0:
         kept = fuse(hypotheses, patch_votes, fusion_cfg, total_mass)
-    else:
-        kept = list(hypotheses)
 
     detections = [
         Detection(

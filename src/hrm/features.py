@@ -95,6 +95,23 @@ class ContextSet:
     clipped: tuple[bool, ...]
 
 
+def _gradients(img: np.ndarray, derivative_kernel: str):
+    """First x and y derivatives of a grey image, and each pixel's unsigned
+    orientation bin (0..8)."""
+    if derivative_kernel == "sobel":
+        gx, gy = (ndimage.sobel(img, axis=a, mode="nearest") / 8.0 for a in (1, 0))
+    elif derivative_kernel == "central":
+        gx, gy = (
+            ndimage.correlate1d(img, [-0.5, 0.0, 0.5], axis=a, mode="nearest")
+            for a in (1, 0)
+        )
+    else:
+        raise InvalidInput(f"unknown derivative kernel {derivative_kernel!r}")
+    ang = np.mod(np.arctan2(gy, gx), np.pi)  # unsigned orientation in [0, pi)
+    bins = np.minimum((ang / (np.pi / HOG_BINS)).astype(np.intp), HOG_BINS - 1)
+    return gx, gy, bins
+
+
 def base_channels(img, derivative_kernel: str = "sobel") -> np.ndarray:
     """The 13 unfiltered channels of an image, shape (13, H, W)."""
     img = np.asarray(img, dtype=np.float64)
@@ -103,14 +120,7 @@ def base_channels(img, derivative_kernel: str = "sobel") -> np.ndarray:
     if img.ndim != 2 or img.shape[0] < _WINDOW or img.shape[1] < _WINDOW:
         raise InvalidInput(f"image must be at least {_WINDOW}x{_WINDOW} grayscale")
 
-    if derivative_kernel == "sobel":
-        gx = ndimage.sobel(img, axis=1, mode="nearest") / 8.0
-        gy = ndimage.sobel(img, axis=0, mode="nearest") / 8.0
-    elif derivative_kernel == "central":
-        gx = ndimage.correlate1d(img, [-0.5, 0.0, 0.5], axis=1, mode="nearest")
-        gy = ndimage.correlate1d(img, [-0.5, 0.0, 0.5], axis=0, mode="nearest")
-    else:
-        raise InvalidInput(f"unknown derivative kernel {derivative_kernel!r}")
+    gx, gy, bins = _gradients(img, derivative_kernel)
     lxx = ndimage.correlate1d(img, [1.0, -2.0, 1.0], axis=1, mode="nearest")
     lyy = ndimage.correlate1d(img, [1.0, -2.0, 1.0], axis=0, mode="nearest")
 
@@ -121,8 +131,6 @@ def base_channels(img, derivative_kernel: str = "sobel") -> np.ndarray:
     channels[3] = np.abs(lyy)
 
     mag = np.hypot(gx, gy)
-    ang = np.mod(np.arctan2(gy, gx), np.pi)  # unsigned orientation in [0, pi)
-    bins = np.minimum((ang / (np.pi / HOG_BINS)).astype(np.intp), HOG_BINS - 1)
     # Each bin's magnitude summed over 5x5 as five shifted slices per axis of
     # the edge-padded (9, rows, W) stack.  A running sum would make a pixel's
     # value depend on where its line starts; this one reads only its window,
@@ -140,15 +148,7 @@ def base_channels(img, derivative_kernel: str = "sobel") -> np.ndarray:
 
 def hog_bin_map(img, derivative_kernel: str = "sobel") -> np.ndarray:
     """Per-pixel orientation bin index (0..8), for partition checks."""
-    img = np.asarray(img, dtype=np.float64)
-    if derivative_kernel == "sobel":
-        gx = ndimage.sobel(img, axis=1, mode="nearest")
-        gy = ndimage.sobel(img, axis=0, mode="nearest")
-    else:
-        gx = ndimage.correlate1d(img, [-0.5, 0.0, 0.5], axis=1, mode="nearest")
-        gy = ndimage.correlate1d(img, [-0.5, 0.0, 0.5], axis=0, mode="nearest")
-    ang = np.mod(np.arctan2(gy, gx), np.pi)
-    return np.minimum((ang / (np.pi / HOG_BINS)).astype(np.intp), HOG_BINS - 1)
+    return _gradients(np.asarray(img, dtype=np.float64), derivative_kernel)[2]
 
 
 def _running5(a: np.ndarray, op, out=None) -> np.ndarray:

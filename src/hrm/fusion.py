@@ -35,7 +35,7 @@ class FusionConfig:
     """Kernel, bandwidth (pixels), and the probability floor guarding logs."""
 
     kernel: str = "gaussian"
-    bandwidth: float = 8.0
+    bandwidth: float = 8.0  # load_config's 2 x bin_size at the default bin_size
     probability_floor: float = 1e-12
 
     def __post_init__(self):

@@ -1,6 +1,6 @@
 """Mean-centered linear regression via iterative PLS and Bridge PLS.
 
-A fit returns only its linear model (:class:`RegressionModel`).  Both fits
+A fit returns only its linear head (:class:`RegressionModel`).  Both fits
 find latent weights W and solve one head ``B = W H^-1 R``; only the latent
 step differs.  :func:`pls_latents` takes one eigendecomposition per
 component of the centred data, deflating in between; :func:`bpls_weights`
@@ -53,11 +53,10 @@ def reset_eigendecomposition_count() -> None:
 
 @dataclass(frozen=True)
 class RegressionModel:
-    """A fitted linear model ``Y ~ mean_y + (X - mean_x) B``, B = ``coefficients``."""
+    """A fitted linear head ``Y ~ X @ coefficients + intercept``."""
 
-    coefficients: np.ndarray
-    mean_x: np.ndarray
-    mean_y: np.ndarray
+    coefficients: np.ndarray  # (p, q)
+    intercept: np.ndarray  # (q,)
 
 
 @dataclass(frozen=True)
@@ -206,7 +205,8 @@ def label_moments(X, n_pos: int, G_pos, mean_pos):
 
 
 def _linear_model(W, H, R, mx, my) -> RegressionModel:
-    """Solve B = W H^-1 R with a conditioning check on H."""
+    """Solve B = W H^-1 R with a conditioning check on H; the head passes
+    through the means, so its intercept is ``my - mx @ B``."""
     try:
         s = linalg.svdvals(H, check_finite=False)
         if not s[0] <= _COND_LIMIT * s[-1]:
@@ -215,7 +215,8 @@ def _linear_model(W, H, R, mx, my) -> RegressionModel:
     except np.linalg.LinAlgError as e:
         raise DegenerateFit(f"head solve failed: {e}") from e
     # C order: the bank's layout, and the one a loaded model has
-    return RegressionModel(np.ascontiguousarray(B), mx, my)
+    B = np.ascontiguousarray(B)
+    return RegressionModel(B, my - mx @ B)
 
 
 def pls_latents(Xc, Yc, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -288,11 +289,10 @@ def bpls_fit(X, Y, c: int, alpha: float, moments=None) -> RegressionModel:
 def predict(model: RegressionModel, x) -> np.ndarray:
     """Evaluate the model at one point or at a batch of row vectors."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != model.mean_x.shape[0]:
-        raise InvalidInput(
-            f"dimension mismatch: x has {x.shape[-1]}, model expects {model.mean_x.shape[0]}"
-        )
-    return model.mean_y + (x - model.mean_x) @ model.coefficients
+    p = model.coefficients.shape[0]
+    if x.shape[-1] != p:
+        raise InvalidInput(f"dimension mismatch: x has {x.shape[-1]}, model expects {p}")
+    return x @ model.coefficients + model.intercept
 
 
 def cross_validate_components(

@@ -24,26 +24,21 @@ from .features import extract_patch_vector  # noqa: F401
 
 
 @dataclass(frozen=True)
-class TrainingSample:
-    """One sampled patch: canvas index, top-left corner, class, vote target."""
-
-    canvas_id: int
-    topleft: tuple[int, int]
-    label: int  # +1 or -1
-    voting: np.ndarray | None = None  # (2,), positives only
-
-
-@dataclass(frozen=True)
 class SampleSet:
-    """Sampled patches plus the canvases (images) they index into.
+    """Sampled patches as arrays, plus the canvases (images) they index into.
 
-    With per-object scale normalization the canvases include rescaled
-    copies of training images, so samples always see objects at the
-    training scale.
+    Row i is the patch whose top-left corner is ``topleft[i]`` (x, y) on
+    ``canvases[canvas_ids[i]]``.  The first ``len(votes)`` rows are the
+    positives, ``votes`` holding each one's vector from patch center to box
+    center; the rest are negatives.  With per-object scale normalization
+    the canvases include rescaled copies of training images, so samples
+    always see objects at the training scale.
     """
 
     canvases: tuple[np.ndarray, ...]
-    samples: tuple[TrainingSample, ...]
+    canvas_ids: np.ndarray  # (n,)
+    topleft: np.ndarray  # (n, 2)
+    votes: np.ndarray  # (n_pos, 2)
 
 
 @dataclass(frozen=True)
@@ -71,34 +66,13 @@ class ModelBank:
 
     @classmethod
     def from_fits(cls, hrms, lrms, geometry, reference_box=(0.0, 0.0)) -> ModelBank:
-        """Stack fitted voting models and label models, one pair per context.
-
-        Each fit ``mean_y + (x - mean_x) B`` becomes ``x B + (mean_y - mean_x B)``.
-        """
+        """Stack fitted voting models and label models, one pair per context."""
         pairs = list(zip(hrms, lrms))
         coef = np.stack(
             [np.hstack([h.coefficients, l.coefficients]) for h, l in pairs], axis=1
         )
-        bias = np.stack(
-            [
-                np.concatenate([m.mean_y - m.mean_x @ m.coefficients for m in (h, l)])
-                for h, l in pairs
-            ]
-        )
+        bias = np.stack([np.concatenate([h.intercept, l.intercept]) for h, l in pairs])
         return cls(coef, bias, geometry, reference_box)
-
-
-def _positive_candidates(boxes, shape, ps):
-    """Top-left positions whose patch lies fully inside some box."""
-    h, w = shape
-    out = []
-    for x0, y0, x1, y1 in boxes:
-        xs = np.arange(max(0, x0), min(w - ps, x1 - ps) + 1)
-        ys = np.arange(max(0, y0), min(h - ps, y1 - ps) + 1)
-        if len(xs) and len(ys):
-            cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
-            out.append((xs, ys, (cx, cy)))
-    return out
 
 
 def _negative_candidates(boxes, shape, ps):
@@ -118,6 +92,15 @@ def _resize(img: np.ndarray, factor: float) -> np.ndarray:
     return ndimage.zoom(img, factor, order=1, mode="nearest", grid_mode=True)
 
 
+def _draw(rng, sizes, n):
+    """n distinct sorted draws from pools of these sizes laid end to end:
+    each draw's pool and its index in that pool."""
+    bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+    flat = np.sort(rng.choice(bounds[-1], size=n, replace=False))
+    pool = np.searchsorted(bounds, flat, side="right") - 1
+    return pool, flat - bounds[pool]
+
+
 def sample_patches(
     entries,
     n_pos: int,
@@ -128,75 +111,73 @@ def sample_patches(
 ) -> SampleSet:
     """Draw n_pos positive and n_neg negative patches from (image, boxes) pairs.
 
-    When ``reference_size`` is given, each annotated box is normalized to
-    that size before positive sampling: the image is resized by
-    reference/box ratio and a rescaled canvas is added to the sample set.
-    Deterministic under a fixed seed.
+    Boxes are integer (x0, y0, x1, y1).  When ``reference_size`` is given,
+    each annotated box is normalized to that size before positive sampling:
+    the image is resized by reference/box ratio and a rescaled canvas is
+    added to the sample set.  Each class is drawn without replacement from
+    all its candidate top-lefts, and its draws are ordered by canvas and
+    position.  Deterministic under a fixed seed.
     """
     ps = geom.patch_size
     rng = np.random.default_rng(seed)
 
     canvases = [np.asarray(img, dtype=np.float64) for img, _ in entries]
-    pos_pool = []  # (canvas_id, xs, ys, box_center)
-    neg_pool = []  # (canvas_id, y, x) arrays
+    blocks, centers = [], []  # positives: (canvas_id, x0, y0, nx, ny), box center
+    grids, free = [], []  # negatives: (canvas_id, width), flat top-lefts in it
 
-    for idx, (img, boxes) in enumerate(entries):
+    for idx, (_, boxes) in enumerate(entries):
         img = canvases[idx]
         ok = _negative_candidates(boxes, img.shape, ps)
-        if ok.size:
-            ys, xs = np.nonzero(ok)
-            if len(ys):
-                neg_pool.append((idx, ys, xs))
+        if ok.any():
+            grids.append((idx, ok.shape[1]))
+            free.append(np.flatnonzero(ok))
 
         for box in boxes:
             x0, y0, x1, y1 = box
+            factor = 1.0
             if reference_size is not None:
-                size = ((x1 - x0) + (y1 - y0)) / 2.0
-                factor = reference_size / size
-            else:
-                factor = 1.0
+                factor = reference_size / (((x1 - x0) + (y1 - y0)) / 2.0)
+            canvas_id = idx
             if abs(factor - 1.0) > 1e-3:
-                canvas = _resize(img, factor)
                 canvas_id = len(canvases)
-                canvases.append(canvas)
-                sbox = tuple(int(round(v * factor)) for v in box)
-            else:
-                canvas, canvas_id, sbox = img, idx, box
-            for xs2, ys2, center in _positive_candidates([sbox], canvas.shape, ps):
-                pos_pool.append((canvas_id, xs2, ys2, center))
+                canvases.append(_resize(img, factor))
+                x0, y0, x1, y1 = (int(round(v * factor)) for v in box)
+            # the top-lefts whose patch lies inside the box: an nx x ny block
+            h, w = canvases[canvas_id].shape
+            x, y = max(0, x0), max(0, y0)
+            nx, ny = min(w - ps, x1 - ps) + 1 - x, min(h - ps, y1 - ps) + 1 - y
+            if nx > 0 and ny > 0:
+                blocks.append((canvas_id, x, y, nx, ny))
+                centers.append(((x0 + x1) / 2.0, (y0 + y1) / 2.0))
 
-    total_pos = sum(len(xs) * len(ys) for _, xs, ys, _ in pos_pool)
-    total_neg = sum(len(ys) for _, ys, _ in neg_pool)
-    if total_pos < n_pos:
-        raise InvalidDataset(f"only {total_pos} distinct positive patches, need {n_pos}")
-    if total_neg < n_neg:
-        raise InvalidDataset(f"only {total_neg} distinct negative patches, need {n_neg}")
+    blocks = np.array(blocks, dtype=np.intp).reshape(-1, 5)
+    grids = np.array(grids, dtype=np.intp).reshape(-1, 2)
+    pos_sizes = blocks[:, 3] * blocks[:, 4]
+    neg_sizes = [len(f) for f in free]
+    for kind, have, need in (("positive", pos_sizes.sum(), n_pos),
+                             ("negative", sum(neg_sizes), n_neg)):
+        if have < need:
+            raise InvalidDataset(f"only {have} distinct {kind} patches, need {need}")
 
-    samples: list[TrainingSample] = []
+    # a positive block's draws run row by row over its nx columns
+    k, local = _draw(rng, pos_sizes, n_pos)
+    pos_ids, x0, y0, nx, _ = blocks[k].T
+    pos = np.stack([x0 + local % nx, y0 + local // nx], axis=1)
+    votes = np.array(centers, dtype=np.float64).reshape(-1, 2)[k] - (pos + ps / 2.0)
 
-    # positives: flatten the per-box grids into one global index space
-    sizes = [len(xs) * len(ys) for _, xs, ys, _ in pos_pool]
-    bounds = np.cumsum([0] + sizes)
-    chosen = rng.choice(total_pos, size=n_pos, replace=False)
-    for flat in np.sort(chosen):
-        k = np.searchsorted(bounds, flat, side="right") - 1
-        cid, xs, ys, (cx, cy) = pos_pool[k]
-        local = flat - bounds[k]
-        x = int(xs[local % len(xs)])
-        y = int(ys[local // len(xs)])
-        voting = np.array([cx - (x + ps / 2.0), cy - (y + ps / 2.0)])
-        samples.append(TrainingSample(cid, (x, y), +1, voting))
+    # the draws are sorted, so each pool's are one run
+    k, local = _draw(rng, neg_sizes, n_neg)
+    runs = np.split(local, np.searchsorted(k, np.arange(1, len(free))))
+    neg_ids, width = grids[k].T
+    at = np.concatenate([np.empty(0, np.intp)] + [f[i] for f, i in zip(free, runs)])
+    y, x = np.divmod(at, width)
 
-    sizes = [len(ys) for _, ys, _ in neg_pool]
-    bounds = np.cumsum([0] + sizes)
-    chosen = rng.choice(total_neg, size=n_neg, replace=False)
-    for flat in np.sort(chosen):
-        k = np.searchsorted(bounds, flat, side="right") - 1
-        cid, ys, xs = neg_pool[k]
-        local = flat - bounds[k]
-        samples.append(TrainingSample(cid, (int(xs[local]), int(ys[local])), -1))
-
-    return SampleSet(tuple(canvases), tuple(samples))
+    return SampleSet(
+        tuple(canvases),
+        np.concatenate([pos_ids, neg_ids]),
+        np.concatenate([pos, np.stack([x, y], axis=1)]),
+        votes,
+    )
 
 
 def fit_context(
@@ -222,6 +203,30 @@ def fit_context(
     return fit(X[:n_pos], votes, vote, "voting"), fit(X, labels, label, "label")
 
 
+def _checked(ss: SampleSet, ps: int):
+    """The set's canvas ids, top-lefts (x, y) and votes, or InvalidDataset
+    unless it has both classes, a finite vote per positive and every
+    window on an existing canvas."""
+    cid, topleft, votes = (np.asarray(a) for a in (ss.canvas_ids, ss.topleft, ss.votes))
+    if not (cid.ndim == 1 and topleft.shape == (len(cid), 2)
+            and votes.ndim == 2 and votes.shape[1] == 2
+            and {cid.dtype.kind, topleft.dtype.kind} <= {"i", "u"}
+            and votes.dtype.kind in "iuf"):
+        raise InvalidDataset("a sample set needs integer canvas ids (n,) and top-lefts "
+                             "(n, 2) and numeric votes (n_pos, 2)")
+    if not 0 < len(votes) < len(cid):
+        raise InvalidDataset(f"training needs samples of both labels, got "
+                             f"{len(votes)} positives of {len(cid)} samples")
+    if not np.all(np.isfinite(votes)):
+        raise InvalidDataset("every positive needs a finite vote")
+    if np.any((cid < 0) | (cid >= len(ss.canvases))):
+        raise InvalidDataset(f"canvas ids must lie in [0, {len(ss.canvases)})")
+    sides = np.array([c.shape[1::-1] for c in ss.canvases], dtype=np.intp)[cid]
+    if np.any((topleft < 0) | (topleft + ps > sides)):
+        raise InvalidDataset(f"every sample's {ps}x{ps} window must lie on its canvas")
+    return cid.astype(np.intp), topleft.T.astype(np.intp), votes.astype(np.float64)
+
+
 def train_from_samples(
     sample_set: SampleSet,
     geom: PatchGeometry,
@@ -231,9 +236,8 @@ def train_from_samples(
 ) -> ModelBank:
     """Fit the voting and label models of every context and stack them.
 
-    Rows are ordered positives first, each class in sample order, so the
-    bank does not depend on how the classes interleave.  Each used canvas
-    is one task on ``workers`` threads: it computes the feature volume of
+    Rows keep the set's order, positives first.  Each used canvas is one
+    task on ``workers`` threads: it computes the feature volume of
     the bounding rectangle of the pixels under its samples' raw and
     neighbor windows, widened by ``CROP_MARGIN`` (so those pixels equal the
     whole canvas's), and keeps only those pixels, as (P, 26) rows plus an
@@ -243,20 +247,7 @@ def train_from_samples(
     memory at once, which matters for real patch dimensionalities.
     """
     ps = geom.patch_size
-    positives = [s for s in sample_set.samples if s.label == 1]
-    negatives = [s for s in sample_set.samples if s.label == -1]
-    if len(positives) + len(negatives) != len(sample_set.samples):
-        raise InvalidDataset("sample labels must be +1 or -1")
-    if not positives or not negatives:
-        raise InvalidDataset(
-            f"training needs samples of both labels, got {len(positives)} "
-            f"positive and {len(negatives)} negative"
-        )
-    samples = positives + negatives
-    cid, x, y = np.array(
-        [(s.canvas_id, *s.topleft) for s in samples], dtype=np.intp
-    ).T
-    votes = np.array([s.voting for s in positives], dtype=np.float64)
+    cid, (x, y), votes = _checked(sample_set, ps)
 
     def inside(rows, grid, dx, dy):
         """Rows whose window at top-left + (dx, dy) is in ``grid``, and its (y, x)."""
@@ -289,7 +280,7 @@ def train_from_samples(
 
     def gather(dx, dy):
         """Patch vectors at every sample's top-left + (dx, dy), zero where clipped."""
-        out = np.zeros((len(samples), geom.vector_length))
+        out = np.zeros((len(cid), geom.vector_length))
         for rows, values, windows in canvases:
             rows, ny, nx = inside(rows, windows.shape, dx, dy)
             out[rows] = values[windows[ny, nx]].reshape(-1, geom.vector_length)

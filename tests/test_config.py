@@ -23,7 +23,7 @@ class TestDefaults:
         assert cfg.training.n_pos == cfg.training.n_neg == 12000
         assert cfg.scales.scales == (0.75, 1.0, 1.25, 1.5)
         assert cfg.voting.bin_size == 4
-        assert cfg.fusion is None
+        assert cfg.fusion == FusionConfig(bandwidth=2.0 * cfg.voting.bin_size)
         assert cfg.iou_threshold == 0.5
 
     def test_dataclass_defaults_match_loader(self):
@@ -61,6 +61,12 @@ class TestFileParsing:
         cfg = load_config(path)
         assert cfg.pls.components == 3
         assert cfg.geometry.patch_size == 16
+
+    @pytest.mark.parametrize("fusion", ["", "[fusion]\nkernel = epanechnikov\n"])
+    def test_default_bandwidth_is_two_cells(self, tmp_path, fusion):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[voting]\nbin_size = 3\n" + fusion)
+        assert load_config(path).fusion.bandwidth == 6.0
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):

@@ -142,6 +142,23 @@ class TestHogChannels:
         bins = features.hog_bin_map(img)
         assert bins[8, 8] == 4
 
+    @pytest.mark.parametrize("kernel", features.DERIVATIVE_KERNELS)
+    def test_bins_are_those_of_the_channels(self, kernel):
+        # the unscaled kernels give the same angles: Sobel/8 is an exact scaling
+        img = random_image(7)
+        if kernel == "sobel":
+            gx, gy = (ndimage.sobel(img, axis=a, mode="nearest") for a in (1, 0))
+        else:
+            gx, gy = (ndimage.correlate1d(img, [-1.0, 0.0, 1.0], axis=a, mode="nearest")
+                      for a in (1, 0))
+        ang = np.mod(np.arctan2(gy, gx), np.pi)
+        expected = np.minimum((ang / (np.pi / features.HOG_BINS)).astype(int), 8)
+        assert np.array_equal(features.hog_bin_map(img, kernel), expected)
+
+    def test_unknown_kernel_refused(self):
+        with pytest.raises(InvalidInput, match="unknown derivative kernel"):
+            features.hog_bin_map(random_image(8), "bogus")
+
 
 class TestComputeChannels:
     def test_plane_count(self):

@@ -23,24 +23,74 @@ def scene_entry(seed=0, box=(20, 16, 44, 40), canvas=(64, 64)):
     return img, list(boxes)
 
 
-def context_sets(ss, geom):
-    """Rows (n, m+1, d) from the per-patch oracle, +-1 labels, positive votes."""
-    vols = {cid: compute_channels(c) for cid, c in enumerate(ss.canvases)}
-    rows = np.array(
-        [context_vectors(vols[s.canvas_id], s.topleft, geom).vectors
-         for s in ss.samples]
+def reference_samples(entries, n_pos, n_neg, geom, seed=0, reference_size=None):
+    """The per-sample sampler: canvases and one (canvas_id, (x, y), label,
+    vote or None) per drawn patch, from the same seeded draws."""
+    ps = geom.patch_size
+    rng = np.random.default_rng(seed)
+    canvases = [np.asarray(img, dtype=np.float64) for img, _ in entries]
+    pos_pool = []  # (canvas_id, xs, ys, box_center)
+    neg_pool = []  # (canvas_id, y, x) arrays
+    for idx, (_, boxes) in enumerate(entries):
+        img = canvases[idx]
+        ok = training._negative_candidates(boxes, img.shape, ps)
+        if ok.size:
+            ys, xs = np.nonzero(ok)
+            if len(ys):
+                neg_pool.append((idx, ys, xs))
+        for box in boxes:
+            x0, y0, x1, y1 = box
+            factor = 1.0
+            if reference_size is not None:
+                factor = reference_size / (((x1 - x0) + (y1 - y0)) / 2.0)
+            if abs(factor - 1.0) > 1e-3:
+                canvas = training._resize(img, factor)
+                canvas_id = len(canvases)
+                canvases.append(canvas)
+                x0, y0, x1, y1 = (int(round(v * factor)) for v in box)
+            else:
+                canvas, canvas_id = img, idx
+            h, w = canvas.shape
+            xs = np.arange(max(0, x0), min(w - ps, x1 - ps) + 1)
+            ys = np.arange(max(0, y0), min(h - ps, y1 - ps) + 1)
+            if len(xs) and len(ys):
+                pos_pool.append((canvas_id, xs, ys, ((x0 + x1) / 2.0, (y0 + y1) / 2.0)))
+
+    samples = []
+    sizes = [len(xs) * len(ys) for _, xs, ys, _ in pos_pool]
+    bounds = np.cumsum([0] + sizes)
+    for flat in np.sort(rng.choice(sum(sizes), size=n_pos, replace=False)):
+        k = np.searchsorted(bounds, flat, side="right") - 1
+        cid, xs, ys, (cx, cy) = pos_pool[k]
+        local = flat - bounds[k]
+        x = int(xs[local % len(xs)])
+        y = int(ys[local // len(xs)])
+        vote = np.array([cx - (x + ps / 2.0), cy - (y + ps / 2.0)])
+        samples.append((cid, (x, y), +1, vote))
+    sizes = [len(ys) for _, ys, _ in neg_pool]
+    bounds = np.cumsum([0] + sizes)
+    for flat in np.sort(rng.choice(sum(sizes), size=n_neg, replace=False)):
+        k = np.searchsorted(bounds, flat, side="right") - 1
+        cid, ys, xs = neg_pool[k]
+        local = flat - bounds[k]
+        samples.append((cid, (int(xs[local]), int(ys[local])), -1, None))
+    return canvases, samples
+
+
+def context_rows(ss, geom):
+    """Rows (n, m+1, d) from the per-patch oracle, in the set's order."""
+    vols = [compute_channels(c) for c in ss.canvases]
+    return np.array(
+        [context_vectors(vols[c], xy, geom).vectors
+         for c, xy in zip(ss.canvas_ids, ss.topleft)]
     )
-    labels = np.array([float(s.label) for s in ss.samples])
-    votes = np.array([s.voting for s in ss.samples if s.label > 0])
-    return rows, labels, votes
 
 
 def oracle_bank(ss, geom, cfg):
-    """The bank fitted on every X_j built from the per-patch oracle, rows
-    positives first, through training's per-context fit."""
-    rows, labels, votes = context_sets(ss, geom)
-    order = np.argsort(labels < 0, kind="stable")
-    hrms, lrms = zip(*(training.fit_context(rows[order, j, :], votes, cfg, j)
+    """The bank fitted on every X_j built from the per-patch oracle, through
+    training's per-context fit."""
+    rows = context_rows(ss, geom)
+    hrms, lrms = zip(*(training.fit_context(rows[:, j].copy(), ss.votes, cfg, j)
                        for j in range(geom.num_context)))
     return training.ModelBank.from_fits(hrms, lrms, geom)
 
@@ -50,48 +100,62 @@ def head_votes(bank, X):
     return X @ bank.coefficients[:, 0, :2] + bank.intercepts[0, :2]
 
 
+def replaced(ss, **arrays):
+    """ss with some of its arrays replaced."""
+    fields = dict(canvas_ids=ss.canvas_ids, topleft=ss.topleft, votes=ss.votes)
+    return training.SampleSet(ss.canvases, **{**fields, **arrays})
+
+
 class TestSamplePatches:
     def test_counts_and_labels(self):
         entries = [scene_entry(0), scene_entry(1)]
         ss = training.sample_patches(entries, 40, 60, GEOM, seed=7)
-        labels = [s.label for s in ss.samples]
-        assert labels.count(+1) == 40
-        assert labels.count(-1) == 60
+        assert ss.canvas_ids.shape == (100,)
+        assert ss.topleft.shape == (100, 2)
+        assert ss.votes.shape == (40, 2)
+
+    @pytest.mark.parametrize("reference_size", [None, 20.0, 40.0])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_matches_per_sample_sampler(self, seed, reference_size):
+        # several boxes per scene, sizes 24-40, some rescaled, some not
+        scenes = ([(24, 24, 0.6), (70, 64, 1.0)], [(48, 40, 0.8)],
+                  [(30, 70, 1.0), (72, 24, 0.75)])
+        entries = [synth_scene(objs, (96, 96), noise=0.01, seed=seed + i)
+                   for i, objs in enumerate(scenes)]
+        ss = training.sample_patches(entries, 60, 90, GEOM, seed, reference_size)
+        canvases, samples = reference_samples(entries, 60, 90, GEOM, seed, reference_size)
+        assert len(ss.canvases) == len(canvases)
+        for a, b in zip(ss.canvases, canvases):
+            assert np.array_equal(a, b)
+        assert [s[2] for s in samples] == [1] * 60 + [-1] * 90
+        assert np.array_equal(ss.canvas_ids, [s[0] for s in samples])
+        assert np.array_equal(ss.topleft, [s[1] for s in samples])
+        assert np.array_equal(ss.votes, [s[3] for s in samples[:60]])
 
     def test_deterministic_under_seed(self):
         entries = [scene_entry(2)]
         a = training.sample_patches(entries, 20, 20, GEOM, seed=3)
         b = training.sample_patches(entries, 20, 20, GEOM, seed=3)
-        assert [(s.canvas_id, s.topleft, s.label) for s in a.samples] == [
-            (s.canvas_id, s.topleft, s.label) for s in b.samples
-        ]
+        for name in ("canvas_ids", "topleft", "votes"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_positives_inside_negatives_outside(self):
         box = (20, 16, 44, 40)
         entries = [scene_entry(3, box)]
         ss = training.sample_patches(entries, 30, 30, GEOM, seed=1)
         x0, y0, x1, y1 = box
-        for s in ss.samples:
-            px, py = s.topleft
+        for i, (px, py) in enumerate(ss.topleft):
             inside = x0 <= px and y0 <= py and px + PS <= x1 and py + PS <= y1
             overlaps = px < x1 and px + PS > x0 and py < y1 and py + PS > y0
-            if s.label > 0:
-                assert inside
-            else:
-                assert not overlaps
+            assert inside if i < 30 else not overlaps
 
     def test_voting_vector_oracle(self):
         box = (20, 16, 44, 40)
         cx, cy = 32.0, 28.0
         entries = [scene_entry(4, box)]
         ss = training.sample_patches(entries, 25, 5, GEOM, seed=2)
-        for s in ss.samples:
-            if s.label > 0:
-                expected = (cx - (s.topleft[0] + PS / 2.0),
-                            cy - (s.topleft[1] + PS / 2.0))
-                assert np.allclose(s.voting, expected)
-            else:
-                assert s.voting is None
+        expected = np.array([cx, cy]) - (ss.topleft[:25] + PS / 2.0)
+        assert np.allclose(ss.votes, expected)
 
     def test_centered_patch_votes_zero(self):
         # a box exactly one patch wide admits a single positive placement
@@ -99,18 +163,15 @@ class TestSamplePatches:
         img = np.random.default_rng(5).random((32, 32))
         entries = [(img, [(10, 12, 10 + PS, 12 + PS)])]
         ss = training.sample_patches(entries, 1, 1, GEOM, seed=0)
-        positive = next(s for s in ss.samples if s.label > 0)
-        assert positive.topleft == (10, 12)
-        assert np.array_equal(positive.voting, np.zeros(2))
+        assert tuple(ss.topleft[0]) == (10, 12)
+        assert np.array_equal(ss.votes, np.zeros((1, 2)))
 
     def test_voting_bounded_by_box_diagonal(self):
         box = (20, 16, 44, 40)
         entries = [scene_entry(6, box)]
         ss = training.sample_patches(entries, 50, 5, GEOM, seed=4)
         diag = np.hypot(box[2] - box[0], box[3] - box[1])
-        for s in ss.samples:
-            if s.label > 0:
-                assert np.linalg.norm(s.voting) <= diag
+        assert np.all(np.linalg.norm(ss.votes, axis=1) <= diag)
 
     def test_insufficient_negatives(self):
         # box covering all but a sliver leaves too few negative positions
@@ -133,9 +194,7 @@ class TestSamplePatches:
         )
         assert len(ss.canvases) == 2
         assert ss.canvases[1].shape == (32, 32)
-        for s in ss.samples:
-            if s.label > 0:
-                assert s.canvas_id == 1
+        assert np.all(ss.canvas_ids[:10] == 1)
 
 
 class TestTrainBank:
@@ -196,7 +255,7 @@ class TestTrainBank:
         ss = training.sample_patches(entries, 16, 16, GEOM, seed=1)
         training.train_from_samples(ss, GEOM, pls.LatentConfig(components=3),
                                     workers=workers)
-        assert live["calls"] == len({s.canvas_id for s in ss.samples}) > 2
+        assert live["calls"] == len(np.unique(ss.canvas_ids)) > 2
         assert 1 <= live["peak"] <= workers
         assert live["now"] == 0
 
@@ -205,12 +264,12 @@ class TestTrainBank:
         geom = PatchGeometry(PS, ((PS, 0), (-PS, 0), (0, PS), (0, -PS)))
         img, _ = scene_entry(20, (2, 2, 14, 14), canvas=(16, 17))
         starts = [(x, y) for y in range(17 - PS + 1) for x in range(16 - PS + 1)]
-        samples = tuple(
-            training.TrainingSample(0, xy, +1, np.array([i, -i]) / 7.0)
-            if i % 2 else training.TrainingSample(0, xy, -1)
-            for i, xy in enumerate(starts)
+        # the odd starts are positives, each voting (i, -i) / 7
+        i = np.r_[1 : len(starts) : 2, 0 : len(starts) : 2]
+        ss = training.SampleSet(
+            (img,), np.zeros(len(i), dtype=np.intp), np.array(starts)[i],
+            np.stack([i, -i], axis=1)[: len(starts) // 2] / 7.0,
         )
-        ss = training.SampleSet((img,), samples)
         cfg = pls.LatentConfig(components=3)
         a = oracle_bank(ss, geom, cfg)
         b = training.train_from_samples(ss, geom, cfg)
@@ -225,9 +284,8 @@ class TestTrainBank:
         ss = training.sample_patches(entries, 8, 8, geom, seed=2)
         cfg = pls.LatentConfig(components=7)
         bank = training.train_from_samples(ss, geom, cfg)
-        rows, labels, votes = context_sets(ss, geom)
-        pred = head_votes(bank, rows[labels > 0, 0, :])
-        assert np.max(np.abs(pred - votes)) <= 1e-6
+        pred = head_votes(bank, context_rows(ss, geom)[:8, 0, :])
+        assert np.max(np.abs(pred - ss.votes)) <= 1e-6
 
     def test_pls_and_bpls_agree_on_full_rank_fit(self):
         geom = PatchGeometry(PS, ())
@@ -235,34 +293,69 @@ class TestTrainBank:
         ss = training.sample_patches(entries, 8, 8, geom, seed=3)
         cfg = pls.LatentConfig(components=7)
         bank = training.train_from_samples(ss, geom, cfg)
-        rows, labels, votes = context_sets(ss, geom)
-        X = rows[labels > 0, 0, :]
-        reference = pls.pls_fit(X, votes, cfg.components)
+        X = context_rows(ss, geom)[:8, 0, :]
+        reference = pls.pls_fit(X, ss.votes, cfg.components)
         d = np.abs(pls.predict(reference, X) - head_votes(bank, X))
         assert np.max(d) <= 1e-4
-
-    def test_bank_does_not_depend_on_sample_order(self):
-        ss = training.sample_patches([scene_entry(25)], 8, 8, GEOM, seed=2)
-        pos = [s for s in ss.samples if s.label > 0]
-        neg = [s for s in ss.samples if s.label < 0]
-        interleaved = [s for pair in zip(neg, pos) for s in pair]
-        cfg = pls.LatentConfig(components=3)
-        a = training.train_from_samples(
-            training.SampleSet(ss.canvases, tuple(pos + neg)), GEOM, cfg
-        )
-        b = training.train_from_samples(
-            training.SampleSet(ss.canvases, tuple(interleaved)), GEOM, cfg
-        )
-        assert np.array_equal(a.coefficients, b.coefficients)
-        assert np.array_equal(a.intercepts, b.intercepts)
 
     @pytest.mark.parametrize("label", [+1, -1])
     def test_one_class_refused(self, label):
         ss = training.sample_patches([scene_entry(26)], 8, 8, GEOM, seed=3)
-        one = tuple(s for s in ss.samples if s.label == label)
+        one = slice(None, 8) if label > 0 else slice(8, None)
+        votes = ss.votes if label > 0 else ss.votes[:0]
         with pytest.raises(InvalidDataset, match="both labels"):
             training.train_from_samples(
-                training.SampleSet(ss.canvases, one), GEOM, pls.LatentConfig(components=3)
+                replaced(ss, canvas_ids=ss.canvas_ids[one], topleft=ss.topleft[one],
+                         votes=votes),
+                GEOM, pls.LatentConfig(components=3),
+            )
+
+    @pytest.mark.parametrize("row", [0, 12])
+    @pytest.mark.parametrize("corner", [(-1, 3), (3, -1), (64 - PS + 1, 3), (3, 64 - PS + 1)])
+    def test_window_off_canvas_refused(self, row, corner):
+        # a positive (row 0) or negative (row 12) that would train on zeros
+        ss = training.sample_patches([scene_entry(29)], 8, 8, GEOM, seed=1)
+        topleft = ss.topleft.copy()
+        topleft[row] = corner
+        with pytest.raises(InvalidDataset, match="window must lie on its canvas"):
+            training.train_from_samples(
+                replaced(ss, topleft=topleft), GEOM, pls.LatentConfig(components=3)
+            )
+
+    @pytest.mark.parametrize("canvas_id", [-1, 1])
+    def test_canvas_id_out_of_range_refused(self, canvas_id):
+        # -1 would read the last canvas, 1 is past the end of one canvas
+        ss = training.sample_patches([scene_entry(30)], 8, 8, GEOM, seed=2)
+        ids = ss.canvas_ids.copy()
+        ids[3] = canvas_id
+        with pytest.raises(InvalidDataset, match="canvas ids"):
+            training.train_from_samples(
+                replaced(ss, canvas_ids=ids), GEOM, pls.LatentConfig(components=3)
+            )
+
+    def test_positive_without_vote_refused(self):
+        ss = training.sample_patches([scene_entry(31)], 8, 8, GEOM, seed=3)
+        votes = ss.votes.copy()
+        votes[5] = np.nan
+        with pytest.raises(InvalidDataset, match="finite vote"):
+            training.train_from_samples(
+                replaced(ss, votes=votes), GEOM, pls.LatentConfig(components=3)
+            )
+
+    @pytest.mark.parametrize("arrays", [
+        dict(votes=np.zeros((8, 3))),
+        dict(votes=np.zeros(8)),
+        dict(topleft=np.zeros((16, 3), dtype=np.intp)),
+        dict(topleft=np.zeros((16, 2))),
+        dict(canvas_ids=np.zeros((16, 1), dtype=np.intp)),
+        dict(canvas_ids=np.zeros(15, dtype=np.intp)),
+    ], ids=["vote-width", "vote-rank", "topleft-width", "float-topleft",
+            "id-rank", "id-count"])
+    def test_malformed_arrays_refused(self, arrays):
+        ss = training.sample_patches([scene_entry(32)], 8, 8, GEOM, seed=4)
+        with pytest.raises(InvalidDataset, match="sample set needs"):
+            training.train_from_samples(
+                replaced(ss, **arrays), GEOM, pls.LatentConfig(components=3)
             )
 
     def test_single_negative_trains(self):

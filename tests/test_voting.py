@@ -13,11 +13,7 @@ def constant_model(dim, out):
     """A regressor that returns `out` for every input."""
     out = np.atleast_1d(np.asarray(out, dtype=np.float64))
     q = out.shape[0]
-    return pls.RegressionModel(
-        coefficients=np.zeros((dim, q)),
-        mean_x=np.zeros(dim),
-        mean_y=out,
-    )
+    return pls.RegressionModel(coefficients=np.zeros((dim, q)), intercept=out)
 
 
 def constant_fits(votes, labels):
