@@ -241,10 +241,9 @@ class TestDetect:
 
     def test_fusion_never_adds_detections(self):
         img = np.random.default_rng(14).random((64, 64))  # fusion drops one of three
-        bank = fitted_bank()
-        kwargs = dict(scales=ScaleSet((1.0, 1.25)),
-                      voting_cfg=VotingConfig(stride=2, bin_size=2))
-        result = detect(img, bank, **kwargs)
+        result = detect(
+            img, fitted_bank(), ScaleSet((1.0, 1.25)), VotingConfig(stride=2, bin_size=2)
+        )
         hypotheses = {(h.center, h.scale, h.score) for h in result.hypotheses_prefusion}
         kept = [(d.center, d.scale, d.score) for d in result.detections]
         assert len(kept) < len(result.hypotheses_prefusion)
