@@ -98,12 +98,13 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
     return V * signs
 
 
-def dominant_eigenvectors(M, c: int) -> np.ndarray:
+def dominant_eigenvectors(M, c: int, overwrite: bool = False) -> np.ndarray:
     """First ``c`` dominant eigenvectors of a symmetric matrix, as columns.
 
     Columns are unit-norm, ordered by descending eigenvalue, with signs
     fixed so the largest-magnitude entry of each column is positive.  Only
-    the top ``c`` eigenpairs are computed.
+    the top ``c`` eigenpairs are computed.  M is left intact unless
+    ``overwrite`` lets the eigensolver work in it, saving a p x p copy.
     """
     M = _as_matrix(M, "M")
     if M.shape[0] != M.shape[1]:
@@ -123,7 +124,8 @@ def dominant_eigenvectors(M, c: int) -> np.ndarray:
     _EIG_CALLS += 1
     try:
         _, V = linalg.eigh(  # ascending order
-            M, subset_by_index=(p - c, p - 1), driver="evr", check_finite=False
+            M, subset_by_index=(p - c, p - 1), driver="evr", overwrite_a=overwrite,
+            check_finite=False,
         )
     except np.linalg.LinAlgError as e:
         raise DegenerateFit(f"eigensolver failed: {e}") from e
@@ -156,8 +158,10 @@ def _centred_products(X, mx, Y=None, my=None):
     p = X.shape[1]
     G = np.zeros((p, p), order="F")
     XtY = None if Y is None else np.zeros((p, Y.shape[1]), order="F")
+    buf = np.empty((min(len(X), _BLOCK_ROWS), p))  # one centred block at a time
     for i in range(0, len(X), _BLOCK_ROWS):
-        At = (X[i : i + _BLOCK_ROWS] - mx).T  # (p, rows), F-order
+        rows = X[i : i + _BLOCK_ROWS]
+        At = np.subtract(rows, mx, out=buf[: len(rows)]).T  # (p, rows), F-order
         G = blas.dsyrk(1.0, At, beta=1.0, c=G, overwrite_c=1)  # upper triangle
         if Y is not None:
             Yc = Y[i : i + _BLOCK_ROWS] - my
@@ -254,8 +258,10 @@ def bpls_weights(G, XtY, c: int, alpha: float) -> np.ndarray:
     eigenvectors of ``M = alpha G + (1 - alpha) XtY XtY^T``, which is
     ``Xc^T (alpha I + (1 - alpha) Yc Yc^T) Xc``, from one eigensolve.
     """
-    M = blas.dgemm(1.0 - alpha, XtY, XtY, trans_b=1, beta=alpha, c=G)
-    return dominant_eigenvectors(M, c)
+    M = blas.dgemm(1.0 - alpha, XtY, XtY, trans_b=1, beta=alpha, c=G)  # G is copied
+    # M is ours alone, so the eigensolver may overwrite it (a positional flag:
+    # some wrappers of this name forward no keywords)
+    return dominant_eigenvectors(M, c, True)
 
 
 def pls_fit(X, Y, c: int) -> RegressionModel:

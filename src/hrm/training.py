@@ -187,12 +187,11 @@ def fit_context(
 
     The first ``len(votes)`` rows of X are the positives and the rest the
     negatives.  One Gram per class: the voting fit uses the positives'
-    centred moments, and the label fit pools them with the negatives'.
+    centred moments, and the label fit pools them with the negatives'.  The
+    voting fit runs before the negatives' Gram is formed, and the positives'
+    Gram is released before the label fit, so at most two p x p arrays are
+    alive at once: two Grams, or a fit's Gram and the M it solves in place.
     """
-    n_pos = len(votes)
-    labels = np.where(np.arange(len(X)) < n_pos, 1.0, -1.0)[:, None]
-    vote = pls.centred_moments(X[:n_pos], votes, cfg.components)
-    label = pls.label_moments(X, n_pos, vote[0], vote[2])
 
     def fit(X, Y, moments, family):
         try:
@@ -200,7 +199,13 @@ def fit_context(
         except DegenerateFit as e:
             raise DegenerateFit(f"{family} model j={j}: {e}") from e
 
-    return fit(X[:n_pos], votes, vote, "voting"), fit(X, labels, label, "label")
+    n_pos = len(votes)
+    vote = pls.centred_moments(X[:n_pos], votes, cfg.components)
+    hrm = fit(X[:n_pos], votes, vote, "voting")
+    label = pls.label_moments(X, n_pos, vote[0], vote[2])
+    del vote  # the positives' Gram, now pooled into the label Gram
+    labels = np.where(np.arange(len(X)) < n_pos, 1.0, -1.0)[:, None]
+    return hrm, fit(X, labels, label, "label")
 
 
 def _checked(ss: SampleSet, ps: int):
@@ -243,8 +248,9 @@ def train_from_samples(
     whole canvas's), and keeps only those pixels, as (P, 26) rows plus an
     (H, W) map from each canvas pixel to its row.  The volume is then
     dropped, so at most ``workers`` volumes are alive at once.  Fits one
-    context index at a time, so a single (n, d) predictor matrix is in
-    memory at once, which matters for real patch dimensionalities.
+    context index at a time on a freshly gathered X_j, so a single (n, d)
+    predictor matrix is in memory at once, which matters for real patch
+    dimensionalities.
     """
     ps = geom.patch_size
     cid, (x, y), votes = _checked(sample_set, ps)
@@ -256,7 +262,8 @@ def train_from_samples(
         return rows[ok], ny[ok], nx[ok]
 
     def compact(c):
-        """Canvas c's sample rows, covered feature pixels and index-map windows."""
+        """Canvas c's sample rows, covered feature pixels, index-map windows,
+        and (rows of X, raw-window pixel rows) per run of consecutive rows."""
         canvas = sample_set.canvases[c]
         rows = np.flatnonzero(cid == c)
         h, w = canvas.shape[:2]
@@ -273,27 +280,30 @@ def train_from_samples(
         vol = compute_channels(canvas[crop], geom.derivative_kernel)
         # a covered pixel's row among the kept ones; other entries are never read
         index = np.cumsum(covered, dtype=np.int32).reshape(h, w, 1) - 1
-        return rows, vol[covered[crop]], patch_windows(index, ps)
+        windows = patch_windows(index, ps)
+        raw = windows[y[rows], x[rows]].reshape(len(rows), -1).astype(np.intp)
+        cuts = np.flatnonzero(np.diff(rows) != 1) + 1
+        runs = [(slice(r[0], r[-1] + 1), k)
+                for r, k in zip(np.split(rows, cuts), np.split(raw, cuts))]
+        return rows, vol[covered[crop]], windows, runs
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         canvases = list(pool.map(compact, np.unique(cid)))
 
-    def gather(dx, dy):
-        """Patch vectors at every sample's top-left + (dx, dy), zero where clipped."""
-        out = np.zeros((len(cid), geom.vector_length))
-        for rows, values, windows in canvases:
-            rows, ny, nx = inside(rows, windows.shape, dx, dy)
-            out[rows] = values[windows[ny, nx]].reshape(-1, geom.vector_length)
-        return out
-
     def context_matrix(j):
-        """X_j: the raw rows for j = 0, else raw minus the j-th neighbor's rows."""
-        if j == 0:
-            return raw
-        neighbor = gather(*geom.neighbor_offsets[j - 1])
-        return np.subtract(raw, neighbor, out=neighbor)
+        """X_j: every sample's raw patch vector, minus for j >= 1 its j-th
+        neighbor's, except where that neighbor is clipped."""
+        d = geom.vector_length
+        X = np.empty((len(cid), d))
+        for rows, values, windows, runs in canvases:
+            for block, raw in runs:
+                out = X[block].reshape(raw.shape + values.shape[1:])
+                np.take(values, raw, axis=0, out=out, mode="clip")  # all in range
+            if j:
+                rows, ny, nx = inside(rows, windows.shape, *geom.neighbor_offsets[j - 1])
+                X[rows] -= values[windows[ny, nx]].reshape(-1, d)
+        return X
 
-    raw = gather(0, 0)
     hrms, lrms = zip(
         *(fit_context(context_matrix(j), votes, cfg, j) for j in range(geom.num_context))
     )

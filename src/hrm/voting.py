@@ -164,12 +164,14 @@ def accumulate_cuboid(
 
         for s, sigma in enumerate(scales.scales):
             landing = locs[:, None, :] + sigma * votes  # (n, m+1, 2)
-            cells = np.floor(landing / bin_size).astype(np.int64)
+            # bounds-tested as floats: a cell past int64 has no defined cast
+            cells = np.floor(landing / bin_size)
             cx = cells[..., 0].ravel()
             cy = cells[..., 1].ravel()
             inside = (cx >= 0) & (cx < gw) & (cy >= 0) & (cy < gh)
+            flat = (cy[inside] * gw + cx[inside]).astype(np.int64)  # exact below 2**53
             levels[s] = np.bincount(
-                cy[inside] * gw + cx[inside], weights=m[inside], minlength=gh * gw
+                flat, weights=m[inside], minlength=gh * gw
             ).reshape(gh, gw)
             dropped[s] = int(np.count_nonzero(~inside))
 
@@ -183,9 +185,9 @@ def accumulate_cuboid(
 def find_maxima(cuboid: HoughCuboid, min_score: float, radius: int = 3):
     """Per-level strict local maxima at or above min_score.
 
-    A cell qualifies when it strictly exceeds every neighbor within
-    ``radius`` cells (Chebyshev) in its own level.  Hypothesis centers are
-    cell centers mapped back to image pixels.
+    A cell qualifies when it holds votes (a score above 0) and strictly
+    exceeds every neighbor within ``radius`` cells (Chebyshev) in its own
+    level.  Hypothesis centers are cell centers mapped back to image pixels.
     """
     if radius < 1:
         raise InvalidInput("radius must be >= 1")
@@ -200,7 +202,7 @@ def find_maxima(cuboid: HoughCuboid, min_score: float, radius: int = 3):
         neigh = ndimage.maximum_filter(
             level, footprint=footprint, mode="constant", cval=-np.inf
         )
-        ys, xs = np.nonzero((level > neigh) & (level >= min_score))
+        ys, xs = np.nonzero((level > neigh) & (level >= min_score) & (level > 0))
         for y, x in zip(ys, xs):
             center = ((x + 0.5) * cuboid.bin_size, (y + 0.5) * cuboid.bin_size)
             out.append(Hypothesis(center, sigma, float(level[y, x])))

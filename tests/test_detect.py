@@ -227,6 +227,15 @@ class TestDetect:
         assert result.total_mass == 0.0
         assert float(result.cuboid.levels.max()) == 0.0
 
+    def test_image_under_one_bin_yields_nothing(self):
+        # a 5x5 image has no 6x6 patch and one 8-px bin, whose cell has no
+        # neighbor on the grid: no votes must not make a 0-score detection
+        bank = random_linear_bank(PatchGeometry(6, ((6, 0),)), np.random.default_rng(0))
+        img = np.random.default_rng(3).random((5, 5))
+        result = detect(img, bank, ScaleSet((1.0, 1.25)), VotingConfig(bin_size=8))
+        assert result.cuboid.levels.shape == (2, 1, 1)
+        assert result.hypotheses_prefusion == [] and result.detections == []
+
     def test_detections_sorted_and_boxed(self):
         img = np.random.default_rng(14).random((64, 64))  # two detections
         result = detect(

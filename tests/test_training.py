@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from hrm import pls, training
 from hrm.errors import InvalidDataset
-from hrm.features import PatchGeometry, compute_channels, context_vectors
+from hrm.features import N_CHANNELS, PatchGeometry, compute_channels, context_vectors
 from hrm.model_io import save_model
 from hrm.synth import synth_scene
 
@@ -357,6 +358,24 @@ class TestTrainBank:
             training.train_from_samples(
                 replaced(ss, **arrays), GEOM, pls.LatentConfig(components=3)
             )
+
+    def test_one_context_matrix_resident(self):
+        # tracemalloc sees NumPy's buffers.  At ps 4 and n = 8000 an (n, d)
+        # matrix is 27 MB and a d x d moment 1.4 MB, so holding the raw rows
+        # beside X_j (2 n d 8 bytes) breaks the bound; one X_j at a time,
+        # with the fits' moments and blocks, stays near 1.3 n d 8.
+        geom = PatchGeometry(4, ((4, 0), (0, 4)))
+        entries = [scene_entry(s) for s in range(16)]
+        ss = training.sample_patches(entries, 4000, 4000, geom, seed=0)
+        n, d = len(ss.canvas_ids), geom.vector_length
+        pixels = sum(c.size for c in ss.canvases) * N_CHANNELS * 8  # >= compacted
+        tracemalloc.start()
+        try:
+            training.train_from_samples(ss, geom, pls.LatentConfig(components=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pixels + 1.5 * n * d * 8
 
     def test_single_negative_trains(self):
         ss = training.sample_patches([scene_entry(27)], 8, 1, GEOM, seed=4)

@@ -138,6 +138,18 @@ class TestAccumulateCuboid:
         assert cub.levels[0, 10, 19] == pytest.approx(1.0)
         assert cub.levels.sum() == pytest.approx(1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_landing_past_int64_dropped(self):
+        # at scale 1e300 every nonzero vote lands past int64, where a cast
+        # has no defined value; each is dropped and counted, without a warning
+        pvs = [patch((10.0, 10.0), [(3.0, -2.0), (-0.5, 4.0)], [1.0, 1.0]),
+               patch((20.0, 5.0), [(1.0, 1.0), (7.0, 0.25)], [1.0, -1.0])]
+        cub = voting.accumulate_cuboid(pvs, voting.ScaleSet((1.0, 1e300)), (40, 40),
+                                       bin_size=4, smoothing=0.0)
+        assert cub.level_mass[1] == cub.level_mass[0] == pytest.approx(1.5)
+        assert cub.levels[1].sum() == 0.0 and cub.dropped[1] == 4
+        assert cub.levels[0].sum() == pytest.approx(1.5) and cub.dropped[0] == 0
+
     def test_unit_ratio_reproduces_single_scale(self):
         rng = np.random.default_rng(2)
         pvs = [
@@ -284,6 +296,13 @@ class TestFindMaxima:
         assert hyps[0].center == (7.5, 4.5)
         assert hyps[0].scale == 1.25
         assert hyps[0].score == 3.0
+
+    def test_zero_cell_without_neighbors_is_no_hypothesis(self):
+        # off-grid neighbors read -inf, so an empty 1x1 level's cell beats
+        # them all; only a cell that holds votes is a hypothesis
+        levels = np.array([[[0.0]], [[0.5]]])
+        hyps = voting.find_maxima(self.make_cuboid(levels), 0.0, radius=1)
+        assert [(h.scale, h.score) for h in hyps] == [(1.25, 0.5)]
 
     def test_uniform_level_no_maxima(self):
         levels = np.ones((1, 8, 8))
