@@ -98,13 +98,13 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
     return V * signs
 
 
-def dominant_eigenvectors(M, c: int, overwrite: bool = False) -> np.ndarray:
+def dominant_eigenvectors(M, c: int) -> np.ndarray:
     """First ``c`` dominant eigenvectors of a symmetric matrix, as columns.
 
     Columns are unit-norm, ordered by descending eigenvalue, with signs
     fixed so the largest-magnitude entry of each column is positive.  Only
-    the top ``c`` eigenpairs are computed.  M is left intact unless
-    ``overwrite`` lets the eigensolver work in it, saving a p x p copy.
+    the top ``c`` eigenpairs are computed.  The eigensolver may overwrite
+    M, which saves a p x p copy.
     """
     M = _as_matrix(M, "M")
     if M.shape[0] != M.shape[1]:
@@ -124,7 +124,7 @@ def dominant_eigenvectors(M, c: int, overwrite: bool = False) -> np.ndarray:
     _EIG_CALLS += 1
     try:
         _, V = linalg.eigh(  # ascending order
-            M, subset_by_index=(p - c, p - 1), driver="evr", overwrite_a=overwrite,
+            M, subset_by_index=(p - c, p - 1), driver="evr", overwrite_a=True,
             check_finite=False,
         )
     except np.linalg.LinAlgError as e:
@@ -259,9 +259,7 @@ def bpls_weights(G, XtY, c: int, alpha: float) -> np.ndarray:
     ``Xc^T (alpha I + (1 - alpha) Yc Yc^T) Xc``, from one eigensolve.
     """
     M = blas.dgemm(1.0 - alpha, XtY, XtY, trans_b=1, beta=alpha, c=G)  # G is copied
-    # M is ours alone, so the eigensolver may overwrite it (a positional flag:
-    # some wrappers of this name forward no keywords)
-    return dominant_eigenvectors(M, c, True)
+    return dominant_eigenvectors(M, c)
 
 
 def pls_fit(X, Y, c: int) -> RegressionModel:

