@@ -1,10 +1,11 @@
 """Command-line interface: train, detect, eval, synth.
 
-Exit codes: 0 success, 2 input error, 3 model error.  Both worker pools,
-detection's per image and training's per canvas, run at most HRM_THREADS
-threads and at most the usable cores (the CPU affinity).  Detection's image
-threads x NumPy BLAS threads <= usable cores.  Outputs depend on neither
-count.  All output files are written atomically (temp file + rename).
+Exit codes: 0 success, 2 input or I/O error, 3 model error.  Both worker
+pools, detection's per image and training's per canvas, run at most
+HRM_THREADS threads and at most the usable cores (the CPU affinity).
+Detection's image threads x NumPy BLAS threads <= usable cores.  Outputs
+depend on neither count.  All output files are written atomically (temp
+file + rename).
 """
 
 from __future__ import annotations
@@ -269,7 +270,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as e:
+    except (*_INPUT_ERRORS, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except _MODEL_ERRORS as e:

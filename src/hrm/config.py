@@ -1,9 +1,10 @@
 """Key-value configuration files (INI sections mirror module names).
 
 Each section fills the fields of its dataclasses: a key is a field name,
-its value is read as the field's type, and an absent key keeps the field's
-default.  README.md's INI block lists every key.  An unknown section or
-key is a ParseError, and ``#`` after whitespace starts a comment.
+its value is read as the field's type (an int, float or bool, or a
+whitespace-separated tuple of numbers), and an absent key keeps the
+field's default.  README.md's INI block lists every key.  An unknown
+section or key is a ParseError, and ``#`` after whitespace starts a comment.
 [features] is the model's PatchGeometry: training records it in the
 model, and detection reads it from there.
 """
@@ -97,7 +98,7 @@ class SynthSpec:
 
 def _reader(key, tp):
     """How to read ``key``'s INI text as type ``tp``; None for a nested config."""
-    if tp in (int, float, str, bool):
+    if tp in (int, float, bool):
         return tp  # bool is read with getboolean
     if get_origin(tp) is not tuple:
         return None

@@ -131,7 +131,7 @@ def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig) -> VoteField:
     in-bounds starts and their neighbors are one slice of each grid.
     """
     geom = bank.geometry
-    vol = compute_channels(np.asarray(image, dtype=np.float64), geom.derivative_kernel)
+    vol = compute_channels(np.asarray(image, dtype=np.float64))
     ps = geom.patch_size
     n_x, n_y = vol.shape[1] - ps + 1, vol.shape[0] - ps + 1  # valid starts per axis
     if n_x < 1 or n_y < 1:

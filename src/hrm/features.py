@@ -1,11 +1,12 @@
 """Per-pixel feature channels and patch feature vectors.
 
-An image becomes a 26-plane feature volume: 13 base channels (absolute x/y
-derivatives, absolute second x/y derivatives, and 9 orientation-histogram
-channels accumulated over a 5x5 window), max-filtered in planes 0-12 and
-min-filtered in planes 13-25.  The volume is stored pixel-major, so a
-patch vector (all 26 channels per pixel, row-major over the patch) is a
-window of it; :func:`patch_windows` is the view training and detection read.
+An image becomes a 26-plane feature volume: 13 base channels (absolute
+Sobel/8 x/y derivatives, absolute second x/y derivatives, and 9
+orientation-histogram channels accumulated over a 5x5 window), max-filtered
+in planes 0-12 and min-filtered in planes 13-25.  :data:`EXTRACTOR_VERSION`
+names this one extractor.  The volume is stored pixel-major, so a patch
+vector (all 26 channels per pixel, row-major over the patch) is a window of
+it; :func:`patch_windows` is the view training and detection read.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ _BIN_IDS = np.arange(HOG_BINS)[:, None, None]
 # Pixels from a crop edge at which the channels can differ from the whole
 # image's: derivative radius 1, 5x5 sum radius 2, min/max radius 2.
 CROP_MARGIN = 5
-DERIVATIVE_KERNELS = ("sobel", "central")
 
 
 def _default_offsets(patch_size: int) -> tuple[tuple[int, int], ...]:
@@ -48,20 +48,14 @@ def _default_offsets(patch_size: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class PatchGeometry:
-    """The feature extractor: patch size, neighbor offsets, derivative kernel."""
+    """The extractor's patch layout: patch size and neighbor offsets."""
 
     patch_size: int = 16
     neighbor_offsets: tuple[tuple[int, int], ...] = None
-    derivative_kernel: str = "sobel"
 
     def __post_init__(self):
         if self.patch_size < 1:
             raise InvalidInput("patch_size must be positive")
-        if self.derivative_kernel not in DERIVATIVE_KERNELS:
-            raise InvalidInput(
-                f"derivative_kernel must be one of {DERIVATIVE_KERNELS}, "
-                f"got {self.derivative_kernel!r}"
-            )
         if self.neighbor_offsets is None:
             object.__setattr__(
                 self, "neighbor_offsets", _default_offsets(self.patch_size)
@@ -95,24 +89,16 @@ class ContextSet:
     clipped: tuple[bool, ...]
 
 
-def _gradients(img: np.ndarray, derivative_kernel: str):
-    """First x and y derivatives of a grey image, and each pixel's unsigned
-    orientation bin (0..8)."""
-    if derivative_kernel == "sobel":
-        gx, gy = (ndimage.sobel(img, axis=a, mode="nearest") / 8.0 for a in (1, 0))
-    elif derivative_kernel == "central":
-        gx, gy = (
-            ndimage.correlate1d(img, [-0.5, 0.0, 0.5], axis=a, mode="nearest")
-            for a in (1, 0)
-        )
-    else:
-        raise InvalidInput(f"unknown derivative kernel {derivative_kernel!r}")
+def _gradients(img: np.ndarray):
+    """First x and y derivatives (Sobel/8) of a grey image, and each pixel's
+    unsigned orientation bin (0..8)."""
+    gx, gy = (ndimage.sobel(img, axis=a, mode="nearest") / 8.0 for a in (1, 0))
     ang = np.mod(np.arctan2(gy, gx), np.pi)  # unsigned orientation in [0, pi)
     bins = np.minimum((ang / (np.pi / HOG_BINS)).astype(np.intp), HOG_BINS - 1)
     return gx, gy, bins
 
 
-def base_channels(img, derivative_kernel: str = "sobel") -> np.ndarray:
+def base_channels(img) -> np.ndarray:
     """The 13 unfiltered channels of an image, shape (13, H, W)."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim == 3:
@@ -120,7 +106,7 @@ def base_channels(img, derivative_kernel: str = "sobel") -> np.ndarray:
     if img.ndim != 2 or img.shape[0] < _WINDOW or img.shape[1] < _WINDOW:
         raise InvalidInput(f"image must be at least {_WINDOW}x{_WINDOW} grayscale")
 
-    gx, gy, bins = _gradients(img, derivative_kernel)
+    gx, gy, bins = _gradients(img)
     lxx = ndimage.correlate1d(img, [1.0, -2.0, 1.0], axis=1, mode="nearest")
     lyy = ndimage.correlate1d(img, [1.0, -2.0, 1.0], axis=0, mode="nearest")
 
@@ -146,9 +132,9 @@ def base_channels(img, derivative_kernel: str = "sobel") -> np.ndarray:
     return channels
 
 
-def hog_bin_map(img, derivative_kernel: str = "sobel") -> np.ndarray:
+def hog_bin_map(img) -> np.ndarray:
     """Per-pixel orientation bin index (0..8), for partition checks."""
-    return _gradients(np.asarray(img, dtype=np.float64), derivative_kernel)[2]
+    return _gradients(np.asarray(img, dtype=np.float64))[2]
 
 
 def _running5(a: np.ndarray, op, out=None) -> np.ndarray:
@@ -162,14 +148,14 @@ def _running5(a: np.ndarray, op, out=None) -> np.ndarray:
     return op(quads[:-1], a[4:], out=out)
 
 
-def compute_channels(img, derivative_kernel: str = "sobel") -> np.ndarray:
+def compute_channels(img) -> np.ndarray:
     """The full feature volume of an image, (H, W, 26) pixel-major.
 
     The 5x5 max and min filters are separable running extremes over the
     edge-padded base, equal to ``ndimage.maximum_filter``/``minimum_filter``
     with ``mode="nearest"`` (max and min are exact).
     """
-    base = base_channels(img, derivative_kernel).transpose(1, 2, 0)
+    base = base_channels(img).transpose(1, 2, 0)
     padded = np.pad(base, ((2, 2), (2, 2), (0, 0)), mode="edge")
     planes = np.empty(base.shape[:2] + (N_CHANNELS,))
     # Strips of output rows keep each temporary to a few hundred kB, which the

@@ -1,11 +1,12 @@
 """NPMI-based removal of duplicate detection hypotheses across scales.
 
 The conditional probability that hypothesis j explains the same object as
-hypothesis i is a kernel density estimate over patch locations, mapped
-through the scale ratio between the two levels and normalized so that
-self-conditioning equals 1.  Hypothesis probabilities are accumulator
-scores normalized by the total vote mass.  NPMI > 0 marks a dependent
-pair; the lower-scoring member is dropped.
+hypothesis i is a Gaussian kernel density estimate over patch locations,
+mapped through the scale ratio between the two levels and normalized so
+that self-conditioning equals 1.  Hypothesis probabilities are accumulator
+scores normalized by the total vote mass, and probabilities are floored at
+:data:`PROBABILITY_FLOOR` before their logs are taken.  NPMI > 0 marks a
+dependent pair; the lower-scoring member is dropped.
 
 The kernel sum runs over a :class:`FusionSupport`: the locations and
 weights of the patches with nonzero weight, read from the image's
@@ -24,27 +25,18 @@ import numpy as np
 from .errors import InvalidInput, ZeroSupport
 from .voting import Hypothesis, VoteField
 
-_KERNELS = {
-    "gaussian": lambda sq: np.exp(-0.5 * sq),
-    "epanechnikov": lambda sq: np.maximum(1.0 - sq, 0.0),
-}
+PROBABILITY_FLOOR = 1e-12  # guards the logs of NPMI
 
 
 @dataclass(frozen=True)
 class FusionConfig:
-    """Kernel, bandwidth (pixels), and the probability floor guarding logs."""
+    """Bandwidth (pixels) of the Gaussian kernel."""
 
-    kernel: str = "gaussian"
     bandwidth: float = 8.0  # load_config's 2 x bin_size at the default bin_size
-    probability_floor: float = 1e-12
 
     def __post_init__(self):
         if not 0 < self.bandwidth < math.inf:
             raise InvalidInput("bandwidth must be finite and positive")
-        if not 0 < self.probability_floor < math.inf:
-            raise InvalidInput("probability_floor must be finite and positive")
-        if self.kernel not in _KERNELS:
-            raise InvalidInput(f"unknown kernel {self.kernel!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +75,7 @@ def conditional_prob(h_i: Hypothesis, h_j: Hypothesis, votes, cfg: FusionConfig)
     zj = np.asarray(h_j.center, dtype=np.float64)
     ratio = h_j.scale / h_i.scale
     offsets = (ratio * (zi - locs) + locs - zj) / cfg.bandwidth
-    k = _KERNELS[cfg.kernel](np.sum(offsets**2, axis=1))
+    k = np.exp(-0.5 * np.sum(offsets**2, axis=1))
     return float(np.dot(k, w) / support.total)
 
 
@@ -102,14 +94,13 @@ def npmi(
     """
     if total_mass <= 0:
         raise InvalidInput("total_mass must be positive")
-    eps = cfg.probability_floor
-    p_i = max(h_i.score / total_mass, eps)
-    p_j = max(h_j.score / total_mass, eps)
+    p_i = max(h_i.score / total_mass, PROBABILITY_FLOOR)
+    p_j = max(h_j.score / total_mass, PROBABILITY_FLOOR)
     if p_i >= 1.0 or p_j >= 1.0:
         raise InvalidInput("hypothesis probabilities must stay below 1")
 
     cond = conditional_prob(h_i, h_j, votes, cfg)
-    if cond <= eps:
+    if cond <= PROBABILITY_FLOOR:
         return -1.0
     denom = -math.log(p_i * cond)
     if denom <= 0:

@@ -59,13 +59,10 @@ def read_pnm(path) -> np.ndarray:
 
     if magic in ("P5", "P6"):
         start = 2 + pos + 1  # single whitespace byte after maxval
-        dtype = np.uint16 if maxval > 255 else np.uint8
-        itemsize = np.dtype(dtype).itemsize
-        if len(data) - start < count * itemsize:
+        dtype = np.dtype(">u2" if maxval > 255 else "u1")  # PNM is big-endian
+        if len(data) - start < count * dtype.itemsize:
             raise ParseError(f"{path}: truncated PNM body")
         raw = np.frombuffer(data, dtype=dtype, count=count, offset=start)
-        if dtype is np.uint16:
-            raw = raw.byteswap()
     else:
         body = data[2 + pos :].split()
         if len(body) < count:
@@ -97,8 +94,16 @@ def write_pgm(path, img: np.ndarray) -> None:
 
 
 def atomic_write(path, data: bytes) -> None:
-    """Write ``data`` to ``path`` by a temp file and a rename: never a partial file."""
+    """Write ``data`` to ``path`` by a temp file and a rename: never a partial file.
+
+    If the write or the rename fails, the temp file is removed and the error
+    propagates.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -1,13 +1,12 @@
 """Binary model-bank serialization: the stacked linear head.
 
-Layout, format version 3 (all integers little-endian):
+Layout, format version 4 (all integers little-endian):
 
     magic   4 bytes  "HRMB"
     u32     format version
     str     extractor version (u32 length + utf-8)
     u32     patch size
     u32     m (neighbor count), then m pairs of i32 (dx, dy)
-    str     derivative kernel
     f64 x2  reference box (width, height)
     array   coefficients (d, m+1, 3): voting model j's two outputs, then
             label model j's output
@@ -15,8 +14,8 @@ Layout, format version 3 (all integers little-endian):
 
 Each array is u32 ndim, ndim u64 dimensions, then row-major f64 data.
 Every head value must be finite and the reference box finite and >= 0.
-Version 1 files, which held every fit record, and version 2 files, which
-did not record the derivative kernel, are refused.  Round-trips are
+The extractor version names the whole feature extractor.  Files of an
+older format are refused with a request to retrain.  Round-trips are
 bit-exact.  Writes go through a temp file and rename.
 """
 
@@ -34,7 +33,7 @@ from .image_io import atomic_write
 from .training import ModelBank
 
 MAGIC = b"HRMB"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class _Reader:
@@ -90,7 +89,6 @@ def save_model(path, bank: ModelBank) -> None:
     ]
     for dx, dy in geom.neighbor_offsets:
         parts.append(struct.pack("<ii", dx, dy))
-    parts.append(_pack_text(geom.derivative_kernel))
     parts.append(struct.pack("<dd", *bank.reference_box))
     parts.append(_pack_array(bank.coefficients))
     parts.append(_pack_array(bank.intercepts))
@@ -118,7 +116,6 @@ def load_model(path) -> ModelBank:
         )
     patch_size, m = r.unpack("II")
     offsets = tuple(r.unpack("ii") for _ in range(m))
-    kernel = r.text("derivative kernel")
     ref_w, ref_h = r.unpack("dd")
     coefficients = _read_array(r)
     intercepts = _read_array(r)
@@ -131,7 +128,7 @@ def load_model(path) -> ModelBank:
             f"reference box must be finite and >= 0, got ({ref_w}, {ref_h})"
         )
     try:
-        geometry = PatchGeometry(patch_size, offsets, kernel)
+        geometry = PatchGeometry(patch_size, offsets)
     except InvalidInput as e:
         raise CorruptModel(f"patch geometry: {e}") from None
     return ModelBank(coefficients, intercepts, geometry, (ref_w, ref_h))

@@ -277,7 +277,7 @@ def train_from_samples(
             for k in (np.flatnonzero(covered.any(axis=1)),
                       np.flatnonzero(covered.any(axis=0)))
         )
-        vol = compute_channels(canvas[crop], geom.derivative_kernel)
+        vol = compute_channels(canvas[crop])
         # a covered pixel's row among the kept ones; other entries are never read
         index = np.cumsum(covered, dtype=np.int32).reshape(h, w, 1) - 1
         windows = patch_windows(index, ps)

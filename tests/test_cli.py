@@ -63,6 +63,14 @@ def _no_objects(side):
     return old, new.replace(side.split()[0] + " = 96", side)
 
 
+def _out_refused(argv, capsys, root):
+    """``hrm`` with an --out it cannot write: exit 2, an error line, no temp file."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(root.rglob("*.tmp"))
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """synth -> train -> detect -> eval, shared by the assertions below."""
@@ -119,9 +127,10 @@ class TestSynthCommand:
             raise OSError("rename failed")
 
         monkeypatch.setattr(os, "replace", fail)
-        with pytest.raises(OSError, match="rename failed"):
-            main(["synth", "--spec", str(workspace / "spec.ini"), "--out", str(out)])
+        assert main(["synth", "--spec", str(workspace / "spec.ini"),
+                     "--out", str(out)]) == 2
         assert old.read_bytes() == b"old scene"
+        assert not list(out.glob("*.tmp"))
 
     def test_negative_seed_is_input_error(self, workspace, tmp_path, capsys):
         assert main(["synth", "--spec", str(workspace / "spec.ini"), "--seed", "-1",
@@ -163,6 +172,11 @@ class TestSynthCommand:
     ])
     def test_invalid_value_is_input_error(self, tmp_path, capsys, old, new):
         assert self._synth_exit(tmp_path, old, new, capsys)[0] == 2
+
+    def test_unwritable_out_is_input_error(self, workspace, tmp_path, capsys):
+        (tmp_path / "taken").write_bytes(b"")
+        _out_refused(["synth", "--spec", str(workspace / "spec.ini"),
+                      "--out", str(tmp_path / "taken")], capsys, tmp_path)
 
 
 class TestTrainCommand:
@@ -268,6 +282,11 @@ class TestTrainCommand:
                      "--annotations", str(tmp_path / "annotations.txt"),
                      "--out", str(tmp_path / "m.hrmb")]) == 2
         assert not (tmp_path / "m.hrmb").exists()
+
+    def test_unwritable_out_is_input_error(self, workspace, tmp_path, capsys):
+        _out_refused(["train", "--config", str(workspace / "cfg.ini"),
+                      "--annotations", str(workspace / "scenes" / "annotations.txt"),
+                      "--out", str(tmp_path / "missing" / "m.hrmb")], capsys, tmp_path)
 
 
 class TestDetectCommand:
@@ -475,31 +494,43 @@ class TestDetectCommand:
         assert "unknown key 'train_scale' in section [voting]" in capsys.readouterr().err
         assert not (tmp_path / "d.tsv").exists()
 
-    def test_derivative_kernel_is_read_from_the_model(self, workspace, tmp_path):
-        central = tmp_path / "central.ini"
-        central.write_text(CONFIG.replace(
-            "[training]", "derivative_kernel = central\n\n[training]"))
-        bare = tmp_path / "bare.ini"  # no [features]: sobel, 16 offsets
-        bare.write_text(re.sub(r"\[features\][^[]*", "", CONFIG))
-        scenes = workspace / "scenes"
-        assert main(["train", "--config", str(central),
-                     "--annotations", str(scenes / "annotations.txt"),
-                     "--out", str(tmp_path / "central.hrmb")]) == 0
-        outputs = []
-        for cfg in (central, bare):
-            out = tmp_path / f"{cfg.stem}.tsv"
-            assert main(["detect", "--config", str(cfg),
-                         "--model", str(tmp_path / "central.hrmb"),
-                         "--images", str(scenes), "--out", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-        # the kernel matters: the sobel-trained fixture model detects otherwise
-        assert outputs[0] != (workspace / "det.tsv").read_bytes()
+    @pytest.mark.parametrize("section, line", [
+        ("features", "derivative_kernel = sobel"),
+        ("fusion", "kernel = gaussian"),
+        ("fusion", "probability_floor = 1e-12"),
+    ])
+    def test_removed_key_is_input_error(self, workspace, tmp_path, capsys,
+                                        section, line):
+        # the filter and the kernel are fixed, so even their old defaults
+        # are refused rather than ignored
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[{section}]\n{line}\n")
+        assert main(["detect", "--config", str(cfg),
+                     "--model", str(workspace / "model.hrmb"),
+                     "--images", str(workspace / "scenes"),
+                     "--out", str(tmp_path / "d.tsv")]) == 2
+        key = line.split()[0]
+        assert f"unknown key {key!r} in section [{section}]" in capsys.readouterr().err
+        assert not (tmp_path / "d.tsv").exists()
 
-    def test_format_2_model_refused(self, workspace, tmp_path, capsys):
+    def test_patch_geometry_is_read_from_the_model(self, workspace, tmp_path):
+        from hrm.config import load_config
+        from hrm.model_io import load_model
+
+        bare = tmp_path / "bare.ini"  # no [features]: patch size 16, 16 offsets
+        bare.write_text(re.sub(r"\[features\][^[]*", "", CONFIG))
+        model = workspace / "model.hrmb"
+        assert load_config(bare).geometry != load_model(model).geometry
+        out = tmp_path / "bare.tsv"
+        assert main(["detect", "--config", str(bare), "--model", str(model),
+                     "--images", str(workspace / "scenes"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (workspace / "det.tsv").read_bytes()
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_old_format_model_refused(self, workspace, tmp_path, capsys, version):
         data = bytearray((workspace / "model.hrmb").read_bytes())
-        struct.pack_into("<I", data, 4, 2)
-        old = tmp_path / "v2.hrmb"
+        struct.pack_into("<I", data, 4, version)
+        old = tmp_path / "old.hrmb"
         old.write_bytes(bytes(data))
         assert main(["detect", "--model", str(old),
                      "--images", str(workspace / "scenes"),
@@ -588,6 +619,13 @@ class TestDetectCommand:
         assert main(["detect", "--model", str(workspace / "model.hrmb"),
                      "--images", str(tmp_path / "nothing"),
                      "--out", str(tmp_path / "d.tsv")]) == 2
+
+    def test_unwritable_out_is_input_error(self, workspace, tmp_path, capsys):
+        (tmp_path / "taken").mkdir()
+        _out_refused(["detect", "--config", str(workspace / "cfg.ini"),
+                      "--model", str(workspace / "model.hrmb"),
+                      "--images", str(workspace / "scenes"),
+                      "--out", str(tmp_path / "taken")], capsys, tmp_path)
 
 
 class TestEvalCommand:
@@ -688,6 +726,12 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert str(Path("a") / "x.pgm") in err and str(Path("b") / "x.pgm") in err
         assert not (tmp_path / "pr.csv").exists()
+
+    def test_unwritable_out_is_input_error(self, workspace, tmp_path, capsys):
+        (tmp_path / "taken").mkdir()
+        _out_refused(["eval", "--detections", str(workspace / "det.tsv"),
+                      "--annotations", str(workspace / "scenes" / "annotations.txt"),
+                      "--out", str(tmp_path / "taken")], capsys, tmp_path)
 
 
 def _write_console_script(bin_dir):

@@ -36,22 +36,19 @@ class TestFileParsing:
         path.write_text(
             "[pls]\ncomponents = 8\nridge = 0.5\n"
             "[features]\npatch_size = 6\nneighbor_offsets = 6 0 -6 0\n"
-            "derivative_kernel = central\n"
             "[training]\nn_pos = 100\nn_neg = 50\nseed = 9\n"
             "[voting]\nscales = 0.5 1.0 2.0\nstride = 2\nbin_size = 2\n"
             "smoothing = 0.5\n"
-            "[fusion]\nkernel = epanechnikov\nbandwidth = 3.5\n"
+            "[fusion]\nbandwidth = 3.5\n"
             "[pipeline]\niou_threshold = 0.4\n"
         )
         cfg = load_config(path)
         assert cfg.pls.components == 8 and cfg.pls.ridge == 0.5
         assert cfg.geometry.patch_size == 6
         assert cfg.geometry.neighbor_offsets == ((6, 0), (-6, 0))
-        assert cfg.geometry.derivative_kernel == "central"
         assert cfg.training.n_pos == 100
         assert cfg.scales.scales == (0.5, 1.0, 2.0)
         assert cfg.voting.stride == 2 and cfg.voting.smoothing == 0.5
-        assert cfg.fusion.kernel == "epanechnikov"
         assert cfg.fusion.bandwidth == 3.5
         assert cfg.iou_threshold == 0.4
 
@@ -62,7 +59,7 @@ class TestFileParsing:
         assert cfg.pls.components == 3
         assert cfg.geometry.patch_size == 16
 
-    @pytest.mark.parametrize("fusion", ["", "[fusion]\nkernel = epanechnikov\n"])
+    @pytest.mark.parametrize("fusion", ["", "[fusion]\n"])
     def test_default_bandwidth_is_two_cells(self, tmp_path, fusion):
         path = tmp_path / "cfg.ini"
         path.write_text("[voting]\nbin_size = 3\n" + fusion)
@@ -120,13 +117,11 @@ class TestFileParsing:
         assert load_config(path).pls.components == 7
 
     @pytest.mark.parametrize("text", [
-        "[features]\nderivative_kernel = prewitt\n",
         "[features]\nneighbor_offsets = 6 0 0 0\n",
         "[features]\nneighbor_offsets = 3000000000 0\n",  # .hrmb stores int32
         "[training]\nseed = -1\n",
         "[voting]\nscales = 1 inf\n",
         "[voting]\nmin_score_fraction = 1.5\n",
-        "[fusion]\nprobability_floor = inf\n",
         "[pipeline]\niou_threshold = nan\n",
     ])
     def test_invalid_value(self, tmp_path, text):
@@ -137,24 +132,16 @@ class TestFileParsing:
 
     def test_features_section_is_the_patch_geometry(self, tmp_path):
         path = tmp_path / "cfg.ini"
-        path.write_text(
-            "[features]\npatch_size = 6\nneighbor_offsets = 6 0\n"
-            "derivative_kernel = central\n"
-        )
+        path.write_text("[features]\npatch_size = 6\nneighbor_offsets = 6 0\n")
         geom = load_config(path).geometry
         assert (geom.patch_size, geom.neighbor_offsets) == (6, ((6, 0),))
-        assert geom.derivative_kernel == "central"
 
 
 class TestEveryKey:
     # A non-default value for every key, as the field it must land on.
     VALUES = {
         "pls": {"components": 7, "ridge": 0.25},
-        "features": {
-            "patch_size": 6,
-            "neighbor_offsets": ((6, 0), (0, -3)),
-            "derivative_kernel": "central",
-        },
+        "features": {"patch_size": 6, "neighbor_offsets": ((6, 0), (0, -3))},
         "training": {"n_pos": 20, "n_neg": 30, "seed": 5, "scale_normalize": True},
         "voting": {
             "scales": (0.5, 2.0),
@@ -164,9 +151,7 @@ class TestEveryKey:
             "min_score_fraction": 0.2,
             "maxima_radius": 5,
         },
-        "fusion": {
-            "kernel": "epanechnikov", "bandwidth": 3.5, "probability_floor": 1e-6,
-        },
+        "fusion": {"bandwidth": 3.5},
         "pipeline": {"iou_threshold": 0.4},
     }
 

@@ -181,23 +181,6 @@ class TestComputePatchVotes:
         compute_patch_votes(rng.random((224, 224)), bank, VotingConfig(stride=stride))
         assert sum(work) <= bound
 
-    def test_derivative_kernel_from_model_geometry(self):
-        rng = np.random.default_rng(7)
-        geom = PatchGeometry(PS, ((PS, 0),), derivative_kernel="central")
-        bank = random_linear_bank(geom, rng)
-        img = rng.random((14, 15))
-        out = compute_patch_votes(img, bank, VotingConfig(stride=2))
-
-        vol = compute_channels(img, "central")
-        assert not np.array_equal(vol, compute_channels(img, "sobel"))
-        starts = [(x, y) for y in range(0, 10, 2) for x in range(0, 11, 2)]  # ps 5
-        assert len(out) == len(starts)
-        for i, (x, y) in enumerate(starts):
-            b = cast_votes(context_vectors(vol, (x, y), geom), bank,
-                           (x + PS / 2, y + PS / 2))
-            assert np.abs(out[i].votes - b.votes).max() <= 1e-12
-            assert np.abs(out[i].labels - b.labels).max() <= 1e-12
-
     def test_image_smaller_than_patch(self):
         geom = PatchGeometry(12, ((12, 0),))
         bank = random_linear_bank(geom, np.random.default_rng(0))

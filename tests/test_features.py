@@ -45,12 +45,6 @@ class TestPatchGeometry:
         with pytest.raises(InvalidInput):
             features.PatchGeometry(8, ((8, 0), (0, 0)))
 
-    def test_derivative_kernel(self):
-        assert features.PatchGeometry().derivative_kernel == "sobel"
-        assert features.PatchGeometry(8, (), "central").derivative_kernel == "central"
-        with pytest.raises(InvalidInput):
-            features.PatchGeometry(8, (), "prewitt")
-
 
 class TestBaseChannels:
     def test_constant_image_all_zero(self):
@@ -73,16 +67,6 @@ class TestBaseChannels:
         base = features.base_channels(random_image(0))
         assert base.shape[0] == features.N_BASE_CHANNELS == 13
         assert np.all(base >= 0.0)
-
-    def test_central_difference_kernel(self):
-        img = random_image(1)
-        base = features.base_channels(img, "central")
-        gx = ndimage.correlate1d(img, [-0.5, 0.0, 0.5], axis=1, mode="nearest")
-        assert np.allclose(base[0], np.abs(gx))
-
-    def test_unknown_kernel(self):
-        with pytest.raises(InvalidInput):
-            features.base_channels(random_image(2), "laplace-of-gaussian")
 
     def test_too_small_image(self):
         with pytest.raises(InvalidInput):
@@ -142,22 +126,13 @@ class TestHogChannels:
         bins = features.hog_bin_map(img)
         assert bins[8, 8] == 4
 
-    @pytest.mark.parametrize("kernel", features.DERIVATIVE_KERNELS)
-    def test_bins_are_those_of_the_channels(self, kernel):
-        # the unscaled kernels give the same angles: Sobel/8 is an exact scaling
+    def test_bins_are_those_of_the_channels(self):
+        # the unscaled Sobel gives the same angles: Sobel/8 is an exact scaling
         img = random_image(7)
-        if kernel == "sobel":
-            gx, gy = (ndimage.sobel(img, axis=a, mode="nearest") for a in (1, 0))
-        else:
-            gx, gy = (ndimage.correlate1d(img, [-1.0, 0.0, 1.0], axis=a, mode="nearest")
-                      for a in (1, 0))
+        gx, gy = (ndimage.sobel(img, axis=a, mode="nearest") for a in (1, 0))
         ang = np.mod(np.arctan2(gy, gx), np.pi)
         expected = np.minimum((ang / (np.pi / features.HOG_BINS)).astype(int), 8)
-        assert np.array_equal(features.hog_bin_map(img, kernel), expected)
-
-    def test_unknown_kernel_refused(self):
-        with pytest.raises(InvalidInput, match="unknown derivative kernel"):
-            features.hog_bin_map(random_image(8), "bogus")
+        assert np.array_equal(features.hog_bin_map(img), expected)
 
 
 class TestComputeChannels:
@@ -194,22 +169,21 @@ class TestComputeChannels:
         st.integers(5, 40),
         st.integers(0, 10_000),
         st.booleans(),
-        st.sampled_from(features.DERIVATIVE_KERNELS),
     )
-    def test_matches_per_plane_ndimage_filters(self, h, w, seed, integer, kernel):
+    def test_matches_per_plane_ndimage_filters(self, h, w, seed, integer):
         rng = np.random.default_rng(seed)
         # small integers give flat runs and ties in every channel
         if integer:
             img = rng.integers(0, 4, (h, w)).astype(float)
         else:
             img = rng.random((h, w))
-        base = features.base_channels(img, kernel)
+        base = features.base_channels(img)
         expected = np.stack(
             [ndimage.maximum_filter(p, size=5, mode="nearest") for p in base]
             + [ndimage.minimum_filter(p, size=5, mode="nearest") for p in base],
             axis=-1,
         )
-        planes = features.compute_channels(img, kernel)
+        planes = features.compute_channels(img)
         assert planes.flags.c_contiguous
         assert np.array_equal(planes, expected)
 
@@ -219,10 +193,9 @@ class TestComputeChannels:
         st.integers(5, 48),
         st.integers(0, 10_000),
         st.booleans(),
-        st.sampled_from(features.DERIVATIVE_KERNELS),
         st.data(),
     )
-    def test_crop_matches_image_inside_margin(self, h, w, seed, integer, kernel, data):
+    def test_crop_matches_image_inside_margin(self, h, w, seed, integer, data):
         # a crop's channels equal the image's at every pixel CROP_MARGIN or
         # more inside each crop edge that is not an image edge
         rng = np.random.default_rng(seed)
@@ -234,8 +207,8 @@ class TestComputeChannels:
         m = features.CROP_MARGIN
         ya, yb = y0 + (m if y0 > 0 else 0), y1 - (m if y1 < h else 0)
         xa, xb = x0 + (m if x0 > 0 else 0), x1 - (m if x1 < w else 0)
-        crop = features.compute_channels(img[y0:y1, x0:x1], kernel)
-        whole = features.compute_channels(img, kernel)
+        crop = features.compute_channels(img[y0:y1, x0:x1])
+        whole = features.compute_channels(img)
         assert np.array_equal(
             crop[ya - y0 : yb - y0, xa - x0 : xb - x0], whole[ya:yb, xa:xb]
         )

@@ -23,14 +23,10 @@ class TestFusionConfig:
     def test_guards(self):
         with pytest.raises(InvalidInput):
             fusion.FusionConfig(bandwidth=0.0)
-        with pytest.raises(InvalidInput):
-            fusion.FusionConfig(probability_floor=0.0)
-        with pytest.raises(InvalidInput):
-            fusion.FusionConfig(kernel="triangular")
 
     @pytest.mark.parametrize("kwargs", [
         dict(bandwidth=float("nan")), dict(bandwidth=float("inf")),
-        dict(probability_floor=float("nan")), dict(probability_floor=float("inf")),
+        dict(bandwidth=-float("inf")),
     ])
     def test_rejects_non_finite(self, kwargs):
         with pytest.raises(InvalidInput):
@@ -47,7 +43,7 @@ class TestConditionalProb:
         h_i = Hypothesis((10.0, 10.0), 1.0, 5.0)
         h_j = Hypothesis((500.0, 500.0), 1.0, 5.0)
         votes = [voter((10.0, 10.0), 1.0)]
-        assert fusion.conditional_prob(h_i, h_j, votes, CFG) <= CFG.probability_floor
+        assert fusion.conditional_prob(h_i, h_j, votes, CFG) <= fusion.PROBABILITY_FLOOR
 
     def test_two_term_hand_computation(self):
         h_i = Hypothesis((12.0, 8.0), 1.0, 3.0)
@@ -75,15 +71,6 @@ class TestConditionalProb:
         bad = Hypothesis((5.0, 5.0), -1.0, 1.0)
         with pytest.raises(InvalidInput):
             fusion.conditional_prob(h, bad, [voter((1.0, 1.0), 1.0)], CFG)
-
-    def test_epanechnikov_kernel(self):
-        cfg = fusion.FusionConfig(kernel="epanechnikov", bandwidth=4.0)
-        h_i = Hypothesis((10.0, 10.0), 1.0, 1.0)
-        h_j = Hypothesis((12.0, 10.0), 1.0, 1.0)
-        votes = [voter((0.0, 0.0), 1.0)]
-        # same-scale mapping: offset is (z_i - z_j)/b regardless of voters
-        expected = max(1.0 - (2.0 / 4.0) ** 2, 0.0)
-        assert fusion.conditional_prob(h_i, h_j, votes, cfg) == pytest.approx(expected)
 
 
 class TestNpmi:
@@ -247,12 +234,11 @@ class TestFuse:
             max_size=12,
         ),
         bandwidth=st.floats(1.0, 16.0),
-        kernel=st.sampled_from(("gaussian", "epanechnikov")),
     )
-    def test_matches_per_pair_reference(self, patches, hyps, bandwidth, kernel):
+    def test_matches_per_pair_reference(self, patches, hyps, bandwidth):
         """Zero-weight patches, several scales, list and field input."""
         votes = [voter((x, y), q / 4.0) for x, y, q in patches]
-        cfg = fusion.FusionConfig(kernel=kernel, bandwidth=bandwidth)
+        cfg = fusion.FusionConfig(bandwidth=bandwidth)
         outcomes = []
         for fn, arg in ((reference_fuse, votes), (fusion.fuse, votes),
                         (fusion.fuse, VoteField.of(votes))):
@@ -277,11 +263,11 @@ def reference_fuse(hypotheses, votes, cfg, total_mass):
         zj = np.asarray(h_j.center, dtype=np.float64)
         ratio = h_j.scale / h_i.scale
         offsets = (ratio * (zi - locs) + locs - zj) / cfg.bandwidth
-        k = fusion._KERNELS[cfg.kernel](np.sum(offsets**2, axis=1))
+        k = np.exp(-0.5 * np.sum(offsets**2, axis=1))
         return float(np.dot(k, w) / total)
 
     def npmi(h_i, h_j):
-        eps = cfg.probability_floor
+        eps = 1e-12
         p_i = max(h_i.score / total_mass, eps)
         p_j = max(h_j.score / total_mass, eps)
         cond = conditional_prob(h_i, h_j)

@@ -50,6 +50,12 @@ class TestImageIO:
         assert img[0, 0] == pytest.approx(1.0)
         assert img[0, 1] == 0.0
 
+    def test_binary_16_bit_is_big_endian(self, tmp_path):
+        path = tmp_path / "g.pgm"
+        path.write_bytes(b"P5\n2 1\n65535\n" + bytes([0x01, 0x00, 0xFF, 0xFF]))
+        img = image_io.read_pnm(path)
+        assert img.tolist() == [[256 / 65535, 1.0]]
+
     def test_comment_in_binary_header(self, tmp_path):
         path = tmp_path / "e.pgm"
         path.write_bytes(b"P5\n# made by hand\n2 2\n255\n\x00\x40\x80\xff")
@@ -197,14 +203,13 @@ def random_bank(seed=0, mplus1=2):
     return ModelBank.from_fits(hrms, lrms, geom, reference_box=(24.0, 30.0))
 
 
-def v3_header(patch_size=4, offsets=(), kernel=b"sobel"):
-    """A format-3 model file up to its arrays."""
+def v4_header(patch_size=4, offsets=()):
+    """A format-4 model file up to its arrays."""
     ext = EXTRACTOR_VERSION.encode()
     return (
-        b"HRMB" + struct.pack("<II", 3, len(ext)) + ext
+        b"HRMB" + struct.pack("<II", 4, len(ext)) + ext
         + struct.pack("<II", patch_size, len(offsets))
         + b"".join(struct.pack("<ii", *o) for o in offsets)
-        + struct.pack("<I", len(kernel)) + kernel
         + struct.pack("<dd", 1.0, 1.0)
     )
 
@@ -298,14 +303,7 @@ class TestModelIO:
     )
     def test_invalid_geometry(self, tmp_path, patch_size, offsets):
         path = tmp_path / "bank.hrmb"
-        path.write_bytes(v3_header(patch_size, offsets) + SCALAR + SCALAR)
-        with pytest.raises(CorruptModel):
-            model_io.load_model(path)
-
-    @pytest.mark.parametrize("kernel", [b"prewitt", b"\xffsobel", b""])
-    def test_invalid_derivative_kernel(self, tmp_path, kernel):
-        path = tmp_path / "bank.hrmb"
-        path.write_bytes(v3_header(kernel=kernel) + SCALAR + SCALAR)
+        path.write_bytes(v4_header(patch_size, offsets) + SCALAR + SCALAR)
         with pytest.raises(CorruptModel):
             model_io.load_model(path)
 
@@ -321,19 +319,17 @@ class TestModelIO:
         with pytest.raises(IncompatibleModel, match="retrain"):
             model_io.load_model(path)
 
-    def test_roundtrip_central_kernel_bit_exact(self, tmp_path):
-        bank = random_bank(4)
-        geom = PatchGeometry(4, bank.geometry.neighbor_offsets, "central")
-        bank = ModelBank(bank.coefficients, bank.intercepts, geom, (24.0, 30.0))
+    def test_format_3_refused(self, tmp_path):
+        # format 3 recorded a derivative-filter name after the offsets
+        ext = EXTRACTOR_VERSION.encode()
         path = tmp_path / "bank.hrmb"
-        model_io.save_model(path, bank)
-        back = model_io.load_model(path)
-        assert back.geometry.derivative_kernel == "central"
-        assert back.geometry == geom and back.reference_box == bank.reference_box
-        assert np.array_equal(back.coefficients, bank.coefficients)
-        assert np.array_equal(back.intercepts, bank.intercepts)
-        model_io.save_model(tmp_path / "again.hrmb", back)
-        assert (tmp_path / "again.hrmb").read_bytes() == path.read_bytes()
+        path.write_bytes(
+            b"HRMB" + struct.pack("<II", 3, len(ext)) + ext
+            + struct.pack("<II", 4, 0) + struct.pack("<I", 5) + b"sobel"
+            + struct.pack("<dd", 1.0, 1.0) + SCALAR + SCALAR
+        )
+        with pytest.raises(IncompatibleModel, match="retrain"):
+            model_io.load_model(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("head", ["coefficients", "intercepts"])
@@ -365,7 +361,7 @@ class TestModelIO:
 
     def test_empty_array_with_dimension_past_intp(self, tmp_path):
         path = tmp_path / "bank.hrmb"
-        path.write_bytes(v3_header() + struct.pack("<I2Q", 2, 0, 2**64 - 1))
+        path.write_bytes(v4_header() + struct.pack("<I2Q", 2, 0, 2**64 - 1))
         with pytest.raises(CorruptModel):
             model_io.load_model(path)
 
@@ -407,7 +403,7 @@ PNM_TOKENS = st.one_of(
 
 @st.composite
 def model_tails(draw):
-    """Bytes after ``HRMB`` and version 3: header fields, then two arrays."""
+    """Bytes after ``HRMB`` and version 4: header fields, then two arrays."""
     valid = EXTRACTOR_VERSION.encode()
     ext = draw(st.sampled_from([valid, valid, valid, b"\xff\xfe", b""]))
     m = draw(st.integers(0, 3))
@@ -415,8 +411,6 @@ def model_tails(draw):
     out += struct.pack("<II", draw(st.integers(0, 5)), m)
     for _ in range(m):
         out += struct.pack("<ii", *draw(st.tuples(st.integers(-6, 6), st.integers(-6, 6))))
-    kernel = draw(st.sampled_from([b"sobel", b"central", b"sobel", b"\xff", b"x"]))
-    out += struct.pack("<I", len(kernel)) + kernel
     out += struct.pack("<dd", *draw(st.tuples(st.floats(), st.floats())))
     for _ in range(2):
         dims = draw(st.lists(st.integers(0, 4) | st.integers(0, 2**64 - 1), max_size=4))
@@ -449,5 +443,5 @@ class TestReaderFuzz:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(model_tails(), st.binary(max_size=80)))
     def test_load_model(self, tail):
-        data = b"HRMB" + struct.pack("<I", 3) + tail
+        data = b"HRMB" + struct.pack("<I", 4) + tail
         read_or_refuse(model_io.load_model, "m.hrmb", data)

@@ -388,9 +388,9 @@ class TestTrainBank:
         # volume is a crop of it
         shapes = []
 
-        def recorded(img, kernel):
+        def recorded(img):
             shapes.append(img.shape)
-            return compute_channels(img, kernel)
+            return compute_channels(img)
 
         monkeypatch.setattr(training, "compute_channels", recorded)
         entries = [scene_entry(28, (8, 8, 48, 48), canvas=(96, 96))]
