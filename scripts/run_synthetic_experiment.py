@@ -76,7 +76,6 @@ def main(argv=None):
     ap.add_argument("--maxima-radius", type=int, default=3)
     ap.add_argument("--bandwidth", type=float, default=None)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--scale-normalize", action="store_true", default=True)
     ap.add_argument("--no-scale-normalize", dest="scale_normalize",
                     action="store_false")
     args = ap.parse_args(argv)

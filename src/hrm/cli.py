@@ -98,7 +98,15 @@ def _numpy_blas_threads(n: int):
         set_threads(before)
 
 
+def _check_out(path) -> None:
+    """Refuse an --out file that cannot be written, before any work."""
+    path = Path(path)
+    if not path.parent.is_dir() or path.is_dir():
+        raise errors.InvalidInput(f"--out {path}: not a file in an existing directory")
+
+
 def cmd_train(args) -> int:
+    _check_out(args.out)
     cfg = load_config(args.config)
     cfg.check_training()
     ds = load_dataset(args.annotations)
@@ -126,6 +134,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    _check_out(args.out)
     cfg = load_config(args.config)
     bank = load_model(args.model)
 
@@ -189,6 +198,7 @@ def _read_detections(path) -> list:
 
 
 def cmd_eval(args) -> int:
+    _check_out(args.out)
     cfg = load_config(args.config)
     ds = load_dataset(args.annotations)
     detections = _read_detections(args.detections)

@@ -4,8 +4,8 @@ Pipeline: feature volume -> every regressor as a linear filter bank over
 the patch windows (the grid's, then each stride coset's neighbors') ->
 per-context votes -> multi-scale accumulation ->
 per-level maxima -> NPMI fusion.  The votes stay in one VoteField of
-stacked arrays from the filter bank to the end of fusion, which drops the
-zero-weight patches once per image.
+stacked arrays from the filter bank to the end of fusion; accumulation
+and fusion read its nonzero-weight rows (``VoteField.carrying``).
 """
 
 from __future__ import annotations
@@ -80,23 +80,11 @@ class DetectionResult:
     total_mass: float
 
 
-def _shifted_starts(grid: np.ndarray, shifts: np.ndarray, limit: int) -> np.ndarray:
-    """Every in-bounds grid + shift start, sorted."""
-    shifted = grid[:, None] + shifts[None, :]
-    return np.unique(shifted[(shifted >= 0) & (shifted < limit)])
-
-
-def _inside_run(starts: np.ndarray, shift: int, limit: int, needed: np.ndarray):
-    """Slices of the starts whose start + shift is in bounds, and of those in needed.
-
-    starts is an arithmetic run of step stride, so the in-bounds ones are
-    contiguous.  Every entry of needed is sorted, unique and equal to
-    start + shift mod stride, so those neighbors are contiguous in it too.
-    """
-    lo = np.searchsorted(starts, -shift)
-    hi = np.searchsorted(starts, limit - shift)
-    first = np.searchsorted(needed, starts[lo] + shift) if lo < hi else 0
-    return slice(lo, hi), slice(first, first + hi - lo)
+def _run(n: int, m: int, q: int) -> tuple[slice, slice]:
+    """Slices of grid indices i < n whose neighbor i + q is below m, and of those neighbors."""
+    lo = max(0, -q)
+    hi = max(lo, min(n, m - q))
+    return slice(lo, hi), slice(lo + q, hi + q)
 
 
 def _responses(vol, ps: int, rows: np.ndarray, cols: np.ndarray, coef: np.ndarray):
@@ -125,10 +113,14 @@ def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig) -> VoteField:
     the neighbor term is zero where the neighbor is clipped, as in
     :func:`~hrm.features.context_vectors`.  R is one GEMM over the grid
     with every column, plus one GEMM per stride coset of the neighbor
-    offsets (offsets equal mod stride on both axes) over the starts its
-    neighbors need, with only its contexts' columns.  The neighbors of the
-    zero coset lie on the grid and reuse the grid's R.  Each context's
-    in-bounds starts and their neighbors are one slice of each grid.
+    offsets (offsets equal mod stride on both axes, residues (a, b)) over
+    its grid ``arange(b, n_y, stride) x arange(a, n_x, stride)`` with only
+    its contexts' columns; a one-sided offset can add a few edge rows no
+    neighbor needs.  The zero coset's grid is the sampling grid.  Each
+    context's in-bounds starts and their neighbors are one slice of each
+    grid: grid index i's neighbor for offset d is coset index
+    ``i + d // stride`` (:func:`_run`).  A coset whose slices are all
+    empty is skipped.
     """
     geom = bank.geometry
     vol = compute_channels(np.asarray(image, dtype=np.float64))
@@ -146,21 +138,20 @@ def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig) -> VoteField:
     cosets = {}
     for j, (dx, dy) in enumerate(offsets, start=1):
         cosets.setdefault((dx % stride, dy % stride), []).append(j)
-    for coset, js in cosets.items():
-        if coset == (0, 0):
-            rows, cols, resp, ks = ys, xs, grid, js
-        else:
-            shifts = offsets[np.array(js) - 1]
-            rows = _shifted_starts(ys, shifts[:, 1], n_y)
-            cols = _shifted_starts(xs, shifts[:, 0], n_x)
-            if len(rows) == 0 or len(cols) == 0:
-                continue  # every neighbor of the coset is clipped
-            resp = _responses(vol, ps, rows, cols, coef[:, js])
-            ks = range(len(js))
-        for j, k in zip(js, ks):
+    for (a, b), js in cosets.items():
+        rows, cols = np.arange(b, n_y, stride), np.arange(a, n_x, stride)
+        zero = (a, b) == (0, 0)  # its neighbors are grid starts
+        runs = []
+        for k, j in enumerate(js):
             dx, dy = offsets[j - 1]
-            iy, ry = _inside_run(ys, dy, n_y, rows)
-            ix, rx = _inside_run(xs, dx, n_x, cols)
+            iy, ry = _run(len(ys), len(rows), dy // stride)
+            ix, rx = _run(len(xs), len(cols), dx // stride)
+            if iy.start < iy.stop and ix.start < ix.stop:
+                runs.append((j, j if zero else k, iy, ix, ry, rx))
+        if not runs:
+            continue  # every neighbor of the coset is clipped
+        resp = grid if zero else _responses(vol, ps, rows, cols, coef[:, js])
+        for j, k, iy, ix, ry, rx in runs:
             # In the zero coset resp is grid: column j is written only by
             # its own subtraction, and NumPy buffers the overlapping read.
             grid[iy, ix, j] -= resp[ry, rx, k]
@@ -196,10 +187,9 @@ def detect(
     min_score = voting_cfg.min_score_fraction * float(cuboid.levels.max())
     hypotheses = find_maxima(cuboid, min_score, voting_cfg.maxima_radius)
 
+    # no vote mass: every level is 0, so no hypotheses and no pair to fuse
     total_mass = float(cuboid.level_mass.sum())
-    kept = hypotheses
-    if total_mass > 0:
-        kept = fuse(hypotheses, patch_votes, fusion_cfg, total_mass)
+    kept = fuse(hypotheses, patch_votes, fusion_cfg, total_mass)
 
     detections = [
         Detection(

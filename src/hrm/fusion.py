@@ -8,11 +8,11 @@ scores normalized by the total vote mass, and probabilities are floored at
 :data:`PROBABILITY_FLOOR` before their logs are taken.  NPMI > 0 marks a
 dependent pair; the lower-scoring member is dropped.
 
-The kernel sum runs over a :class:`FusionSupport`: the locations and
-weights of the patches with nonzero weight, read from the image's
-:class:`~hrm.voting.VoteField`, plus the total weight.  Zero-weight
-patches add nothing to either sum, so :func:`fuse` drops them once per
-image rather than once per pair.
+The kernel sum runs over the nonzero-weight rows of the image's
+:class:`~hrm.voting.VoteField` (:meth:`~hrm.voting.VoteField.carrying`),
+and is normalized by their total weight.  Zero-weight patches add
+nothing to either sum, so :func:`fuse` drops them once per image rather
+than once per pair.
 """
 
 from __future__ import annotations
@@ -39,44 +39,28 @@ class FusionConfig:
             raise InvalidInput("bandwidth must be finite and positive")
 
 
-@dataclass(frozen=True, eq=False)
-class FusionSupport:
-    """The nonzero-weight patches of one image and the total patch weight."""
-
-    locations: np.ndarray  # (k, 2)
-    weights: np.ndarray  # (k,), all nonzero
-    total: float
-
-    @classmethod
-    def of(cls, votes) -> "FusionSupport":
-        """Support of a VoteField or PatchVotes sequence; a support is kept."""
-        if isinstance(votes, cls):
-            return votes
-        field = VoteField.of(votes)
-        keep = field.weights != 0
-        return cls(field.locations[keep], field.weights[keep], float(field.weights.sum()))
-
-
 def conditional_prob(h_i: Hypothesis, h_j: Hypothesis, votes, cfg: FusionConfig) -> float:
     """KDE estimate of p(h_j | h_i), normalized so p(h_i | h_i) = 1.
 
     Patch locations supporting h_i are mapped to the level of h_j through
     the scale ratio; the weighted kernel mass at h_j's center, relative to
     the mass at zero offset, is the conditional probability.  ``votes`` is
-    a FusionSupport, a VoteField or a sequence of PatchVotes.
+    a VoteField or a sequence of PatchVotes, and the kernel mass is
+    normalized by the sum of the weights read from it.
     """
     if h_i.scale <= 0 or h_j.scale <= 0:
         raise InvalidInput("hypothesis scales must be positive")
-    support = FusionSupport.of(votes)
-    if support.total <= 0:
+    field = VoteField.of(votes)
+    total = field.weights.sum()
+    if total <= 0:
         raise ZeroSupport("no patch weight supports the hypotheses")
-    locs, w = support.locations, support.weights
+    locs, w = field.locations, field.weights
     zi = np.asarray(h_i.center, dtype=np.float64)
     zj = np.asarray(h_j.center, dtype=np.float64)
     ratio = h_j.scale / h_i.scale
     offsets = (ratio * (zi - locs) + locs - zj) / cfg.bandwidth
     k = np.exp(-0.5 * np.sum(offsets**2, axis=1))
-    return float(np.dot(k, w) / support.total)
+    return float(np.dot(k, w) / total)
 
 
 def npmi(
@@ -117,11 +101,12 @@ def fuse(hypotheses, votes, cfg: FusionConfig, total_mass: float):
     """Drop the weaker member of every positively correlated pair.
 
     Pairs are visited in descending order of the stronger member; removed
-    hypotheses take part in no further pairs.  The support is built once,
-    so ZeroSupport is raised only when a pair is evaluated.  Returns
-    survivors sorted by descending score.
+    hypotheses take part in no further pairs.  The support, the
+    nonzero-weight rows of the votes, is taken once, so ZeroSupport is
+    raised only when a pair is evaluated.  Returns survivors sorted by
+    descending score.
     """
-    support = FusionSupport.of(votes)
+    support = VoteField.of(votes).carrying()
     survivors = []
     for h in sorted(hypotheses, key=_order_key):
         if all(npmi(s, h, support, cfg, total_mass) <= 0 for s in survivors):

@@ -1,6 +1,7 @@
 """Minimal PGM/PPM reader and writer, and the atomic file writer.
 
-Supports ASCII (P2/P3) and binary (P5/P6) variants with 8-bit depth.
+Supports ASCII (P2/P3) and binary (P5/P6) variants with 8- or 16-bit
+samples (maxval up to 65535; binary 16-bit samples are big-endian).
 Pixels are exposed as float64 in [0, 1]; color input is collapsed to
 luminance.  Other formats can be layered behind load_image later.
 """
@@ -97,13 +98,15 @@ def atomic_write(path, data: bytes) -> None:
     """Write ``data`` to ``path`` by a temp file and a rename: never a partial file.
 
     If the write or the rename fails, the temp file is removed and the error
-    propagates.
+    propagates; an OSError with an errno is raised again naming ``path``.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError) and e.errno is not None:
+            raise OSError(e.errno, e.strerror, str(path)) from e
         raise

@@ -83,13 +83,6 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return a
 
 
-def mean_center(X) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract the column means; returns (centered, mean)."""
-    X = _as_matrix(X, "X")
-    mean = X.mean(axis=0)
-    return X - mean, mean
-
-
 def _fix_signs(V: np.ndarray) -> np.ndarray:
     """Flip eigenvector signs so each column's largest-|.| entry is positive."""
     idx = np.argmax(np.abs(V), axis=0)

@@ -3,8 +3,9 @@
 Every test patch produces m+1 predicted voting vectors plus m+1 label
 estimates; the fraction of positive labels gates the patch's vote mass.
 The votes of one image are held as a :class:`VoteField`: the locations,
-votes, labels and weights of all r patches as four stacked arrays, which
-accumulation and fusion both read.  :class:`PatchVotes` and
+votes, labels and weights of all r patches as four stacked arrays.
+Accumulation and fusion both read its nonzero-weight rows,
+:meth:`VoteField.carrying`.  :class:`PatchVotes` and
 :func:`cast_votes` are the per-patch form and oracle.
 A single pass over the image fills S accumulator grids at once: a vote
 ``v`` cast from patch center ``l`` lands at ``l + scale_s * v`` in level
@@ -80,6 +81,13 @@ class VoteField:
             self.locations[i], self.votes[i], self.labels[i], float(self.weights[i])
         )
 
+    def carrying(self) -> "VoteField":
+        """The rows of nonzero weight, in order: the only votes with mass."""
+        keep = np.flatnonzero(self.weights)
+        return VoteField(
+            self.locations[keep], self.votes[keep], self.labels[keep], self.weights[keep]
+        )
+
 
 @dataclass(frozen=True)
 class Hypothesis:
@@ -96,8 +104,8 @@ class HoughCuboid:
 
     levels: (S, grid_h, grid_w) accumulated vote mass (post smoothing).
     level_mass: per-level total mass before border drops and smoothing.
-    dropped: count of votes of nonzero mass that landed outside the grid,
-        per level; votes of patches with weight 0 are never landed.
+    dropped: count of votes of nonzero-weight patches that landed outside
+        the grid, per level; votes of patches with weight 0 are never landed.
     """
 
     levels: np.ndarray
@@ -139,11 +147,11 @@ def accumulate_cuboid(
     """Bin every (patch, vote, scale) landing point into the S-level cuboid.
 
     ``all_votes`` is a VoteField or a sequence of PatchVotes.  Each vote
-    carries mass weight / (m+1), and only votes of nonzero mass are
-    landed: a vote of mass 0 would add nothing to any bin.  Landings
-    outside the grid are dropped and counted.  ``level_mass`` sums every
-    vote's mass.  Optional Gaussian smoothing (sigma in cells) is applied
-    per level afterward.
+    carries mass weight / (m+1).  Only the votes of
+    :meth:`VoteField.carrying` are landed: a patch of weight 0 would add
+    nothing to any bin.  Landings outside the grid are dropped and
+    counted.  ``level_mass`` sums every vote's mass.  Optional Gaussian
+    smoothing (sigma in cells) is applied per level afterward.
     """
     field = VoteField.of(all_votes)
     width, height = image_size
@@ -156,11 +164,10 @@ def accumulate_cuboid(
 
     if len(field):
         mplus1 = field.votes.shape[1]
-        mass = field.weights / mplus1  # per vote
-        level_mass[:] = np.repeat(mass, mplus1).sum()
-        carrying = np.flatnonzero(mass)
-        locs, votes = field.locations[carrying], field.votes[carrying]
-        m = np.repeat(mass[carrying], mplus1)
+        level_mass[:] = np.repeat(field.weights / mplus1, mplus1).sum()
+        landed = field.carrying()
+        locs, votes = landed.locations, landed.votes
+        m = np.repeat(landed.weights / mplus1, mplus1)  # per vote
 
         for s, sigma in enumerate(scales.scales):
             landing = locs[:, None, :] + sigma * votes  # (n, m+1, 2)

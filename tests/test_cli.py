@@ -64,10 +64,12 @@ def _no_objects(side):
 
 
 def _out_refused(argv, capsys, root):
-    """``hrm`` with an --out it cannot write: exit 2, an error line, no temp file."""
+    """``hrm`` with an --out it cannot write: exit 2, an error line naming
+    the --out path, no temp file left or named."""
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert argv[argv.index("--out") + 1] in err and ".tmp" not in err
     assert not list(root.rglob("*.tmp"))
 
 
@@ -287,6 +289,17 @@ class TestTrainCommand:
         _out_refused(["train", "--config", str(workspace / "cfg.ini"),
                       "--annotations", str(workspace / "scenes" / "annotations.txt"),
                       "--out", str(tmp_path / "missing" / "m.hrmb")], capsys, tmp_path)
+
+    def test_unwritable_out_refused_before_sampling(self, workspace, tmp_path,
+                                                    monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("sampled before checking --out")
+
+        monkeypatch.setattr(cli, "sample_patches", never)
+        _out_refused(["train", "--config", str(workspace / "cfg.ini"),
+                      "--annotations", str(workspace / "scenes" / "annotations.txt"),
+                      "--out", str(tmp_path / "missing_dir" / "m.hrmb")],
+                     capsys, tmp_path)
 
 
 class TestDetectCommand:

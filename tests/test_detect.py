@@ -139,6 +139,9 @@ class TestComputePatchVotes:
     )
     # a stride coset whose every neighbor is clipped
     @example(seed=0, height=5, width=5, ps=1, stride=2, offsets=[(5, 0)])
+    # a one-sided offset at stride 2: its coset's grid starts left of the
+    # first neighbor any start needs
+    @example(seed=0, height=20, width=20, ps=3, stride=2, offsets=[(5, 0)])
     def test_matches_oracle_over_geometries(
         self, seed, height, width, ps, stride, offsets
     ):

@@ -56,6 +56,19 @@ class TestImageIO:
         img = image_io.read_pnm(path)
         assert img.tolist() == [[256 / 65535, 1.0]]
 
+    @pytest.mark.parametrize("target, error", [
+        ("missing_dir/m.hrmb", FileNotFoundError),
+        ("adir", IsADirectoryError),
+    ])
+    def test_failed_write_names_the_path(self, tmp_path, target, error):
+        (tmp_path / "adir").mkdir()
+        path = tmp_path / target
+        with pytest.raises(error) as info:
+            image_io.atomic_write(path, b"data")
+        assert info.value.filename == str(path)
+        assert ".tmp" not in str(info.value)
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_comment_in_binary_header(self, tmp_path):
         path = tmp_path / "e.pgm"
         path.write_bytes(b"P5\n# made by hand\n2 2\n255\n\x00\x40\x80\xff")

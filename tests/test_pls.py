@@ -64,29 +64,6 @@ def nipals_oracle(X, Y, c):
     return W @ np.linalg.solve(T.T @ Xc @ W, T.T @ Yc)
 
 
-class TestMeanCenter:
-    def test_two_by_two(self):
-        centered, mean = pls.mean_center([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(centered, [[-1.0, -1.0], [1.0, 1.0]])
-        assert np.array_equal(mean, [2.0, 3.0])
-
-    def test_single_row_centers_to_zero(self):
-        centered, mean = pls.mean_center([[5.0, -1.0, 2.0]])
-        assert np.array_equal(centered, [[0.0, 0.0, 0.0]])
-
-    def test_column_sums_vanish(self):
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((10, 4)) * 50
-        centered, _ = pls.mean_center(X)
-        # direct summation oracle
-        bound = 1e-9 * X.shape[0] * np.max(np.abs(X))
-        assert np.all(np.abs(centered.sum(axis=0)) <= bound)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInput):
-            pls.mean_center(np.empty((0, 3)))
-
-
 class TestDominantEigenvectors:
     def test_diagonal(self):
         V = pls.dominant_eigenvectors(np.diag([3.0, 2.0, 1.0]), 2)
@@ -385,6 +362,10 @@ class TestBplsFit:
         W = pls.bpls_weights(*moments(X, Y, 5), c=5, alpha=1e-10)
         G = W.T @ W
         assert np.max(np.abs(G - np.eye(5))) <= 1e-8
+
+    def test_empty_rejected(self):
+        with pytest.raises(InvalidInput, match="X must be a nonempty 2-D matrix"):
+            pls.bpls_fit(np.empty((0, 3)), np.empty((0, 1)), 1, 1e-10)
 
     def test_alpha_guard(self):
         with pytest.raises(InvalidInput):

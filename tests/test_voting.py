@@ -126,6 +126,37 @@ class TestVoteField:
         assert len(field) == 0
         assert field.locations.shape == (0, 2)
 
+    def test_carrying_drops_zero_weight_rows_in_order(self):
+        rng = np.random.default_rng(3)
+        labels = [[1.0, -1.0], [-1.0, -2.0], [0.5, 2.0], [-3.0, -1.0], [-1.0, 4.0]]
+        pvs = [patch(rng.random(2) * 30, rng.standard_normal((2, 2)), lab)
+               for lab in labels]
+        field = voting.VoteField.of(pvs)
+        kept = field.carrying()
+        assert len(kept) == 3
+        for got, i in enumerate((0, 2, 4)):
+            assert np.array_equal(kept.locations[got], field.locations[i])
+            assert np.array_equal(kept.votes[got], field.votes[i])
+            assert np.array_equal(kept.labels[got], field.labels[i])
+            assert kept.weights[got] == field.weights[i]
+        assert np.all(kept.weights != 0)
+
+    def test_carrying_of_all_zero_field_is_empty(self):
+        rng = np.random.default_rng(4)
+        pvs = [patch(rng.random(2), rng.standard_normal((3, 2)), [-1.0, -2.0, 0.0])
+               for _ in range(4)]
+        kept = voting.VoteField.of(pvs).carrying()
+        assert len(kept) == 0
+        assert kept.locations.shape == (0, 2)
+        assert kept.votes.shape == (0, 3, 2)
+        assert kept.labels.shape == (0, 3)
+
+    def test_carrying_of_empty_field_is_empty(self):
+        kept = voting.VoteField.of([]).carrying()
+        assert len(kept) == 0
+        assert kept.locations.shape == (0, 2)
+        assert kept.votes.shape == (0, 0, 2)
+
 
 class TestAccumulateCuboid:
     def test_landing_geometry(self):
