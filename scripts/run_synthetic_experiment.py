@@ -11,14 +11,12 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 from hrm.detect import VotingConfig, detect
 from hrm.evaluate import Detection, box_from_hypothesis, iou
 from hrm.features import PatchGeometry
 from hrm.fusion import FusionConfig
 from hrm.pls import LatentConfig
-from hrm.synth import TEMPLATE_SIZE, random_scene, synth_scene
+from hrm.synth import TEMPLATE_SIZE, random_scenes
 from hrm.training import sample_patches, train_from_samples
 from hrm.voting import ScaleSet
 
@@ -26,15 +24,8 @@ SCALES = (0.75, 1.0, 1.25, 1.5)
 
 
 def make_scenes(n, seed, canvas, noise, min_obj=1, max_obj=3):
-    rng = np.random.default_rng(seed)
-    scenes = []
-    for _ in range(n):
-        n_obj = int(rng.integers(min_obj, max_obj + 1))
-        specs = random_scene(rng, n_obj, SCALES, (canvas, canvas), noise)
-        img, boxes = synth_scene(specs, (canvas, canvas), noise,
-                                 seed=int(rng.integers(0, 2**31)))
-        scenes.append((img, list(boxes)))
-    return scenes
+    scenes = random_scenes(seed, n, (canvas, canvas), noise, SCALES, min_obj, max_obj)
+    return [(img, list(boxes)) for img, boxes in scenes]
 
 
 def match_objects(detections, boxes, iou_thr=0.5):

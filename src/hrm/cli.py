@@ -1,11 +1,11 @@
 """Command-line interface: train, detect, eval, synth.
 
-Exit codes: 0 success, 2 input or I/O error, 3 model error.  Both worker
-pools, detection's per image and training's per canvas, run at most
-HRM_THREADS threads and at most the usable cores (the CPU affinity).
-Detection's image threads x NumPy BLAS threads <= usable cores.  Outputs
-depend on neither count.  All output files are written atomically (temp
-file + rename).
+Exit codes: 0 success, 2 input or I/O error, 3 model error, as each
+``HRMError`` says by its ``exit_code``.  Both worker pools, detection's per
+image and training's per canvas, run at most HRM_THREADS threads and at most
+the usable cores (the CPU affinity).  Detection's image threads x NumPy BLAS
+threads <= usable cores.  Outputs depend on neither count.  All output files
+are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -28,23 +28,8 @@ from .detect import detect
 from .evaluate import Detection, evaluate
 from .image_io import atomic_write, load_image, write_pgm
 from .model_io import load_model, save_model
-from .synth import random_scene, synth_scene
+from .synth import random_scenes
 from .training import sample_patches, train_from_samples
-
-_INPUT_ERRORS = (
-    errors.InvalidInput,
-    errors.InvalidDataset,
-    errors.ParseError,
-    errors.MissingAsset,
-    errors.InvalidSpec,
-    errors.OutOfBounds,
-)
-_MODEL_ERRORS = (
-    errors.IncompatibleModel,
-    errors.CorruptModel,
-    errors.DegenerateFit,
-    errors.InvalidComponents,
-)
 
 
 def _usable_cores() -> int:  # the CPU affinity, where the OS has one
@@ -226,13 +211,10 @@ def cmd_synth(args) -> int:
     size = (spec.canvas_width, spec.canvas_height)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
+    scenes = random_scenes(args.seed, spec.scenes, size, spec.noise, spec.scales,
+                           spec.min_objects, spec.max_objects)
     lines = []
-    for idx in range(spec.scenes):
-        n_obj = int(rng.integers(spec.min_objects, spec.max_objects + 1))
-        specs = random_scene(rng, n_obj, spec.scales, size, spec.noise)
-        seed = int(rng.integers(0, 2**31))
-        img, boxes = synth_scene(specs, size, spec.noise, seed=seed)
+    for idx, (img, boxes) in enumerate(scenes):
         name = f"scene_{idx:04d}.pgm"
         write_pgm(out_dir / name, img)
         coord_text = " ".join(" ".join(str(v) for v in b) for b in boxes)
@@ -280,12 +262,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (*_INPUT_ERRORS, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except _MODEL_ERRORS as e:
-        print(f"model error: {e}", file=sys.stderr)
-        return 3
+    except (errors.HRMError, OSError) as e:
+        code = getattr(e, "exit_code", 2)  # an OSError is an I/O error
+        print(f"{'model error' if code == 3 else 'error'}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

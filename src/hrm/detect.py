@@ -28,6 +28,7 @@ from .voting import (
     VoteField,
     accumulate_cuboid,
     find_maxima,
+    patch_weight,
 )
 
 # Gathered patch windows per GEMM block, sized to the L2 cache: at 1 MB a
@@ -159,11 +160,9 @@ def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig) -> VoteField:
     out = grid.reshape((len(gy),) + coef.shape[1:])  # (r, m+1, 3)
     out += bank.intercepts
 
-    votes = np.ascontiguousarray(out[..., :2])
-    labels = np.ascontiguousarray(out[..., 2])
-    weights = (labels > 0).sum(axis=1) / geom.num_context
     centers = np.stack([gx, gy], axis=1) + ps / 2.0
-    return VoteField(centers, votes, labels, weights)
+    labels = out[..., 2]
+    return VoteField(centers, out[..., :2], labels, patch_weight(labels))
 
 
 def detect(

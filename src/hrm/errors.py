@@ -1,8 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each with its ``hrm`` exit code."""
 
 
 class HRMError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 2
 
 
 class InvalidInput(HRMError):
@@ -11,10 +12,12 @@ class InvalidInput(HRMError):
 
 class InvalidComponents(HRMError):
     """Requested latent component count exceeds what the data supports."""
+    exit_code = 3
 
 
 class DegenerateFit(HRMError):
     """The regression problem is numerically degenerate."""
+    exit_code = 3
 
 
 class OutOfBounds(HRMError):
@@ -39,10 +42,12 @@ class MissingAsset(HRMError):
 
 class IncompatibleModel(HRMError):
     """A model file was produced by an incompatible version."""
+    exit_code = 3
 
 
 class CorruptModel(HRMError):
     """A model file is truncated or fails integrity checks."""
+    exit_code = 3
 
 
 class InvalidSpec(HRMError):

@@ -1,12 +1,13 @@
 """Per-pixel feature channels and patch feature vectors.
 
-An image becomes a 26-plane feature volume: 13 base channels (absolute
-Sobel/8 x/y derivatives, absolute second x/y derivatives, and 9
-orientation-histogram channels accumulated over a 5x5 window), max-filtered
-in planes 0-12 and min-filtered in planes 13-25.  :data:`EXTRACTOR_VERSION`
-names this one extractor.  The volume is stored pixel-major, so a patch
-vector (all 26 channels per pixel, row-major over the patch) is a window of
-it; :func:`patch_windows` is the view training and detection read.
+An image's grey (:func:`~hrm.image_io.to_grey`, so RGB is accepted) becomes
+a 26-plane feature volume: 13 base channels (absolute Sobel/8 x/y
+derivatives, absolute second x/y derivatives, and 9 orientation-histogram
+channels accumulated over a 5x5 window), max-filtered in planes 0-12 and
+min-filtered in planes 13-25.  :data:`EXTRACTOR_VERSION` names this one
+extractor.  The volume is stored pixel-major, so a patch vector (all 26
+channels per pixel, row-major over the patch) is a window of it;
+:func:`patch_windows` is the view training and detection read.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .errors import InvalidInput, OutOfBounds
-from .image_io import LUMA
+from .image_io import to_grey
 
 # Bump whenever the channel layout or filtering changes; serialized models
 # record this tag and refuse to load against a different extractor.
@@ -99,11 +100,9 @@ def _gradients(img: np.ndarray):
 
 
 def base_channels(img) -> np.ndarray:
-    """The 13 unfiltered channels of an image, shape (13, H, W)."""
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim == 3:
-        img = img @ LUMA  # the grey of load_image
-    if img.ndim != 2 or img.shape[0] < _WINDOW or img.shape[1] < _WINDOW:
+    """The 13 unfiltered channels of an image's grey, shape (13, H, W)."""
+    img = to_grey(img)
+    if img.shape[0] < _WINDOW or img.shape[1] < _WINDOW:
         raise InvalidInput(f"image must be at least {_WINDOW}x{_WINDOW} grayscale")
 
     gx, gy, bins = _gradients(img)

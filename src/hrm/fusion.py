@@ -10,9 +10,8 @@ dependent pair; the lower-scoring member is dropped.
 
 The kernel sum runs over the nonzero-weight rows of the image's
 :class:`~hrm.voting.VoteField` (:meth:`~hrm.voting.VoteField.carrying`),
-and is normalized by their total weight.  Zero-weight patches add
-nothing to either sum, so :func:`fuse` drops them once per image rather
-than once per pair.
+and is normalized by their ``total_weight``.  :func:`fuse` takes those
+rows, and so their total, once per image rather than once per pair.
 """
 
 from __future__ import annotations
@@ -46,12 +45,12 @@ def conditional_prob(h_i: Hypothesis, h_j: Hypothesis, votes, cfg: FusionConfig)
     the scale ratio; the weighted kernel mass at h_j's center, relative to
     the mass at zero offset, is the conditional probability.  ``votes`` is
     a VoteField or a sequence of PatchVotes, and the kernel mass is
-    normalized by the sum of the weights read from it.
+    normalized by its ``total_weight``.
     """
     if h_i.scale <= 0 or h_j.scale <= 0:
         raise InvalidInput("hypothesis scales must be positive")
     field = VoteField.of(votes)
-    total = field.weights.sum()
+    total = field.total_weight
     if total <= 0:
         raise ZeroSupport("no patch weight supports the hypotheses")
     locs, w = field.locations, field.weights
@@ -93,22 +92,17 @@ def npmi(
     return float(min(1.0, max(-1.0, value)))
 
 
-def _order_key(h: Hypothesis):
-    return (-h.score, h.scale, h.center[0], h.center[1])
-
-
 def fuse(hypotheses, votes, cfg: FusionConfig, total_mass: float):
     """Drop the weaker member of every positively correlated pair.
 
-    Pairs are visited in descending order of the stronger member; removed
-    hypotheses take part in no further pairs.  The support, the
-    nonzero-weight rows of the votes, is taken once, so ZeroSupport is
-    raised only when a pair is evaluated.  Returns survivors sorted by
-    descending score.
+    Pairs are visited in :meth:`Hypothesis.rank` order of the stronger
+    member; removed hypotheses take part in no further pairs.  The support,
+    the nonzero-weight rows of the votes, is taken once, so ZeroSupport is
+    raised only when a pair is evaluated.  Returns survivors in rank order.
     """
     support = VoteField.of(votes).carrying()
     survivors = []
-    for h in sorted(hypotheses, key=_order_key):
+    for h in sorted(hypotheses, key=Hypothesis.rank):
         if all(npmi(s, h, support, cfg, total_mass) <= 0 for s in survivors):
             survivors.append(h)
     return survivors

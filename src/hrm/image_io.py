@@ -2,7 +2,7 @@
 
 Supports ASCII (P2/P3) and binary (P5/P6) variants with 8- or 16-bit
 samples (maxval up to 65535; binary 16-bit samples are big-endian).
-Pixels are exposed as float64 in [0, 1]; color input is collapsed to
+Pixels are float64 in [0, 1]; :func:`to_grey` collapses color to
 luminance.  Other formats can be layered behind load_image later.
 """
 
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingAsset, ParseError
+from .errors import InvalidInput, MissingAsset, ParseError
 
 LUMA = np.array([0.299, 0.587, 0.114])  # RGB -> grey weights
 
@@ -78,12 +78,19 @@ def read_pnm(path) -> np.ndarray:
     return img[..., 0] if channels == 1 else img
 
 
+def to_grey(img) -> np.ndarray:
+    """An image as float64 grey: (H, W, 3) RGB by the LUMA weights, (H, W) as is."""
+    img = np.asarray(img, dtype=np.float64)
+    if img.ndim == 3 and img.shape[2] == 3:
+        return img @ LUMA
+    if img.ndim != 2:
+        raise InvalidInput(f"image must be (H, W) grey or (H, W, 3) RGB, not {img.shape}")
+    return img
+
+
 def load_image(path) -> np.ndarray:
     """Decode an image to grayscale float64 in [0, 1]."""
-    img = read_pnm(path)
-    if img.ndim == 3:
-        img = img @ LUMA
-    return img
+    return to_grey(read_pnm(path))
 
 
 def write_pgm(path, img: np.ndarray) -> None:

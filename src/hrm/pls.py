@@ -2,16 +2,17 @@
 
 A fit returns only its linear head (:class:`RegressionModel`).  Both fits
 find latent weights W and solve one head ``B = W H^-1 R``; only the latent
-step differs.  :func:`pls_latents` takes one eigendecomposition per
-component of the centred data, deflating in between; :func:`bpls_weights`
-takes all components from one top-c eigensolve of a ridge-stabilized
-cross-covariance matrix built from :func:`centred_moments`, so the bridge
-fit never forms the centred data or the scores.  Training forms one Gram
-per class: :func:`label_moments` pools the positives' moments with the
-negatives' for the label fit.  The bridge fit runs all its dense algebra in
-SciPy's BLAS/LAPACK: NumPy bundles a second OpenBLAS, and alternating the
-two slows both.  Training uses only the bridge path; the iterative one is
-the tests' reference.
+step differs, and the head is the same for either sign of a column of W.
+:func:`pls_latents` takes one eigendecomposition per component of the
+centred data, deflating in between; :func:`bpls_weights` takes all
+components from one top-c eigensolve of a ridge-stabilized cross-covariance
+matrix built from :func:`centred_moments`, so the bridge fit never forms
+the centred data or the scores.  Training forms one Gram per class:
+:func:`label_moments` pools the positives' moments with the negatives' for
+the label fit.  The bridge fit runs all its dense algebra in SciPy's
+BLAS/LAPACK: NumPy bundles a second OpenBLAS, and alternating the two slows
+both.  Training uses only the bridge path; the iterative one is the tests'
+reference.
 """
 
 from __future__ import annotations
@@ -83,21 +84,13 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return a
 
 
-def _fix_signs(V: np.ndarray) -> np.ndarray:
-    """Flip eigenvector signs so each column's largest-|.| entry is positive."""
-    idx = np.argmax(np.abs(V), axis=0)
-    signs = np.sign(V[idx, np.arange(V.shape[1])])
-    signs[signs == 0] = 1.0
-    return V * signs
-
-
 def dominant_eigenvectors(M, c: int) -> np.ndarray:
     """First ``c`` dominant eigenvectors of a symmetric matrix, as columns.
 
-    Columns are unit-norm, ordered by descending eigenvalue, with signs
-    fixed so the largest-magnitude entry of each column is positive.  Only
-    the top ``c`` eigenpairs are computed.  The eigensolver may overwrite
-    M, which saves a p x p copy.
+    Columns are unit-norm and ordered by descending eigenvalue; each keeps
+    the eigensolver's sign, on which no head ``B = W H^-1 R`` depends, even
+    in floating point.  Only the top ``c`` eigenpairs are computed.  The
+    eigensolver may overwrite M, which saves a p x p copy.
     """
     M = _as_matrix(M, "M")
     if M.shape[0] != M.shape[1]:
@@ -122,7 +115,7 @@ def dominant_eigenvectors(M, c: int) -> np.ndarray:
         )
     except np.linalg.LinAlgError as e:
         raise DegenerateFit(f"eigensolver failed: {e}") from e
-    return _fix_signs(V[:, ::-1])
+    return V[:, ::-1]
 
 
 def _check_components(c: int, n: int, p: int) -> None:

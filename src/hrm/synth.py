@@ -3,7 +3,7 @@
 The template is rendered analytically at any scale (bright disk, dark
 horizontal bar, bright corner square) so it carries distinct oriented
 edges.  Scenes add low-frequency background clutter and optional pixel
-noise; everything is deterministic per seed.
+noise; everything is deterministic per seed, as is :func:`random_scenes`.
 """
 
 from __future__ import annotations
@@ -128,3 +128,14 @@ def random_scene(
         else:
             raise InvalidSpec(f"could not place {n_objects} objects")
     return specs
+
+
+def random_scenes(seed: int, count: int, size: tuple[int, int], noise: float,
+                  scales, min_objects: int = 1, max_objects: int = 3):
+    """Yield ``count`` scenes as (image, boxes).  One generator draws, per scene,
+    the object count, then the placements, then the :func:`synth_scene` seed."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_obj = int(rng.integers(min_objects, max_objects + 1))
+        specs = random_scene(rng, n_obj, scales, size, noise)
+        yield synth_scene(specs, size, noise, seed=int(rng.integers(0, 2**31)))

@@ -18,6 +18,7 @@ from scipy import ndimage
 from . import pls
 from .errors import DegenerateFit, IncompatibleModel, InvalidDataset
 from .features import CROP_MARGIN, PatchGeometry, compute_channels, patch_windows
+from .image_io import to_grey
 # Not called here: perfbench counts training-time patch extractions
 # through this name, and with the window gathers that count is 0.
 from .features import extract_patch_vector  # noqa: F401
@@ -111,17 +112,18 @@ def sample_patches(
 ) -> SampleSet:
     """Draw n_pos positive and n_neg negative patches from (image, boxes) pairs.
 
-    Boxes are integer (x0, y0, x1, y1).  When ``reference_size`` is given,
-    each annotated box is normalized to that size before positive sampling:
-    the image is resized by reference/box ratio and a rescaled canvas is
-    added to the sample set.  Each class is drawn without replacement from
-    all its candidate top-lefts, and its draws are ordered by canvas and
-    position.  Deterministic under a fixed seed.
+    The canvases are the images' grey (:func:`to_grey`), so RGB is accepted.
+    Boxes are integer (x0, y0, x1, y1).  When ``reference_size`` is given, each
+    annotated box is normalized to that size before positive sampling: the
+    image is resized by reference/box ratio and a rescaled canvas is added to
+    the sample set.  Each class is drawn without replacement from all its
+    candidate top-lefts, and its draws are ordered by canvas and position.
+    Deterministic under a fixed seed.
     """
     ps = geom.patch_size
     rng = np.random.default_rng(seed)
 
-    canvases = [np.asarray(img, dtype=np.float64) for img, _ in entries]
+    canvases = [to_grey(img) for img, _ in entries]
     blocks, centers = [], []  # positives: (canvas_id, x0, y0, nx, ny), box center
     grids, free = [], []  # negatives: (canvas_id, width), flat top-lefts in it
 

@@ -1,20 +1,21 @@
 """Vote casting, multi-scale accumulation, and local-maxima extraction.
 
 Every test patch produces m+1 predicted voting vectors plus m+1 label
-estimates; the fraction of positive labels gates the patch's vote mass.
-The votes of one image are held as a :class:`VoteField`: the locations,
-votes, labels and weights of all r patches as four stacked arrays.
-Accumulation and fusion both read its nonzero-weight rows,
-:meth:`VoteField.carrying`.  :class:`PatchVotes` and
-:func:`cast_votes` are the per-patch form and oracle.
-A single pass over the image fills S accumulator grids at once: a vote
-``v`` cast from patch center ``l`` lands at ``l + scale_s * v`` in level
-``s``.
+estimates; the fraction of positive labels, :func:`patch_weight` of one
+patch or of a stack, gates the patch's vote mass.  The votes of one image
+are held as a :class:`VoteField`: the locations, votes, labels and weights
+of all r patches as four stacked arrays.  Accumulation and fusion both read
+its nonzero-weight rows, :meth:`VoteField.carrying`.  :class:`PatchVotes`
+and :func:`cast_votes` are the per-patch form and oracle.  A single pass
+over the image fills S accumulator grids at once: a vote ``v`` cast from
+patch center ``l`` lands at ``l + scale_s * v`` in level ``s``.  Maxima and
+fusion order hypotheses by one key, :meth:`Hypothesis.rank`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -81,6 +82,10 @@ class VoteField:
             self.locations[i], self.votes[i], self.labels[i], float(self.weights[i])
         )
 
+    @cached_property
+    def total_weight(self) -> float:  # summed once, however many pairs read it
+        return self.weights.sum()
+
     def carrying(self) -> "VoteField":
         """The rows of nonzero weight, in order: the only votes with mass."""
         keep = np.flatnonzero(self.weights)
@@ -96,6 +101,10 @@ class Hypothesis:
     center: tuple[float, float]
     scale: float
     score: float
+
+    def rank(self) -> tuple:
+        """The one hypothesis order: descending score, then scale, x and y."""
+        return (-self.score, self.scale, self.center[0], self.center[1])
 
 
 @dataclass
@@ -115,10 +124,11 @@ class HoughCuboid:
     dropped: np.ndarray
 
 
-def patch_weight(labels: np.ndarray) -> float:
-    """Fraction of strictly positive label estimates."""
+def patch_weight(labels: np.ndarray):
+    """Fraction of strictly positive label estimates along the last axis: one
+    patch's (m+1,) labels give its weight, an (r, m+1) stack r weights."""
     labels = np.asarray(labels)
-    return float(np.count_nonzero(labels > 0)) / labels.shape[-1]
+    return np.count_nonzero(labels > 0, axis=-1) / labels.shape[-1]
 
 
 def cast_votes(context: ContextSet, bank: ModelBank, loc) -> PatchVotes:
@@ -213,5 +223,5 @@ def find_maxima(cuboid: HoughCuboid, min_score: float, radius: int = 3):
         for y, x in zip(ys, xs):
             center = ((x + 0.5) * cuboid.bin_size, (y + 0.5) * cuboid.bin_size)
             out.append(Hypothesis(center, sigma, float(level[y, x])))
-    out.sort(key=lambda h: (-h.score, h.scale, h.center[0], h.center[1]))
+    out.sort(key=Hypothesis.rank)
     return out

@@ -17,7 +17,7 @@ from hrm.detect import VotingConfig, detect
 from hrm.evaluate import Detection, box_from_hypothesis, iou
 from hrm.features import PatchGeometry
 from hrm.pls import LatentConfig
-from hrm.synth import TEMPLATE_SIZE, random_scene, synth_scene
+from hrm.synth import TEMPLATE_SIZE, random_scenes
 from hrm.training import sample_patches, train_from_samples
 from hrm.voting import Hypothesis, PatchVotes, ScaleSet
 
@@ -222,15 +222,8 @@ SCALES6 = (0.75, 1.0, 1.25, 1.5)
 
 
 def _make_scenes(n, seed, canvas=224, noise=0.01):
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        n_obj = int(rng.integers(1, 4))
-        specs = random_scene(rng, n_obj, SCALES6, (canvas, canvas), noise)
-        img, boxes = synth_scene(specs, (canvas, canvas), noise,
-                                 seed=int(rng.integers(0, 2**31)))
-        out.append((img, list(boxes)))
-    return out
+    scenes = random_scenes(seed, n, (canvas, canvas), noise, SCALES6, 1, 3)
+    return [(img, list(boxes)) for img, boxes in scenes]
 
 
 def _match(detections, boxes, iou_thr=0.5):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hrm
-from hrm import cli
+from hrm import cli, errors
 from hrm.cli import main
 from hrm.features import EXTRACTOR_VERSION
 
@@ -71,6 +71,14 @@ def _out_refused(argv, capsys, root):
     assert err.startswith("error: ") and "Traceback" not in err
     assert argv[argv.index("--out") + 1] in err and ".tmp" not in err
     assert not list(root.rglob("*.tmp"))
+
+
+def _error_types(cls=errors.HRMError):
+    """HRMError and its subclasses at every depth."""
+    return [cls] + [c for sub in cls.__subclasses__() for c in _error_types(sub)]
+
+
+MODEL_ERRORS = {"IncompatibleModel", "CorruptModel", "DegenerateFit", "InvalidComponents"}
 
 
 @pytest.fixture(scope="module")
@@ -780,3 +788,19 @@ class TestConsoleEntryPoint:
         assert choices, out.stdout
         for cmd in ("train", "detect", "eval", "synth"):
             assert cmd in choices.group(1).split(",")
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("cls", _error_types(), ids=lambda cls: cls.__name__)
+    def test_every_error_type_exits_with_its_code(self, cls, tmp_path, monkeypatch,
+                                                  capsys):
+        def fail(path):
+            raise cls("cannot go on")
+
+        monkeypatch.setattr(cli, "load_synth_spec", fail)
+        code = 3 if cls.__name__ in MODEL_ERRORS else 2
+        assert main(["synth", "--spec", str(tmp_path / "spec.ini"),
+                     "--out", str(tmp_path / "out")]) == code
+        prefix = "model error" if code == 3 else "error"
+        assert capsys.readouterr().err == f"{prefix}: cannot go on\n"
+        assert cls.exit_code == code

@@ -80,6 +80,11 @@ class TestBaseChannels:
             features.base_channels(img), features.base_channels(luma)
         )
 
+    @pytest.mark.parametrize("shape", [(12, 12, 4), (12, 12, 1), (2, 12, 12, 3)])
+    def test_non_image_shape_refused(self, shape):
+        with pytest.raises(InvalidInput):
+            features.compute_channels(np.zeros(shape))
+
     def test_rgb_grey_matches_load_image(self, tmp_path):
         rgb = np.random.default_rng(4).integers(0, 256, (12, 10, 3), dtype=np.uint8)
         path = tmp_path / "c.ppm"

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from hrm import synth
+from hrm.cli import main
 from hrm.errors import InvalidSpec
+from hrm.image_io import write_pgm
 
 
 class TestRenderTemplate:
@@ -91,3 +93,22 @@ class TestRandomScene:
         rng = np.random.default_rng(2)
         with pytest.raises(InvalidSpec):
             synth.random_scene(rng, 10, (1.5,), (80, 80), max_tries=30)
+
+
+class TestRandomScenes:
+    def test_reproduces_hrm_synth_bytes(self, tmp_path):
+        spec = tmp_path / "spec.ini"
+        spec.write_text("[synth]\nscenes = 4\ncanvas_width = 120\ncanvas_height = 100\n"
+                        "noise = 0.02\nmin_objects = 0\nmax_objects = 2\n"
+                        "scales = 0.75 1.0\n")
+        assert main(["synth", "--spec", str(spec), "--seed", "11",
+                     "--out", str(tmp_path / "cli")]) == 0
+        lines = []
+        for idx, (img, boxes) in enumerate(
+            synth.random_scenes(11, 4, (120, 100), 0.02, (0.75, 1.0), 0, 2)
+        ):
+            name = f"scene_{idx:04d}.pgm"
+            write_pgm(tmp_path / name, img)
+            assert (tmp_path / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
+            lines.append(" ".join([name] + [str(v) for b in boxes for v in b]) + "\n")
+        assert "".join(lines) == (tmp_path / "cli" / "annotations.txt").read_text()

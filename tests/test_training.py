@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from hrm import pls, training
-from hrm.errors import InvalidDataset
+from hrm.errors import InvalidDataset, InvalidInput
 from hrm.features import N_CHANNELS, PatchGeometry, compute_channels, context_vectors
+from hrm.image_io import LUMA
 from hrm.model_io import save_model
 from hrm.synth import synth_scene
 
@@ -196,6 +197,39 @@ class TestSamplePatches:
         assert len(ss.canvases) == 2
         assert ss.canvases[1].shape == (32, 32)
         assert np.all(ss.canvas_ids[:10] == 1)
+
+
+class TestColourImages:
+    """Training takes an (H, W, 3) image as its grey, as detection does."""
+
+    @staticmethod
+    def rgb_entries():
+        entries = []
+        for seed in (21, 22):
+            grey, boxes = scene_entry(seed)
+            tint = np.random.default_rng(seed).normal(0.0, 0.05, grey.shape + (3,))
+            entries.append((np.clip(grey[..., None] + tint, 0.0, 1.0), boxes))
+        return entries
+
+    def test_samples_and_bank_equal_the_greys(self):
+        rgb = self.rgb_entries()
+        grey = [(img @ LUMA, boxes) for img, boxes in rgb]
+        a, b = (training.sample_patches(e, 20, 30, GEOM, seed=4, reference_size=20.0)
+                for e in (rgb, grey))
+        assert len(a.canvases) == len(b.canvases) == 4  # two rescaled canvases
+        for x, y in zip(a.canvases, b.canvases):
+            assert np.array_equal(x, y)
+        for name in ("canvas_ids", "topleft", "votes"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        cfg = pls.LatentConfig(components=3)
+        bank_a, bank_b = (training.train_from_samples(ss, GEOM, cfg) for ss in (a, b))
+        assert np.array_equal(bank_a.coefficients, bank_b.coefficients)
+        assert np.array_equal(bank_a.intercepts, bank_b.intercepts)
+
+    @pytest.mark.parametrize("shape", [(64, 64, 4), (64, 64, 1), (64,), (2, 64, 64, 3)])
+    def test_other_shapes_refused(self, shape):
+        with pytest.raises(InvalidInput):
+            training.sample_patches([(np.zeros(shape), [(20, 16, 44, 40)])], 5, 5, GEOM)
 
 
 class TestTrainBank:

@@ -68,6 +68,15 @@ class TestPatchWeight:
         assert voting.patch_weight(labels) == pytest.approx(9.0 / 17.0)
 
     @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(0, 30), st.integers(1, 20))
+    def test_stack_matches_per_row_calls(self, seed, rows, mplus1):
+        labels = np.random.default_rng(seed).standard_normal((rows, mplus1))
+        labels[:, ::3] = 0.0  # a zero label is not positive
+        w = voting.patch_weight(labels)
+        assert w.shape == (rows,)
+        assert w.tolist() == [voting.patch_weight(row) for row in labels]
+
+    @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 20))
     def test_multiples_of_context_fraction(self, seed, mplus1):
         labels = np.random.default_rng(seed).standard_normal(mplus1)
