@@ -1,138 +1,92 @@
 #!/usr/bin/env python3
-"""End-to-end synthetic detection experiment.
+"""End-to-end synthetic detection experiment through the ``hrm`` commands.
 
-Generates scenes with the built-in template, trains a model bank on a
-train split, runs multi-scale detection on the held-out split, and
-reports precision/recall, duplicate statistics with and without fusion,
-and wall-clock timings.
+Writes the train and test scenes with ``hrm synth`` and trains with
+``hrm train``, in a temporary directory, then detects on the test scenes as
+``hrm detect`` does.  Reports recall, precision and EER at ``hrm eval``'s last
+PR point, duplicates with and without fusion, and wall-clock timings.  The
+defaults are the criterion-6 gate's inputs (``scripts/c6``, seeds 600/1600).
+
+    PYTHONPATH=src python scripts/run_synthetic_experiment.py [--config FILE]
 """
 
 import argparse
 import sys
+import tempfile
 import time
+from pathlib import Path
 
-from hrm.detect import VotingConfig, detect
-from hrm.evaluate import Detection, box_from_hypothesis, iou
-from hrm.features import PatchGeometry
-from hrm.fusion import FusionConfig
-from hrm.pls import LatentConfig
-from hrm.synth import TEMPLATE_SIZE, random_scenes
-from hrm.training import sample_patches, train_from_samples
-from hrm.voting import ScaleSet
+from hrm.cli import main as hrm
+from hrm.config import load_config
+from hrm.dataset import load_dataset
+from hrm.detect import detect
+from hrm.evaluate import box_from_hypothesis, evaluate, iou
+from hrm.model_io import load_model
 
-SCALES = (0.75, 1.0, 1.25, 1.5)
-
-
-def make_scenes(n, seed, canvas, noise, min_obj=1, max_obj=3):
-    scenes = random_scenes(seed, n, (canvas, canvas), noise, SCALES, min_obj, max_obj)
-    return [(img, list(boxes)) for img, boxes in scenes]
+C6 = Path(__file__).resolve().parent / "c6"
 
 
-def match_objects(detections, boxes, iou_thr=0.5):
-    """Greedy match; returns (tp_per_box, duplicates, false_positives)."""
-    matched = [False] * len(boxes)
-    dup = 0
-    fp = 0
-    per_box_hits = [0] * len(boxes)
-    for d in sorted(detections, key=lambda d: -d.score):
-        best, best_iou = None, iou_thr
-        for k, b in enumerate(boxes):
-            v = iou(d.box, b)
-            if v >= best_iou:
-                best, best_iou = k, v
-        if best is None:
-            fp += 1
-        else:
-            per_box_hits[best] += 1
-            if matched[best]:
-                dup += 1
-            matched[best] = True
-    return matched, per_box_hits, dup, fp
+def box_hits(detected_boxes, boxes, iou_threshold):
+    """Per box, how many detected boxes match it best, at IoU >= the threshold."""
+    hits = [0] * len(boxes)
+    for d in detected_boxes:
+        overlaps = [iou(d, b) for b in boxes]
+        if overlaps and max(overlaps) >= iou_threshold:
+            hits[overlaps.index(max(overlaps))] += 1
+    return hits
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--train-scenes", type=int, default=30)
-    ap.add_argument("--test-scenes", type=int, default=20)
-    ap.add_argument("--canvas", type=int, default=224)
-    ap.add_argument("--noise", type=float, default=0.01)
-    ap.add_argument("--patch-size", type=int, default=6)
-    ap.add_argument("--components", type=int, default=8)
-    ap.add_argument("--n-pos", type=int, default=2000)
-    ap.add_argument("--n-neg", type=int, default=2000)
-    ap.add_argument("--stride", type=int, default=2)
-    ap.add_argument("--bin-size", type=int, default=4)
-    ap.add_argument("--smoothing", type=float, default=1.5)
-    ap.add_argument("--min-score", type=float, default=0.05)
-    ap.add_argument("--maxima-radius", type=int, default=3)
-    ap.add_argument("--bandwidth", type=float, default=None)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--no-scale-normalize", dest="scale_normalize",
-                    action="store_false")
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--config", default=str(C6 / "config.ini"))
+    ap.add_argument("--train-spec", default=str(C6 / "train.ini"))
+    ap.add_argument("--test-spec", default=str(C6 / "test.ini"))
+    ap.add_argument("--train-seed", type=int, default=600)
+    ap.add_argument("--test-seed", type=int, default=1600)
     args = ap.parse_args(argv)
 
     t0 = time.perf_counter()
-    train = make_scenes(args.train_scenes, args.seed, args.canvas, args.noise)
-    test = make_scenes(args.test_scenes, args.seed + 1000, args.canvas, args.noise)
-    print(f"scenes generated in {time.perf_counter() - t0:.1f}s")
+    with tempfile.TemporaryDirectory() as tmp:
+        train, test, model = (str(Path(tmp) / f) for f in ("train", "test", "m.hrmb"))
+        steps = [["synth", "--spec", spec, "--seed", str(seed), "--out", out]
+                 for spec, seed, out in ((args.train_spec, args.train_seed, train),
+                                         (args.test_spec, args.test_seed, test))]
+        steps.append(["train", "--config", args.config,
+                      "--annotations", f"{train}/annotations.txt", "--out", model])
+        for step in steps:
+            t = time.perf_counter()
+            code = hrm(step)
+            if code:
+                return code
+            print(f"hrm {step[0]} took {time.perf_counter() - t:.1f}s")
 
-    geom = PatchGeometry(args.patch_size)
-    ref = float(TEMPLATE_SIZE)
-    t1 = time.perf_counter()
-    samples = sample_patches(
-        train, args.n_pos, args.n_neg, geom, seed=args.seed,
-        reference_size=ref if args.scale_normalize else None,
-    )
-    print(f"sampled in {time.perf_counter() - t1:.1f}s "
-          f"({len(samples.canvases)} canvases)")
+        cfg = load_config(args.config)
+        bank = load_model(model)
+        t = time.perf_counter()
+        detections, truth, dup_fused, objs_with_prefusion_dup = [], {}, 0, 0
+        for path, img, boxes in load_dataset(f"{test}/annotations.txt").load_entries():
+            name = Path(path).name  # the image id of hrm detect and hrm eval
+            res = detect(img, bank, cfg.scales, cfg.voting, cfg.fusion, image_id=name)
+            detections += res.detections
+            truth[name] = list(boxes)
+            hits = box_hits([d.box for d in res.detections], boxes, cfg.iou_threshold)
+            dup_fused += sum(max(h - 1, 0) for h in hits)
+            pre = [box_from_hypothesis(h.center, h.scale, bank.reference_box)
+                   for h in res.hypotheses_prefusion]
+            hits = box_hits(pre, boxes, cfg.iou_threshold)
+            objs_with_prefusion_dup += sum(1 for h in hits if h >= 2)
+    dt, n = time.perf_counter() - t, len(truth)
+    print(f"detected {n} scenes in {dt:.1f}s ({dt / max(n, 1):.1f}s each)")
 
-    t2 = time.perf_counter()
-    bank = train_from_samples(
-        samples, geom, LatentConfig(components=args.components),
-        reference_box=(ref, ref),
-    )
-    print(f"trained in {time.perf_counter() - t2:.1f}s")
-
-    vcfg = VotingConfig(stride=args.stride, bin_size=args.bin_size,
-                        smoothing=args.smoothing,
-                        min_score_fraction=args.min_score,
-                        maxima_radius=args.maxima_radius)
-    # without --bandwidth, two accumulator cells, as hrm.config.load_config sets
-    fcfg = FusionConfig(bandwidth=args.bandwidth or 2.0 * args.bin_size)
-    scales = ScaleSet(SCALES)
-
-    total_obj = 0
-    tp = 0
-    fp_total = 0
-    dup_fused = 0
-    objs_with_prefusion_dup = 0
-    t3 = time.perf_counter()
-    for idx, (img, boxes) in enumerate(test):
-        res = detect(img, bank, scales, vcfg, fcfg, image_id=f"t{idx}")
-        matched, _, dup, fp = match_objects(res.detections, boxes)
-        tp += sum(matched)
-        fp_total += fp
-        dup_fused += dup
-        total_obj += len(boxes)
-
-        pre = [
-            Detection(f"t{idx}", h.center, h.scale, h.score,
-                      box_from_hypothesis(h.center, h.scale, bank.reference_box))
-            for h in res.hypotheses_prefusion
-        ]
-        _, hits, _, _ = match_objects(pre, boxes)
-        objs_with_prefusion_dup += sum(1 for h in hits if h >= 2)
-    dt = time.perf_counter() - t3
-    print(f"detected {len(test)} scenes in {dt:.1f}s ({dt / len(test):.1f}s each)")
-
-    n_det = tp + fp_total + dup_fused
-    recall = tp / total_obj if total_obj else 0.0
-    precision = tp / n_det if n_det else 0.0
-    print(f"objects {total_obj}  TP {tp}  FP {fp_total}  dup(after fusion) {dup_fused}")
-    print(f"recall {recall:.3f}  precision {precision:.3f}")
+    report = evaluate(detections, truth, cfg.iou_threshold)
+    _, precision, recall = report.pr_points[-1] if report.pr_points else (0, 0.0, 0.0)
+    n_obj = report.num_ground_truth
+    print(f"objects {n_obj}  detections {report.num_detections}  "
+          f"dup(after fusion) {dup_fused}")
+    print(f"recall {recall:.3f}  precision {precision:.3f}  EER {report.eer:.3f}")
     print(f"objects with pre-fusion cross-level duplicate: "
-          f"{objs_with_prefusion_dup}/{total_obj} "
-          f"({objs_with_prefusion_dup / max(total_obj, 1):.0%})")
+          f"{objs_with_prefusion_dup}/{n_obj} "
+          f"({objs_with_prefusion_dup / max(n_obj, 1):.0%})")
     print(f"total wall clock {time.perf_counter() - t0:.1f}s")
     return 0
 

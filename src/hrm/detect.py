@@ -173,7 +173,7 @@ def detect(
     fusion_cfg: FusionConfig = FusionConfig(),
     image_id: str = "",
 ) -> DetectionResult:
-    """Run the full detection pipeline on one image."""
+    """Run the full detection pipeline on one image; detections in rank order."""
     image = np.asarray(image, dtype=np.float64)
     patch_votes = compute_patch_votes(image, bank, voting_cfg)
     cuboid = accumulate_cuboid(
@@ -200,5 +200,4 @@ def detect(
         )
         for h in kept
     ]
-    detections.sort(key=lambda d: (-d.score, d.center[0], d.center[1]))
     return DetectionResult(detections, hypotheses, cuboid, total_mass)

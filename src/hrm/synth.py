@@ -14,6 +14,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import InvalidSpec
+from .evaluate import iou
 
 TEMPLATE_SIZE = 40  # box side at scale 1.0
 
@@ -46,16 +47,6 @@ def render_template(scale: float = 1.0) -> np.ndarray:
     return img
 
 
-def _boxes_overlap(a, b, tolerance: float = 0.05) -> bool:
-    ax0, ay0, ax1, ay1 = a
-    bx0, by0, bx1, by1 = b
-    iw = max(0.0, min(ax1, bx1) - max(ax0, bx0))
-    ih = max(0.0, min(ay1, by1) - max(ay0, by0))
-    inter = iw * ih
-    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
-    return inter > tolerance * union
-
-
 def synth_scene(
     objects,
     canvas_size: tuple[int, int] = (224, 224),
@@ -66,7 +57,7 @@ def synth_scene(
 
     objects: iterable of ObjectSpec (or (cx, cy, scale) tuples).
     Raises InvalidSpec when an object leaves the canvas or two boxes
-    overlap beyond tolerance.
+    overlap at an IoU above 0.05.
     """
     width, height = canvas_size
     rng = np.random.default_rng(seed)
@@ -86,7 +77,7 @@ def synth_scene(
         box = (x0, y0, x0 + size, y0 + size)
         if x0 < 0 or y0 < 0 or x0 + size > width or y0 + size > height:
             raise InvalidSpec(f"object at ({spec.cx}, {spec.cy}) leaves the canvas")
-        if any(_boxes_overlap(box, other) for other in boxes):
+        if any(iou(box, other) > 0.05 for other in boxes):
             raise InvalidSpec(f"object at ({spec.cx}, {spec.cy}) overlaps another")
         img[y0 : y0 + size, x0 : x0 + size] = patch
         boxes.append(box)
@@ -101,7 +92,6 @@ def random_scene(
     n_objects: int,
     scales,
     canvas_size: tuple[int, int] = (224, 224),
-    noise: float = 0.02,
     max_tries: int = 200,
 ):
     """Place n_objects at random non-overlapping positions; returns specs."""
@@ -121,7 +111,7 @@ def random_scene(
             y0 = int(round(cy - size / 2.0))
             # keep clear separation so fused detections match one box each
             box = (x0 - 12, y0 - 12, x0 + size + 12, y0 + size + 12)
-            if all(not _boxes_overlap(box, b, 0.0) for b in placed):
+            if all(iou(box, b) == 0 for b in placed):
                 specs.append(ObjectSpec(cx, cy, scale))
                 placed.append(box)
                 break
@@ -137,5 +127,5 @@ def random_scenes(seed: int, count: int, size: tuple[int, int], noise: float,
     rng = np.random.default_rng(seed)
     for _ in range(count):
         n_obj = int(rng.integers(min_objects, max_objects + 1))
-        specs = random_scene(rng, n_obj, scales, size, noise)
+        specs = random_scene(rng, n_obj, scales, size)
         yield synth_scene(specs, size, noise, seed=int(rng.integers(0, 2**31)))

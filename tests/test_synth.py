@@ -4,6 +4,7 @@ import pytest
 from hrm import synth
 from hrm.cli import main
 from hrm.errors import InvalidSpec
+from hrm.evaluate import iou
 from hrm.image_io import write_pgm
 
 
@@ -87,7 +88,7 @@ class TestRandomScene:
             for i, a in enumerate(boxes):
                 assert a[0] >= 0 and a[1] >= 0 and a[2] <= 224 and a[3] <= 224
                 for b in boxes[i + 1 :]:
-                    assert not synth._boxes_overlap(a, b, 0.0)
+                    assert iou(a, b) == 0
 
     def test_impossible_placement(self):
         rng = np.random.default_rng(2)
