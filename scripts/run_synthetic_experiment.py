@@ -6,6 +6,8 @@ Writes the train and test scenes with ``hrm synth`` and trains with
 ``hrm detect`` does.  Reports recall, precision and EER at ``hrm eval``'s last
 PR point, duplicates with and without fusion, and wall-clock timings.  The
 defaults are the criterion-6 gate's inputs (``scripts/c6``, seeds 600/1600).
+:func:`experiment` returns those figures; criterion 6 of the acceptance
+suite runs it on the defaults.
 
     PYTHONPATH=src python scripts/run_synthetic_experiment.py [--config FILE]
 """
@@ -36,31 +38,31 @@ def box_hits(detected_boxes, boxes, iou_threshold):
     return hits
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--config", default=str(C6 / "config.ini"))
-    ap.add_argument("--train-spec", default=str(C6 / "train.ini"))
-    ap.add_argument("--test-spec", default=str(C6 / "test.ini"))
-    ap.add_argument("--train-seed", type=int, default=600)
-    ap.add_argument("--test-seed", type=int, default=1600)
-    args = ap.parse_args(argv)
+def experiment(config, train_spec, test_spec, train_seed, test_seed):
+    """Run the experiment; returns (exit code, figures).
 
-    t0 = time.perf_counter()
+    A nonzero exit code is the first failing ``hrm`` step's, with figures
+    None.  Otherwise the code is 0 and the figures are a dict: ``steps``
+    (each ``hrm`` step's name and seconds), ``scenes``, ``detect_s``,
+    ``objects``, ``detections``, ``dup_fused``, ``prefusion_dup_objects``,
+    ``recall``, ``precision`` and ``eer``.
+    """
+    steps = []
     with tempfile.TemporaryDirectory() as tmp:
         train, test, model = (str(Path(tmp) / f) for f in ("train", "test", "m.hrmb"))
-        steps = [["synth", "--spec", spec, "--seed", str(seed), "--out", out]
-                 for spec, seed, out in ((args.train_spec, args.train_seed, train),
-                                         (args.test_spec, args.test_seed, test))]
-        steps.append(["train", "--config", args.config,
+        argvs = [["synth", "--spec", spec, "--seed", str(seed), "--out", out]
+                 for spec, seed, out in ((train_spec, train_seed, train),
+                                         (test_spec, test_seed, test))]
+        argvs.append(["train", "--config", config,
                       "--annotations", f"{train}/annotations.txt", "--out", model])
-        for step in steps:
+        for argv in argvs:
             t = time.perf_counter()
-            code = hrm(step)
+            code = hrm(argv)
             if code:
-                return code
-            print(f"hrm {step[0]} took {time.perf_counter() - t:.1f}s")
+                return code, None
+            steps.append((argv[0], time.perf_counter() - t))
 
-        cfg = load_config(args.config)
+        cfg = load_config(config)
         bank = load_model(model)
         t = time.perf_counter()
         detections, truth, dup_fused, objs_with_prefusion_dup = [], {}, 0, 0
@@ -75,18 +77,43 @@ def main(argv=None):
                    for h in res.hypotheses_prefusion]
             hits = box_hits(pre, boxes, cfg.iou_threshold)
             objs_with_prefusion_dup += sum(1 for h in hits if h >= 2)
-    dt, n = time.perf_counter() - t, len(truth)
-    print(f"detected {n} scenes in {dt:.1f}s ({dt / max(n, 1):.1f}s each)")
+    detect_s = time.perf_counter() - t
 
     report = evaluate(detections, truth, cfg.iou_threshold)
     _, precision, recall = report.pr_points[-1] if report.pr_points else (0, 0.0, 0.0)
-    n_obj = report.num_ground_truth
-    print(f"objects {n_obj}  detections {report.num_detections}  "
-          f"dup(after fusion) {dup_fused}")
-    print(f"recall {recall:.3f}  precision {precision:.3f}  EER {report.eer:.3f}")
+    return 0, dict(
+        steps=steps, scenes=len(truth), detect_s=detect_s,
+        objects=report.num_ground_truth, detections=report.num_detections,
+        dup_fused=dup_fused, prefusion_dup_objects=objs_with_prefusion_dup,
+        recall=recall, precision=precision, eer=report.eer,
+    )
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--config", default=str(C6 / "config.ini"))
+    ap.add_argument("--train-spec", default=str(C6 / "train.ini"))
+    ap.add_argument("--test-spec", default=str(C6 / "test.ini"))
+    ap.add_argument("--train-seed", type=int, default=600)
+    ap.add_argument("--test-seed", type=int, default=1600)
+    args = ap.parse_args(argv)
+
+    t0 = time.perf_counter()
+    code, fig = experiment(args.config, args.train_spec, args.test_spec,
+                           args.train_seed, args.test_seed)
+    if code:
+        return code
+    for step, dt in fig["steps"]:
+        print(f"hrm {step} took {dt:.1f}s")
+    dt, n = fig["detect_s"], fig["scenes"]
+    print(f"detected {n} scenes in {dt:.1f}s ({dt / max(n, 1):.1f}s each)")
+    n_obj, dups = fig["objects"], fig["prefusion_dup_objects"]
+    print(f"objects {n_obj}  detections {fig['detections']}  "
+          f"dup(after fusion) {fig['dup_fused']}")
+    print(f"recall {fig['recall']:.3f}  precision {fig['precision']:.3f}  "
+          f"EER {fig['eer']:.3f}")
     print(f"objects with pre-fusion cross-level duplicate: "
-          f"{objs_with_prefusion_dup}/{n_obj} "
-          f"({objs_with_prefusion_dup / max(n_obj, 1):.0%})")
+          f"{dups}/{n_obj} ({dups / max(n_obj, 1):.0%})")
     print(f"total wall clock {time.perf_counter() - t0:.1f}s")
     return 0
 

@@ -1,11 +1,13 @@
 """End-to-end detection on a single image.
 
 Pipeline: feature volume -> every regressor as a linear filter bank over
-the patch windows (the grid's, then each stride coset's neighbors') ->
-per-context votes -> multi-scale accumulation ->
-per-level maxima -> NPMI fusion.  The votes stay in one VoteField of
-stacked arrays from the filter bank to the end of fusion; accumulation
-and fusion read its nonzero-weight rows (``VoteField.carrying``).
+the patch windows, in two passes (the label columns at every grid start
+and its stride cosets' neighbors, which give the gate weights; then the
+vote columns only where a gated-on patch reads them) -> per-context votes
+-> multi-scale accumulation -> per-level maxima -> NPMI fusion.  The
+votes stay in one VoteField of stacked arrays from the filter bank to the
+end of fusion.  It holds only the gated-on patches, the only ones with
+vote mass, and accumulation and fusion read it as given.
 """
 
 from __future__ import annotations
@@ -89,39 +91,49 @@ def _run(n: int, m: int, q: int) -> tuple[slice, slice]:
 
 
 def _responses(vol, ps: int, rows: np.ndarray, cols: np.ndarray, coef: np.ndarray):
-    """Raw patch vector @ coef at every (row, col) start.
+    """Raw patch vector @ coef at each start (rows[i], cols[i]).
 
-    coef is (d, ...); the result is (rows, cols, ...).  Windows are
-    gathered from :func:`~hrm.features.patch_windows` in row blocks that
-    keep the gathered copy near _BLOCK_BYTES.
+    coef is (d, ...); the result is (len(rows), ...).  Windows are gathered
+    from :func:`~hrm.features.patch_windows` in blocks of starts that keep
+    the gathered copy near _BLOCK_BYTES.
     """
     windows = patch_windows(vol, ps)
     d, k = coef.shape[0], coef.shape[1:]
-    flat = coef.reshape(d, -1)
-    out = np.empty((len(rows), len(cols)) + k)
-    step = max(1, _BLOCK_BYTES // (len(cols) * d * vol.itemsize))
+    flat = np.ascontiguousarray(coef.reshape(d, -1))
+    out = np.empty((len(rows), flat.shape[1]))
+    step = max(1, _BLOCK_BYTES // (d * vol.itemsize))
     for i in range(0, len(rows), step):
-        block = windows[rows[i : i + step, None], cols]  # (b, cols, ps, ps, 26)
-        out[i : i + step] = (block.reshape(-1, d) @ flat).reshape(block.shape[:2] + k)
-    return out
+        block = windows[rows[i : i + step], cols[i : i + step]]  # (b, ps, ps, 26)
+        out[i : i + step] = block.reshape(-1, d) @ flat
+    return out.reshape((len(rows),) + k)
+
+
+def _grid_responses(vol, ps: int, rows: np.ndarray, cols: np.ndarray, coef: np.ndarray):
+    """:func:`_responses` at every start of rows x cols, shaped (rows, cols, ...)."""
+    gy, gx = (a.ravel() for a in np.meshgrid(rows, cols, indexing="ij"))
+    resp = _responses(vol, ps, gy, gx, coef)
+    return resp.reshape((len(rows), len(cols)) + coef.shape[1:])
 
 
 def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig) -> VoteField:
-    """Cast votes for every patch on the sampling grid, in grid order.
+    """Cast the votes of every gated-on patch of the sampling grid, in grid order.
 
     Every regressor is linear, so context j's output at start l is
     ``intercept_j + R_j(l) - R_j(l + offset_j)`` with ``R = patch vector @ B``;
     the neighbor term is zero where the neighbor is clipped, as in
-    :func:`~hrm.features.context_vectors`.  R is one GEMM over the grid
-    with every column, plus one GEMM per stride coset of the neighbor
-    offsets (offsets equal mod stride on both axes, residues (a, b)) over
-    its grid ``arange(b, n_y, stride) x arange(a, n_x, stride)`` with only
-    its contexts' columns; a one-sided offset can add a few edge rows no
-    neighbor needs.  The zero coset's grid is the sampling grid.  Each
-    context's in-bounds starts and their neighbors are one slice of each
-    grid: grid index i's neighbor for offset d is coset index
-    ``i + d // stride`` (:func:`_run`).  A coset whose slices are all
-    empty is skipped.
+    :func:`~hrm.features.context_vectors`.  The offsets fall into stride
+    cosets (offsets equal mod stride on both axes, residues (a, b)), each
+    with the grid ``arange(b, n_y, stride) x arange(a, n_x, stride)``: the
+    zero coset's is the sampling grid, and grid index i's neighbor for
+    offset d is coset index ``i + d // stride``.
+
+    Pass 1 takes the label column over the sampling grid and over every
+    coset's grid with only its contexts' columns; each context's in-bounds
+    starts and their neighbors are one slice of each grid (:func:`_run`).
+    That gives every patch's gate weight.  Pass 2 takes the vote columns
+    only where a gated-on patch reads them: all contexts' at the gated-on
+    starts and their zero-coset neighbors, and on each other coset its
+    contexts' at the in-bounds neighbors of gated-on starts.
     """
     geom = bank.geometry
     vol = compute_channels(np.asarray(image, dtype=np.float64))
@@ -132,13 +144,14 @@ def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig) -> VoteField:
     stride = cfg.stride
     xs = np.arange(0, n_x, stride)
     ys = np.arange(0, n_y, stride)
-    coef = bank.coefficients
-    grid = _responses(vol, ps, ys, xs, coef)  # (ys, xs, m+1, 3)
-
+    coef, mplus1 = bank.coefficients, geom.num_context
     offsets = np.array(geom.neighbor_offsets, dtype=np.intp).reshape(-1, 2)
-    cosets = {}
+    cosets = {(0, 0): []}  # the zero coset first: pass 2 starts from its rows
     for j, (dx, dy) in enumerate(offsets, start=1):
         cosets.setdefault((dx % stride, dy % stride), []).append(j)
+
+    # Pass 1: the label column everywhere, then the gate weights.
+    labels = _grid_responses(vol, ps, ys, xs, coef[..., 2])
     for (a, b), js in cosets.items():
         rows, cols = np.arange(b, n_y, stride), np.arange(a, n_x, stride)
         zero = (a, b) == (0, 0)  # its neighbors are grid starts
@@ -151,18 +164,46 @@ def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig) -> VoteField:
                 runs.append((j, j if zero else k, iy, ix, ry, rx))
         if not runs:
             continue  # every neighbor of the coset is clipped
-        resp = grid if zero else _responses(vol, ps, rows, cols, coef[:, js])
+        resp = labels if zero else _grid_responses(vol, ps, rows, cols, coef[:, js, 2])
         for j, k, iy, ix, ry, rx in runs:
-            # In the zero coset resp is grid: column j is written only by
+            # In the zero coset resp is labels: column j is written only by
             # its own subtraction, and NumPy buffers the overlapping read.
-            grid[iy, ix, j] -= resp[ry, rx, k]
-    gy, gx = (a.ravel() for a in np.meshgrid(ys, xs, indexing="ij"))  # grid order
-    out = grid.reshape((len(gy),) + coef.shape[1:])  # (r, m+1, 3)
-    out += bank.intercepts
+            labels[iy, ix, j] -= resp[ry, rx, k]
+    labels = labels.reshape(-1, mplus1) + bank.intercepts[:, 2]
+    weights = patch_weight(labels)
+    on = np.flatnonzero(weights)  # gated-on grid indices, in grid order
 
-    centers = np.stack([gx, gy], axis=1) + ps / 2.0
-    labels = out[..., 2]
-    return VoteField(centers, out[..., :2], labels, patch_weight(labels))
+    # Pass 2: the vote columns where the gated-on patches read them.
+    oy, ox = np.divmod(on, len(xs))
+    votes = np.empty((len(on), mplus1, 2))
+    for (a, b), js in cosets.items():
+        rows, cols = np.arange(b, n_y, stride), np.arange(a, n_x, stride)
+        zero = (a, b) == (0, 0)
+        need = np.zeros(len(rows) * len(cols), dtype=bool)  # coset starts read
+        if zero:
+            need[on] = True
+        reads = []
+        for k, j in enumerate(js):
+            dx, dy = offsets[j - 1]
+            ny, nx = oy + dy // stride, ox + dx // stride
+            inside = (ny >= 0) & (ny < len(rows)) & (nx >= 0) & (nx < len(cols))
+            flat = ny[inside] * len(cols) + nx[inside]
+            need[flat] = True
+            reads.append((j, j if zero else k, inside, flat))
+        starts = np.flatnonzero(need)
+        if not len(starts):
+            continue  # no gated-on start reads this coset
+        resp = _responses(vol, ps, rows[starts // len(cols)], cols[starts % len(cols)],
+                          coef[..., :2] if zero else coef[:, js, :2])
+        row = np.cumsum(need) - 1  # coset start -> its row of resp
+        if zero:
+            votes[:] = resp[row[on]]
+        for j, k, inside, flat in reads:
+            votes[inside, j] -= resp[row[flat], k]
+    votes += bank.intercepts[:, :2]
+
+    centers = np.stack([xs[ox], ys[oy]], axis=1) + ps / 2.0
+    return VoteField(centers, votes, labels[on], weights[on])
 
 
 def detect(

@@ -8,10 +8,10 @@ scores normalized by the total vote mass, and probabilities are floored at
 :data:`PROBABILITY_FLOOR` before their logs are taken.  NPMI > 0 marks a
 dependent pair; the lower-scoring member is dropped.
 
-The kernel sum runs over the nonzero-weight rows of the image's
-:class:`~hrm.voting.VoteField` (:meth:`~hrm.voting.VoteField.carrying`),
-and is normalized by their ``total_weight``.  :func:`fuse` takes those
-rows, and so their total, once per image rather than once per pair.
+The kernel sum runs over the rows of the image's
+:class:`~hrm.voting.VoteField`, which are its patches of nonzero weight,
+and is normalized by their ``total_weight``.  :func:`fuse` stacks the
+votes, and so sums their weight, once per image rather than once per pair.
 """
 
 from __future__ import annotations
@@ -97,10 +97,10 @@ def fuse(hypotheses, votes, cfg: FusionConfig, total_mass: float):
 
     Pairs are visited in :meth:`Hypothesis.rank` order of the stronger
     member; removed hypotheses take part in no further pairs.  The support,
-    the nonzero-weight rows of the votes, is taken once, so ZeroSupport is
-    raised only when a pair is evaluated.  Returns survivors in rank order.
+    the votes as one VoteField, is stacked once, so ZeroSupport is raised
+    only when a pair is evaluated.  Returns survivors in rank order.
     """
-    support = VoteField.of(votes).carrying()
+    support = VoteField.of(votes)
     survivors = []
     for h in sorted(hypotheses, key=Hypothesis.rank):
         if all(npmi(s, h, support, cfg, total_mass) <= 0 for s in survivors):

@@ -4,12 +4,13 @@ Every test patch produces m+1 predicted voting vectors plus m+1 label
 estimates; the fraction of positive labels, :func:`patch_weight` of one
 patch or of a stack, gates the patch's vote mass.  The votes of one image
 are held as a :class:`VoteField`: the locations, votes, labels and weights
-of all r patches as four stacked arrays.  Accumulation and fusion both read
-its nonzero-weight rows, :meth:`VoteField.carrying`.  :class:`PatchVotes`
-and :func:`cast_votes` are the per-patch form and oracle.  A single pass
-over the image fills S accumulator grids at once: a vote ``v`` cast from
-patch center ``l`` lands at ``l + scale_s * v`` in level ``s``.  Maxima and
-fusion order hypotheses by one key, :meth:`Hypothesis.rank`.
+of its r patches of nonzero weight as four stacked arrays.  A patch of
+weight 0 casts no mass, so no field holds one, and accumulation and fusion
+read every row.  :class:`PatchVotes` and :func:`cast_votes` are the
+per-patch form and oracle.  A single pass over the image fills S
+accumulator grids at once: a vote ``v`` cast from patch center ``l`` lands
+at ``l + scale_s * v`` in level ``s``.  Maxima and fusion order hypotheses
+by one key, :meth:`Hypothesis.rank`.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ class PatchVotes:
 
 @dataclass(frozen=True, eq=False)
 class VoteField:
-    """The votes of every patch of one image, stacked; row i is patch i."""
+    """The votes of the nonzero-weight patches of one image, stacked in grid
+    order; row i is the i-th such patch."""
 
     locations: np.ndarray  # (r, 2) patch centers, image pixels
     votes: np.ndarray  # (r, m+1, 2)
@@ -60,10 +62,11 @@ class VoteField:
 
     @classmethod
     def of(cls, votes) -> "VoteField":
-        """Stack a sequence of PatchVotes; a VoteField is returned unchanged."""
+        """Stack the nonzero-weight PatchVotes of a sequence, in order; a
+        VoteField is returned unchanged."""
         if isinstance(votes, cls):
             return votes
-        votes = list(votes)
+        votes = [pv for pv in votes if pv.weight]
         if not votes:
             empty = np.empty((0, 0))
             return cls(np.empty((0, 2)), np.empty((0, 0, 2)), empty, np.empty(0))
@@ -86,13 +89,6 @@ class VoteField:
     def total_weight(self) -> float:  # summed once, however many pairs read it
         return self.weights.sum()
 
-    def carrying(self) -> "VoteField":
-        """The rows of nonzero weight, in order: the only votes with mass."""
-        keep = np.flatnonzero(self.weights)
-        return VoteField(
-            self.locations[keep], self.votes[keep], self.labels[keep], self.weights[keep]
-        )
-
 
 @dataclass(frozen=True)
 class Hypothesis:
@@ -113,8 +109,7 @@ class HoughCuboid:
 
     levels: (S, grid_h, grid_w) accumulated vote mass (post smoothing).
     level_mass: per-level total mass before border drops and smoothing.
-    dropped: count of votes of nonzero-weight patches that landed outside
-        the grid, per level; votes of patches with weight 0 are never landed.
+    dropped: count of votes that landed outside the grid, per level.
     """
 
     levels: np.ndarray
@@ -156,12 +151,11 @@ def accumulate_cuboid(
 ) -> HoughCuboid:
     """Bin every (patch, vote, scale) landing point into the S-level cuboid.
 
-    ``all_votes`` is a VoteField or a sequence of PatchVotes.  Each vote
-    carries mass weight / (m+1).  Only the votes of
-    :meth:`VoteField.carrying` are landed: a patch of weight 0 would add
-    nothing to any bin.  Landings outside the grid are dropped and
-    counted.  ``level_mass`` sums every vote's mass.  Optional Gaussian
-    smoothing (sigma in cells) is applied per level afterward.
+    ``all_votes`` is a VoteField or a sequence of PatchVotes, stacked by
+    :meth:`VoteField.of`, which keeps only patches of nonzero weight.  Each
+    vote carries mass weight / (m+1).  Landings outside the grid are
+    dropped and counted.  ``level_mass`` sums every vote's mass.  Optional
+    Gaussian smoothing (sigma in cells) is applied per level afterward.
     """
     field = VoteField.of(all_votes)
     width, height = image_size
@@ -174,10 +168,9 @@ def accumulate_cuboid(
 
     if len(field):
         mplus1 = field.votes.shape[1]
-        level_mass[:] = np.repeat(field.weights / mplus1, mplus1).sum()
-        landed = field.carrying()
-        locs, votes = landed.locations, landed.votes
-        m = np.repeat(landed.weights / mplus1, mplus1)  # per vote
+        locs, votes = field.locations, field.votes
+        m = np.repeat(field.weights / mplus1, mplus1)  # per vote
+        level_mass[:] = m.sum()
 
         for s, sigma in enumerate(scales.scales):
             landing = locs[:, None, :] + sigma * votes  # (n, m+1, 2)

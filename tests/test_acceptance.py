@@ -5,20 +5,16 @@ doubles as a checklist.  Criterion 6 trains and evaluates a complete
 detector on synthetic scenes and dominates the suite's runtime.
 """
 
+import importlib.util
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hrm import fusion, pls, voting
 from hrm.cli import main as cli_main
-from hrm.detect import VotingConfig, detect
-from hrm.evaluate import Detection, box_from_hypothesis, iou
-from hrm.features import PatchGeometry
-from hrm.pls import LatentConfig
-from hrm.synth import TEMPLATE_SIZE, random_scenes
-from hrm.training import sample_patches, train_from_samples
 from hrm.voting import Hypothesis, PatchVotes, ScaleSet
 
 
@@ -215,78 +211,38 @@ class TestCriterion5NpmiBoundaries:
 
 
 # ---------------------------------------------------------------------------
-# criterion 6: end-to-end detection on synthetic scenes
+# criterion 6: end-to-end detection on synthetic scenes, through hrm synth,
+# hrm train and detect as hrm detect runs it (the experiment script)
 
 
-SCALES6 = (0.75, 1.0, 1.25, 1.5)
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def _make_scenes(n, seed, canvas=224, noise=0.01):
-    scenes = random_scenes(seed, n, (canvas, canvas), noise, SCALES6, 1, 3)
-    return [(img, list(boxes)) for img, boxes in scenes]
-
-
-def _match(detections, boxes, iou_thr=0.5):
-    """Greedy matching; returns (matched flags, hits per box, fp count)."""
-    matched = [False] * len(boxes)
-    hits = [0] * len(boxes)
-    fp = 0
-    for d in sorted(detections, key=lambda d: -d.score):
-        best, best_iou = None, iou_thr
-        for k, b in enumerate(boxes):
-            v = iou(d.box, b)
-            if v >= best_iou:
-                best, best_iou = k, v
-        if best is None:
-            fp += 1
-        else:
-            hits[best] += 1
-            matched[best] = True
-    return matched, hits, fp
+def _load_experiment():
+    spec = importlib.util.spec_from_file_location(
+        "run_synthetic_experiment", SCRIPTS / "run_synthetic_experiment.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.experiment
 
 
 class TestCriterion6EndToEndDetection:
     def test_fifty_scene_experiment(self):
         t0 = time.perf_counter()
-        train = _make_scenes(30, seed=600)
-        test = _make_scenes(20, seed=1600)
-
-        geom = PatchGeometry(6)
-        ref = float(TEMPLATE_SIZE)
-        samples = sample_patches(train, 2000, 2000, geom, seed=0,
-                                 reference_size=ref)
-        bank = train_from_samples(samples, geom, LatentConfig(components=8),
-                                  reference_box=(ref, ref))
-
-        vcfg = VotingConfig(stride=2)
-        scales = ScaleSet(SCALES6)
-
-        total_obj = tp = fp_total = dup_after = dup_objects = 0
-        for idx, (img, boxes) in enumerate(test):
-            res = detect(img, bank, scales, vcfg, image_id=f"t{idx}")
-            matched, hits, fp = _match(res.detections, boxes)
-            tp += sum(matched)
-            fp_total += fp
-            dup_after += sum(max(h - 1, 0) for h in hits)
-            total_obj += len(boxes)
-
-            prefusion = [
-                Detection(f"t{idx}", h.center, h.scale, h.score,
-                          box_from_hypothesis(h.center, h.scale,
-                                              bank.reference_box))
-                for h in res.hypotheses_prefusion
-            ]
-            _, pre_hits, _ = _match(prefusion, boxes)
-            dup_objects += sum(1 for h in pre_hits if h >= 2)
-
+        c6 = SCRIPTS / "c6"
+        code, fig = _load_experiment()(
+            str(c6 / "config.ini"), str(c6 / "train.ini"), str(c6 / "test.ini"),
+            600, 1600,
+        )
         elapsed = time.perf_counter() - t0
-        n_det = tp + fp_total + dup_after
-        recall = tp / total_obj
-        precision = tp / n_det if n_det else 0.0
+        assert code == 0
+        recall, precision = fig["recall"], fig["precision"]
+        total_obj, dup_objects = fig["objects"], fig["prefusion_dup_objects"]
 
         assert recall >= 0.9, f"recall {recall:.3f}"
         assert precision >= 0.9, f"precision {precision:.3f}"
-        assert dup_after == 0, f"{dup_after} duplicates after fusion"
+        assert fig["dup_fused"] == 0, f"{fig['dup_fused']} duplicates after fusion"
         assert dup_objects >= 0.25 * total_obj, (
             f"only {dup_objects}/{total_obj} objects had pre-fusion "
             "cross-level duplicates"

@@ -29,52 +29,75 @@ def fitted_bank(seed=0):
     return ModelBank.from_fits(hrms, lrms, GEOM, reference_box=(20.0, 20.0))
 
 
-def gated_off_bank():
-    """A bank whose label models reject every patch (weight always 0)."""
+def constant_bank(label):
+    """A bank whose every label model outputs `label`: a gate always on (> 0) or off."""
 
     def const(out):
         out = np.atleast_1d(np.asarray(out, dtype=np.float64))
         return pls.RegressionModel(np.zeros((DIM, out.size)), out)
 
     hrms = tuple(const([0.0, 0.0]) for _ in range(GEOM.num_context))
-    lrms = tuple(const([-1.0]) for _ in range(GEOM.num_context))
+    lrms = tuple(const([label]) for _ in range(GEOM.num_context))
     return ModelBank.from_fits(hrms, lrms, GEOM, reference_box=(20.0, 20.0))
 
 
-def random_linear_bank(geom, rng):
-    """A bank of random linear heads with outputs of order one."""
+def random_linear_bank(geom, rng, label_shift=0.0):
+    """A bank of random linear heads with outputs of order one; `label_shift`
+    is added to every label intercept."""
     dim = geom.vector_length
 
-    def model(q):
+    def model(q, shift=0.0):
         coef, mean_x = rng.standard_normal((dim, q)) / dim, rng.random(dim)
-        return pls.RegressionModel(coef, rng.standard_normal(q) - mean_x @ coef)
+        return pls.RegressionModel(coef, rng.standard_normal(q) - mean_x @ coef + shift)
 
     hrms = tuple(model(2) for _ in range(geom.num_context))
-    lrms = tuple(model(1) for _ in range(geom.num_context))
+    lrms = tuple(model(1, label_shift) for _ in range(geom.num_context))
     return ModelBank.from_fits(hrms, lrms, geom, reference_box=(20.0, 20.0))
 
 
-def assert_matches_oracle(img, geom, stride, rng):
-    """compute_patch_votes equals the per-patch context oracle on every start."""
-    ps = geom.patch_size
-    bank = random_linear_bank(geom, rng)
-    out = compute_patch_votes(img, bank, VotingConfig(stride=stride))
-
+def oracle_votes(img, bank, stride):
+    """cast_votes on the context oracle at every grid start, in grid order."""
+    ps = bank.geometry.patch_size
     vol = compute_channels(img)
     height, width = img.shape
-    expected = [
-        cast_votes(context_vectors(vol, (x, y), geom), bank,
+    return [
+        cast_votes(context_vectors(vol, (x, y), bank.geometry), bank,
                    (x + ps / 2, y + ps / 2))
         for y in range(0, height - ps + 1, stride)
         for x in range(0, width - ps + 1, stride)
     ]
-    assert len(out) == len(expected)
+
+
+def assert_rows_are_oracle(field, oracle):
+    """The field's rows are exactly the oracle's nonzero-weight patches, in grid order."""
+    expected = [pv for pv in oracle if pv.weight]
+    assert len(field) == len(expected)
     for i, b in enumerate(expected):
-        a = out[i]
+        a = field[i]
         assert np.array_equal(a.location, b.location)
         assert np.abs(a.votes - b.votes).max() <= 1e-12
         assert np.abs(a.labels - b.labels).max() <= 1e-12
         assert a.weight == b.weight
+
+
+def assert_matches_oracle(img, geom, stride, rng, gate):
+    """compute_patch_votes equals the per-patch context oracle, with the label
+    intercepts shifted so that the gate sits at fraction `gate` of the range of
+    the patches' largest labels, padded: 0 gates every patch on, 1 every one off.
+
+    Returns the number of gated-on patches and of grid starts.
+    """
+    seed = rng.integers(2**63)
+    bank = random_linear_bank(geom, np.random.default_rng(seed))
+    peaks = [pv.labels.max() for pv in oracle_votes(img, bank, stride)] or [0.0]
+    lo, hi = min(peaks), max(peaks)
+    pad = 0.1 * (hi - lo) + 1e-3
+    shift = -(lo - pad + gate * (hi - lo + 2 * pad))  # a patch is on iff peak > -shift
+    bank = random_linear_bank(geom, np.random.default_rng(seed), shift)
+    oracle = oracle_votes(img, bank, stride)
+    field = compute_patch_votes(img, bank, VotingConfig(stride=stride))
+    assert_rows_are_oracle(field, oracle)
+    return len(field), len(oracle)
 
 
 CROWD_OFFSETS = ((6, 0), (-6, 0), (0, 6), (0, -6))
@@ -105,22 +128,8 @@ class TestComputePatchVotes:
         rng = np.random.default_rng(1)
         img = rng.random((16, 18))
         bank = fitted_bank()
-        cfg = VotingConfig(stride=3)
-        out = compute_patch_votes(img, bank, cfg)
-
-        vol = compute_channels(img)
-        expected = []
-        for y in range(0, 16 - PS + 1, 3):
-            for x in range(0, 18 - PS + 1, 3):
-                ctx = context_vectors(vol, (x, y), GEOM)
-                expected.append(cast_votes(ctx, bank, (x + PS / 2, y + PS / 2)))
-        assert len(out) == len(expected)
-        for i, b in enumerate(expected):
-            a = out[i]
-            assert np.array_equal(a.location, b.location)
-            assert np.allclose(a.votes, b.votes, atol=1e-12)
-            assert np.allclose(a.labels, b.labels, atol=1e-12)
-            assert a.weight == b.weight
+        out = compute_patch_votes(img, bank, VotingConfig(stride=3))
+        assert_rows_are_oracle(out, oracle_votes(img, bank, 3))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -136,19 +145,26 @@ class TestComputePatchVotes:
             max_size=4,
             unique=True,
         ),
+        gate=st.floats(0.0, 1.0),
     )
     # a stride coset whose every neighbor is clipped
-    @example(seed=0, height=5, width=5, ps=1, stride=2, offsets=[(5, 0)])
+    @example(seed=0, height=5, width=5, ps=1, stride=2, offsets=[(5, 0)], gate=0.5)
     # a one-sided offset at stride 2: its coset's grid starts left of the
     # first neighbor any start needs
-    @example(seed=0, height=20, width=20, ps=3, stride=2, offsets=[(5, 0)])
+    @example(seed=0, height=20, width=20, ps=3, stride=2, offsets=[(5, 0)], gate=0.5)
+    # every patch gated on, then every patch gated off
+    @example(seed=1, height=20, width=22, ps=3, stride=2, offsets=[(3, 1), (-2, 4)],
+             gate=0.0)
+    @example(seed=1, height=20, width=22, ps=3, stride=2, offsets=[(3, 1), (-2, 4)],
+             gate=1.0)
     def test_matches_oracle_over_geometries(
-        self, seed, height, width, ps, stride, offsets
+        self, seed, height, width, ps, stride, offsets, gate
     ):
-        """Odd, negative, clipped and out-of-image offsets; empty grids too."""
+        """Odd, negative, clipped and out-of-image offsets; empty grids too;
+        from every patch gated on to none."""
         rng = np.random.default_rng(seed)
         img = rng.random((height, width))
-        assert_matches_oracle(img, PatchGeometry(ps, tuple(offsets)), stride, rng)
+        assert_matches_oracle(img, PatchGeometry(ps, tuple(offsets)), stride, rng, gate)
 
     @pytest.mark.parametrize("geom, stride", [
         (PatchGeometry(6), 1),  # every offset in the zero coset
@@ -162,27 +178,36 @@ class TestComputePatchVotes:
             detect_module = importlib.import_module("hrm.detect")
             monkeypatch.setattr(detect_module, "_BLOCK_BYTES", block_bytes)
         rng = np.random.default_rng(8)
-        assert_matches_oracle(rng.random((31, 34)), geom, stride, rng)
+        on, starts = assert_matches_oracle(rng.random((31, 34)), geom, stride, rng, 0.5)
+        assert 0 < on < starts  # pass 2 gathers a strict subset
 
     @pytest.mark.parametrize("geom, stride, bound", [
         (PatchGeometry(6), 2, 903_552),  # 2,446,011 over all needed starts
         (PatchGeometry(8, WIDE_OFFSETS), 4, 45_375),  # all offsets on the grid
     ])
     def test_vote_gemm_work(self, monkeypatch, geom, stride, bound):
-        """Response entries (starts x columns) the vote GEMMs compute, 224² image."""
+        """Response entries (starts x columns) both passes compute on a 224² image.
+
+        With every patch gated on that is the dense scheme's work, the bound;
+        with none, only the label columns, a third of it."""
         module = importlib.import_module("hrm.detect")
         responses = module._responses
         work = []
 
         def counted(vol, ps, rows, cols, coef):
-            work.append(len(rows) * len(cols) * coef[0].size)
+            work.append(len(rows) * coef[0].size)
             return responses(vol, ps, rows, cols, coef)
 
         monkeypatch.setattr(module, "_responses", counted)
-        rng = np.random.default_rng(9)
-        bank = random_linear_bank(geom, rng)
-        compute_patch_votes(rng.random((224, 224)), bank, VotingConfig(stride=stride))
-        assert sum(work) <= bound
+        starts = len(range(0, 225 - geom.patch_size, stride)) ** 2
+        for label_shift, gated_on, share in ((1e3, starts, 1), (-1e3, 0, 3)):
+            rng = np.random.default_rng(9)
+            bank = random_linear_bank(geom, rng, label_shift)
+            work.clear()
+            field = compute_patch_votes(rng.random((224, 224)), bank,
+                                        VotingConfig(stride=stride))
+            assert len(field) == gated_on
+            assert sum(work) <= bound // share
 
     def test_image_smaller_than_patch(self):
         geom = PatchGeometry(12, ((12, 0),))
@@ -192,7 +217,7 @@ class TestComputePatchVotes:
 
     def test_stride_controls_grid(self):
         img = np.random.default_rng(2).random((15, 15))
-        bank = fitted_bank()
+        bank = constant_bank(1.0)
         n1 = len(compute_patch_votes(img, bank, VotingConfig(stride=1)))
         n2 = len(compute_patch_votes(img, bank, VotingConfig(stride=2)))
         assert n1 == 11 * 11
@@ -208,7 +233,7 @@ class TestDetect:
 
     def test_fully_gated_image_yields_nothing(self):
         img = np.random.default_rng(3).random((24, 24))
-        result = detect(img, gated_off_bank(), ScaleSet((1.0,)))
+        result = detect(img, constant_bank(-1.0), ScaleSet((1.0,)))
         assert result.detections == []
         assert result.total_mass == 0.0
         assert float(result.cuboid.levels.max()) == 0.0

@@ -113,7 +113,8 @@ class TestVoteField:
     def test_stacks_and_indexes_patch_votes(self):
         rng = np.random.default_rng(7)
         pvs = [
-            patch(rng.random(2) * 30, rng.standard_normal((3, 2)), rng.standard_normal(3))
+            patch(rng.random(2) * 30, rng.standard_normal((3, 2)),
+                  np.abs(rng.standard_normal(3)))
             for _ in range(6)
         ]
         field = voting.VoteField.of(pvs)
@@ -135,36 +136,28 @@ class TestVoteField:
         assert len(field) == 0
         assert field.locations.shape == (0, 2)
 
-    def test_carrying_drops_zero_weight_rows_in_order(self):
+    def test_of_drops_zero_weight_rows_in_order(self):
         rng = np.random.default_rng(3)
         labels = [[1.0, -1.0], [-1.0, -2.0], [0.5, 2.0], [-3.0, -1.0], [-1.0, 4.0]]
         pvs = [patch(rng.random(2) * 30, rng.standard_normal((2, 2)), lab)
                for lab in labels]
         field = voting.VoteField.of(pvs)
-        kept = field.carrying()
-        assert len(kept) == 3
+        assert len(field) == 3
         for got, i in enumerate((0, 2, 4)):
-            assert np.array_equal(kept.locations[got], field.locations[i])
-            assert np.array_equal(kept.votes[got], field.votes[i])
-            assert np.array_equal(kept.labels[got], field.labels[i])
-            assert kept.weights[got] == field.weights[i]
-        assert np.all(kept.weights != 0)
+            assert np.array_equal(field.locations[got], pvs[i].location)
+            assert np.array_equal(field.votes[got], pvs[i].votes)
+            assert np.array_equal(field.labels[got], pvs[i].labels)
+            assert field.weights[got] == pvs[i].weight
+        assert np.all(field.weights != 0)
 
-    def test_carrying_of_all_zero_field_is_empty(self):
+    def test_of_all_zero_weight_patches_is_empty(self):
         rng = np.random.default_rng(4)
         pvs = [patch(rng.random(2), rng.standard_normal((3, 2)), [-1.0, -2.0, 0.0])
                for _ in range(4)]
-        kept = voting.VoteField.of(pvs).carrying()
-        assert len(kept) == 0
-        assert kept.locations.shape == (0, 2)
-        assert kept.votes.shape == (0, 3, 2)
-        assert kept.labels.shape == (0, 3)
-
-    def test_carrying_of_empty_field_is_empty(self):
-        kept = voting.VoteField.of([]).carrying()
-        assert len(kept) == 0
-        assert kept.locations.shape == (0, 2)
-        assert kept.votes.shape == (0, 0, 2)
+        field = voting.VoteField.of(pvs)
+        assert len(field) == 0
+        assert field.locations.shape == (0, 2)
+        assert len(field.votes) == len(field.labels) == 0
 
 
 class TestAccumulateCuboid:
@@ -280,24 +273,24 @@ class TestAccumulateCuboid:
         r, mplus1, bin_size, size = 300, 5, 4, (61, 47)
         labels = rng.standard_normal((r, mplus1))
         labels[rng.random(r) < 0.85] = -1.0  # weight 0
-        field = voting.VoteField(
-            rng.random((r, 2)) * size, rng.standard_normal((r, mplus1, 2)) * 30,
-            labels, (labels > 0).sum(axis=1) / mplus1,
-        )
+        locations = rng.random((r, 2)) * size
+        votes = rng.standard_normal((r, mplus1, 2)) * 30
+        weights = (labels > 0).sum(axis=1) / mplus1
+        pvs = [voting.PatchVotes(*row) for row in zip(locations, votes, labels, weights)]
         scales = voting.ScaleSet((0.75, 1.0, 1.5))
-        cub = voting.accumulate_cuboid(field, scales, size, bin_size, 0.0)
+        cub = voting.accumulate_cuboid(pvs, scales, size, bin_size, 0.0)
 
         gw, gh = -(-size[0] // bin_size), -(-size[1] // bin_size)
-        m = np.broadcast_to(field.weights[:, None] / mplus1, (r, mplus1)).ravel()
+        m = np.broadcast_to(weights[:, None] / mplus1, (r, mplus1)).ravel()
         for s, sigma in enumerate(scales.scales):
-            landing = field.locations[:, None, :] + sigma * field.votes
+            landing = locations[:, None, :] + sigma * votes
             cells = np.floor(landing / bin_size).astype(np.int64)
             cx, cy = cells[..., 0].ravel(), cells[..., 1].ravel()
             inside = (cx >= 0) & (cx < gw) & (cy >= 0) & (cy < gh)
             oracle = np.bincount(cy[inside] * gw + cx[inside], weights=m[inside],
                                  minlength=gh * gw).reshape(gh, gw)
             assert np.array_equal(cub.levels[s], oracle)
-            assert cub.level_mass[s] == m.sum()
+            assert cub.level_mass[s] == m[m != 0].sum()  # summed over the field's votes
             assert np.count_nonzero(~inside & (m == 0)) > 0  # zero-mass votes fell off
             assert cub.dropped[s] == np.count_nonzero(~inside & (m != 0)) > 0
 
