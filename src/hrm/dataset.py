@@ -4,9 +4,9 @@ Format: one line per image occurrence, whitespace-separated:
 
     relative/path.pgm x_min y_min x_max y_max [x_min y_min x_max y_max ...]
 
-Boxes are integer pixels, inclusive-exclusive.  A path may repeat across
-lines; boxes accumulate.  A line with only a path declares a background
-image with no objects.  '#' starts a comment.
+Boxes are integer pixels in [0, 2**31), inclusive-exclusive.  A path may
+repeat across lines; boxes accumulate.  A line with only a path declares a
+background image with no objects.  '#' starts a comment.
 """
 
 from __future__ import annotations
@@ -84,9 +84,9 @@ def load_dataset(annotation_path) -> Dataset:
                 raise ParseError(
                     f"{annotation_path}:{lineno}: degenerate box {(x0, y0, x1, y1)}"
                 )
-            if x0 < 0 or y0 < 0:
+            if x0 < 0 or y0 < 0 or max(x1, y1) >= 2**31:  # x0 < x1, y0 < y1
                 raise ParseError(
-                    f"{annotation_path}:{lineno}: negative box corner"
+                    f"{annotation_path}:{lineno}: box corner outside [0, 2**31)"
                 )
             boxes_by_path[path].append((x0, y0, x1, y1))
 

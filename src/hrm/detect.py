@@ -1,13 +1,13 @@
 """End-to-end detection on a single image.
 
 Pipeline: feature volume -> every regressor as a linear filter bank over
-the patch windows, in two passes (the label columns at every grid start
-and its stride cosets' neighbors, which give the gate weights; then the
-vote columns only where a gated-on patch reads them) -> per-context votes
--> multi-scale accumulation -> per-level maxima -> NPMI fusion.  The
-votes stay in one VoteField of stacked arrays from the filter bank to the
-end of fusion.  It holds only the gated-on patches, the only ones with
-vote mass, and accumulation and fusion read it as given.
+the patch windows, one routine run twice (the label columns at every grid
+start, which give the gate weights; then the vote columns at the gated-on
+starts) -> per-context votes -> multi-scale accumulation -> per-level
+maxima -> NPMI fusion.  The votes stay in one VoteField of stacked arrays
+from the filter bank to the end of fusion.  It holds only the gated-on
+patches, the only ones with vote mass, and accumulation and fusion read it
+as given.
 """
 
 from __future__ import annotations
@@ -83,57 +83,85 @@ class DetectionResult:
     total_mass: float
 
 
-def _run(n: int, m: int, q: int) -> tuple[slice, slice]:
-    """Slices of grid indices i < n whose neighbor i + q is below m, and of those neighbors."""
-    lo = max(0, -q)
-    hi = max(lo, min(n, m - q))
-    return slice(lo, hi), slice(lo + q, hi + q)
-
-
 def _responses(vol, ps: int, rows: np.ndarray, cols: np.ndarray, coef: np.ndarray):
-    """Raw patch vector @ coef at each start (rows[i], cols[i]).
+    """Raw patch vector @ coef at each start (rows[i], cols[i]), then a zero row.
 
-    coef is (d, ...); the result is (len(rows), ...).  Windows are gathered
-    from :func:`~hrm.features.patch_windows` in blocks of starts that keep
-    the gathered copy near _BLOCK_BYTES.
+    coef is (d, ...); the result is (len(rows) + 1, ...), the last row being
+    a clipped neighbor's response.  Windows are gathered from
+    :func:`~hrm.features.patch_windows` in blocks of starts that keep the
+    gathered copy near _BLOCK_BYTES.
     """
     windows = patch_windows(vol, ps)
     d, k = coef.shape[0], coef.shape[1:]
     flat = np.ascontiguousarray(coef.reshape(d, -1))
-    out = np.empty((len(rows), flat.shape[1]))
+    out = np.empty((len(rows) + 1, flat.shape[1]))
+    out[-1] = 0.0
     step = max(1, _BLOCK_BYTES // (d * vol.itemsize))
     for i in range(0, len(rows), step):
         block = windows[rows[i : i + step], cols[i : i + step]]  # (b, ps, ps, 26)
-        out[i : i + step] = block.reshape(-1, d) @ flat
-    return out.reshape((len(rows),) + k)
+        out[i : i + len(block)] = block.reshape(-1, d) @ flat
+    return out.reshape((len(rows) + 1,) + k)
 
 
-def _grid_responses(vol, ps: int, rows: np.ndarray, cols: np.ndarray, coef: np.ndarray):
-    """:func:`_responses` at every start of rows x cols, shaped (rows, cols, ...)."""
-    gy, gx = (a.ravel() for a in np.meshgrid(rows, cols, indexing="ij"))
-    resp = _responses(vol, ps, gy, gx, coef)
-    return resp.reshape((len(rows), len(cols)) + coef.shape[1:])
+def _context_responses(vol, ps: int, stride: int, offsets, at: np.ndarray, coef):
+    """``R_j(l) - R_j(l + offset_j)`` for every context j at the grid indices ``at``.
+
+    R = patch vector @ coef with coef (d, m+1, ...); the result is (len(at),
+    m+1, ...).  Context 0 has no neighbor, and a clipped neighbor's R is
+    zero, as in :func:`~hrm.features.context_vectors`.  Offsets equal mod
+    stride on both axes share a stride coset, of residues (a, b) and grid
+    ``arange(b, n_y, stride) x arange(a, n_x, stride)``, where grid index
+    i's neighbor is ``i + offset // stride``; the zero coset's grid is the
+    sampling grid.  Each coset takes one :func:`_responses` call, on its
+    contexts' columns (all of them on the zero coset, which holds context
+    0), at exactly the starts that some index of ``at`` reads.
+    """
+    n_y, n_x = vol.shape[0] - ps + 1, vol.shape[1] - ps + 1
+    g_y, g_x = len(range(0, n_y, stride)), len(range(0, n_x, stride))
+    offsets = ((0, 0),) + tuple(offsets)  # context 0 reads its own start
+    cosets = {}  # the zero coset first: context 0's read sets every column
+    for j, (dx, dy) in enumerate(offsets):
+        cosets.setdefault((dx % stride, dy % stride), []).append(j)
+    out = np.empty((len(at),) + coef.shape[1:])
+    for (a, b), js in cosets.items():
+        rows, cols = np.arange(b, n_y, stride), np.arange(a, n_x, stride)
+        # Reads index the coset grid padded by one row and one column: a
+        # clipped neighbor reads the padding, which maps to resp's zero row.
+        w = len(cols) + 1
+        reads = []
+        for j in js:
+            ty = np.arange(g_y) + offsets[j][1] // stride
+            tx = np.arange(g_x) + offsets[j][0] // stride
+            ty[(ty < 0) | (ty >= len(rows))] = len(rows)
+            tx[(tx < 0) | (tx >= len(cols))] = len(cols)
+            reads.append((ty[:, None] * w + tx).ravel()[at])
+        need = np.zeros((len(rows) + 1) * w, dtype=bool)
+        for r in reads:
+            need[r] = True
+        need[-w:] = need[w - 1 :: w] = False  # the padding
+        starts = np.flatnonzero(need)
+        row = np.full(need.size, len(starts))  # padded index -> row of resp
+        row[starts] = np.arange(len(starts))
+        zero = js[0] == 0
+        resp = _responses(vol, ps, rows[starts // w], cols[starts % w],
+                          coef if zero else coef[:, js])
+        for k, (j, r) in enumerate(zip(js, reads)):
+            if j == 0:
+                out[:] = resp[row[r]]
+            else:
+                out[:, j] -= resp[:, j if zero else k][row[r]]
+    return out
 
 
 def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig) -> VoteField:
     """Cast the votes of every gated-on patch of the sampling grid, in grid order.
 
     Every regressor is linear, so context j's output at start l is
-    ``intercept_j + R_j(l) - R_j(l + offset_j)`` with ``R = patch vector @ B``;
-    the neighbor term is zero where the neighbor is clipped, as in
-    :func:`~hrm.features.context_vectors`.  The offsets fall into stride
-    cosets (offsets equal mod stride on both axes, residues (a, b)), each
-    with the grid ``arange(b, n_y, stride) x arange(a, n_x, stride)``: the
-    zero coset's is the sampling grid, and grid index i's neighbor for
-    offset d is coset index ``i + d // stride``.
-
-    Pass 1 takes the label column over the sampling grid and over every
-    coset's grid with only its contexts' columns; each context's in-bounds
-    starts and their neighbors are one slice of each grid (:func:`_run`).
-    That gives every patch's gate weight.  Pass 2 takes the vote columns
-    only where a gated-on patch reads them: all contexts' at the gated-on
-    starts and their zero-coset neighbors, and on each other coset its
-    contexts' at the in-bounds neighbors of gated-on starts.
+    ``intercept_j + R_j(l) - R_j(l + offset_j)`` with ``R = patch vector @ B``.
+    One routine, :func:`_context_responses`, computes the R terms in both
+    passes: pass 1 at every grid index on the label column, which gives
+    every patch's gate weight, and pass 2 at the gated-on indices on the two
+    vote columns.
     """
     geom = bank.geometry
     vol = compute_channels(np.asarray(image, dtype=np.float64))
@@ -141,67 +169,19 @@ def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig) -> VoteField:
     n_x, n_y = vol.shape[1] - ps + 1, vol.shape[0] - ps + 1  # valid starts per axis
     if n_x < 1 or n_y < 1:
         return VoteField.of([])
-    stride = cfg.stride
-    xs = np.arange(0, n_x, stride)
-    ys = np.arange(0, n_y, stride)
-    coef, mplus1 = bank.coefficients, geom.num_context
-    offsets = np.array(geom.neighbor_offsets, dtype=np.intp).reshape(-1, 2)
-    cosets = {(0, 0): []}  # the zero coset first: pass 2 starts from its rows
-    for j, (dx, dy) in enumerate(offsets, start=1):
-        cosets.setdefault((dx % stride, dy % stride), []).append(j)
+    xs = np.arange(0, n_x, cfg.stride)
+    ys = np.arange(0, n_y, cfg.stride)
+    coef, offsets = bank.coefficients, geom.neighbor_offsets
 
-    # Pass 1: the label column everywhere, then the gate weights.
-    labels = _grid_responses(vol, ps, ys, xs, coef[..., 2])
-    for (a, b), js in cosets.items():
-        rows, cols = np.arange(b, n_y, stride), np.arange(a, n_x, stride)
-        zero = (a, b) == (0, 0)  # its neighbors are grid starts
-        runs = []
-        for k, j in enumerate(js):
-            dx, dy = offsets[j - 1]
-            iy, ry = _run(len(ys), len(rows), dy // stride)
-            ix, rx = _run(len(xs), len(cols), dx // stride)
-            if iy.start < iy.stop and ix.start < ix.stop:
-                runs.append((j, j if zero else k, iy, ix, ry, rx))
-        if not runs:
-            continue  # every neighbor of the coset is clipped
-        resp = labels if zero else _grid_responses(vol, ps, rows, cols, coef[:, js, 2])
-        for j, k, iy, ix, ry, rx in runs:
-            # In the zero coset resp is labels: column j is written only by
-            # its own subtraction, and NumPy buffers the overlapping read.
-            labels[iy, ix, j] -= resp[ry, rx, k]
-    labels = labels.reshape(-1, mplus1) + bank.intercepts[:, 2]
+    every = np.arange(len(ys) * len(xs))
+    labels = _context_responses(vol, ps, cfg.stride, offsets, every, coef[..., 2])
+    labels += bank.intercepts[:, 2]
     weights = patch_weight(labels)
     on = np.flatnonzero(weights)  # gated-on grid indices, in grid order
-
-    # Pass 2: the vote columns where the gated-on patches read them.
-    oy, ox = np.divmod(on, len(xs))
-    votes = np.empty((len(on), mplus1, 2))
-    for (a, b), js in cosets.items():
-        rows, cols = np.arange(b, n_y, stride), np.arange(a, n_x, stride)
-        zero = (a, b) == (0, 0)
-        need = np.zeros(len(rows) * len(cols), dtype=bool)  # coset starts read
-        if zero:
-            need[on] = True
-        reads = []
-        for k, j in enumerate(js):
-            dx, dy = offsets[j - 1]
-            ny, nx = oy + dy // stride, ox + dx // stride
-            inside = (ny >= 0) & (ny < len(rows)) & (nx >= 0) & (nx < len(cols))
-            flat = ny[inside] * len(cols) + nx[inside]
-            need[flat] = True
-            reads.append((j, j if zero else k, inside, flat))
-        starts = np.flatnonzero(need)
-        if not len(starts):
-            continue  # no gated-on start reads this coset
-        resp = _responses(vol, ps, rows[starts // len(cols)], cols[starts % len(cols)],
-                          coef[..., :2] if zero else coef[:, js, :2])
-        row = np.cumsum(need) - 1  # coset start -> its row of resp
-        if zero:
-            votes[:] = resp[row[on]]
-        for j, k, inside, flat in reads:
-            votes[inside, j] -= resp[row[flat], k]
+    votes = _context_responses(vol, ps, cfg.stride, offsets, on, coef[..., :2])
     votes += bank.intercepts[:, :2]
 
+    oy, ox = np.divmod(on, len(xs))
     centers = np.stack([xs[ox], ys[oy]], axis=1) + ps / 2.0
     return VoteField(centers, votes, labels[on], weights[on])
 

@@ -688,6 +688,20 @@ class TestEvalCommand:
         rows = (tmp_path / "pr.csv").read_text().splitlines()
         assert rows[1:] == ["0.500000,1.000000,1.000000"]
 
+    def test_oversized_box_is_input_error(self, tmp_path, capsys):
+        # eval decodes no image, so no image size bounds the box
+        (tmp_path / "x.pgm").write_bytes(b"P5\n60 60\n255\n" + bytes(3600))
+        ann = tmp_path / "annotations.txt"
+        ann.write_text(f"x.pgm 0 0 {10**400} 50\n")
+        det = tmp_path / "det.tsv"
+        det.write_text("x.pgm\t0.0\t0.0\t9.0\t0.5\t10.0\t10.0\t30.0\t40.0\n")
+        assert main(["eval", "--detections", str(det), "--annotations", str(ann),
+                     "--out", str(tmp_path / "pr.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"{ann}:1" in err
+        assert not (tmp_path / "pr.csv").exists()
+
     @pytest.mark.parametrize("column", [1, 2, 3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_detection_is_input_error(self, workspace, tmp_path,

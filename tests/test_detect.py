@@ -149,8 +149,8 @@ class TestComputePatchVotes:
     )
     # a stride coset whose every neighbor is clipped
     @example(seed=0, height=5, width=5, ps=1, stride=2, offsets=[(5, 0)], gate=0.5)
-    # a one-sided offset at stride 2: its coset's grid starts left of the
-    # first neighbor any start needs
+    # a one-sided offset at stride 2: no start reads its coset's first two
+    # columns, so none of them is computed
     @example(seed=0, height=20, width=20, ps=3, stride=2, offsets=[(5, 0)], gate=0.5)
     # every patch gated on, then every patch gated off
     @example(seed=1, height=20, width=22, ps=3, stride=2, offsets=[(3, 1), (-2, 4)],
@@ -184,6 +184,7 @@ class TestComputePatchVotes:
     @pytest.mark.parametrize("geom, stride, bound", [
         (PatchGeometry(6), 2, 903_552),  # 2,446,011 over all needed starts
         (PatchGeometry(8, WIDE_OFFSETS), 4, 45_375),  # all offsets on the grid
+        (PatchGeometry(3, ((5, 0),)), 2, 110_223),  # only the coset starts read
     ])
     def test_vote_gemm_work(self, monkeypatch, geom, stride, bound):
         """Response entries (starts x columns) both passes compute on a 224² image.

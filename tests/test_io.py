@@ -158,6 +158,16 @@ class TestDataset:
         with pytest.raises(ParseError, match=":2"):
             dataset.load_dataset(ann)
 
+    @pytest.mark.parametrize("box", [
+        "0 0 2147483648 50", f"0 0 {10**400} 50", f"0 {2**31} 5 {2**32}", "-1 0 5 5",
+    ], ids=["x1=2**31", "x1=10**400", "y0=2**31", "x0=-1"])
+    def test_box_outside_32_bits_names_line(self, tmp_path, box):
+        name = write_scene(tmp_path)
+        ann = tmp_path / "ann.txt"
+        ann.write_text(f"{name} 0 0 2147483647 50\n{name} {box}\n")
+        with pytest.raises(ParseError, match=":2: box corner"):
+            dataset.load_dataset(ann)
+
     def test_partial_coordinate_group(self, tmp_path):
         name = write_scene(tmp_path)
         ann = tmp_path / "ann.txt"
