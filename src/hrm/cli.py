@@ -1,5 +1,10 @@
 """Command-line interface: train, detect, eval, synth.
 
+``train`` passes the config's ``[training]`` settings to
+:func:`~hrm.training.sample_patches`, which derives the reference box from
+the annotated boxes, and :func:`~hrm.training.train_from_samples` stores that
+box in the model; ``detect`` boxes each hypothesis at its level times it.
+
 Exit codes: 0 success, 2 input or I/O error, 3 model error, as each
 ``HRMError`` says by its ``exit_code``.  Both worker pools, detection's per
 image and training's per canvas, run at most HRM_THREADS threads and at most
@@ -23,7 +28,7 @@ import numpy as np
 
 from . import errors
 from .config import load_config, load_synth_spec
-from .dataset import load_dataset, median_box_size
+from .dataset import load_dataset
 from .detect import detect
 from .evaluate import Detection, evaluate
 from .image_io import atomic_write, load_image, write_pgm
@@ -96,22 +101,15 @@ def cmd_train(args) -> int:
     cfg.check_training()
     ds = load_dataset(args.annotations)
     entries = [(img, list(boxes)) for _, img, boxes in ds.load_entries()]
-    ref = median_box_size(ds)
-    reference_size = None
-    if cfg.training.scale_normalize:
-        reference_size = (ref[0] + ref[1]) / 2.0
-
     samples = sample_patches(
         entries,
         cfg.training.n_pos,
         cfg.training.n_neg,
         cfg.geometry,
         cfg.training.seed,
-        reference_size,
+        cfg.training.scale_normalize,
     )
-    bank = train_from_samples(
-        samples, cfg.geometry, cfg.pls, reference_box=ref, workers=_worker_count()
-    )
+    bank = train_from_samples(samples, cfg.geometry, cfg.pls, workers=_worker_count())
     save_model(args.out, bank)
     n = bank.geometry.num_context
     print(f"trained {n} voting + {n} label models -> {args.out}")

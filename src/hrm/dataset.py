@@ -6,7 +6,9 @@ Format: one line per image occurrence, whitespace-separated:
 
 Boxes are integer pixels in [0, 2**31), inclusive-exclusive.  A path may
 repeat across lines; boxes accumulate.  A line with only a path declares a
-background image with no objects.  '#' starts a comment.
+background image with no objects.  '#' starts a comment.  The reference
+box that detection scales is derived from these boxes by the patch sampler
+(:func:`hrm.training.sample_patches`), not here.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .errors import InvalidDataset, MissingAsset, ParseError
 from .image_io import load_image
@@ -93,15 +93,3 @@ def load_dataset(annotation_path) -> Dataset:
     if not order:
         warnings.warn(f"{annotation_path}: empty dataset", stacklevel=2)
     return Dataset(tuple((p, tuple(boxes_by_path[p])) for p in order))
-
-
-def median_box_size(dataset: Dataset) -> tuple[float, float]:
-    """Median annotated box width and height across the dataset."""
-    widths, heights = [], []
-    for _, boxes in dataset.entries:
-        for x0, y0, x1, y1 in boxes:
-            widths.append(x1 - x0)
-            heights.append(y1 - y0)
-    if not widths:
-        return (0.0, 0.0)
-    return float(np.median(widths)), float(np.median(heights))

@@ -37,21 +37,6 @@ _BLOCK_ROWS = 1024
 # neither forms a p x p temporary.
 _SYMMETRY_STRIP = 64
 
-# Eigendecomposition call counter, used by efficiency tests.  Incremented by
-# dominant_eigenvectors; read/reset through the helpers below.
-_EIG_CALLS = 0
-
-
-def eigendecomposition_count() -> int:
-    """Number of eigensolver invocations since the last reset."""
-    return _EIG_CALLS
-
-
-def reset_eigendecomposition_count() -> None:
-    global _EIG_CALLS
-    _EIG_CALLS = 0
-
-
 @dataclass(frozen=True)
 class RegressionModel:
     """A fitted linear head ``Y ~ X @ coefficients + intercept``."""
@@ -106,8 +91,6 @@ def dominant_eigenvectors(M, c: int) -> np.ndarray:
     if not 1 <= c <= p:
         raise InvalidInput(f"component count {c} outside [1, {p}]")
 
-    global _EIG_CALLS
-    _EIG_CALLS += 1
     try:
         _, V = linalg.eigh(  # ascending order
             M, subset_by_index=(p - c, p - 1), driver="evr", overwrite_a=True,

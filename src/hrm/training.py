@@ -2,9 +2,13 @@
 
 Positive patches are drawn (without replacement) from inside annotated
 boxes and carry a voting vector pointing from the patch center to the box
-center.  Negative patches avoid every box.  Each patch contributes m+1
-context-encoded rows; the location models (voting targets) are fitted on
-positive rows only, while the label models see both classes.
+center.  Negative patches avoid every box.  The sampler also owns the
+reference box, the median annotated box: scale-normalized sampling resizes
+every box to the reference box's mean side, the sample set carries the
+box, and the bank stores it as the size that detection level 1 stands
+for.  Each patch contributes m+1 context-encoded rows; the location models
+(voting targets) are fitted on positive rows only, while the label models
+see both classes.
 """
 
 from __future__ import annotations
@@ -31,15 +35,17 @@ class SampleSet:
     Row i is the patch whose top-left corner is ``topleft[i]`` (x, y) on
     ``canvases[canvas_ids[i]]``.  The first ``len(votes)`` rows are the
     positives, ``votes`` holding each one's vector from patch center to box
-    center; the rest are negatives.  With per-object scale normalization
-    the canvases include rescaled copies of training images, so samples
-    always see objects at the training scale.
+    center; the rest are negatives.  ``reference_box`` is the (width,
+    height) that the trained bank's detection level 1 stands for.  With
+    per-object scale normalization the canvases include rescaled copies of
+    training images, so samples always see objects at that size.
     """
 
     canvases: tuple[np.ndarray, ...]
     canvas_ids: np.ndarray  # (n,)
     topleft: np.ndarray  # (n, 2)
     votes: np.ndarray  # (n_pos, 2)
+    reference_box: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -108,20 +114,28 @@ def sample_patches(
     n_neg: int,
     geom: PatchGeometry,
     seed: int = 0,
-    reference_size: float | None = None,
+    scale_normalize: bool = False,
 ) -> SampleSet:
     """Draw n_pos positive and n_neg negative patches from (image, boxes) pairs.
 
     The canvases are the images' grey (:func:`to_grey`), so RGB is accepted.
-    Boxes are integer (x0, y0, x1, y1).  When ``reference_size`` is given, each
-    annotated box is normalized to that size before positive sampling: the
-    image is resized by reference/box ratio and a rescaled canvas is added to
-    the sample set.  Each class is drawn without replacement from all its
-    candidate top-lefts, and its draws are ordered by canvas and position.
-    Deterministic under a fixed seed.
+    Boxes are integer (x0, y0, x1, y1).  The reference box is the median box
+    width and height, each over all boxes.  With ``scale_normalize``, each
+    box is resized to the reference box's mean side before positive
+    sampling: the image is resized by the ratio of that side to the box's
+    mean side, and the rescaled canvas is added to the sample set.  Each
+    class is drawn without replacement from all its candidate top-lefts,
+    and its draws are ordered by canvas and position.  Deterministic under
+    a fixed seed.  A set without boxes is refused, as it has no positives.
     """
     ps = geom.patch_size
     rng = np.random.default_rng(seed)
+    sides = np.array([(x1 - x0, y1 - y0) for _, boxes in entries
+                      for x0, y0, x1, y1 in boxes], dtype=np.intp).reshape(-1, 2)
+    if not len(sides):
+        raise InvalidDataset("no annotated boxes, so no positive patches")
+    ref_w, ref_h = (float(v) for v in np.median(sides, axis=0))
+    ref_side = (ref_w + ref_h) / 2.0
 
     canvases = [to_grey(img) for img, _ in entries]
     blocks, centers = [], []  # positives: (canvas_id, x0, y0, nx, ny), box center
@@ -137,8 +151,8 @@ def sample_patches(
         for box in boxes:
             x0, y0, x1, y1 = box
             factor = 1.0
-            if reference_size is not None:
-                factor = reference_size / (((x1 - x0) + (y1 - y0)) / 2.0)
+            if scale_normalize:
+                factor = ref_side / (((x1 - x0) + (y1 - y0)) / 2.0)
             canvas_id = idx
             if abs(factor - 1.0) > 1e-3:
                 canvas_id = len(canvases)
@@ -179,6 +193,7 @@ def sample_patches(
         np.concatenate([pos_ids, neg_ids]),
         np.concatenate([pos, np.stack([x, y], axis=1)]),
         votes,
+        (ref_w, ref_h),
     )
 
 
@@ -211,9 +226,10 @@ def fit_context(
 
 
 def _checked(ss: SampleSet, ps: int):
-    """The set's canvas ids, top-lefts (x, y) and votes, or InvalidDataset
-    unless it has both classes, a finite vote per positive and every
-    window on an existing canvas."""
+    """The set's canvas ids, top-lefts (x, y), votes and reference box, or
+    InvalidDataset unless it has both classes, a finite vote per positive,
+    every window on an existing canvas and a reference box that a model
+    file can hold (finite and >= 0)."""
     cid, topleft, votes = (np.asarray(a) for a in (ss.canvas_ids, ss.topleft, ss.votes))
     if not (cid.ndim == 1 and topleft.shape == (len(cid), 2)
             and votes.ndim == 2 and votes.shape[1] == 2
@@ -231,17 +247,23 @@ def _checked(ss: SampleSet, ps: int):
     sides = np.array([c.shape[1::-1] for c in ss.canvases], dtype=np.intp)[cid]
     if np.any((topleft < 0) | (topleft + ps > sides)):
         raise InvalidDataset(f"every sample's {ps}x{ps} window must lie on its canvas")
-    return cid.astype(np.intp), topleft.T.astype(np.intp), votes.astype(np.float64)
+    ref = np.asarray(ss.reference_box)
+    if not (ref.shape == (2,) and ref.dtype.kind in "iuf"
+            and np.all((0 <= ref) & (ref < np.inf))):  # NaN fails too
+        raise InvalidDataset("the reference box must be a finite (width, height) "
+                             f">= 0, got {ss.reference_box}")
+    return (cid.astype(np.intp), topleft.T.astype(np.intp), votes.astype(np.float64),
+            (float(ref[0]), float(ref[1])))
 
 
 def train_from_samples(
     sample_set: SampleSet,
     geom: PatchGeometry,
     cfg: pls.LatentConfig,
-    reference_box: tuple[float, float] = (0.0, 0.0),
     workers: int = 1,
 ) -> ModelBank:
-    """Fit the voting and label models of every context and stack them.
+    """Fit the voting and label models of every context and stack them,
+    with the set's reference box.
 
     Rows keep the set's order, positives first.  Each used canvas is one
     task on ``workers`` threads: it computes the feature volume of
@@ -255,7 +277,7 @@ def train_from_samples(
     dimensionalities.
     """
     ps = geom.patch_size
-    cid, (x, y), votes = _checked(sample_set, ps)
+    cid, (x, y), votes, reference_box = _checked(sample_set, ps)
 
     def inside(rows, grid, dx, dy):
         """Rows whose window at top-left + (dx, dy) is in ``grid``, and its (y, x)."""

@@ -46,17 +46,25 @@ class TestCriterion1BplsPlsAgreement:
 
 
 class TestCriterion2BplsEfficiency:
-    def test_eigendecomposition_counts(self):
+    def test_eigendecomposition_counts(self, monkeypatch):
+        calls = []
+        eigh = pls.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(pls.linalg, "eigh", counted)
         rng = np.random.default_rng(101)
         X = rng.standard_normal((60, 24))
         Y = rng.standard_normal((60, 2))
         for c in (1, 3, 6):
-            pls.reset_eigendecomposition_count()
+            calls.clear()
             pls.pls_fit(X, Y, c)
-            assert pls.eigendecomposition_count() == c
-            pls.reset_eigendecomposition_count()
+            assert len(calls) == c
+            calls.clear()
             pls.bpls_fit(X, Y, c, 1e-10)
-            assert pls.eigendecomposition_count() == 1
+            assert len(calls) == 1
 
     def test_wall_clock_at_scale(self):
         rng = np.random.default_rng(102)

@@ -201,6 +201,26 @@ class TestTrainCommand:
         assert bank.geometry.num_context == 5
         assert bank.reference_box[0] > 0
 
+    def test_library_path_writes_the_same_model(self, workspace, tmp_path):
+        # hrm train is sample_patches then train_from_samples on the config
+        from hrm.config import load_config
+        from hrm.dataset import load_dataset
+        from hrm.model_io import save_model
+        from hrm.training import sample_patches, train_from_samples
+
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(CONFIG.replace("seed = 0", "seed = 0\nscale_normalize = true"))
+        ann = workspace / "scenes" / "annotations.txt"
+        assert main(["train", "--config", str(cfg_path), "--annotations", str(ann),
+                     "--out", str(tmp_path / "cli.hrmb")]) == 0
+        cfg = load_config(cfg_path)
+        entries = [(img, boxes) for _, img, boxes in load_dataset(ann).load_entries()]
+        samples = sample_patches(entries, cfg.training.n_pos, cfg.training.n_neg,
+                                 cfg.geometry, cfg.training.seed, scale_normalize=True)
+        assert len(samples.canvases) > len(entries)  # some boxes were rescaled
+        save_model(tmp_path / "lib.hrmb", train_from_samples(samples, cfg.geometry, cfg.pls))
+        assert (tmp_path / "lib.hrmb").read_bytes() == (tmp_path / "cli.hrmb").read_bytes()
+
     def test_missing_annotations_is_input_error(self, workspace, tmp_path):
         assert main(["train", "--config", str(workspace / "cfg.ini"),
                      "--annotations", str(tmp_path / "nope.txt"),

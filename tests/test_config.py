@@ -217,7 +217,13 @@ class TestPipelineConfig:
 
 
 class TestReadmeExamples:
-    """The INI blocks of README.md load, and cover every key."""
+    """The INI blocks of README.md load and cover every key, and its Python
+    block runs as written."""
+
+    def test_library_block(self, capsys):
+        (text,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+        exec(compile(text, str(README), "exec"), {})
+        assert capsys.readouterr().out  # at least one detection printed
 
     def blocks(self, tmp_path):
         texts = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)

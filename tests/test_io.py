@@ -191,13 +191,6 @@ class TestDataset:
         with pytest.raises(ParseError):
             dataset.load_dataset(path)
 
-    def test_median_box_size(self, tmp_path):
-        name = write_scene(tmp_path)
-        ann = tmp_path / "ann.txt"
-        ann.write_text(f"{name} 0 0 10 20 0 0 30 40 0 0 20 60\n")
-        ds = dataset.load_dataset(ann)
-        assert dataset.median_box_size(ds) == (20.0, 40.0)
-
     def test_load_entries_decodes(self, tmp_path):
         name = write_scene(tmp_path)
         ann = tmp_path / "ann.txt"

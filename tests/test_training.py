@@ -1,3 +1,4 @@
+import statistics
 import threading
 import tracemalloc
 import weakref
@@ -9,7 +10,7 @@ from hrm import pls, training
 from hrm.errors import InvalidDataset, InvalidInput
 from hrm.features import N_CHANNELS, PatchGeometry, compute_channels, context_vectors
 from hrm.image_io import LUMA
-from hrm.model_io import save_model
+from hrm.model_io import load_model, save_model
 from hrm.synth import synth_scene
 
 PS = 5
@@ -25,11 +26,16 @@ def scene_entry(seed=0, box=(20, 16, 44, 40), canvas=(64, 64)):
     return img, list(boxes)
 
 
-def reference_samples(entries, n_pos, n_neg, geom, seed=0, reference_size=None):
-    """The per-sample sampler: canvases and one (canvas_id, (x, y), label,
-    vote or None) per drawn patch, from the same seeded draws."""
+def reference_samples(entries, n_pos, n_neg, geom, seed=0, scale_normalize=False):
+    """The per-sample sampler: canvases, one (canvas_id, (x, y), label, vote
+    or None) per drawn patch, from the same seeded draws, and the median
+    box width and height."""
     ps = geom.patch_size
     rng = np.random.default_rng(seed)
+    boxes = [box for _, bs in entries for box in bs]
+    median = (statistics.median(x1 - x0 for x0, _, x1, _ in boxes),
+              statistics.median(y1 - y0 for _, y0, _, y1 in boxes))
+    side = (median[0] + median[1]) / 2.0
     canvases = [np.asarray(img, dtype=np.float64) for img, _ in entries]
     pos_pool = []  # (canvas_id, xs, ys, box_center)
     neg_pool = []  # (canvas_id, y, x) arrays
@@ -43,8 +49,8 @@ def reference_samples(entries, n_pos, n_neg, geom, seed=0, reference_size=None):
         for box in boxes:
             x0, y0, x1, y1 = box
             factor = 1.0
-            if reference_size is not None:
-                factor = reference_size / (((x1 - x0) + (y1 - y0)) / 2.0)
+            if scale_normalize:
+                factor = side / (((x1 - x0) + (y1 - y0)) / 2.0)
             if abs(factor - 1.0) > 1e-3:
                 canvas = training._resize(img, factor)
                 canvas_id = len(canvases)
@@ -76,7 +82,7 @@ def reference_samples(entries, n_pos, n_neg, geom, seed=0, reference_size=None):
         cid, ys, xs = neg_pool[k]
         local = flat - bounds[k]
         samples.append((cid, (int(xs[local]), int(ys[local])), -1, None))
-    return canvases, samples
+    return canvases, samples, median
 
 
 def context_rows(ss, geom):
@@ -104,7 +110,8 @@ def head_votes(bank, X):
 
 def replaced(ss, **arrays):
     """ss with some of its arrays replaced."""
-    fields = dict(canvas_ids=ss.canvas_ids, topleft=ss.topleft, votes=ss.votes)
+    fields = dict(canvas_ids=ss.canvas_ids, topleft=ss.topleft, votes=ss.votes,
+                  reference_box=ss.reference_box)
     return training.SampleSet(ss.canvases, **{**fields, **arrays})
 
 
@@ -116,16 +123,25 @@ class TestSamplePatches:
         assert ss.topleft.shape == (100, 2)
         assert ss.votes.shape == (40, 2)
 
-    @pytest.mark.parametrize("reference_size", [None, 20.0, 40.0])
+    # scene sets by median box side, each with boxes above, at and below
+    # it; None samples a set of 24-40 px boxes without scale normalization
+    @pytest.mark.parametrize("median", [None, 20.0, 40.0])
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_matches_per_sample_sampler(self, seed, reference_size):
-        # several boxes per scene, sizes 24-40, some rescaled, some not
-        scenes = ([(24, 24, 0.6), (70, 64, 1.0)], [(48, 40, 0.8)],
-                  [(30, 70, 1.0), (72, 24, 0.75)])
-        entries = [synth_scene(objs, (96, 96), noise=0.01, seed=seed + i)
-                   for i, objs in enumerate(scenes)]
-        ss = training.sample_patches(entries, 60, 90, GEOM, seed, reference_size)
-        canvases, samples = reference_samples(entries, 60, 90, GEOM, seed, reference_size)
+    def test_matches_per_sample_sampler(self, seed, median):
+        scales = {None: ((0.6, 1.0), (0.8,), (1.0, 0.75)),
+                  20.0: ((0.5, 0.75), (0.5,), (0.4, 0.6)),
+                  40.0: ((0.6, 1.0), (1.2,), (1.0, 0.75))}[median]
+        centers = (((24, 24), (70, 64)), ((48, 40),), ((30, 70), (72, 24)))
+        entries = [synth_scene([c + (s,) for c, s in zip(cs, sc)], (96, 96), noise=0.01,
+                               seed=seed + i)
+                   for i, (cs, sc) in enumerate(zip(centers, scales))]
+        normalize = median is not None
+        ss = training.sample_patches(entries, 60, 90, GEOM, seed, normalize)
+        canvases, samples, box = reference_samples(entries, 60, 90, GEOM, seed, normalize)
+        assert ss.reference_box == box
+        if normalize:
+            assert box == (median, median)
+            assert len(entries) < len(canvases) < len(entries) + 5  # not every box
         assert len(ss.canvases) == len(canvases)
         for a, b in zip(ss.canvases, canvases):
             assert np.array_equal(a, b)
@@ -189,14 +205,34 @@ class TestSamplePatches:
             training.sample_patches(entries, 2, 1, GEOM, seed=0)
 
     def test_scale_normalization_adds_canvas(self):
-        # a 2x-reference box triggers a rescaled canvas for its positives
-        entries = [scene_entry(9, (12, 12, 52, 52))]
-        ss = training.sample_patches(
-            entries, 10, 10, GEOM, seed=0, reference_size=20.0
-        )
-        assert len(ss.canvases) == 2
-        assert ss.canvases[1].shape == (32, 32)
-        assert np.all(ss.canvas_ids[:10] == 1)
+        # a 2x-median box triggers a rescaled canvas for its positives;
+        # the median-sized boxes keep their own canvases
+        entries = [scene_entry(9, (12, 12, 52, 52)), scene_entry(10, (22, 22, 42, 42)),
+                   scene_entry(11, (22, 22, 42, 42))]
+        ss = training.sample_patches(entries, 30, 10, GEOM, seed=0, scale_normalize=True)
+        assert ss.reference_box == (20.0, 20.0)
+        assert len(ss.canvases) == 4
+        assert ss.canvases[3].shape == (32, 32)
+        assert set(ss.canvas_ids[:30]) == {1, 2, 3}
+
+    @pytest.mark.parametrize("boxes, median", [
+        (((0, 0, 10, 20), (0, 0, 30, 40), (0, 0, 20, 60)), (20.0, 40.0)),
+        (((0, 0, 10, 20), (0, 0, 30, 40), (0, 0, 20, 60), (0, 0, 50, 30)), (25.0, 35.0)),
+    ], ids=["odd-count", "even-count"])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_reference_box_is_median_box(self, boxes, median, normalize):
+        # width and height each take their own median, over every image's boxes
+        img = np.random.default_rng(10).random((96, 96))
+        entries = [(img, boxes[:2]), (img, boxes[2:])]
+        ss = training.sample_patches(entries, 5, 5, GEOM, seed=0, scale_normalize=normalize)
+        assert ss.reference_box == median
+        assert all(type(v) is float for v in ss.reference_box)
+
+    def test_no_boxes_refused(self):
+        # no positives, and no median of an empty box list (a RuntimeWarning)
+        img = np.random.default_rng(11).random((32, 32))
+        with pytest.raises(InvalidDataset, match="no annotated boxes"):
+            training.sample_patches([(img, []), (img, [])], 1, 1, GEOM, scale_normalize=True)
 
 
 class TestColourImages:
@@ -205,8 +241,8 @@ class TestColourImages:
     @staticmethod
     def rgb_entries():
         entries = []
-        for seed in (21, 22):
-            grey, boxes = scene_entry(seed)
+        for seed, box in ((21, (20, 16, 44, 40)), (22, (12, 12, 52, 52))):
+            grey, boxes = scene_entry(seed, box)
             tint = np.random.default_rng(seed).normal(0.0, 0.05, grey.shape + (3,))
             entries.append((np.clip(grey[..., None] + tint, 0.0, 1.0), boxes))
         return entries
@@ -214,7 +250,7 @@ class TestColourImages:
     def test_samples_and_bank_equal_the_greys(self):
         rgb = self.rgb_entries()
         grey = [(img @ LUMA, boxes) for img, boxes in rgb]
-        a, b = (training.sample_patches(e, 20, 30, GEOM, seed=4, reference_size=20.0)
+        a, b = (training.sample_patches(e, 20, 30, GEOM, seed=4, scale_normalize=True)
                 for e in (rgb, grey))
         assert len(a.canvases) == len(b.canvases) == 4  # two rescaled canvases
         for x, y in zip(a.canvases, b.canvases):
@@ -242,23 +278,25 @@ class TestTrainBank:
         assert bank.coefficients.shape == (GEOM.vector_length, 3, 3)
         assert bank.intercepts.shape == (3, 3)
 
-    @pytest.mark.parametrize("offsets, entries, reference_size", [
-        (((PS, 0), (0, PS)), [scene_entry(14)], None),
-        ((), [scene_entry(14)], None),
-        # positives on rescaled canvases; +-PS neighbors clip at canvas edges
+    @pytest.mark.parametrize("offsets, entries, scale_normalize", [
+        (((PS, 0), (0, PS)), [scene_entry(14)], False),
+        ((), [scene_entry(14)], False),
+        # 24- and 40-px boxes on rescaled canvases, the 32-px median box on
+        # its own; +-PS neighbors clip at canvas edges
         (((PS, 0), (-PS, 0), (0, PS), (0, -PS)),
-         [scene_entry(14), scene_entry(19, (8, 30, 40, 62))], 20.0),
+         [synth_scene([(16, 32, 0.6), (60, 40, 1.0)], (96, 64), noise=0.01, seed=14),
+          scene_entry(19, (8, 30, 40, 62))], True),
         # a shift past the 64-px canvas clips for every sample
-        (((70, 0), (0, PS)), [scene_entry(14)], None),
+        (((70, 0), (0, PS)), [scene_entry(14)], False),
         # shifts under PS make a sample's windows overlap
-        (((2, 0), (0, -1), (-3, 3)), [scene_entry(14), scene_entry(17)], None),
+        (((2, 0), (0, -1), (-3, 3)), [scene_entry(14), scene_entry(17)], False),
     ], ids=["m2", "m0", "m4-two-scenes-rescaled", "m2-offset-past-canvas",
             "m3-overlapping-windows"])
-    def test_matches_fits_on_context_vectors(self, offsets, entries, reference_size):
+    def test_matches_fits_on_context_vectors(self, offsets, entries, scale_normalize):
         # every X_j built from the per-patch oracle, fitted directly
         geom = PatchGeometry(PS, offsets)
         ss = training.sample_patches(
-            entries, 8, 8, geom, seed=1, reference_size=reference_size
+            entries, 8, 8, geom, seed=1, scale_normalize=scale_normalize
         )
         cfg = pls.LatentConfig(components=3)
         a = oracle_bank(ss, geom, cfg)
@@ -303,7 +341,7 @@ class TestTrainBank:
         i = np.r_[1 : len(starts) : 2, 0 : len(starts) : 2]
         ss = training.SampleSet(
             (img,), np.zeros(len(i), dtype=np.intp), np.array(starts)[i],
-            np.stack([i, -i], axis=1)[: len(starts) // 2] / 7.0,
+            np.stack([i, -i], axis=1)[: len(starts) // 2] / 7.0, (12.0, 12.0),
         )
         cfg = pls.LatentConfig(components=3)
         a = oracle_bank(ss, geom, cfg)
@@ -368,6 +406,26 @@ class TestTrainBank:
                 replaced(ss, canvas_ids=ids), GEOM, pls.LatentConfig(components=3)
             )
 
+    @pytest.mark.parametrize("box", [(np.nan, 1.0), (1.0, -1.0), (np.inf, 2.0), (2.0,),
+                                     ("40", "40"), (True, True)])
+    def test_unsaveable_reference_box_refused(self, box):
+        # a box that load_model would refuse never reaches a model file
+        ss = training.sample_patches([scene_entry(31)], 8, 8, GEOM, seed=3)
+        with pytest.raises(InvalidDataset, match="reference box"):
+            training.train_from_samples(
+                replaced(ss, reference_box=box), GEOM, pls.LatentConfig(components=3)
+            )
+
+    @pytest.mark.parametrize("box", [(0, 0), (24.0, 35.5)])
+    def test_reference_box_reaches_the_model_file(self, tmp_path, box):
+        ss = training.sample_patches([scene_entry(31)], 8, 8, GEOM, seed=3)
+        bank = training.train_from_samples(
+            replaced(ss, reference_box=box), GEOM, pls.LatentConfig(components=3)
+        )
+        assert bank.reference_box == box
+        save_model(tmp_path / "bank.hrmb", bank)
+        assert load_model(tmp_path / "bank.hrmb").reference_box == box
+
     def test_positive_without_vote_refused(self):
         ss = training.sample_patches([scene_entry(31)], 8, 8, GEOM, seed=3)
         votes = ss.votes.copy()
@@ -427,11 +485,13 @@ class TestTrainBank:
             return compute_channels(img)
 
         monkeypatch.setattr(training, "compute_channels", recorded)
-        entries = [scene_entry(28, (8, 8, 48, 48), canvas=(96, 96))]
-        ss = training.sample_patches(entries, 8, 8, GEOM, seed=1, reference_size=20.0)
+        # a 40- and a 20-px box, each rescaled to the 30-px median
+        entries = [synth_scene([(28, 28, 1.0), (72, 72, 0.5)], (96, 96), noise=0.01,
+                               seed=28)]
+        ss = training.sample_patches(entries, 8, 8, GEOM, seed=1, scale_normalize=True)
         training.train_from_samples(ss, GEOM, pls.LatentConfig(components=3))
-        assert len(ss.canvases) == len(shapes) == 2
-        assert shapes[1] != ss.canvases[1].shape
+        assert len(ss.canvases) == len(shapes) == 3
+        assert all(shapes[k] != ss.canvases[k].shape for k in (1, 2))
         assert sum(h * w for h, w in shapes) < sum(c.size for c in ss.canvases)
 
     def test_fits_called_through_module(self, monkeypatch):
