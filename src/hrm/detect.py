@@ -1,13 +1,18 @@
 """End-to-end detection on a single image.
 
 Pipeline: feature volume -> every regressor as a linear filter bank over
-the patch windows, one routine run twice (the label columns at every grid
-start, which give the gate weights; then the vote columns at the gated-on
+the patch windows, in two passes (the label columns at every grid start,
+which give the gate weights; then the vote columns at the gated-on
 starts) -> per-context votes -> multi-scale accumulation -> per-level
-maxima -> NPMI fusion.  The votes stay in one VoteField of stacked arrays
-from the filter bank to the end of fusion.  It holds only the gated-on
-patches, the only ones with vote mass, and accumulation and fusion read it
-as given.
+maxima -> NPMI fusion.  Pass 1 reads every start, so it runs GEMMs on
+in-place views of the volume and copies no window
+(:func:`_grid_responses`).  Pass 2 reads the few gated-on starts, so it
+gathers just their windows (:func:`_context_responses`): on c6 test images
+the in-place GEMMs over the grid rows it reads took 24-26 ms per image,
+against 12-16 ms gathered.  The votes stay in one VoteField of stacked
+arrays from the filter bank to the end of fusion.  It holds only the
+gated-on patches, the only ones with vote mass, and accumulation and
+fusion read it as given.
 """
 
 from __future__ import annotations
@@ -33,11 +38,13 @@ from .voting import (
     patch_weight,
 )
 
-# Gathered patch windows per GEMM block, sized to the L2 cache: at 1 MB a
-# block (one c6 grid row, 110 starts) and OpenBLAS's packed copy of it stay
-# in a core's 2 MB L2, where larger blocks leave it before they are packed.
-# Single-thread compute_patch_votes per c6 image (2-core Xeon, 2 MB L2 per
-# core): 4 MB 213-248 ms, 2 MB 192-207, 1 MB 170-193, 512 KB 183-200.
+# Gathered patch windows per GEMM block of pass 2, sized to the L2 cache:
+# a 1 MB block and OpenBLAS's packed copy of it stay in a core's 2 MB L2.
+# Single-thread pass 2 per criterion-6 test image with a c6 model (2-core
+# Xeon, 2 MB L2 per core; median of 20 images, two rounds, ms): 4 MB
+# 17.9/13.9, 2 MB 17.8/13.4, 1 MB 12.6/11.7, 512 KB 13.9/10.4, 256 KB
+# 10.7/10.7.  At 1 MB and below the spread between rounds exceeds the
+# differences.
 _BLOCK_BYTES = 1 << 20
 # SciPy's gaussian_filter builds 2 * int(4 sigma + 0.5) + 1 float64 taps
 # and runs every one over every cell.  At 1e6 cells that is a 64 MB kernel
@@ -103,6 +110,15 @@ def _responses(vol, ps: int, rows: np.ndarray, cols: np.ndarray, coef: np.ndarra
     return out.reshape((len(rows) + 1,) + k)
 
 
+def _cosets(stride: int, offsets):
+    """Context indices per stride coset, the zero coset (which holds context
+    0, whose neighbor is its own start) first."""
+    cosets = {}
+    for j, (dx, dy) in enumerate(((0, 0),) + tuple(offsets)):
+        cosets.setdefault((dx % stride, dy % stride), []).append(j)
+    return cosets
+
+
 def _context_responses(vol, ps: int, stride: int, offsets, at: np.ndarray, coef):
     """``R_j(l) - R_j(l + offset_j)`` for every context j at the grid indices ``at``.
 
@@ -118,11 +134,9 @@ def _context_responses(vol, ps: int, stride: int, offsets, at: np.ndarray, coef)
     """
     n_y, n_x = vol.shape[0] - ps + 1, vol.shape[1] - ps + 1
     g_y, g_x = len(range(0, n_y, stride)), len(range(0, n_x, stride))
-    offsets = ((0, 0),) + tuple(offsets)  # context 0 reads its own start
-    cosets = {}  # the zero coset first: context 0's read sets every column
-    for j, (dx, dy) in enumerate(offsets):
-        cosets.setdefault((dx % stride, dy % stride), []).append(j)
     out = np.empty((len(at),) + coef.shape[1:])
+    cosets = _cosets(stride, offsets)
+    offsets = ((0, 0),) + tuple(offsets)  # context 0 reads its own start
     for (a, b), js in cosets.items():
         rows, cols = np.arange(b, n_y, stride), np.arange(a, n_x, stride)
         # Reads index the coset grid padded by one row and one column: a
@@ -153,15 +167,81 @@ def _context_responses(vol, ps: int, stride: int, offsets, at: np.ndarray, coef)
     return out
 
 
+def _dense_responses(vol, ps: int, rows: range, cols: range, coef: np.ndarray):
+    """Raw patch vector @ coef at every start (rows[i], cols[j]).
+
+    rows and cols step by the same stride, and coef is (d, k); the result is
+    (len(rows), len(cols), k).  Starts r = ceil(ps / stride) columns apart
+    have disjoint windows, so row u of the windows of every r-th start is a
+    strided view of the volume that BLAS reads in place.  So it runs one
+    GEMM per window row and column class, on coef's rows for that window
+    row, and copies no window.
+    """
+    flat = np.ascontiguousarray(coef)
+    k = flat.shape[0] // ps  # one window row: ps pixels x 26 channels
+    windows = patch_windows(vol, ps)[
+        rows.start : rows.stop : rows.step, cols.start : cols.stop : cols.step
+    ]
+    r = -(-ps // cols.step)
+    out = np.empty(windows.shape[:2] + flat.shape[1:])
+    for c in range(r):
+        part = windows[:, c::r]
+        shape = part.shape[:2] + (k,)
+        acc = part[:, :, 0].reshape(shape) @ flat[:k]
+        for u in range(1, ps):
+            acc += part[:, :, u].reshape(shape) @ flat[u * k : (u + 1) * k]
+        out[:, c::r] = acc
+    return out
+
+
+def _grid_responses(vol, ps: int, stride: int, offsets, coef: np.ndarray):
+    """``R_j(l) - R_j(l + offset_j)`` for every context j at every grid index l.
+
+    R = patch vector @ coef with coef (d, m+1); the result is (g_y * g_x,
+    m+1), in grid order, the same cosets as :func:`_context_responses` at
+    every index.  Each coset's R comes from one :func:`_dense_responses`
+    call on the rectangle of its starts that some grid index reads, and a
+    context's term is a shifted slice of it: a clipped neighbor lies
+    outside the slice.
+    """
+    n_y, n_x = vol.shape[0] - ps + 1, vol.shape[1] - ps + 1
+    g = np.array([len(range(0, n_y, stride)), len(range(0, n_x, stride))])
+    out = np.empty((g[0], g[1], coef.shape[1]))
+    offs = ((0, 0),) + tuple(offsets)
+    for (a, b), js in _cosets(stride, offsets).items():
+        rows, cols = range(b, n_y, stride), range(a, n_x, stride)
+        # grid index i reads coset index i + shift; [lo, hi) is where that
+        # neighbor exists, per context and axis (y, x)
+        shift = np.array([offs[j][::-1] for j in js]) // stride
+        lo = np.maximum(0, -shift)
+        hi = np.minimum(g, np.array([len(rows), len(cols)]) - shift)
+        live = np.all(lo < hi, axis=1)
+        if not live.any():
+            continue
+        (y0, x0), (y1, x1) = (lo + shift)[live].min(0), (hi + shift)[live].max(0)
+        zero = js[0] == 0
+        resp = _dense_responses(vol, ps, rows[y0:y1], cols[x0:x1],
+                                coef if zero else coef[:, js])
+        for k in np.flatnonzero(live):
+            j = js[k]
+            (ly, lx), (hy, hx), (sy, sx) = lo[k], hi[k], shift[k] - (y0, x0)
+            if j == 0:
+                out[:] = resp
+            else:
+                out[ly:hy, lx:hx, j] -= resp[ly + sy : hy + sy, lx + sx : hx + sx,
+                                             j if zero else k]
+    return out.reshape(-1, coef.shape[1])
+
+
 def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig) -> VoteField:
     """Cast the votes of every gated-on patch of the sampling grid, in grid order.
 
     Every regressor is linear, so context j's output at start l is
     ``intercept_j + R_j(l) - R_j(l + offset_j)`` with ``R = patch vector @ B``.
-    One routine, :func:`_context_responses`, computes the R terms in both
-    passes: pass 1 at every grid index on the label column, which gives
-    every patch's gate weight, and pass 2 at the gated-on indices on the two
-    vote columns.
+    Pass 1 computes the R terms of the label column at every grid index
+    (:func:`_grid_responses`), which gives every patch's gate weight; pass 2
+    those of the two vote columns at the gated-on indices
+    (:func:`_context_responses`).
     """
     geom = bank.geometry
     vol = compute_channels(np.asarray(image, dtype=np.float64))
@@ -173,8 +253,7 @@ def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig) -> VoteField:
     ys = np.arange(0, n_y, cfg.stride)
     coef, offsets = bank.coefficients, geom.neighbor_offsets
 
-    every = np.arange(len(ys) * len(xs))
-    labels = _context_responses(vol, ps, cfg.stride, offsets, every, coef[..., 2])
+    labels = _grid_responses(vol, ps, cfg.stride, offsets, coef[..., 2])
     labels += bank.intercepts[:, 2]
     weights = patch_weight(labels)
     on = np.flatnonzero(weights)  # gated-on grid indices, in grid order

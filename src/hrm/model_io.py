@@ -123,12 +123,11 @@ def load_model(path) -> ModelBank:
         raise CorruptModel("trailing bytes after model data")
     if not (np.isfinite(coefficients).all() and np.isfinite(intercepts).all()):
         raise CorruptModel("coefficients and intercepts must be finite")
-    if not (0 <= ref_w < math.inf and 0 <= ref_h < math.inf):
-        raise CorruptModel(
-            f"reference box must be finite and >= 0, got ({ref_w}, {ref_h})"
-        )
     try:
         geometry = PatchGeometry(patch_size, offsets)
     except InvalidInput as e:
         raise CorruptModel(f"patch geometry: {e}") from None
-    return ModelBank(coefficients, intercepts, geometry, (ref_w, ref_h))
+    try:
+        return ModelBank(coefficients, intercepts, geometry, (ref_w, ref_h))
+    except InvalidInput as e:  # the reference box
+        raise CorruptModel(str(e)) from None

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import pls
-from .errors import DegenerateFit, IncompatibleModel, InvalidDataset
+from .errors import DegenerateFit, IncompatibleModel, InvalidDataset, InvalidInput
 from .features import CROP_MARGIN, PatchGeometry, compute_channels, patch_windows
 from .image_io import to_grey
 # Not called here: perfbench counts training-time patch extractions
@@ -55,6 +55,8 @@ class ModelBank:
     coefficients: (d, m+1, 3); entry [:, j] holds voting model j's two
     outputs, then label model j's output.
     intercepts: (m+1, 3), so context j predicts ``x_j @ B_j + intercepts[j]``.
+    reference_box: the (width, height) that detection level 1 stands for,
+    finite and >= 0 as a model file needs, or InvalidInput.
     """
 
     coefficients: np.ndarray
@@ -63,6 +65,8 @@ class ModelBank:
     reference_box: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        object.__setattr__(self, "reference_box",
+                           _reference_box(self.reference_box, InvalidInput))
         mplus1 = self.geometry.num_context
         shapes = ((self.geometry.vector_length, mplus1, 3), (mplus1, 3))
         if (self.coefficients.shape, self.intercepts.shape) != shapes:
@@ -80,6 +84,17 @@ class ModelBank:
         )
         bias = np.stack([np.concatenate([h.intercept, l.intercept]) for h, l in pairs])
         return cls(coef, bias, geometry, reference_box)
+
+
+def _reference_box(box, error) -> tuple[float, float]:
+    """``box`` as a (width, height) float pair, or ``error`` unless a model
+    file can hold it: two finite numbers >= 0."""
+    ref = np.asarray(box)
+    if not (ref.shape == (2,) and ref.dtype.kind in "iuf"
+            and np.all((0 <= ref) & (ref < np.inf))):  # NaN fails too
+        raise error(f"the reference box must be a finite (width, height) >= 0, "
+                    f"got {box}")
+    return float(ref[0]), float(ref[1])
 
 
 def _negative_candidates(boxes, shape, ps):
@@ -118,18 +133,21 @@ def sample_patches(
 ) -> SampleSet:
     """Draw n_pos positive and n_neg negative patches from (image, boxes) pairs.
 
-    The canvases are the images' grey (:func:`to_grey`), so RGB is accepted.
-    Boxes are integer (x0, y0, x1, y1).  The reference box is the median box
-    width and height, each over all boxes.  With ``scale_normalize``, each
-    box is resized to the reference box's mean side before positive
-    sampling: the image is resized by the ratio of that side to the box's
-    mean side, and the rescaled canvas is added to the sample set.  Each
-    class is drawn without replacement from all its candidate top-lefts,
-    and its draws are ordered by canvas and position.  Deterministic under
-    a fixed seed.  A set without boxes is refused, as it has no positives.
+    ``entries`` may be any iterable of the pairs, a generator too: it is
+    read once.  The canvases are the images' grey (:func:`to_grey`), so RGB
+    is accepted.  Boxes are integer (x0, y0, x1, y1).  The reference box is
+    the median box width and height, each over all boxes.  With
+    ``scale_normalize``, each box is resized to the reference box's mean
+    side before positive sampling: the image is resized by the ratio of
+    that side to the box's mean side, and the rescaled canvas is added to
+    the sample set.  Each class is drawn without replacement from all its
+    candidate top-lefts, and its draws are ordered by canvas and position.
+    Deterministic under a fixed seed.  A set without boxes is refused, as it
+    has no positives.
     """
     ps = geom.patch_size
     rng = np.random.default_rng(seed)
+    entries = list(entries)
     sides = np.array([(x1 - x0, y1 - y0) for _, boxes in entries
                       for x0, y0, x1, y1 in boxes], dtype=np.intp).reshape(-1, 2)
     if not len(sides):
@@ -247,13 +265,8 @@ def _checked(ss: SampleSet, ps: int):
     sides = np.array([c.shape[1::-1] for c in ss.canvases], dtype=np.intp)[cid]
     if np.any((topleft < 0) | (topleft + ps > sides)):
         raise InvalidDataset(f"every sample's {ps}x{ps} window must lie on its canvas")
-    ref = np.asarray(ss.reference_box)
-    if not (ref.shape == (2,) and ref.dtype.kind in "iuf"
-            and np.all((0 <= ref) & (ref < np.inf))):  # NaN fails too
-        raise InvalidDataset("the reference box must be a finite (width, height) "
-                             f">= 0, got {ss.reference_box}")
     return (cid.astype(np.intp), topleft.T.astype(np.intp), votes.astype(np.float64),
-            (float(ref[0]), float(ref[1])))
+            _reference_box(ss.reference_box, InvalidDataset))
 
 
 def train_from_samples(

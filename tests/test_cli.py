@@ -623,17 +623,20 @@ class TestDetectCommand:
         ("reference_box", (np.nan, -3.0)),
     ])
     def test_non_finite_model_is_model_error(self, workspace, tmp_path, field, value):
-        from dataclasses import replace
-
         from hrm.model_io import load_model, save_model
 
         bank = load_model(workspace / "model.hrmb")
-        if field == "reference_box":
-            bank = replace(bank, reference_box=value)
+        bad = tmp_path / "bad.hrmb"
+        if field == "reference_box":  # a bank refuses it, so patch the file's box
+            data = bytearray((workspace / "model.hrmb").read_bytes())
+            (ext_len,) = struct.unpack_from("<I", data, 8)
+            at = 20 + ext_len + 8 * len(bank.geometry.neighbor_offsets)
+            assert struct.unpack_from("<dd", data, at) == bank.reference_box
+            struct.pack_into("<dd", data, at, *value)
+            bad.write_bytes(bytes(data))
         else:
             getattr(bank, field).flat[0] = value
-        bad = tmp_path / "bad.hrmb"
-        save_model(bad, bank)
+            save_model(bad, bank)
         assert main(["detect", "--model", str(bad),
                      "--images", str(workspace / "scenes"),
                      "--out", str(tmp_path / "d.tsv")]) == 3

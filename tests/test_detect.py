@@ -152,6 +152,19 @@ class TestComputePatchVotes:
     # a one-sided offset at stride 2: no start reads its coset's first two
     # columns, so none of them is computed
     @example(seed=0, height=20, width=20, ps=3, stride=2, offsets=[(5, 0)], gate=0.5)
+    # ps not a multiple of the stride: 5 zero-coset columns in alignment
+    # classes of 3 and 2
+    @example(seed=2, height=9, width=11, ps=3, stride=2, offsets=[(1, 0), (-3, 2)],
+             gate=0.5)
+    # stride above ps: one alignment class
+    @example(seed=3, height=14, width=17, ps=2, stride=3, offsets=[(4, -1), (-5, 3)],
+             gate=0.5)
+    # one coset's read rectangle is empty, the other's is not
+    @example(seed=4, height=9, width=9, ps=2, stride=2, offsets=[(9, 1), (1, 0)],
+             gate=0.5)
+    # a one-row grid
+    @example(seed=5, height=5, width=20, ps=5, stride=2,
+             offsets=[(3, 0), (-2, 0), (0, 1)], gate=0.5)
     # every patch gated on, then every patch gated off
     @example(seed=1, height=20, width=22, ps=3, stride=2, offsets=[(3, 1), (-2, 4)],
              gate=0.0)
@@ -187,19 +200,25 @@ class TestComputePatchVotes:
         (PatchGeometry(3, ((5, 0),)), 2, 110_223),  # only the coset starts read
     ])
     def test_vote_gemm_work(self, monkeypatch, geom, stride, bound):
-        """Response entries (starts x columns) both passes compute on a 224² image.
+        """Response entries (starts x columns) both passes compute on a 224² image:
+        pass 1 in :func:`_dense_responses` and pass 2 in :func:`_responses`.
 
         With every patch gated on that is the dense scheme's work, the bound;
         with none, only the label columns, a third of it."""
         module = importlib.import_module("hrm.detect")
-        responses = module._responses
+        responses, dense = module._responses, module._dense_responses
         work = []
 
         def counted(vol, ps, rows, cols, coef):
             work.append(len(rows) * coef[0].size)
             return responses(vol, ps, rows, cols, coef)
 
+        def counted_dense(vol, ps, rows, cols, coef):
+            work.append(len(rows) * len(cols) * coef[0].size)
+            return dense(vol, ps, rows, cols, coef)
+
         monkeypatch.setattr(module, "_responses", counted)
+        monkeypatch.setattr(module, "_dense_responses", counted_dense)
         starts = len(range(0, 225 - geom.patch_size, stride)) ** 2
         for label_shift, gated_on, share in ((1e3, starts, 1), (-1e3, 0, 3)):
             rng = np.random.default_rng(9)
@@ -231,6 +250,7 @@ class TestDetect:
 
         assert isinstance(m, types.ModuleType)
         assert callable(m.detect) and callable(m._responses)
+        assert callable(m._dense_responses) and callable(m._grid_responses)
 
     def test_fully_gated_image_yields_nothing(self):
         img = np.random.default_rng(3).random((24, 24))

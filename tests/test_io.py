@@ -12,6 +12,7 @@ from hrm.errors import (
     CorruptModel,
     HRMError,
     IncompatibleModel,
+    InvalidInput,
     MissingAsset,
     ParseError,
 )
@@ -362,11 +363,24 @@ class TestModelIO:
     ])
     def test_invalid_reference_box_refused(self, tmp_path, box):
         bank = random_bank(7)
-        bank = ModelBank(bank.coefficients, bank.intercepts, bank.geometry, box)
         path = tmp_path / "bank.hrmb"
         model_io.save_model(path, bank)
+        data = bytearray(path.read_bytes())
+        at = len(v4_header(4, bank.geometry.neighbor_offsets)) - 16  # the box field
+        assert struct.unpack_from("<dd", data, at) == bank.reference_box
+        struct.pack_into("<dd", data, at, *box)
+        path.write_bytes(bytes(data))
         with pytest.raises(CorruptModel, match="reference box"):
             model_io.load_model(path)
+
+    @pytest.mark.parametrize("box", [
+        (np.nan, -3.0), (24.0, -3.0), (np.inf, 24.0), (24.0,), ("24", "30"), (True, True),
+    ])
+    def test_bank_refuses_unsaveable_reference_box(self, box):
+        # so no bank that load_model would refuse reaches save_model
+        bank = random_bank(7)
+        with pytest.raises(InvalidInput, match="reference box"):
+            ModelBank(bank.coefficients, bank.intercepts, bank.geometry, box)
 
     def test_zero_reference_box_accepted(self, tmp_path):
         bank = random_bank(7)

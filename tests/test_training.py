@@ -11,7 +11,7 @@ from hrm.errors import InvalidDataset, InvalidInput
 from hrm.features import N_CHANNELS, PatchGeometry, compute_channels, context_vectors
 from hrm.image_io import LUMA
 from hrm.model_io import load_model, save_model
-from hrm.synth import synth_scene
+from hrm.synth import random_scenes, synth_scene
 
 PS = 5
 GEOM = PatchGeometry(PS, ((PS, 0), (0, PS)))
@@ -227,6 +227,16 @@ class TestSamplePatches:
         ss = training.sample_patches(entries, 5, 5, GEOM, seed=0, scale_normalize=normalize)
         assert ss.reference_box == median
         assert all(type(v) is float for v in ss.reference_box)
+
+    def test_generator_is_read_once(self):
+        # a generator of scenes samples exactly as the list of the same scenes
+        spec = (600, 4, (128, 128), 0.01, (0.75, 1.0), 1, 2)
+        geom = PatchGeometry(4)
+        ss = training.sample_patches(random_scenes(*spec), 10, 10, geom)
+        expected = training.sample_patches(list(random_scenes(*spec)), 10, 10, geom)
+        assert np.array_equal(ss.topleft, expected.topleft)
+        assert np.array_equal(ss.votes, expected.votes)
+        assert ss.reference_box == expected.reference_box
 
     def test_no_boxes_refused(self):
         # no positives, and no median of an empty box list (a RuntimeWarning)
