@@ -82,17 +82,20 @@ def assert_rows_are_oracle(field, oracle):
 
 def assert_matches_oracle(img, geom, stride, rng, gate):
     """compute_patch_votes equals the per-patch context oracle, with the label
-    intercepts shifted so that the gate sits at fraction `gate` of the range of
-    the patches' largest labels, padded: 0 gates every patch on, 1 every one off.
+    intercepts shifted so that the gate cuts the sorted peaks (the patches'
+    largest labels) at fraction `gate`: 0 gates every patch on, 1 every one
+    off.  The cut lies midway between two peaks or one unit outside them all,
+    never on a peak: there the gate would hang on the summation order of the
+    label, which the oracle and the filter bank need not share.
 
     Returns the number of gated-on patches and of grid starts.
     """
     seed = rng.integers(2**63)
     bank = random_linear_bank(geom, np.random.default_rng(seed))
-    peaks = [pv.labels.max() for pv in oracle_votes(img, bank, stride)] or [0.0]
-    lo, hi = min(peaks), max(peaks)
-    pad = 0.1 * (hi - lo) + 1e-3
-    shift = -(lo - pad + gate * (hi - lo + 2 * pad))  # a patch is on iff peak > -shift
+    peaks = np.unique([pv.labels.max() for pv in oracle_votes(img, bank, stride)])
+    cuts = np.concatenate([peaks[:1] - 1, (peaks[1:] + peaks[:-1]) / 2,
+                           peaks[-1:] + 1]) if len(peaks) else np.zeros(1)
+    shift = -cuts[round(gate * (len(cuts) - 1))]  # a patch is on iff peak > -shift
     bank = random_linear_bank(geom, np.random.default_rng(seed), shift)
     oracle = oracle_votes(img, bank, stride)
     field = compute_patch_votes(img, bank, VotingConfig(stride=stride))
@@ -165,6 +168,8 @@ class TestComputePatchVotes:
     # a one-row grid
     @example(seed=5, height=5, width=20, ps=5, stride=2,
              offsets=[(3, 0), (-2, 0), (0, 1)], gate=0.5)
+    # one grid start, its label summed by window row: the cut stays off its peak
+    @example(seed=0, height=5, width=5, ps=2, stride=4, offsets=[], gate=0.5)
     # every patch gated on, then every patch gated off
     @example(seed=1, height=20, width=22, ps=3, stride=2, offsets=[(3, 1), (-2, 4)],
              gate=0.0)
