@@ -9,14 +9,13 @@ information.
 from .detect import DetectionResult, VotingConfig
 from .errors import HRMError
 from .features import PatchGeometry, compute_channels
-from .fusion import FusionConfig, fuse, npmi
+from .fusion import fuse, npmi
 from .pls import LatentConfig, RegressionModel, bpls_fit, pls_fit, predict
 from .training import ModelBank, sample_patches, train_from_samples
 from .voting import Hypothesis, ScaleSet, accumulate_cuboid, find_maxima
 
 __all__ = [
     "DetectionResult",
-    "FusionConfig",
     "HRMError",
     "Hypothesis",
     "LatentConfig",

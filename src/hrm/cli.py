@@ -46,7 +46,7 @@ def _usable_cores() -> int:  # the CPU affinity, where the OS has one
 def _worker_count() -> int:
     cap = os.environ.get("HRM_THREADS")
     n = _usable_cores()
-    if cap:
+    if cap is not None:
         try:
             limit = int(cap)
         except ValueError:
@@ -133,9 +133,7 @@ def cmd_detect(args) -> int:
 
     def run(path):
         img = load_image(path)
-        result = detect(
-            img, bank, cfg.scales, cfg.voting, cfg.fusion, image_id=path.name
-        )
+        result = detect(img, bank, cfg.scales, cfg.voting, image_id=path.name)
         return path.name, result.detections
 
     workers, blas_threads = _detect_plan(len(paths))

@@ -6,7 +6,9 @@ whitespace-separated tuple of numbers), and an absent key keeps the
 field's default.  README.md's INI block lists every key.  An unknown
 section or key is a ParseError, and ``#`` after whitespace starts a comment.
 [features] is the model's PatchGeometry: training records it in the
-model, and detection reads it from there.
+model, and detection reads it from there.  The accumulator cell, its
+smoothing and fusion's kernel bandwidth are not keys: detection fixes them
+(:func:`~hrm.detect.detect`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import get_args, get_origin, get_type_hints
 from .detect import VotingConfig
 from .errors import InvalidInput, InvalidSpec, MissingAsset, ParseError
 from .features import PatchGeometry
-from .fusion import FusionConfig
 from .pls import LatentConfig
 from .voting import ScaleSet
 
@@ -48,7 +49,6 @@ class PipelineConfig:
     training: TrainingConfig = field(default_factory=TrainingConfig)
     scales: ScaleSet = field(default_factory=ScaleSet)
     voting: VotingConfig = field(default_factory=VotingConfig)
-    fusion: FusionConfig = field(default_factory=FusionConfig)
     iou_threshold: float = 0.5
 
     def __post_init__(self):
@@ -128,7 +128,6 @@ _SECTIONS = {
     "features": (PatchGeometry,),
     "training": (TrainingConfig,),
     "voting": (ScaleSet, VotingConfig),
-    "fusion": (FusionConfig,),
     "pipeline": (PipelineConfig,),  # its scalars; the rest are sections
 }
 _READERS = {cls: _readers(cls) for cls in (*sum(_SECTIONS.values(), ()), SynthSpec)}
@@ -149,11 +148,15 @@ def _read_ini(path, keys) -> configparser.ConfigParser:
     if parser.defaults():
         raise ParseError(f"{path}: unknown config section [{parser.default_section}]")
     for name in parser.sections():
-        if name not in keys:
-            raise ParseError(f"{path}: unknown config section [{name}]")
+        known = keys.get(name)
+        # keys are named even in an unknown section, so a retired key is
+        # refused by name whether or not its section was retired too
         for key in parser[name]:
-            if key not in keys[name]:
-                raise ParseError(f"{path}: unknown key {key!r} in section [{name}]")
+            if known is None or key not in known:
+                note = "" if known is not None else " (an unknown section)"
+                raise ParseError(f"{path}: unknown key {key!r} in section [{name}]{note}")
+        if known is None:
+            raise ParseError(f"{path}: unknown config section [{name}]")
     return parser
 
 
@@ -184,11 +187,9 @@ def load_config(path=None) -> PipelineConfig:
     training = _build(parser, "training", TrainingConfig)
     scales = _build(parser, "voting", ScaleSet)
     voting = _build(parser, "voting", VotingConfig)
-    # the default bandwidth is two accumulator cells
-    fusion = _build(parser, "fusion", FusionConfig, bandwidth=2.0 * voting.bin_size)
     return _build(
         parser, "pipeline", PipelineConfig, pls=pls, geometry=geometry,
-        training=training, scales=scales, voting=voting, fusion=fusion,
+        training=training, scales=scales, voting=voting,
     )
 
 

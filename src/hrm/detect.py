@@ -27,7 +27,8 @@ from .features import compute_channels, patch_windows
 # Not called here: perfbench counts detection-time patch extractions
 # through this name, and with the filter bank that count is 0.
 from .features import extract_patch_vector  # noqa: F401
-from .fusion import FusionConfig, fuse
+from .fusion import fuse
+from .image_io import to_grey
 from .training import ModelBank
 from .voting import (
     HoughCuboid,
@@ -46,32 +47,19 @@ from .voting import (
 # 10.7/10.7.  At 1 MB and below the spread between rounds exceeds the
 # differences.
 _BLOCK_BYTES = 1 << 20
-# SciPy's gaussian_filter builds 2 * int(4 sigma + 0.5) + 1 float64 taps
-# and runs every one over every cell.  At 1e6 cells that is a 64 MB kernel
-# and over half a minute per level of a 224^2 image at 4 px cells; each
-# tenfold costs ten times more, until the kernel outgrows memory.
-_MAX_SMOOTHING = 1e6
 
 
 @dataclass(frozen=True)
 class VotingConfig:
-    """Dense-sampling and accumulator settings."""
+    """Dense-sampling and maxima settings."""
 
     stride: int = 1
-    bin_size: int = 4
-    smoothing: float = 1.5  # Gaussian sigma in cells, 0 = off
     min_score_fraction: float = 0.05  # of the global cuboid maximum
     maxima_radius: int = 3  # cells
 
     def __post_init__(self):
         if not 1 <= self.stride < 2**63:
             raise InvalidInput(f"stride must be in [1, 2**63), got {self.stride}")
-        if self.bin_size < 1:
-            raise InvalidInput(f"bin_size must be >= 1, got {self.bin_size}")
-        if not 0 <= self.smoothing <= _MAX_SMOOTHING:
-            raise InvalidInput(
-                f"smoothing must be in [0, {_MAX_SMOOTHING:g}], got {self.smoothing}"
-            )
         if not 0 <= self.min_score_fraction <= 1:
             raise InvalidInput(
                 f"min_score_fraction must be in [0, 1], got {self.min_score_fraction}"
@@ -244,11 +232,12 @@ def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig) -> VoteField:
     (:func:`_context_responses`).
     """
     geom = bank.geometry
-    vol = compute_channels(np.asarray(image, dtype=np.float64))
+    img = to_grey(image)
     ps = geom.patch_size
-    n_x, n_y = vol.shape[1] - ps + 1, vol.shape[0] - ps + 1  # valid starts per axis
-    if n_x < 1 or n_y < 1:
+    n_x, n_y = img.shape[1] - ps + 1, img.shape[0] - ps + 1  # valid starts per axis
+    if n_x < 1 or n_y < 1:  # no patch, however small the image
         return VoteField.of([])
+    vol = compute_channels(img)
     xs = np.arange(0, n_x, cfg.stride)
     ys = np.arange(0, n_y, cfg.stride)
     coef, offsets = bank.coefficients, geom.neighbor_offsets
@@ -270,25 +259,22 @@ def detect(
     bank: ModelBank,
     scales: ScaleSet = ScaleSet(),
     voting_cfg: VotingConfig = VotingConfig(),
-    fusion_cfg: FusionConfig = FusionConfig(),
     image_id: str = "",
 ) -> DetectionResult:
-    """Run the full detection pipeline on one image; detections in rank order."""
+    """Run the full detection pipeline on one image; detections in rank order.
+
+    The accumulator cells and their smoothing are :func:`accumulate_cuboid`'s
+    defaults, and fusion's kernel bandwidth is two cells.
+    """
     image = np.asarray(image, dtype=np.float64)
     patch_votes = compute_patch_votes(image, bank, voting_cfg)
-    cuboid = accumulate_cuboid(
-        patch_votes,
-        scales,
-        (image.shape[1], image.shape[0]),
-        voting_cfg.bin_size,
-        voting_cfg.smoothing,
-    )
+    cuboid = accumulate_cuboid(patch_votes, scales, (image.shape[1], image.shape[0]))
     min_score = voting_cfg.min_score_fraction * float(cuboid.levels.max())
     hypotheses = find_maxima(cuboid, min_score, voting_cfg.maxima_radius)
 
     # no vote mass: every level is 0, so no hypotheses and no pair to fuse
     total_mass = float(cuboid.level_mass.sum())
-    kept = fuse(hypotheses, patch_votes, fusion_cfg, total_mass)
+    kept = fuse(hypotheses, patch_votes, 2.0 * cuboid.bin_size, total_mass)
 
     detections = [
         Detection(

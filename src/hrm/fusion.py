@@ -12,12 +12,13 @@ The kernel sum runs over the rows of the image's
 :class:`~hrm.voting.VoteField`, which are its patches of nonzero weight,
 and is normalized by their ``total_weight``.  :func:`fuse` stacks the
 votes, and so sums their weight, once per image rather than once per pair.
+The kernel's bandwidth is in pixels; :func:`~hrm.detect.detect` fuses at two
+accumulator cells.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,26 +28,18 @@ from .voting import Hypothesis, VoteField
 PROBABILITY_FLOOR = 1e-12  # guards the logs of NPMI
 
 
-@dataclass(frozen=True)
-class FusionConfig:
-    """Bandwidth (pixels) of the Gaussian kernel."""
-
-    bandwidth: float = 8.0  # load_config's 2 x bin_size at the default bin_size
-
-    def __post_init__(self):
-        if not 0 < self.bandwidth < math.inf:
-            raise InvalidInput("bandwidth must be finite and positive")
-
-
-def conditional_prob(h_i: Hypothesis, h_j: Hypothesis, votes, cfg: FusionConfig) -> float:
+def conditional_prob(h_i: Hypothesis, h_j: Hypothesis, votes, bandwidth: float) -> float:
     """KDE estimate of p(h_j | h_i), normalized so p(h_i | h_i) = 1.
 
     Patch locations supporting h_i are mapped to the level of h_j through
     the scale ratio; the weighted kernel mass at h_j's center, relative to
     the mass at zero offset, is the conditional probability.  ``votes`` is
     a VoteField or a sequence of PatchVotes, and the kernel mass is
-    normalized by its ``total_weight``.
+    normalized by its ``total_weight``.  ``bandwidth`` is the Gaussian
+    kernel's, in pixels.
     """
+    if not 0 < bandwidth < math.inf:
+        raise InvalidInput(f"bandwidth must be finite and positive, got {bandwidth}")
     if h_i.scale <= 0 or h_j.scale <= 0:
         raise InvalidInput("hypothesis scales must be positive")
     field = VoteField.of(votes)
@@ -57,7 +50,7 @@ def conditional_prob(h_i: Hypothesis, h_j: Hypothesis, votes, cfg: FusionConfig)
     zi = np.asarray(h_i.center, dtype=np.float64)
     zj = np.asarray(h_j.center, dtype=np.float64)
     ratio = h_j.scale / h_i.scale
-    offsets = (ratio * (zi - locs) + locs - zj) / cfg.bandwidth
+    offsets = (ratio * (zi - locs) + locs - zj) / bandwidth
     k = np.exp(-0.5 * np.sum(offsets**2, axis=1))
     return float(np.dot(k, w) / total)
 
@@ -66,7 +59,7 @@ def npmi(
     h_i: Hypothesis,
     h_j: Hypothesis,
     votes,
-    cfg: FusionConfig,
+    bandwidth: float,
     total_mass: float,
 ) -> float:
     """Normalized pointwise mutual information of a hypothesis pair.
@@ -82,7 +75,7 @@ def npmi(
     if p_i >= 1.0 or p_j >= 1.0:
         raise InvalidInput("hypothesis probabilities must stay below 1")
 
-    cond = conditional_prob(h_i, h_j, votes, cfg)
+    cond = conditional_prob(h_i, h_j, votes, bandwidth)
     if cond <= PROBABILITY_FLOOR:
         return -1.0
     denom = -math.log(p_i * cond)
@@ -92,7 +85,7 @@ def npmi(
     return float(min(1.0, max(-1.0, value)))
 
 
-def fuse(hypotheses, votes, cfg: FusionConfig, total_mass: float):
+def fuse(hypotheses, votes, bandwidth: float, total_mass: float):
     """Drop the weaker member of every positively correlated pair.
 
     Pairs are visited in :meth:`Hypothesis.rank` order of the stronger
@@ -103,6 +96,6 @@ def fuse(hypotheses, votes, cfg: FusionConfig, total_mass: float):
     support = VoteField.of(votes)
     survivors = []
     for h in sorted(hypotheses, key=Hypothesis.rank):
-        if all(npmi(s, h, support, cfg, total_mass) <= 0 for s in survivors):
+        if all(npmi(s, h, support, bandwidth, total_mass) <= 0 for s in survivors):
             survivors.append(h)
     return survivors

@@ -8,8 +8,6 @@ noise; everything is deterministic per seed, as is :func:`random_scenes`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import ndimage
 
@@ -17,15 +15,6 @@ from .errors import InvalidSpec
 from .evaluate import iou
 
 TEMPLATE_SIZE = 40  # box side at scale 1.0
-
-
-@dataclass(frozen=True)
-class ObjectSpec:
-    """One object placement: box center (pixels) and scale."""
-
-    cx: float
-    cy: float
-    scale: float
 
 
 def render_template(scale: float = 1.0) -> np.ndarray:
@@ -47,6 +36,15 @@ def render_template(scale: float = 1.0) -> np.ndarray:
     return img
 
 
+def _object_box(cx: float, cy: float, scale: float) -> tuple[int, int, int, int]:
+    """The pixel box (x0, y0, x1, y1) of an object centred at (cx, cy): the
+    template's side at ``scale``, its corner rounded to a pixel."""
+    size = int(round(TEMPLATE_SIZE * scale))
+    x0 = int(round(cx - size / 2.0))
+    y0 = int(round(cy - size / 2.0))
+    return x0, y0, x0 + size, y0 + size
+
+
 def synth_scene(
     objects,
     canvas_size: tuple[int, int] = (224, 224),
@@ -55,7 +53,7 @@ def synth_scene(
 ):
     """Render a scene; returns (image, ground-truth boxes).
 
-    objects: iterable of ObjectSpec (or (cx, cy, scale) tuples).
+    objects: iterable of (cx, cy, scale) placements, boxed by :func:`_object_box`.
     Raises InvalidSpec when an object leaves the canvas or two boxes
     overlap at an IoU above 0.05.
     """
@@ -67,19 +65,14 @@ def synth_scene(
     img = 0.45 + (0.08 / peak) * clutter if peak > 0 else np.full((height, width), 0.45)
 
     boxes = []
-    for spec in objects:
-        if not isinstance(spec, ObjectSpec):
-            spec = ObjectSpec(*spec)
-        patch = render_template(spec.scale)
-        size = patch.shape[0]
-        x0 = int(round(spec.cx - size / 2.0))
-        y0 = int(round(spec.cy - size / 2.0))
-        box = (x0, y0, x0 + size, y0 + size)
-        if x0 < 0 or y0 < 0 or x0 + size > width or y0 + size > height:
-            raise InvalidSpec(f"object at ({spec.cx}, {spec.cy}) leaves the canvas")
+    for cx, cy, scale in objects:
+        patch = render_template(scale)
+        box = x0, y0, x1, y1 = _object_box(cx, cy, scale)
+        if x0 < 0 or y0 < 0 or x1 > width or y1 > height:
+            raise InvalidSpec(f"object at ({cx}, {cy}) leaves the canvas")
         if any(iou(box, other) > 0.05 for other in boxes):
-            raise InvalidSpec(f"object at ({spec.cx}, {spec.cy}) overlaps another")
-        img[y0 : y0 + size, x0 : x0 + size] = patch
+            raise InvalidSpec(f"object at ({cx}, {cy}) overlaps another")
+        img[y0:y1, x0:x1] = patch
         boxes.append(box)
 
     if noise > 0:
@@ -94,9 +87,10 @@ def random_scene(
     canvas_size: tuple[int, int] = (224, 224),
     max_tries: int = 200,
 ):
-    """Place n_objects at random non-overlapping positions; returns specs."""
+    """Place n_objects at random non-overlapping positions; returns their
+    (cx, cy, scale) placements."""
     width, height = canvas_size
-    specs: list[ObjectSpec] = []
+    specs: list[tuple[float, float, float]] = []
     placed: list[tuple] = []
     for _ in range(n_objects):
         for _ in range(max_tries):
@@ -106,13 +100,11 @@ def random_scene(
                 raise InvalidSpec(f"a scale-{scale} object does not fit the canvas")
             cx = float(rng.uniform(half + 1, width - half - 1))
             cy = float(rng.uniform(half + 1, height - half - 1))
-            size = int(round(TEMPLATE_SIZE * scale))
-            x0 = int(round(cx - size / 2.0))
-            y0 = int(round(cy - size / 2.0))
+            x0, y0, x1, y1 = _object_box(cx, cy, scale)
             # keep clear separation so fused detections match one box each
-            box = (x0 - 12, y0 - 12, x0 + size + 12, y0 + size + 12)
+            box = (x0 - 12, y0 - 12, x1 + 12, y1 + 12)
             if all(iou(box, b) == 0 for b in placed):
-                specs.append(ObjectSpec(cx, cy, scale))
+                specs.append((cx, cy, scale))
                 placed.append(box)
                 break
         else:

@@ -167,7 +167,7 @@ class TestCriterion4MultiScaleGeometry:
 
 
 class TestCriterion5NpmiBoundaries:
-    CFG = fusion.FusionConfig(bandwidth=5.0)
+    BANDWIDTH = 5.0
 
     @staticmethod
     def voter(loc, weight=1.0):
@@ -178,23 +178,23 @@ class TestCriterion5NpmiBoundaries:
         h_i = Hypothesis((40.0, 40.0), 1.0, 6.0)
         h_j = Hypothesis((40.0, 40.0), 1.25, 6.0)
         votes = [self.voter((40.0, 40.0))]
-        val = fusion.npmi(h_i, h_j, votes, self.CFG, total_mass=60.0)
+        val = fusion.npmi(h_i, h_j, votes, self.BANDWIDTH, total_mass=60.0)
         assert abs(val - 1.0) <= 1e-6
 
     def test_independent_support(self):
         total, score_j = 100.0, 5.0
-        dist = self.CFG.bandwidth * math.sqrt(2 * math.log(total / score_j))
+        dist = self.BANDWIDTH * math.sqrt(2 * math.log(total / score_j))
         h_i = Hypothesis((30.0, 30.0), 1.0, 20.0)
         h_j = Hypothesis((30.0 + dist, 30.0), 1.0, score_j)
         votes = [self.voter((10.0, 50.0)), self.voter((70.0, 15.0), 0.5)]
-        val = fusion.npmi(h_i, h_j, votes, self.CFG, total_mass=total)
+        val = fusion.npmi(h_i, h_j, votes, self.BANDWIDTH, total_mass=total)
         assert abs(val) <= 1e-6
 
     def test_disjoint_support(self):
         h_i = Hypothesis((10.0, 10.0), 1.0, 5.0)
         h_j = Hypothesis((5000.0, 5000.0), 1.0, 5.0)
         votes = [self.voter((10.0, 10.0))]
-        val = fusion.npmi(h_i, h_j, votes, self.CFG, total_mass=50.0)
+        val = fusion.npmi(h_i, h_j, votes, self.BANDWIDTH, total_mass=50.0)
         assert abs(val - (-1.0)) <= 1e-6
 
     def test_bounds_over_1000_configurations(self):
@@ -211,8 +211,8 @@ class TestCriterion5NpmiBoundaries:
                 self.voter(rng.uniform(0, 120, 2), float(rng.uniform(0.1, 1.0)))
                 for _ in range(int(rng.integers(1, 5)))
             ]
-            cfg = fusion.FusionConfig(bandwidth=float(rng.uniform(0.5, 25.0)))
-            val = fusion.npmi(h_i, h_j, votes, cfg, total_mass=total)
+            bandwidth = float(rng.uniform(0.5, 25.0))
+            val = fusion.npmi(h_i, h_j, votes, bandwidth, total_mass=total)
             assert -1.0 <= val <= 1.0
         print("\n[criterion 5] PASS  boundaries within 1e-6; bounded over "
               "1000 random configurations")

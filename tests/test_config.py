@@ -7,7 +7,6 @@ from hrm import config
 from hrm.config import PipelineConfig, SynthSpec, load_config, load_synth_spec
 from hrm.errors import InvalidInput, ParseError
 from hrm.features import PatchGeometry
-from hrm.fusion import FusionConfig
 from hrm.pls import LatentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -22,8 +21,7 @@ class TestDefaults:
         assert cfg.geometry.num_context == 17
         assert cfg.training.n_pos == cfg.training.n_neg == 12000
         assert cfg.scales.scales == (0.75, 1.0, 1.25, 1.5)
-        assert cfg.voting.bin_size == 4
-        assert cfg.fusion == FusionConfig(bandwidth=2.0 * cfg.voting.bin_size)
+        assert cfg.voting.stride == 1
         assert cfg.iou_threshold == 0.5
 
     def test_dataclass_defaults_match_loader(self):
@@ -37,9 +35,7 @@ class TestFileParsing:
             "[pls]\ncomponents = 8\nridge = 0.5\n"
             "[features]\npatch_size = 6\nneighbor_offsets = 6 0 -6 0\n"
             "[training]\nn_pos = 100\nn_neg = 50\nseed = 9\n"
-            "[voting]\nscales = 0.5 1.0 2.0\nstride = 2\nbin_size = 2\n"
-            "smoothing = 0.5\n"
-            "[fusion]\nbandwidth = 3.5\n"
+            "[voting]\nscales = 0.5 1.0 2.0\nstride = 2\nmaxima_radius = 2\n"
             "[pipeline]\niou_threshold = 0.4\n"
         )
         cfg = load_config(path)
@@ -48,8 +44,7 @@ class TestFileParsing:
         assert cfg.geometry.neighbor_offsets == ((6, 0), (-6, 0))
         assert cfg.training.n_pos == 100
         assert cfg.scales.scales == (0.5, 1.0, 2.0)
-        assert cfg.voting.stride == 2 and cfg.voting.smoothing == 0.5
-        assert cfg.fusion.bandwidth == 3.5
+        assert cfg.voting.stride == 2 and cfg.voting.maxima_radius == 2
         assert cfg.iou_threshold == 0.4
 
     def test_partial_file_keeps_other_defaults(self, tmp_path):
@@ -58,12 +53,6 @@ class TestFileParsing:
         cfg = load_config(path)
         assert cfg.pls.components == 3
         assert cfg.geometry.patch_size == 16
-
-    @pytest.mark.parametrize("fusion", ["", "[fusion]\n"])
-    def test_default_bandwidth_is_two_cells(self, tmp_path, fusion):
-        path = tmp_path / "cfg.ini"
-        path.write_text("[voting]\nbin_size = 3\n" + fusion)
-        assert load_config(path).fusion.bandwidth == 6.0
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
@@ -96,6 +85,13 @@ class TestFileParsing:
         path = tmp_path / "cfg.ini"
         path.write_text("[pls]\ncomponents = 4\n[plsx]\ncomponents = 4\n")
         with pytest.raises(ParseError, match=r"\[plsx\]"):
+            load_config(path)
+
+    def test_retired_section_is_unknown(self, tmp_path):
+        # [fusion] is gone: even empty, it is refused rather than ignored
+        path = tmp_path / "cfg.ini"
+        path.write_text("[fusion]\n")
+        with pytest.raises(ParseError, match=r"unknown config section \[fusion\]"):
             load_config(path)
 
     def test_default_section_is_unknown(self, tmp_path):
@@ -146,12 +142,9 @@ class TestEveryKey:
         "voting": {
             "scales": (0.5, 2.0),
             "stride": 3,
-            "bin_size": 2,
-            "smoothing": 0.5,
             "min_score_fraction": 0.2,
             "maxima_radius": 5,
         },
-        "fusion": {"bandwidth": 3.5},
         "pipeline": {"iou_threshold": 0.4},
     }
 
@@ -164,12 +157,11 @@ class TestEveryKey:
         return str(value)
 
     @staticmethod
-    def owners(cfg, fusion):
+    def owners(cfg):
         # [voting] fills two dataclasses: ScaleSet takes scales
         return {
             "pls": cfg.pls, "features": cfg.geometry, "training": cfg.training,
-            "voting": cfg.voting, "scales": cfg.scales, "fusion": fusion,
-            "pipeline": cfg,
+            "voting": cfg.voting, "scales": cfg.scales, "pipeline": cfg,
         }
 
     def test_every_key_lands_on_its_field(self, tmp_path):
@@ -180,8 +172,8 @@ class TestEveryKey:
             for section, keys in self.VALUES.items()
         ))
         cfg = load_config(path)
-        parsed = self.owners(cfg, cfg.fusion)
-        defaults = self.owners(load_config(None), FusionConfig())
+        parsed = self.owners(cfg)
+        defaults = self.owners(load_config(None))
         for section, keys in self.VALUES.items():
             for key, want in keys.items():
                 owner = "scales" if key == "scales" else section

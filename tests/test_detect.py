@@ -109,21 +109,21 @@ WIDE_OFFSETS = ((8, 0), (-8, 0), (0, 8), (0, -8))
 
 class TestVotingConfig:
     @pytest.mark.parametrize("kwargs", [
-        dict(stride=0), dict(stride=-1), dict(bin_size=0), dict(smoothing=-0.5),
-        dict(smoothing=float("nan")), dict(maxima_radius=0),
-        dict(min_score_fraction=-0.1), dict(min_score_fraction=1.5),
-        dict(min_score_fraction=float("nan")), dict(smoothing=float("inf")),
-        dict(stride=2**63), dict(smoothing=1e300), dict(smoothing=1e6 * (1 + 1e-15)),
+        dict(stride=0), dict(stride=-1), dict(maxima_radius=-1),
+        dict(min_score_fraction=-float("inf")), dict(min_score_fraction=float("inf")),
+        dict(maxima_radius=0), dict(min_score_fraction=-0.1),
+        dict(min_score_fraction=1.5), dict(min_score_fraction=float("nan")),
+        dict(stride=2**64), dict(stride=2**63), dict(min_score_fraction=1 + 1e-15),
+        dict(min_score_fraction=-1e-300),
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(InvalidInput):
             VotingConfig(**kwargs)
 
     def test_accepts_edges(self):
-        VotingConfig(stride=1, bin_size=1, smoothing=0.0, maxima_radius=1,
-                     min_score_fraction=0.0)
+        VotingConfig(stride=1, maxima_radius=1, min_score_fraction=0.0)
         VotingConfig(min_score_fraction=1.0)
-        VotingConfig(stride=2**63 - 1, smoothing=1e6)
+        VotingConfig(stride=2**63 - 1)
 
 
 class TestComputePatchVotes:
@@ -240,6 +240,24 @@ class TestComputePatchVotes:
         img = np.random.default_rng(1).random((10, 10))
         assert len(compute_patch_votes(img, bank, VotingConfig())) == 0
 
+    @pytest.mark.parametrize("shape", [(4, 9), (9, 4), (3, 3, 3)])
+    def test_image_under_five_px_without_patch(self, shape):
+        # no 6x6 patch fits, so there is nothing to vote on: the 5x5 minimum
+        # of the feature channels must not refuse the image first
+        bank = random_linear_bank(PatchGeometry(6, ((6, 0),)), np.random.default_rng(0))
+        img = np.random.default_rng(1).random(shape)
+        assert len(compute_patch_votes(img, bank, VotingConfig())) == 0
+
+    def test_image_under_five_px_is_refused_for_shape_or_patch(self):
+        rng = np.random.default_rng(0)
+        img = rng.random((4, 9))
+        no_patch = random_linear_bank(PatchGeometry(6, ((6, 0),)), rng)
+        with pytest.raises(InvalidInput, match="grey"):  # the shape is checked first
+            compute_patch_votes(img[..., None], no_patch, VotingConfig())
+        one_patch = random_linear_bank(PatchGeometry(3, ()), rng)
+        with pytest.raises(InvalidInput, match="at least 5x5"):
+            compute_patch_votes(img, one_patch, VotingConfig())
+
     def test_stride_controls_grid(self):
         img = np.random.default_rng(2).random((15, 15))
         bank = constant_bank(1.0)
@@ -265,19 +283,17 @@ class TestDetect:
         assert float(result.cuboid.levels.max()) == 0.0
 
     def test_image_under_one_bin_yields_nothing(self):
-        # a 5x5 image has no 6x6 patch and one 8-px bin, whose cell has no
+        # a 4x4 image has no 6x6 patch and one 4-px bin, whose cell has no
         # neighbor on the grid: no votes must not make a 0-score detection
         bank = random_linear_bank(PatchGeometry(6, ((6, 0),)), np.random.default_rng(0))
-        img = np.random.default_rng(3).random((5, 5))
-        result = detect(img, bank, ScaleSet((1.0, 1.25)), VotingConfig(bin_size=8))
+        img = np.random.default_rng(3).random((4, 4))
+        result = detect(img, bank, ScaleSet((1.0, 1.25)))
         assert result.cuboid.levels.shape == (2, 1, 1)
         assert result.hypotheses_prefusion == [] and result.detections == []
 
     def test_detections_sorted_and_boxed(self):
-        img = np.random.default_rng(14).random((64, 64))  # two detections
-        result = detect(
-            img, fitted_bank(), ScaleSet((1.0, 1.25)), VotingConfig(stride=2, bin_size=2)
-        )
+        img = np.random.default_rng(3).random((64, 64))  # two detections
+        result = detect(img, fitted_bank(2), ScaleSet((1.0, 1.25)), VotingConfig(stride=2))
         scores = [d.score for d in result.detections]
         assert len(scores) > 1 and scores == sorted(scores, reverse=True)
         for d in result.detections:
@@ -286,14 +302,27 @@ class TestDetect:
                              d.center[0] + w / 2, d.center[1] + w / 2)
 
     def test_fusion_never_adds_detections(self):
-        img = np.random.default_rng(14).random((64, 64))  # fusion drops one of three
-        result = detect(
-            img, fitted_bank(), ScaleSet((1.0, 1.25)), VotingConfig(stride=2, bin_size=2)
-        )
+        img = np.random.default_rng(3).random((64, 64))  # fusion drops two of four
+        result = detect(img, fitted_bank(2), ScaleSet((1.0, 1.25)), VotingConfig(stride=2))
         hypotheses = {(h.center, h.scale, h.score) for h in result.hypotheses_prefusion}
         kept = [(d.center, d.scale, d.score) for d in result.detections]
         assert len(kept) < len(result.hypotheses_prefusion)
         assert len(set(kept)) == len(kept) and set(kept) <= hypotheses
+
+    def test_fuses_at_two_cells(self, monkeypatch):
+        import hrm.detect as m
+
+        seen, fuse = [], m.fuse
+
+        def spy(hypotheses, votes, bandwidth, total_mass):
+            seen.append(bandwidth)
+            return fuse(hypotheses, votes, bandwidth, total_mass)
+
+        monkeypatch.setattr(m, "fuse", spy)
+        img = np.random.default_rng(3).random((64, 64))
+        result = detect(img, fitted_bank(2), ScaleSet((1.0, 1.25)), VotingConfig(stride=2))
+        assert result.cuboid.bin_size == 4
+        assert seen == [8.0]
 
     def test_deterministic(self):
         img = np.random.default_rng(6).random((20, 20))
