@@ -7,7 +7,9 @@ step differs, and the head is the same for either sign of a column of W.
 centred data, deflating in between; :func:`bpls_weights` takes all
 components from one top-c eigensolve of a ridge-stabilized cross-covariance
 matrix built from :func:`centred_moments`, so the bridge fit never forms
-the centred data or the scores.  Training forms one Gram per class:
+the centred data or the scores.  At a small ridge that matrix's trailing
+eigenvectors are rounding noise, so there the bridge step solves its
+well-posed limit instead, by Lanczos.  Training forms one Gram per class:
 :func:`label_moments` pools the positives' moments with the negatives' for
 the label fit.  The bridge fit runs all its dense algebra in SciPy's
 BLAS/LAPACK: NumPy bundles a second OpenBLAS, and alternating the two slows
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 from scipy.linalg import blas
+from scipy.sparse import linalg as sparse_linalg
 
 from .errors import DegenerateFit, InvalidComponents, InvalidInput
 
@@ -33,9 +36,18 @@ _COND_LIMIT = 1e12
 # Rows centred at a time while accumulating the Gram matrix.
 _BLOCK_ROWS = 1024
 
-# Columns per strip of the symmetry check and of the Gram's mirror, so that
-# neither forms a p x p temporary.
+# Columns per strip of the symmetry check, of the Gram's mirror and of the
+# label Gram's rank-one term, so that none forms a p x p temporary.
 _SYMMETRY_STRIP = 64
+
+_EPS = np.finfo(np.float64).eps
+
+# Lanczos solves a projected problem for k eigenpairs when k * _LANCZOS_SPAN
+# < p, and LAPACK's evr otherwise.  Measured on captured fit Grams at one
+# BLAS thread, Lanczos took 6 against 58 ms at p 936, k 6 (c6), and 143
+# against 410 ms at p 1664, k 98 (wide); the two tie at p / k of about 6.5
+# (p 936) and 8 (p 1664), and Lanczos is 3-6x slower at k >= p / 4.
+_LANCZOS_SPAN = 8
 
 @dataclass(frozen=True)
 class RegressionModel:
@@ -69,13 +81,23 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return a
 
 
-def dominant_eigenvectors(M, c: int) -> np.ndarray:
+def dominant_eigenvectors(M, c: int, basis=None) -> np.ndarray:
     """First ``c`` dominant eigenvectors of a symmetric matrix, as columns.
 
     Columns are unit-norm and ordered by descending eigenvalue; each keeps
     the eigensolver's sign, on which no head ``B = W H^-1 R`` depends, even
-    in floating point.  Only the top ``c`` eigenpairs are computed.  The
-    eigensolver may overwrite M, which saves a p x p copy.
+    in floating point.  Only the top ``c`` eigenpairs are computed.
+
+    Without ``basis``, M is solved by LAPACK's ``evr``, which may overwrite
+    M and so saves a p x p copy.  With an orthonormal p x r ``basis`` U, the
+    columns are U's followed by the top ``c - r`` eigenvectors of the
+    projection ``(I - U U^T) M (I - U U^T)`` (just ``U[:, :c]`` when c <= r).
+    M is then only read: Lanczos (ARPACK's ``eigsh``) applies the projection
+    around one ``dsymv`` per step, from a fixed start vector (and a fixed
+    seed for any restart vector ARPACK asks for), so a rerun gives the same
+    bits.  The projection is formed, and solved by ``evr``, only where that
+    is faster (``8 (c - r) >= p``, which takes in every c where Lanczos
+    cannot run) or where Lanczos does not converge.
     """
     M = _as_matrix(M, "M")
     if M.shape[0] != M.shape[1]:
@@ -90,15 +112,63 @@ def dominant_eigenvectors(M, c: int) -> np.ndarray:
             raise InvalidInput("M is not symmetric")
     if not 1 <= c <= p:
         raise InvalidInput(f"component count {c} outside [1, {p}]")
+    if basis is None:
+        return _dense_top(M, c)
 
+    U = np.asfortranarray(basis, dtype=np.float64)
+    if U.ndim != 2 or not 1 <= U.shape[1] <= p or U.shape[0] != p:
+        raise InvalidInput(f"basis must be p x r with 1 <= r <= p = {p}, got {U.shape}")
+    r = U.shape[1]
+    if c <= r:
+        return U[:, :c].copy(order="F")
+    W = np.empty((p, c), order="F")
+    W[:, :r] = U
+    W[:, r:] = _projected_top(np.asfortranarray(M), U, c - r)
+    return W
+
+
+def _dense_top(M, k: int) -> np.ndarray:
+    """Top ``k`` eigenvectors of M by LAPACK ``evr``, descending; M may be
+    overwritten."""
+    p = M.shape[0]
     try:
         _, V = linalg.eigh(  # ascending order
-            M, subset_by_index=(p - c, p - 1), driver="evr", overwrite_a=True,
+            M, subset_by_index=(p - k, p - 1), driver="evr", overwrite_a=True,
             check_finite=False,
         )
     except np.linalg.LinAlgError as e:
         raise DegenerateFit(f"eigensolver failed: {e}") from e
     return V[:, ::-1]
+
+
+def _project(U, x):
+    """``(I - U U^T) x`` in SciPy's BLAS; x is left as it is."""
+    return blas.dgemv(-1.0, U, blas.dgemv(1.0, U, x, trans=1), beta=1.0, y=x)
+
+
+def _projected_top(M, U, k: int) -> np.ndarray:
+    """Top ``k`` eigenvectors of ``(I - U U^T) M (I - U U^T)``, descending,
+    for an F-ordered M: Lanczos where it is the faster, else ``evr`` on the
+    formed projection."""
+    p = M.shape[0]
+    if k * _LANCZOS_SPAN < p:
+        op = sparse_linalg.LinearOperator(
+            (p, p), matvec=lambda x: _project(U, blas.dsymv(1.0, M, _project(U, x))),
+            dtype=np.float64,
+        )
+        try:
+            _, V = sparse_linalg.eigsh(
+                op, k, which="LA", v0=_project(U, np.ones(p)), tol=0, rng=0
+            )
+            return V[:, ::-1]
+        except sparse_linalg.ArpackError:
+            pass  # failed or did not converge: solve the formed projection
+    # P M P = M - U T^T - T U^T, with T = M U - U (U^T M U) / 2
+    MU = blas.dsymm(1.0, M, U)
+    T = blas.dgemm(-0.5, U, blas.dgemm(1.0, U, MU, trans_a=1), beta=1.0, c=MU)
+    A = blas.dgemm(-1.0, U, T, trans_b=1, beta=1.0, c=M)  # M is copied
+    A = blas.dgemm(-1.0, T, U, trans_b=1, beta=1.0, c=A, overwrite_c=1)
+    return _dense_top(A, k)
 
 
 def _check_components(c: int, n: int, p: int) -> None:
@@ -171,7 +241,9 @@ def label_moments(X, n_pos: int, G_pos, mean_pos):
     d = mean_pos - mean_neg
     v = np.sqrt(n_pos * n_neg / n) * d
     G += G_pos
-    G += v[:, None] * v  # v_i v_j == v_j v_i, so G stays exactly symmetric
+    for k in range(0, len(v), _SYMMETRY_STRIP):  # v v^T by column strips
+        strip = slice(k, k + _SYMMETRY_STRIP)
+        G[:, strip] += v[:, None] * v[strip]  # v_i v_j == v_j v_i: G stays symmetric
     mean_x = (n_pos * mean_pos + n_neg * mean_neg) / n
     XtY = (2.0 * n_pos * n_neg / n * d)[:, None]
     return G, XtY, mean_x, np.array([(n_pos - n_neg) / n])
@@ -226,7 +298,31 @@ def bpls_weights(G, XtY, c: int, alpha: float) -> np.ndarray:
     """Bridge latent step on centred moments: W holds the first ``c`` dominant
     eigenvectors of ``M = alpha G + (1 - alpha) XtY XtY^T``, which is
     ``Xc^T (alpha I + (1 - alpha) Yc Yc^T) Xc``, from one eigensolve.
+
+    Let XtY = U S V^T, with r singular values s_1 >= ... >= s_r above
+    rounding (XtY's numerical rank, at most its column count q).  As
+    alpha -> 0, M's top c eigenvectors tend to W = [U, top c - r eigenvectors
+    of Gp = (I - U U^T) G (I - U U^T)], a problem that does not depend on
+    alpha.  With beta = alpha / (1 - alpha), M / (1 - alpha) is
+    XtY XtY^T + beta G, whose eigenvalues past the r-th are of order
+    beta ||G||.  A solver's rounding on M, of order eps s_1^2, turns their
+    eigenvectors by about eps s_1^2 / (beta ||G||); the limit is off them by
+    about beta ||G|| / s_r^2, U's coupling to the rest over the gap (both
+    over Gp's relative eigengap).  So the limit is the more accurate answer
+    where beta ||G|| <= sqrt(eps) s_1 s_r, with ||G|| bounded by tr G: the
+    rule below, times 1 - alpha.  It holds by a factor of 700 or more on
+    every benchmark fit at alpha = 1e-10; there Gp is solved (by Lanczos)
+    and M is not formed.  Elsewhere, as at alpha = 0.3 or at alpha = 1
+    (PCR), M is formed and solved whole.  An r below q (collinear columns
+    of XtY) and alpha = 0 take the limit too.
     """
+    try:
+        U, s, _ = linalg.svd(XtY, full_matrices=False, check_finite=False)
+    except np.linalg.LinAlgError as e:
+        raise DegenerateFit(f"cross-covariance SVD failed: {e}") from e
+    r = int(np.count_nonzero(s > s[0] * max(XtY.shape) * _EPS))
+    if r and alpha * np.trace(G) <= np.sqrt(_EPS) * s[0] * s[r - 1] * (1.0 - alpha):
+        return dominant_eigenvectors(G, c, U[:, :r])
     M = blas.dgemm(1.0 - alpha, XtY, XtY, trans_b=1, beta=alpha, c=G)  # G is copied
     return dominant_eigenvectors(M, c)
 

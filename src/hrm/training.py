@@ -225,7 +225,8 @@ def fit_context(
     centred moments, and the label fit pools them with the negatives'.  The
     voting fit runs before the negatives' Gram is formed, and the positives'
     Gram is released before the label fit, so at most two p x p arrays are
-    alive at once: two Grams, or a fit's Gram and the M it solves in place.
+    alive at once: two Grams, or a fit's Gram and, where the ridge is not
+    small, the M it solves in place.
     """
 
     def fit(X, Y, moments, family):

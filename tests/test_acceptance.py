@@ -48,13 +48,13 @@ class TestCriterion1BplsPlsAgreement:
 class TestCriterion2BplsEfficiency:
     def test_eigendecomposition_counts(self, monkeypatch):
         calls = []
-        eigh = pls.linalg.eigh
+        solve = pls.dominant_eigenvectors
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return eigh(*args, **kwargs)
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(pls.linalg, "eigh", counted)
+        monkeypatch.setattr(pls, "dominant_eigenvectors", counted)
         rng = np.random.default_rng(101)
         X = rng.standard_normal((60, 24))
         Y = rng.standard_normal((60, 2))

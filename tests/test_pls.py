@@ -247,6 +247,28 @@ class TestLabelMoments:
         assert np.linalg.norm(G - G_ref) <= 1e-12 * np.linalg.norm(G_ref)
         assert np.allclose(XtY, XtY_ref, rtol=1e-12, atol=0)
 
+    def test_holds_one_p_by_p_array(self):
+        # the pooled Gram is the only p x p array formed: the rank-one term
+        # goes in by strips, with no p x p temporary
+        import tracemalloc
+
+        p = 300
+        rng = np.random.default_rng(34)
+        X, _ = self.classes(rng, 60, 60, p=p)
+        G_pos, _, mean_pos, _ = pls.centred_moments(X[:60], np.ones((60, 1)), 2)
+        tracemalloc.start()
+        try:
+            G = pls.label_moments(X, 60, G_pos, mean_pos)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # G, one 60-row centring block and one strip of the rank-one term
+        assert peak <= 8 * (p * p + 2 * 60 * p + pls._SYMMETRY_STRIP * p) + 65536
+        G_ref = np.array(G_pos)
+        G_ref += pls.centred_moments(X[60:], np.ones((60, 1)), 2)[0]
+        v = np.sqrt(60 * 60 / 120) * (mean_pos - X[60:].mean(axis=0))
+        assert np.array_equal(G, G_ref + v[:, None] * v)
+
     def test_validates_the_negatives_and_the_split(self):
         X = np.ones((6, 3))
         G, mean = np.zeros((3, 3)), np.ones(3)
@@ -399,6 +421,103 @@ class TestBplsFit:
             pls.bpls_fit(rng.standard_normal((10, 4)), rng.standard_normal((10, 1)), 2, 0.5)
 
 
+class TestProjectedBridge:
+    """At a small ridge the bridge step solves M's alpha -> 0 limit: XtY's
+    left singular vectors, then the top eigenvectors of G projected off
+    them, by Lanczos or, past the crossover or on no convergence, by evr."""
+
+    @staticmethod
+    def data(rng, n=200, p=60, q=2):
+        X = rng.standard_normal((n, p)) * rng.uniform(0.5, 3.0, p)
+        Y = X @ rng.standard_normal((p, q)) + rng.standard_normal((n, q))
+        return X, Y
+
+    @staticmethod
+    def rel(B, B_ref):
+        return np.linalg.norm(B - B_ref) / np.linalg.norm(B_ref)
+
+    def test_weights_are_the_limit(self):
+        rng = np.random.default_rng(40)
+        X, Y = self.data(rng)
+        G, XtY = moments(X, Y, 8)
+        W = pls.bpls_weights(G, XtY, 8, 1e-10)
+        U = np.linalg.svd(XtY, full_matrices=False)[0]
+        P = np.eye(60) - U @ U.T
+        V = np.linalg.eigh(P @ G @ P)[1][:, ::-1][:, :6]
+        assert np.linalg.norm(W[:, :2] @ W[:, :2].T - U @ U.T) <= 1e-12
+        assert np.linalg.norm(W[:, 2:] @ W[:, 2:].T - V @ V.T) <= 1e-10
+        assert np.max(np.abs(W.T @ W - np.eye(8))) <= 1e-12
+
+    def test_one_component_is_top_singular_vector(self):
+        rng = np.random.default_rng(41)
+        X, Y = self.data(rng)
+        G, XtY = moments(X, Y, 1)
+        W = pls.bpls_weights(G, XtY, 1, 1e-10)
+        u = np.linalg.svd(XtY, full_matrices=False)[0][:, 0]
+        assert W.shape == (60, 1)
+        assert abs(abs(u @ W[:, 0]) - 1.0) <= 1e-14
+
+    def test_collinear_vote_columns(self):
+        # rank XtY = 1 < q = 2: the fit is the one-column fit, twice
+        rng = np.random.default_rng(42)
+        X, y = self.data(rng, q=1)
+        Y = np.hstack([y, 2.0 * y])
+        B = pls.bpls_fit(X, Y, 6, 1e-10).coefficients
+        b = pls.bpls_fit(X, y, 6, 1e-10).coefficients
+        assert self.rel(B[:, :1], b) <= 1e-10
+        assert self.rel(B[:, 1:], 2.0 * b) <= 1e-10
+
+    def test_zero_alpha_is_the_small_alpha_limit(self):
+        rng = np.random.default_rng(43)
+        X, Y = self.data(rng)
+        B0 = pls.bpls_fit(X, Y, 8, 0.0).coefficients
+        assert self.rel(B0, pls.bpls_fit(X, Y, 8, 1e-10).coefficients) <= 1e-9
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_dense_paths_match_lanczos(self, monkeypatch, q):
+        rng = np.random.default_rng(44)
+        X, Y = self.data(rng, p=120, q=q)
+        B = pls.bpls_fit(X, Y, 10, 1e-10).coefficients  # 8 k < p: Lanczos
+
+        def no_convergence(*args, **kwargs):
+            raise pls.sparse_linalg.ArpackNoConvergence("no convergence", [], [])
+
+        with monkeypatch.context() as m:
+            m.setattr(pls.sparse_linalg, "eigsh", no_convergence)
+            assert self.rel(pls.bpls_fit(X, Y, 10, 1e-10).coefficients, B) <= 1e-10
+        with monkeypatch.context() as m:
+            m.setattr(pls, "_LANCZOS_SPAN", 120)  # past the crossover
+            assert self.rel(pls.bpls_fit(X, Y, 10, 1e-10).coefficients, B) <= 1e-10
+
+    def test_lanczos_failure_then_dense_failure_is_degenerate_fit(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise pls.sparse_linalg.ArpackNoConvergence("no convergence", [], [])
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(pls.sparse_linalg, "eigsh", no_convergence)
+        monkeypatch.setattr(pls.linalg, "eigh", fail)
+        X, Y = self.data(np.random.default_rng(45))
+        with pytest.raises(DegenerateFit, match="eigensolver failed: did not converge"):
+            pls.bpls_fit(X, Y, 4, 1e-10)
+
+    def test_bridge_ridge_keeps_m(self):
+        # alpha tr(G) is 72x sqrt(eps) s_1 s_q here: the limit is off M's
+        # eigenvectors by more than M's rounding, so M is solved whole
+        rng = np.random.default_rng(47)
+        X, Y = self.data(rng, p=12)
+        B = pls.bpls_fit(X, Y, 4, 1e-3).coefficients
+        assert self.rel(B, bpls_reference(X, Y, 4, 1e-3)) <= 1e-9
+        assert self.rel(B, pls.bpls_fit(X, Y, 4, 0.0).coefficients) >= 1e-8
+
+    def test_rejects_bad_basis(self):
+        with pytest.raises(InvalidInput, match="basis"):
+            pls.dominant_eigenvectors(np.eye(4), 2, np.ones((3, 1)))
+        with pytest.raises(InvalidInput, match="basis"):
+            pls.dominant_eigenvectors(np.eye(4), 2, np.ones((4, 0)))
+
+
 class TestLatentSteps:
     """Each fit's coefficients lie in the span of its latent step's weights,
     so the W and T checks above test the weights the fits use."""
@@ -489,15 +608,16 @@ class TestCrossValidation:
 
 class TestEigensolverCounting:
     def test_counts(self, monkeypatch):
-        # every SciPy eigh call that the fits make, looked up on pls.linalg
+        # every eigensolve that the fits make, looked up on pls: the dense
+        # M path and the projected Lanczos path both run in it
         calls = []
-        eigh = pls.linalg.eigh
+        solve = pls.dominant_eigenvectors
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return eigh(*args, **kwargs)
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(pls.linalg, "eigh", counted)
+        monkeypatch.setattr(pls, "dominant_eigenvectors", counted)
         rng = np.random.default_rng(21)
         X = rng.standard_normal((30, 10))
         Y = rng.standard_normal((30, 2))
