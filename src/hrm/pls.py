@@ -96,8 +96,8 @@ def dominant_eigenvectors(M, c: int, basis=None) -> np.ndarray:
     around one ``dsymv`` per step, from a fixed start vector (and a fixed
     seed for any restart vector ARPACK asks for), so a rerun gives the same
     bits.  The projection is formed, and solved by ``evr``, only where that
-    is faster (``8 (c - r) >= p``, which takes in every c where Lanczos
-    cannot run) or where Lanczos does not converge.
+    is faster (``_LANCZOS_SPAN * (c - r) >= p``, which takes in every c
+    where Lanczos cannot run) or where Lanczos does not converge.
     """
     M = _as_matrix(M, "M")
     if M.shape[0] != M.shape[1]:

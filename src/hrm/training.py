@@ -225,8 +225,10 @@ def fit_context(
     centred moments, and the label fit pools them with the negatives'.  The
     voting fit runs before the negatives' Gram is formed, and the positives'
     Gram is released before the label fit, so at most two p x p arrays are
-    alive at once: two Grams, or a fit's Gram and, where the ridge is not
-    small, the M it solves in place.
+    alive at once: two Grams, or a fit's Gram and one array built from it:
+    the M that ``eigh`` solves in place where the ridge is not small, or,
+    at small ridge, the projected Gram that only the dense fallback forms
+    (past the Lanczos crossover, or when Lanczos does not converge).
     """
 
     def fit(X, Y, moments, family):
