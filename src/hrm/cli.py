@@ -5,12 +5,12 @@
 the annotated boxes, and :func:`~hrm.training.train_from_samples` stores that
 box in the model; ``detect`` boxes each hypothesis at its level times it.
 
-Exit codes: 0 success, 2 input or I/O error, 3 model error, as each
-``HRMError`` says by its ``exit_code``.  Both worker pools, detection's per
-image and training's per canvas, run at most HRM_THREADS threads and at most
-the usable cores (the CPU affinity).  Detection's image threads x NumPy BLAS
-threads <= usable cores.  Outputs depend on neither count.  All output files
-are written atomically (temp file + rename).
+Exit codes: 0 success, 2 input or I/O error or out of memory, 3 model
+error, as each ``HRMError`` says by its ``exit_code``.  Both worker pools,
+detection's per image and training's per canvas, run at most HRM_THREADS
+threads and at most the usable cores (the CPU affinity).  Detection's image
+threads x NumPy BLAS threads <= usable cores.  Outputs depend on neither
+count.  All output files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -262,6 +262,9 @@ def main(argv=None) -> int:
         code = getattr(e, "exit_code", 2)  # an OSError is an I/O error
         print(f"{'model error' if code == 3 else 'error'}: {e}", file=sys.stderr)
         return code
+    except MemoryError as e:  # NumPy's names the allocation that failed
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

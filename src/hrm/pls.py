@@ -13,7 +13,9 @@ well-posed limit instead, by Lanczos.  Training forms one Gram per class:
 :func:`label_moments` pools the positives' moments with the negatives' for
 the label fit.  The bridge fit runs all its dense algebra in SciPy's
 BLAS/LAPACK: NumPy bundles a second OpenBLAS, and alternating the two slows
-both.  Training uses only the bridge path; the iterative one is the tests'
+both.  As in LAPACK, each symmetric matrix (G, M, the projected Gram) is
+held in its upper triangle; the lower is unspecified and never read.
+Training uses only the bridge path; the iterative one is the tests'
 reference.
 """
 
@@ -36,9 +38,9 @@ _COND_LIMIT = 1e12
 # Rows centred at a time while accumulating the Gram matrix.
 _BLOCK_ROWS = 1024
 
-# Columns per strip of the symmetry check, of the Gram's mirror and of the
-# label Gram's rank-one term, so that none forms a p x p temporary.
-_SYMMETRY_STRIP = 64
+# Columns per strip of the label Gram's rank-one term, so that it forms no
+# p x p temporary.
+_RANK_ONE_STRIP = 64
 
 _EPS = np.finfo(np.float64).eps
 
@@ -82,11 +84,13 @@ def _as_matrix(a, name: str) -> np.ndarray:
 
 
 def dominant_eigenvectors(M, c: int, basis=None) -> np.ndarray:
-    """First ``c`` dominant eigenvectors of a symmetric matrix, as columns.
+    """First ``c`` dominant eigenvectors of a symmetric positive semi-definite
+    matrix, read from its upper triangle, as columns.
 
     Columns are unit-norm and ordered by descending eigenvalue; each keeps
     the eigensolver's sign, on which no head ``B = W H^-1 R`` depends, even
-    in floating point.  Only the top ``c`` eigenpairs are computed.
+    in floating point.  Only the top ``c`` eigenpairs are computed.  Each M
+    here is a sum of Grams, bounded by its diagonal, so only that is checked.
 
     Without ``basis``, M is solved by LAPACK's ``evr``, which may overwrite
     M and so saves a p x p copy.  With an orthonormal p x r ``basis`` U, the
@@ -99,17 +103,12 @@ def dominant_eigenvectors(M, c: int, basis=None) -> np.ndarray:
     is faster (``_LANCZOS_SPAN * (c - r) >= p``, which takes in every c
     where Lanczos cannot run) or where Lanczos does not converge.
     """
-    M = _as_matrix(M, "M")
-    if M.shape[0] != M.shape[1]:
-        raise InvalidInput(f"M must be square, got {M.shape}")
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise InvalidInput(f"M must be a square matrix, got shape {M.shape}")
+    if not np.all(np.isfinite(np.diagonal(M))):
+        raise InvalidInput("M contains non-finite entries")
     p = M.shape[0]
-    tol = 1e-9 * max(M.max(), -M.min())
-    for k in range(0, p, _SYMMETRY_STRIP):
-        # the strip's columns from row k down against the mirrored rows; the
-        # pairs above row k were compared in earlier strips
-        strip = slice(k, k + _SYMMETRY_STRIP)
-        if np.max(np.abs(M[k:, strip] - M[strip, k:].T)) > tol:
-            raise InvalidInput("M is not symmetric")
     if not 1 <= c <= p:
         raise InvalidInput(f"component count {c} outside [1, {p}]")
     if basis is None:
@@ -133,8 +132,8 @@ def _dense_top(M, k: int) -> np.ndarray:
     p = M.shape[0]
     try:
         _, V = linalg.eigh(  # ascending order
-            M, subset_by_index=(p - k, p - 1), driver="evr", overwrite_a=True,
-            check_finite=False,
+            M, lower=False, subset_by_index=(p - k, p - 1), driver="evr",
+            overwrite_a=True, check_finite=False,
         )
     except np.linalg.LinAlgError as e:
         raise DegenerateFit(f"eigensolver failed: {e}") from e
@@ -166,9 +165,7 @@ def _projected_top(M, U, k: int) -> np.ndarray:
     # P M P = M - U T^T - T U^T, with T = M U - U (U^T M U) / 2
     MU = blas.dsymm(1.0, M, U)
     T = blas.dgemm(-0.5, U, blas.dgemm(1.0, U, MU, trans_a=1), beta=1.0, c=MU)
-    A = blas.dgemm(-1.0, U, T, trans_b=1, beta=1.0, c=M)  # M is copied
-    A = blas.dgemm(-1.0, T, U, trans_b=1, beta=1.0, c=A, overwrite_c=1)
-    return _dense_top(A, k)
+    return _dense_top(blas.dsyr2k(-1.0, U, T, beta=1.0, c=M), k)  # M is copied
 
 
 def _check_components(c: int, n: int, p: int) -> None:
@@ -191,9 +188,9 @@ def _fit_inputs(X, Y, c: int):
 
 
 def _centred_products(X, mx, Y=None, my=None):
-    """G = Xc^T Xc, and Xc^T Yc when Y is given.  Rows are centred a block at
-    a time: no n x p centred copy, and none of the cancellation of
-    ``X^T X - n m m^T``."""
+    """G = Xc^T Xc (upper triangle), and Xc^T Yc when Y is given.  Rows are
+    centred a block at a time: no n x p centred copy, and none of the
+    cancellation of ``X^T X - n m m^T``.  G is finite where its trace is."""
     p = X.shape[1]
     G = np.zeros((p, p), order="F")
     XtY = None if Y is None else np.zeros((p, Y.shape[1]), order="F")
@@ -205,17 +202,15 @@ def _centred_products(X, mx, Y=None, my=None):
         if Y is not None:
             Yc = Y[i : i + _BLOCK_ROWS] - my
             XtY = blas.dgemm(1.0, At, Yc, beta=1.0, c=XtY, overwrite_c=1)
-    s = _SYMMETRY_STRIP  # mirror into the lower triangle, still zero, by strips
-    for k in range(0, p, s):
-        strip = slice(k, k + s)
-        G[strip, strip] += np.triu(G[strip, strip], 1).T
-        G[k + s :, strip] = G[strip, k + s :].T
+    if not np.isfinite(np.trace(G)):
+        raise InvalidInput("the Gram of X overflowed: rescale X")
     return G, XtY
 
 
 def centred_moments(X, Y, c: int):
     """Validate a fit's inputs; return ``(G, XtY, mean_x, mean_y)`` with
-    G = Xc^T Xc and XtY = Xc^T Yc, formed a block of rows at a time."""
+    G = Xc^T Xc (its upper triangle only) and XtY = Xc^T Yc, formed a block
+    of rows at a time."""
     X, Y, mx, my = _fit_inputs(X, Y, c)
     return (*_centred_products(X, mx, Y, my), mx, my)
 
@@ -223,7 +218,7 @@ def centred_moments(X, Y, c: int):
 def label_moments(X, n_pos: int, G_pos, mean_pos):
     """Centred moments ``(G, XtY, mean_x, mean_y)`` of X against the labels
     +1 on its first ``n_pos`` rows and -1 on the rest, given G and the mean of
-    the first rows (from :func:`centred_moments`).
+    the first rows (from :func:`centred_moments`); both Grams are upper.
 
     Only the rest is read: it is validated and its Gram G- formed.  The
     classes pool as in Chan, Golub & LeVeque (1979), a sum of positive
@@ -241,9 +236,9 @@ def label_moments(X, n_pos: int, G_pos, mean_pos):
     d = mean_pos - mean_neg
     v = np.sqrt(n_pos * n_neg / n) * d
     G += G_pos
-    for k in range(0, len(v), _SYMMETRY_STRIP):  # v v^T by column strips
-        strip = slice(k, k + _SYMMETRY_STRIP)
-        G[:, strip] += v[:, None] * v[strip]  # v_i v_j == v_j v_i: G stays symmetric
+    for k in range(0, len(v), _RANK_ONE_STRIP):  # v v^T by column strips
+        strip = slice(k, k + _RANK_ONE_STRIP)
+        G[:, strip] += v[:, None] * v[strip]
     mean_x = (n_pos * mean_pos + n_neg * mean_neg) / n
     XtY = (2.0 * n_pos * n_neg / n * d)[:, None]
     return G, XtY, mean_x, np.array([(n_pos - n_neg) / n])
@@ -314,7 +309,7 @@ def bpls_weights(G, XtY, c: int, alpha: float) -> np.ndarray:
     every benchmark fit at alpha = 1e-10; there Gp is solved (by Lanczos)
     and M is not formed.  Elsewhere, as at alpha = 0.3 or at alpha = 1
     (PCR), M is formed and solved whole.  An r below q (collinear columns
-    of XtY) and alpha = 0 take the limit too.
+    of XtY) and alpha = 0 take the limit too.  G is read from its upper half.
     """
     try:
         U, s, _ = linalg.svd(XtY, full_matrices=False, check_finite=False)
@@ -323,7 +318,7 @@ def bpls_weights(G, XtY, c: int, alpha: float) -> np.ndarray:
     r = int(np.count_nonzero(s > s[0] * max(XtY.shape) * _EPS))
     if r and alpha * np.trace(G) <= np.sqrt(_EPS) * s[0] * s[r - 1] * (1.0 - alpha):
         return dominant_eigenvectors(G, c, U[:, :r])
-    M = blas.dgemm(1.0 - alpha, XtY, XtY, trans_b=1, beta=alpha, c=G)  # G is copied
+    M = blas.dsyrk(1.0 - alpha, XtY, beta=alpha, c=G)  # G is copied
     return dominant_eigenvectors(M, c)
 
 
@@ -341,7 +336,8 @@ def bpls_fit(X, Y, c: int, alpha: float, moments=None) -> RegressionModel:
 
     ``moments``, when given, are the ``(G, XtY, mean_x, mean_y)`` of these X
     and Y (from :func:`centred_moments` or :func:`label_moments`); X is then
-    read for its shape only, to bound c.
+    read for its shape only, to bound c, and Y (read only to form moments)
+    may be None.
     """
     if not 0.0 <= alpha <= 1.0:
         raise InvalidInput(f"alpha={alpha} outside [0, 1]")

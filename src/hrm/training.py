@@ -231,19 +231,18 @@ def fit_context(
     (past the Lanczos crossover, or when Lanczos does not converge).
     """
 
-    def fit(X, Y, moments, family):
+    def fit(X, moments, family):
         try:
-            return pls.bpls_fit(X, Y, cfg.components, cfg.ridge, moments)
+            return pls.bpls_fit(X, None, cfg.components, cfg.ridge, moments)
         except DegenerateFit as e:
             raise DegenerateFit(f"{family} model j={j}: {e}") from e
 
     n_pos = len(votes)
     vote = pls.centred_moments(X[:n_pos], votes, cfg.components)
-    hrm = fit(X[:n_pos], votes, vote, "voting")
+    hrm = fit(X[:n_pos], vote, "voting")
     label = pls.label_moments(X, n_pos, vote[0], vote[2])
     del vote  # the positives' Gram, now pooled into the label Gram
-    labels = np.where(np.arange(len(X)) < n_pos, 1.0, -1.0)[:, None]
-    return hrm, fit(X, labels, label, "label")
+    return hrm, fit(X, label, "label")
 
 
 def _checked(ss: SampleSet, ps: int):

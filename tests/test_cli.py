@@ -336,6 +336,19 @@ class TestTrainCommand:
         assert re.search(r"^model error: voting model j=0: eigensolver failed", err, re.M)
         assert not (tmp_path / "m.hrmb").exists()
 
+    def test_out_of_memory_is_input_error(self, workspace, tmp_path, monkeypatch,
+                                          capsys):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 13.8 GiB for an array")
+
+        monkeypatch.setattr("hrm.cli.train_from_samples", out_of_memory)
+        assert main(["train", "--config", str(workspace / "cfg.ini"),
+                     "--annotations", str(workspace / "scenes" / "annotations.txt"),
+                     "--out", str(tmp_path / "m.hrmb")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 13.8 GiB for an array\n"
+        assert not (tmp_path / "m.hrmb").exists()
+
     @pytest.mark.parametrize("pnm", [
         b"P5\nabc 3\n255\n",
         b"P2\n2 2\n255\n1 x 3 4\n",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hrm import pls
-from hrm.errors import DegenerateFit, InvalidComponents, InvalidInput
+from hrm.errors import DegenerateFit, HRMError, InvalidComponents, InvalidInput
 
 
 def lowrank_data(rng, n, p, q, rank, noise=0.0):
@@ -20,9 +20,16 @@ def centered(X, Y):
     return X - X.mean(axis=0), Y - Y.mean(axis=0)
 
 
+def full(G):
+    """The symmetric matrix held in G's upper triangle."""
+    return np.triu(G) + np.triu(G, 1).T
+
+
 def moments(X, Y, c):
-    """The centred moments (G, Xc^T Yc) a bridge fit of c components uses."""
-    return pls.centred_moments(X, Y, c)[:2]
+    """The centred moments (G, Xc^T Yc) a bridge fit of c components uses,
+    with G mirrored from its upper triangle."""
+    G, XtY = pls.centred_moments(X, Y, c)[:2]
+    return full(G), XtY
 
 
 def bpls_reference(X, Y, c, alpha):
@@ -95,21 +102,6 @@ class TestDominantEigenvectors:
         V = pls.dominant_eigenvectors(M.copy(order="C"), 4)
         assert np.array_equal(pls.dominant_eigenvectors(M.copy(order="F"), 4), V)
 
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(InvalidInput):
-            pls.dominant_eigenvectors([[0.0, 1.0], [0.0, 0.0]], 1)
-
-    def test_rejects_asymmetry_in_last_strip(self):
-        # the symmetry check runs in column strips; its only asymmetric pair
-        # lies in the last, partial one
-        p = 2 * pls._SYMMETRY_STRIP + 7
-        A = np.random.default_rng(28).standard_normal((p, p))
-        M = A + A.T
-        assert pls.dominant_eigenvectors(M, 1).shape == (p, 1)
-        M[p - 2, p - 1] += 1e-6 * np.max(np.abs(M))
-        with pytest.raises(InvalidInput, match="not symmetric"):
-            pls.dominant_eigenvectors(M, 1)
-
     def test_training_shaped_spectrum(self):
         # M as training builds it: a rank-2 cross term over 1e-10 G, so every
         # eigenvalue past the second clusters near 0.
@@ -162,21 +154,11 @@ class TestCentredMoments:
         X = 100 * S.std(axis=0) + S
         Y = rng.standard_normal((2500, 2))
         G, XtY, mx, my = pls.centred_moments(X, Y, 2)
+        G = full(G)
         Xc = X - X.mean(axis=0)
         assert np.linalg.norm(G - Xc.T @ Xc, 2) <= 1e-12 * np.linalg.norm(G, 2)
-        assert np.array_equal(G, G.T)
         assert np.allclose(XtY, Xc.T @ (Y - Y.mean(axis=0)), rtol=0, atol=1e-9)
         assert np.array_equal(mx, X.mean(axis=0)) and np.array_equal(my, Y.mean(axis=0))
-
-    def test_gram_mirror_matches_triu_mirror(self):
-        # the Gram is mirrored in column strips; this p leaves a partial last one
-        p = 2 * pls._SYMMETRY_STRIP + 7
-        rng = np.random.default_rng(29)
-        X = rng.standard_normal((300, p))
-        G = pls.centred_moments(X, rng.standard_normal((300, 1)), 1)[0]
-        assert np.array_equal(G, np.triu(G) + np.triu(G, 1).T)
-        Xc = X - X.mean(axis=0)
-        assert np.linalg.norm(G - Xc.T @ Xc, 2) <= 1e-12 * np.linalg.norm(G, 2)
 
     def test_validates_like_the_fits(self):
         X = np.ones((5, 3))
@@ -212,8 +194,8 @@ class TestLabelMoments:
         X, Y = self.classes(rng, 1300, 1100)
         G, XtY, mx, my = self.pooled(X, 1300, 2)
         G_ref, XtY_ref, mx_ref, my_ref = pls.centred_moments(X, Y, 2)
+        G, G_ref = full(G), full(G_ref)
         assert np.linalg.norm(G - G_ref, 2) <= 1e-12 * np.linalg.norm(G_ref, 2)
-        assert np.array_equal(G, G.T)
         assert np.linalg.norm(XtY - XtY_ref) <= 1e-12 * np.linalg.norm(XtY_ref)
         assert np.allclose(mx, mx_ref, rtol=1e-14, atol=0)
         assert np.allclose(my, my_ref, rtol=0, atol=1e-15)
@@ -244,6 +226,7 @@ class TestLabelMoments:
         X, Y = self.classes(rng, 20, 1, p=6)
         G, XtY, mx, my = self.pooled(X, 20, 2)
         G_ref, XtY_ref, mx_ref, my_ref = pls.centred_moments(X, Y, 2)
+        G, G_ref = full(G), full(G_ref)
         assert np.linalg.norm(G - G_ref) <= 1e-12 * np.linalg.norm(G_ref)
         assert np.allclose(XtY, XtY_ref, rtol=1e-12, atol=0)
 
@@ -263,7 +246,7 @@ class TestLabelMoments:
         finally:
             tracemalloc.stop()
         # G, one 60-row centring block and one strip of the rank-one term
-        assert peak <= 8 * (p * p + 2 * 60 * p + pls._SYMMETRY_STRIP * p) + 65536
+        assert peak <= 8 * (p * p + 2 * 60 * p + pls._RANK_ONE_STRIP * p) + 65536
         G_ref = np.array(G_pos)
         G_ref += pls.centred_moments(X[60:], np.ones((60, 1)), 2)[0]
         v = np.sqrt(60 * 60 / 120) * (mean_pos - X[60:].mean(axis=0))
@@ -516,6 +499,70 @@ class TestProjectedBridge:
             pls.dominant_eigenvectors(np.eye(4), 2, np.ones((3, 1)))
         with pytest.raises(InvalidInput, match="basis"):
             pls.dominant_eigenvectors(np.eye(4), 2, np.ones((4, 0)))
+
+
+class TestUpperTriangle:
+    """Each symmetric p x p matrix is read from its upper triangle only:
+    finite garbage below the diagonal of the moments' G changes no bit of a
+    head, on any solve path."""
+
+    @staticmethod
+    def garbled(moments):
+        G = np.array(moments[0], order="F")
+        lower = np.tril_indices(len(G), -1)
+        rng = np.random.default_rng(50)
+        G[lower] = np.max(np.abs(G)) * rng.uniform(-2.0, 2.0, len(lower[0]))
+        return (G, *moments[1:])
+
+    @staticmethod
+    def assert_same_head(X, moments, alpha):
+        clean = pls.bpls_fit(X, None, 10, alpha, moments)
+        dirty = pls.bpls_fit(X, None, 10, alpha, TestUpperTriangle.garbled(moments))
+        assert np.array_equal(dirty.coefficients, clean.coefficients)
+        assert np.array_equal(dirty.intercept, clean.intercept)
+
+    @pytest.mark.parametrize("path, alpha", [
+        ("lanczos", 1e-10), ("dense", 1e-10), ("m", 0.3),
+    ])
+    def test_vote_fit(self, monkeypatch, path, alpha):
+        eigsh = pls.sparse_linalg.eigsh
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            if path == "dense":
+                raise pls.sparse_linalg.ArpackNoConvergence("no convergence", [], [])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(pls.sparse_linalg, "eigsh", spy)
+        X, Y = TestProjectedBridge.data(np.random.default_rng(51), p=120)
+        self.assert_same_head(X, pls.centred_moments(X, Y, 10), alpha)
+        assert len(calls) == (0 if path == "m" else 2)
+
+    def test_pooled_label_fit(self):
+        X, _ = TestLabelMoments.classes(np.random.default_rng(52), 90, 70, p=120)
+        self.assert_same_head(X, TestLabelMoments.pooled(X, 90, 10), 1e-10)
+
+
+class TestGramOverflow:
+    """Finite X whose Gram overflows is a typed error, with no RuntimeWarning
+    (an error in this suite) and no head."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-10, 0.3, 1.0])
+    def test_bridge_fit(self, alpha):
+        rng = np.random.default_rng(53)
+        X = 1e160 * rng.standard_normal((40, 6))
+        Y = np.where(np.arange(40) < 20, 1.0, -1.0)[:, None]
+        with pytest.raises(HRMError, match="overflowed"):
+            pls.bpls_fit(X, Y, 3, alpha)
+
+    def test_label_moments(self):
+        # finite positives; only the negatives' Gram overflows
+        X = np.random.default_rng(54).standard_normal((40, 6))
+        X[20:] *= 1e160
+        G_pos, _, mean_pos, _ = pls.centred_moments(X[:20], np.ones((20, 1)), 3)
+        with pytest.raises(HRMError, match="overflowed"):
+            pls.label_moments(X, 20, G_pos, mean_pos)
 
 
 class TestLatentSteps:
