@@ -74,13 +74,26 @@ class LatentConfig:
             raise InvalidInput(f"ridge must lie in [0, 1], got {self.ridge}")
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
+def _as_matrix(a, name: str, finite: bool = True) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise InvalidInput(f"{name} must be a nonempty 2-D matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if finite and not np.all(np.isfinite(a)):
         raise InvalidInput(f"{name} contains non-finite entries")
     return a
+
+
+def _column_means(X) -> np.ndarray:
+    """The column means of a matrix X, or InvalidInput unless they are
+    finite.  A non-finite entry makes its column's mean non-finite, so X is
+    scanned only then, to tell such an entry from a sum that overflowed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+    if not np.all(np.isfinite(mean)):
+        if not np.all(np.isfinite(X)):
+            raise InvalidInput("X contains non-finite entries")
+        raise InvalidInput("the Gram of X overflowed: rescale X")
+    return mean
 
 
 def dominant_eigenvectors(M, c: int, basis=None) -> np.ndarray:
@@ -178,13 +191,14 @@ def _check_components(c: int, n: int, p: int) -> None:
 def _fit_inputs(X, Y, c: int):
     """Validate a fit's inputs (each once) and component count; return
     ``(X, Y, mean_x, mean_y)``."""
-    X = _as_matrix(X, "X")
+    X = _as_matrix(X, "X", finite=False)
+    mx = _column_means(X)
     Y = _as_matrix(Y, "Y")
     n, p = X.shape
     if Y.shape[0] != n:
         raise InvalidInput(f"row count mismatch: X has {n}, Y has {Y.shape[0]}")
     _check_components(c, n, p)
-    return X, Y, X.mean(axis=0), Y.mean(axis=0)
+    return X, Y, mx, Y.mean(axis=0)
 
 
 def _centred_products(X, mx, Y=None, my=None):
@@ -228,10 +242,10 @@ def label_moments(X, n_pos: int, G_pos, mean_pos):
     X = np.asarray(X)
     if not 1 <= n_pos < len(X):
         raise InvalidInput(f"n_pos={n_pos} must leave rows of both labels in {len(X)}")
-    neg = _as_matrix(X[n_pos:], "X")
+    neg = _as_matrix(X[n_pos:], "X", finite=False)
     n_neg = len(neg)
     n = n_pos + n_neg
-    mean_neg = neg.mean(axis=0)
+    mean_neg = _column_means(neg)
     G, _ = _centred_products(neg, mean_neg)
     d = mean_pos - mean_neg
     v = np.sqrt(n_pos * n_neg / n) * d

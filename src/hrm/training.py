@@ -37,8 +37,10 @@ class SampleSet:
     positives, ``votes`` holding each one's vector from patch center to box
     center; the rest are negatives.  ``reference_box`` is the (width,
     height) that the trained bank's detection level 1 stands for.  With
-    per-object scale normalization the canvases include rescaled copies of
-    training images, so samples always see objects at that size.
+    per-object scale normalization the canvases include rescaled windows of
+    training images, one per box that is not at that size: each is only the
+    part of the rescaled image that its box's samples read, plus the margin
+    their channels need, so samples always see objects at that size.
     """
 
     canvases: tuple[np.ndarray, ...]
@@ -110,8 +112,15 @@ def _negative_candidates(boxes, shape, ps):
     return ok
 
 
-def _resize(img: np.ndarray, factor: float) -> np.ndarray:
-    return ndimage.zoom(img, factor, order=1, mode="nearest", grid_mode=True)
+def _zoom_window(img: np.ndarray, shape, window) -> np.ndarray:
+    """``ndimage.zoom(img, factor, order=1, mode="nearest", grid_mode=True)``
+    at the (rows, columns) slices ``window`` of its output ``shape``, the
+    only pixels computed: the zoom's own coordinates, ``(o + 0.5) * n_in /
+    n_out - 0.5`` on each axis, and its interpolation, so the same bits."""
+    axes = [(np.arange(s.start, s.stop) + 0.5) * (n_in / n_out) - 0.5
+            for s, n_in, n_out in zip(window, img.shape, shape)]
+    return ndimage.map_coordinates(img, np.meshgrid(*axes, indexing="ij"),
+                                   order=1, mode="nearest")
 
 
 def _draw(rng, sizes, n):
@@ -139,11 +148,14 @@ def sample_patches(
     the median box width and height, each over all boxes.  With
     ``scale_normalize``, each box is resized to the reference box's mean
     side before positive sampling: the image is resized by the ratio of
-    that side to the box's mean side, and the rescaled canvas is added to
-    the sample set.  Each class is drawn without replacement from all its
-    candidate top-lefts, and its draws are ordered by canvas and position.
-    Deterministic under a fixed seed.  A set without boxes is refused, as it
-    has no positives.
+    that side to the box's mean side, and the window of the rescaled image
+    that the box's positives read is added to the sample set as a canvas:
+    their raw and neighbor windows, widened by ``CROP_MARGIN``, so its
+    channels there equal the whole rescaled image's.  A box without a
+    patch inside it adds no canvas.  Each class is drawn without
+    replacement from all its candidate top-lefts, and its draws are ordered
+    by canvas and position.  Deterministic under a fixed seed.  A set
+    without boxes is refused, as it has no positives.
     """
     ps = geom.patch_size
     rng = np.random.default_rng(seed)
@@ -158,6 +170,11 @@ def sample_patches(
     canvases = [to_grey(img) for img, _ in entries]
     blocks, centers = [], []  # positives: (canvas_id, x0, y0, nx, ny), box center
     grids, free = [], []  # negatives: (canvas_id, width), flat top-lefts in it
+    # a top-left's raw and neighbor windows, widened by the channels' margin,
+    # read [top-left + lo, top-left + hi) on each axis (x, y)
+    offsets = np.array(((0, 0),) + geom.neighbor_offsets)
+    lo = offsets.min(axis=0) - CROP_MARGIN
+    hi = offsets.max(axis=0) + ps + CROP_MARGIN
 
     for idx, (_, boxes) in enumerate(entries):
         img = canvases[idx]
@@ -171,18 +188,26 @@ def sample_patches(
             factor = 1.0
             if scale_normalize:
                 factor = ref_side / (((x1 - x0) + (y1 - y0)) / 2.0)
-            canvas_id = idx
-            if abs(factor - 1.0) > 1e-3:
-                canvas_id = len(canvases)
-                canvases.append(_resize(img, factor))
+            rescaled = abs(factor - 1.0) > 1e-3
+            h, w = img.shape
+            if rescaled:  # ndimage.zoom's output shape and the box on it
+                h, w = (int(round(n * factor)) for n in img.shape)
                 x0, y0, x1, y1 = (int(round(v * factor)) for v in box)
             # the top-lefts whose patch lies inside the box: an nx x ny block
-            h, w = canvases[canvas_id].shape
             x, y = max(0, x0), max(0, y0)
             nx, ny = min(w - ps, x1 - ps) + 1 - x, min(h - ps, y1 - ps) + 1 - y
-            if nx > 0 and ny > 0:
-                blocks.append((canvas_id, x, y, nx, ny))
-                centers.append(((x0 + x1) / 2.0, (y0 + y1) / 2.0))
+            if nx <= 0 or ny <= 0:
+                continue
+            canvas_id = idx
+            if rescaled:  # only the window the block reads, from its origin
+                ox, oy = np.maximum((x, y) + lo, 0)
+                ex, ey = np.minimum((x + nx - 1, y + ny - 1) + hi, (w, h))
+                canvas_id = len(canvases)
+                canvases.append(_zoom_window(img, (h, w), (slice(oy, ey), slice(ox, ex))))
+                x0, x1, x = x0 - ox, x1 - ox, x - ox
+                y0, y1, y = y0 - oy, y1 - oy, y - oy
+            blocks.append((canvas_id, x, y, nx, ny))
+            centers.append(((x0 + x1) / 2.0, (y0 + y1) / 2.0))
 
     blocks = np.array(blocks, dtype=np.intp).reshape(-1, 5)
     grids = np.array(grids, dtype=np.intp).reshape(-1, 2)

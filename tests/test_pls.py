@@ -165,6 +165,10 @@ class TestCentredMoments:
         X[2, 1] = np.nan
         with pytest.raises(InvalidInput, match="X contains non-finite"):
             pls.centred_moments(X, np.ones((5, 1)), 1)
+        # +inf and -inf in one column: its mean is NaN, with no RuntimeWarning
+        X[2, 1], X[4, 1] = np.inf, -np.inf
+        with pytest.raises(InvalidInput, match="X contains non-finite"):
+            pls.centred_moments(X, np.ones((5, 1)), 1)
         with pytest.raises(InvalidComponents):
             pls.centred_moments(np.eye(5), np.ones((5, 1)), 5)
 
@@ -256,6 +260,9 @@ class TestLabelMoments:
         X = np.ones((6, 3))
         G, mean = np.zeros((3, 3)), np.ones(3)
         X[4, 1] = np.inf
+        with pytest.raises(InvalidInput, match="X contains non-finite"):
+            pls.label_moments(X, 3, G, mean)
+        X[5, 1] = -np.inf  # the column's mean is NaN, with no RuntimeWarning
         with pytest.raises(InvalidInput, match="X contains non-finite"):
             pls.label_moments(X, 3, G, mean)
         for n_pos in (0, 6):
@@ -555,6 +562,15 @@ class TestGramOverflow:
         Y = np.where(np.arange(40) < 20, 1.0, -1.0)[:, None]
         with pytest.raises(HRMError, match="overflowed"):
             pls.bpls_fit(X, Y, 3, alpha)
+
+    def test_column_sum_overflow(self):
+        # finite entries whose column sum overflows: the mean is inf
+        X = np.random.default_rng(55).standard_normal((40, 6))
+        X[:, 2] = 1e308
+        with pytest.raises(HRMError, match="overflowed"):
+            pls.centred_moments(X, np.ones((40, 1)), 3)
+        with pytest.raises(HRMError, match="overflowed"):
+            pls.label_moments(X, 20, np.zeros((6, 6)), np.zeros(6))
 
     def test_label_moments(self):
         # finite positives; only the negatives' Gram overflows

@@ -5,10 +5,15 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from hrm import pls, training
 from hrm.errors import InvalidDataset, InvalidInput
-from hrm.features import N_CHANNELS, PatchGeometry, compute_channels, context_vectors
+from hrm.features import (
+    CROP_MARGIN, N_CHANNELS, PatchGeometry, compute_channels, context_vectors,
+)
 from hrm.image_io import LUMA
 from hrm.model_io import load_model, save_model
 from hrm.synth import random_scenes, synth_scene
@@ -29,7 +34,8 @@ def scene_entry(seed=0, box=(20, 16, 44, 40), canvas=(64, 64)):
 def reference_samples(entries, n_pos, n_neg, geom, seed=0, scale_normalize=False):
     """The per-sample sampler: canvases, one (canvas_id, (x, y), label, vote
     or None) per drawn patch, from the same seeded draws, and the median
-    box width and height."""
+    box width and height.  A rescaled box's canvas is the whole zoomed
+    image, added only when a patch fits inside the box."""
     ps = geom.patch_size
     rng = np.random.default_rng(seed)
     boxes = [box for _, bs in entries for box in bs]
@@ -52,9 +58,8 @@ def reference_samples(entries, n_pos, n_neg, geom, seed=0, scale_normalize=False
             if scale_normalize:
                 factor = side / (((x1 - x0) + (y1 - y0)) / 2.0)
             if abs(factor - 1.0) > 1e-3:
-                canvas = training._resize(img, factor)
+                canvas = ndimage.zoom(img, factor, order=1, mode="nearest", grid_mode=True)
                 canvas_id = len(canvases)
-                canvases.append(canvas)
                 x0, y0, x1, y1 = (int(round(v * factor)) for v in box)
             else:
                 canvas, canvas_id = img, idx
@@ -62,6 +67,8 @@ def reference_samples(entries, n_pos, n_neg, geom, seed=0, scale_normalize=False
             xs = np.arange(max(0, x0), min(w - ps, x1 - ps) + 1)
             ys = np.arange(max(0, y0), min(h - ps, y1 - ps) + 1)
             if len(xs) and len(ys):
+                if canvas_id == len(canvases):
+                    canvases.append(canvas)
                 pos_pool.append((canvas_id, xs, ys, ((x0 + x1) / 2.0, (y0 + y1) / 2.0)))
 
     samples = []
@@ -83,6 +90,17 @@ def reference_samples(entries, n_pos, n_neg, geom, seed=0, scale_normalize=False
         local = flat - bounds[k]
         samples.append((cid, (int(xs[local]), int(ys[local])), -1, None))
     return canvases, samples, median
+
+
+def window_origin(canvas, window):
+    """The one (x, y) at which ``window`` is a window of ``canvas``."""
+    h, w = window.shape
+    ys, xs = np.nonzero(canvas[: len(canvas) - h + 1, : canvas.shape[1] - w + 1]
+                        == window[0, 0])
+    found = [(x, y) for x, y in zip(xs, ys)
+             if np.array_equal(canvas[y : y + h, x : x + w], window)]
+    assert len(found) == 1
+    return found[0]
 
 
 def context_rows(ss, geom):
@@ -143,11 +161,17 @@ class TestSamplePatches:
             assert box == (median, median)
             assert len(entries) < len(canvases) < len(entries) + 5  # not every box
         assert len(ss.canvases) == len(canvases)
-        for a, b in zip(ss.canvases, canvases):
-            assert np.array_equal(a, b)
+        # a rescaled canvas is the reference's zoomed image at one origin,
+        # and each of its top-lefts is the reference's shifted by it
+        shift = np.zeros((len(canvases), 2), dtype=np.intp)
+        for c, (a, b) in enumerate(zip(ss.canvases, canvases)):
+            if c < len(entries):
+                assert np.array_equal(a, b)
+            else:
+                shift[c] = window_origin(b, a)
         assert [s[2] for s in samples] == [1] * 60 + [-1] * 90
         assert np.array_equal(ss.canvas_ids, [s[0] for s in samples])
-        assert np.array_equal(ss.topleft, [s[1] for s in samples])
+        assert np.array_equal(ss.topleft + shift[ss.canvas_ids], [s[1] for s in samples])
         assert np.array_equal(ss.votes, [s[3] for s in samples[:60]])
 
     def test_deterministic_under_seed(self):
@@ -212,8 +236,66 @@ class TestSamplePatches:
         ss = training.sample_patches(entries, 30, 10, GEOM, seed=0, scale_normalize=True)
         assert ss.reference_box == (20.0, 20.0)
         assert len(ss.canvases) == 4
-        assert ss.canvases[3].shape == (32, 32)
+        # the 40-px box becomes (6, 6, 26, 26) on a 32 x 32 zoom: its top-lefts
+        # 6..21, neighbors to +5 and patches to +4, widened by CROP_MARGIN
+        # (5), clipped to the zoom, is the window [1, 32) on each axis
+        assert ss.canvases[3].shape == (31, 31)
         assert set(ss.canvas_ids[:30]) == {1, 2, 3}
+
+    def test_small_box_canvas_is_its_window(self):
+        # a 4 x 4 box beside a 40-px box is zoomed 10x, to 2240 x 2240 whole,
+        # and a 50-px box in a corner 0.8x: each canvas is only the window
+        # its box's samples read, and the bank is the one trained on the
+        # whole zooms at the same samples.  Every positive is drawn, so the
+        # windows' outermost pixels are read.
+        geom = PatchGeometry(PS, ((PS, 0), (-PS, 0), (0, PS), (0, -PS)))
+        img, boxes = synth_scene([(25, 25, 1.25), (130, 130, 1.0)], (224, 224),
+                                 noise=0.01, seed=31)
+        boxes = list(boxes) + [(220, 220, 224, 224)]  # at the far corner, clipped
+        n_pos = 3 * (40 - PS + 1) ** 2  # every box is 40 px on its canvas
+        ss = training.sample_patches([(img, boxes)], n_pos, 200, geom, seed=2,
+                                     scale_normalize=True)
+        assert ss.reference_box == (40.0, 40.0)
+        assert len(ss.canvases) == 3
+        span = 2 * PS  # offsets from -PS to +PS, the raw window's 0 between
+        for canvas in ss.canvases[1:]:  # each box rescaled to 40 px
+            assert canvas.size <= (40 + span + PS + 2 * CROP_MARGIN) ** 2
+
+        whole = [ndimage.zoom(img, 40.0 / (((x1 - x0) + (y1 - y0)) / 2.0), order=1,
+                              mode="nearest", grid_mode=True)
+                 for x0, y0, x1, y1 in (boxes[0], boxes[-1])]
+        shift = np.array([(0, 0)] + [window_origin(b, a)
+                                     for a, b in zip(ss.canvases[1:], whole)])
+        reference = training.SampleSet((img, *whole), ss.canvas_ids,
+                                       ss.topleft + shift[ss.canvas_ids], ss.votes,
+                                       ss.reference_box)
+        cfg = pls.LatentConfig(components=3)
+        a, b = (training.train_from_samples(s, geom, cfg) for s in (ss, reference))
+        assert np.array_equal(a.coefficients, b.coefficients)
+        assert np.array_equal(a.intercepts, b.intercepts)
+
+    @pytest.mark.parametrize("edge", ["top", "bottom", "left", "right"])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), height=st.integers(1, 40),
+           width=st.integers(1, 40),
+           factor=st.one_of(st.floats(0.05, 0.999), st.floats(1.001, 12.0)),
+           data=st.data())
+    def test_zoom_window_is_the_zoom_at_it(self, edge, seed, height, width, factor, data):
+        # the window that touches this edge of the zoom, other sides drawn
+        img = np.random.default_rng(seed).random((height, width))
+        zoomed = ndimage.zoom(img, factor, order=1, mode="nearest", grid_mode=True)
+        assert zoomed.shape == tuple(int(round(n * factor)) for n in img.shape)
+        assume(zoomed.size)
+        window = []
+        for axis, n in enumerate(zoomed.shape):
+            start = data.draw(st.integers(0, n - 1))
+            stop = data.draw(st.integers(start + 1, n))
+            if edge in (("top", "bottom"), ("left", "right"))[axis]:
+                start, stop = (0, stop) if edge in ("top", "left") else (start, n)
+            window.append(slice(start, stop))
+        window = tuple(window)
+        assert np.array_equal(training._zoom_window(img, zoomed.shape, window),
+                              zoomed[window])
 
     @pytest.mark.parametrize("boxes, median", [
         (((0, 0, 10, 20), (0, 0, 30, 40), (0, 0, 20, 60)), (20.0, 40.0)),
