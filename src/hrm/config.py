@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .detect import VotingConfig
-from .errors import InvalidInput, InvalidSpec, MissingAsset, ParseError
+from .errors import InvalidInput, InvalidSpec, MissingAsset, ParseError, check_integer
 from .features import PatchGeometry
 from .pls import LatentConfig
 from .voting import ScaleSet
@@ -34,12 +34,8 @@ class TrainingConfig:
     scale_normalize: bool = False
 
     def __post_init__(self):
-        if self.n_pos < 1 or self.n_neg < 1:
-            raise InvalidInput(
-                f"n_pos and n_neg must be >= 1, got {self.n_pos} and {self.n_neg}"
-            )
-        if self.seed < 0:
-            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
+        for name, minimum in (("n_pos", 1), ("n_neg", 1), ("seed", 0)):
+            check_integer(name, getattr(self, name), minimum)
 
 
 @dataclass(frozen=True)
@@ -85,15 +81,13 @@ class SynthSpec:
     scales: tuple[float, ...] = (0.75, 1.0, 1.25, 1.5)
 
     def __post_init__(self):
-        if self.scenes < 0 or not 0 <= self.min_objects <= self.max_objects:
-            raise InvalidSpec("need scenes >= 0 and 0 <= min_objects <= max_objects")
+        for name, minimum in (("scenes", 0), ("canvas_width", 1), ("canvas_height", 1),
+                              ("min_objects", 0), ("max_objects", self.min_objects)):
+            check_integer(name, getattr(self, name), minimum, InvalidSpec)
         if not self.scales or not all(0 < s < math.inf for s in self.scales):
             raise InvalidSpec("need at least one scale, all finite and positive")
         if not 0 <= self.noise < math.inf:
             raise InvalidSpec(f"noise must be finite and >= 0, got {self.noise}")
-        if self.canvas_width < 1 or self.canvas_height < 1:
-            w, h = self.canvas_width, self.canvas_height
-            raise InvalidSpec(f"canvas sides must be >= 1, got {w}x{h}")
 
 
 def _reader(key, tp):

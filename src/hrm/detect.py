@@ -4,13 +4,13 @@ Pipeline: feature volume -> every regressor as a linear filter bank over
 the patch windows, in two passes (the label columns at every grid start,
 which give the gate weights; then the vote columns at the gated-on
 starts) -> per-context votes -> multi-scale accumulation -> per-level
-maxima -> NPMI fusion.  Pass 1 reads every start, so it runs GEMMs on
-in-place views of the volume and copies no window
-(:func:`_grid_responses`).  Pass 2 reads the few gated-on starts, so it
-gathers just their windows (:func:`_context_responses`): on c6 test images
-the in-place GEMMs over the grid rows it reads took 24-26 ms per image,
-against 12-16 ms gathered.  The votes stay in one VoteField of stacked
-arrays from the filter bank to the end of fusion.  It holds only the
+maxima -> NPMI fusion.  Both passes read one coset plan of the grid
+(:func:`_plan`).  Pass 1 reads every start, so it runs GEMMs on in-place
+views of the volume and copies no window (:func:`_grid_responses`).  Pass
+2 reads the few gated-on starts, so it gathers just their windows
+(:func:`_context_responses`), which is faster there than the in-place
+GEMMs over the grid rows they lie on.  The votes stay in one VoteField of
+stacked arrays from the filter bank to the end of fusion.  It holds only the
 gated-on patches, the only ones with vote mass, and accumulation and
 fusion read it as given.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, check_integer
 from .evaluate import Detection, box_from_hypothesis
 from .features import compute_channels, patch_windows
 # Not called here: perfbench counts detection-time patch extractions
@@ -58,16 +58,14 @@ class VotingConfig:
     maxima_radius: int = 3  # cells
 
     def __post_init__(self):
+        check_integer("stride", self.stride)
         if not 1 <= self.stride < 2**63:
             raise InvalidInput(f"stride must be in [1, 2**63), got {self.stride}")
         if not 0 <= self.min_score_fraction <= 1:
             raise InvalidInput(
                 f"min_score_fraction must be in [0, 1], got {self.min_score_fraction}"
             )
-        if self.maxima_radius < 1:
-            raise InvalidInput(
-                f"maxima_radius must be >= 1, got {self.maxima_radius}"
-            )
+        check_integer("maxima_radius", self.maxima_radius, 1)
 
 
 @dataclass
@@ -98,54 +96,61 @@ def _responses(vol, ps: int, rows: np.ndarray, cols: np.ndarray, coef: np.ndarra
     return out.reshape((len(rows) + 1,) + k)
 
 
-def _cosets(stride: int, offsets):
-    """Context indices per stride coset, the zero coset (which holds context
-    0, whose neighbor is its own start) first."""
+def _plan(n_y: int, n_x: int, stride: int, shifts):
+    """The coset plan of the sampling grid over n_y x n_x starts: the grid's
+    shape (g_y, g_x) and, per stride coset, (contexts, rows, cols, shift,
+    lo, hi).
+
+    Context j reads the start ``shifts[j]`` from its own, so shifts equal
+    mod stride on both axes share a coset of residues (a, b), whose starts
+    are ``rows = range(b, n_y, stride)`` x ``cols = range(a, n_x, stride)``.
+    Grid index i's context k reads coset index ``i + shift[k]`` (y, x),
+    which exists where lo[k] <= i < hi[k] on both axes.  The zero coset,
+    which holds context 0 and whose starts are the grid's, comes first.
+    """
+    g = np.array([len(range(0, n_y, stride)), len(range(0, n_x, stride))])
     cosets = {}
-    for j, (dx, dy) in enumerate(((0, 0),) + tuple(offsets)):
+    for j, (dx, dy) in enumerate(shifts):
         cosets.setdefault((dx % stride, dy % stride), []).append(j)
-    return cosets
+    plan = []
+    for (a, b), js in cosets.items():
+        rows, cols = range(b, n_y, stride), range(a, n_x, stride)
+        shift = np.array([shifts[j][::-1] for j in js]) // stride
+        lo = np.maximum(0, -shift)
+        hi = np.minimum(g, np.array([len(rows), len(cols)]) - shift)
+        plan.append((js, rows, cols, shift, lo, hi))
+    return g, plan
 
 
-def _context_responses(vol, ps: int, stride: int, offsets, at: np.ndarray, coef):
+def _context_responses(vol, ps: int, plan, at: np.ndarray, coef):
     """``R_j(l) - R_j(l + offset_j)`` for every context j at the grid indices ``at``.
 
     R = patch vector @ coef with coef (d, m+1, ...); the result is (len(at),
     m+1, ...).  Context 0 has no neighbor, and a clipped neighbor's R is
-    zero, as in :func:`~hrm.features.context_vectors`.  Offsets equal mod
-    stride on both axes share a stride coset, of residues (a, b) and grid
-    ``arange(b, n_y, stride) x arange(a, n_x, stride)``, where grid index
-    i's neighbor is ``i + offset // stride``; the zero coset's grid is the
-    sampling grid.  Each coset takes one :func:`_responses` call, on its
+    zero, as in :func:`~hrm.features.context_vectors`.  Each coset of
+    ``plan`` (:func:`_plan`) takes one :func:`_responses` call, on its
     contexts' columns (all of them on the zero coset, which holds context
-    0), at exactly the starts that some index of ``at`` reads.
+    0), at exactly the coset starts that some index of ``at`` reads, in
+    coset order.  A read outside [lo, hi) goes to the sentinel one past
+    the coset's starts, which maps to the call's zero row.
     """
-    n_y, n_x = vol.shape[0] - ps + 1, vol.shape[1] - ps + 1
-    g_y, g_x = len(range(0, n_y, stride)), len(range(0, n_x, stride))
+    g, cosets = plan
+    iy, ix = np.divmod(at, g[1])
     out = np.empty((len(at),) + coef.shape[1:])
-    cosets = _cosets(stride, offsets)
-    offsets = ((0, 0),) + tuple(offsets)  # context 0 reads its own start
-    for (a, b), js in cosets.items():
-        rows, cols = np.arange(b, n_y, stride), np.arange(a, n_x, stride)
-        # Reads index the coset grid padded by one row and one column: a
-        # clipped neighbor reads the padding, which maps to resp's zero row.
-        w = len(cols) + 1
-        reads = []
-        for j in js:
-            ty = np.arange(g_y) + offsets[j][1] // stride
-            tx = np.arange(g_x) + offsets[j][0] // stride
-            ty[(ty < 0) | (ty >= len(rows))] = len(rows)
-            tx[(tx < 0) | (tx >= len(cols))] = len(cols)
-            reads.append((ty[:, None] * w + tx).ravel()[at])
-        need = np.zeros((len(rows) + 1) * w, dtype=bool)
+    for js, rows, cols, shift, lo, hi in cosets:
+        end = len(rows) * len(cols)  # the sentinel
+        reads = [np.where((ly <= iy) & (iy < hy) & (lx <= ix) & (ix < hx),
+                          (iy + sy) * len(cols) + ix + sx, end)
+                 for (sy, sx), (ly, lx), (hy, hx) in zip(shift, lo, hi)]
+        need = np.zeros(end + 1, dtype=bool)
         for r in reads:
             need[r] = True
-        need[-w:] = need[w - 1 :: w] = False  # the padding
-        starts = np.flatnonzero(need)
-        row = np.full(need.size, len(starts))  # padded index -> row of resp
+        starts = np.flatnonzero(need[:end])
+        row = np.full(end + 1, len(starts))  # coset index -> row of resp
         row[starts] = np.arange(len(starts))
         zero = js[0] == 0
-        resp = _responses(vol, ps, rows[starts // w], cols[starts % w],
+        y, x = np.divmod(starts, len(cols))
+        resp = _responses(vol, ps, rows.start + rows.step * y, cols.start + cols.step * x,
                           coef if zero else coef[:, js])
         for k, (j, r) in enumerate(zip(js, reads)):
             if j == 0:
@@ -182,27 +187,19 @@ def _dense_responses(vol, ps: int, rows: range, cols: range, coef: np.ndarray):
     return out
 
 
-def _grid_responses(vol, ps: int, stride: int, offsets, coef: np.ndarray):
+def _grid_responses(vol, ps: int, plan, coef: np.ndarray):
     """``R_j(l) - R_j(l + offset_j)`` for every context j at every grid index l.
 
     R = patch vector @ coef with coef (d, m+1); the result is (g_y * g_x,
-    m+1), in grid order, the same cosets as :func:`_context_responses` at
+    m+1), in grid order, the same terms as :func:`_context_responses` at
     every index.  Each coset's R comes from one :func:`_dense_responses`
     call on the rectangle of its starts that some grid index reads, and a
-    context's term is a shifted slice of it: a clipped neighbor lies
-    outside the slice.
+    context's term is a shifted slice of it, over [lo, hi): a clipped
+    neighbor lies outside the slice.
     """
-    n_y, n_x = vol.shape[0] - ps + 1, vol.shape[1] - ps + 1
-    g = np.array([len(range(0, n_y, stride)), len(range(0, n_x, stride))])
+    g, cosets = plan
     out = np.empty((g[0], g[1], coef.shape[1]))
-    offs = ((0, 0),) + tuple(offsets)
-    for (a, b), js in _cosets(stride, offsets).items():
-        rows, cols = range(b, n_y, stride), range(a, n_x, stride)
-        # grid index i reads coset index i + shift; [lo, hi) is where that
-        # neighbor exists, per context and axis (y, x)
-        shift = np.array([offs[j][::-1] for j in js]) // stride
-        lo = np.maximum(0, -shift)
-        hi = np.minimum(g, np.array([len(rows), len(cols)]) - shift)
+    for js, rows, cols, shift, lo, hi in cosets:
         live = np.all(lo < hi, axis=1)
         if not live.any():
             continue
@@ -229,7 +226,7 @@ def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig) -> VoteField:
     Pass 1 computes the R terms of the label column at every grid index
     (:func:`_grid_responses`), which gives every patch's gate weight; pass 2
     those of the two vote columns at the gated-on indices
-    (:func:`_context_responses`).
+    (:func:`_context_responses`).  Both read one coset plan (:func:`_plan`).
     """
     geom = bank.geometry
     img = to_grey(image)
@@ -238,19 +235,18 @@ def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig) -> VoteField:
     if n_x < 1 or n_y < 1:  # no patch, however small the image
         return VoteField.of([])
     vol = compute_channels(img)
-    xs = np.arange(0, n_x, cfg.stride)
-    ys = np.arange(0, n_y, cfg.stride)
-    coef, offsets = bank.coefficients, geom.neighbor_offsets
+    plan = _plan(n_y, n_x, cfg.stride, geom.shifts)
+    coef = bank.coefficients
 
-    labels = _grid_responses(vol, ps, cfg.stride, offsets, coef[..., 2])
+    labels = _grid_responses(vol, ps, plan, coef[..., 2])
     labels += bank.intercepts[:, 2]
     weights = patch_weight(labels)
     on = np.flatnonzero(weights)  # gated-on grid indices, in grid order
-    votes = _context_responses(vol, ps, cfg.stride, offsets, on, coef[..., :2])
+    votes = _context_responses(vol, ps, plan, on, coef[..., :2])
     votes += bank.intercepts[:, :2]
 
-    oy, ox = np.divmod(on, len(xs))
-    centers = np.stack([xs[ox], ys[oy]], axis=1) + ps / 2.0
+    oy, ox = np.divmod(on, plan[0][1])  # the grid's width
+    centers = cfg.stride * np.stack([ox, oy], axis=1) + ps / 2.0
     return VoteField(centers, votes, labels[on], weights[on])
 
 

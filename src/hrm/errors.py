@@ -1,4 +1,7 @@
-"""Exception types shared across the package, each with its ``hrm`` exit code."""
+"""Exception types shared across the package, each with its ``hrm`` exit
+code, and the one check that a setting is an integer."""
+
+import numbers
 
 
 class HRMError(Exception):
@@ -52,3 +55,13 @@ class CorruptModel(HRMError):
 
 class InvalidSpec(HRMError):
     """A synthetic scene specification is unsatisfiable."""
+
+
+def check_integer(name: str, value, minimum=None, error=InvalidInput) -> None:
+    """Raise ``error`` unless ``value`` is an integer, and ``>= minimum`` if
+    that is given.  An integer is a ``numbers.Integral`` other than a bool,
+    so NumPy integers pass and 2.5 or True do not."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or minimum is not None and value < minimum):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise error(f"{name} must be an integer{at_least}, got {value!r}")

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from .errors import InvalidInput, OutOfBounds
+from .errors import InvalidInput, OutOfBounds, check_integer
 from .image_io import to_grey
 
 # Bump whenever the channel layout or filtering changes; serialized models
@@ -55,13 +55,17 @@ class PatchGeometry:
     neighbor_offsets: tuple[tuple[int, int], ...] = None
 
     def __post_init__(self):
-        if self.patch_size < 1:
-            raise InvalidInput("patch_size must be positive")
+        check_integer("patch_size", self.patch_size, 1)
         if self.neighbor_offsets is None:
             object.__setattr__(
                 self, "neighbor_offsets", _default_offsets(self.patch_size)
             )
-        offs = tuple(tuple(int(v) for v in o) for o in self.neighbor_offsets)
+        offs = tuple(tuple(o) for o in self.neighbor_offsets)
+        if any(len(o) != 2 for o in offs):
+            raise InvalidInput("neighbor offsets must be (dx, dy) pairs")
+        for v in (v for o in offs for v in o):
+            check_integer("a neighbor offset", v)
+        offs = tuple((int(dx), int(dy)) for dx, dy in offs)
         if len(set(offs)) != len(offs) or (0, 0) in offs:
             raise InvalidInput("neighbor offsets must be distinct and nonzero")
         if not all(-(2**31) <= v < 2**31 for o in offs for v in o):
@@ -69,25 +73,18 @@ class PatchGeometry:
         object.__setattr__(self, "neighbor_offsets", offs)
 
     @property
+    def shifts(self) -> tuple[tuple[int, int], ...]:
+        """Each context's window relative to the patch's own, as (dx, dy):
+        context 0 reads the patch itself, context j its j-th neighbor."""
+        return ((0, 0),) + self.neighbor_offsets
+
+    @property
     def num_context(self) -> int:
-        return len(self.neighbor_offsets) + 1
+        return len(self.shifts)
 
     @property
     def vector_length(self) -> int:
         return self.patch_size * self.patch_size * N_CHANNELS
-
-
-@dataclass(frozen=True)
-class ContextSet:
-    """The patch vector and its differences against each neighbor patch.
-
-    vectors[0] is the raw patch vector; vectors[j] is raw minus the j-th
-    neighbor.  clipped[j] is True where the neighbor fell outside the image
-    and was treated as a zero vector.
-    """
-
-    vectors: np.ndarray
-    clipped: tuple[bool, ...]
 
 
 def _gradients(img: np.ndarray):
@@ -132,8 +129,8 @@ def base_channels(img) -> np.ndarray:
 
 
 def hog_bin_map(img) -> np.ndarray:
-    """Per-pixel orientation bin index (0..8), for partition checks."""
-    return _gradients(np.asarray(img, dtype=np.float64))[2]
+    """Per-pixel orientation bin (0..8) of an image's grey, for partition checks."""
+    return _gradients(to_grey(img))[2]
 
 
 def _running5(a: np.ndarray, op, out=None) -> np.ndarray:
@@ -194,25 +191,16 @@ def extract_patch_vector(vol: np.ndarray, topleft, geom: PatchGeometry) -> np.nd
     return vol[y : y + ps, x : x + ps].flatten()
 
 
-def context_vectors(vol: np.ndarray, topleft, geom: PatchGeometry) -> ContextSet:
-    """Raw patch vector plus differences against every neighbor patch.
-
-    A neighbor that falls outside the image contributes a zero vector (the
-    difference degenerates to the raw vector) and is flagged.
-    """
+def context_vectors(vol: np.ndarray, topleft, geom: PatchGeometry) -> np.ndarray:
+    """The (m+1, d) context matrix of the patch at ``topleft``: row 0 is its
+    raw vector, and row j >= 1 that minus the vector of the window at
+    ``geom.shifts[j]`` from it.  A neighbor that falls outside the image
+    is a zero vector, so its row is the raw vector."""
     ps = geom.patch_size
     x, y = _check_patch(vol, topleft, ps)
-    raw = extract_patch_vector(vol, (x, y), geom)
-
-    vectors = np.empty((geom.num_context, raw.shape[0]))
-    vectors[0] = raw
-    clipped = [False]
-    for j, (dx, dy) in enumerate(geom.neighbor_offsets, start=1):
+    vectors = np.tile(extract_patch_vector(vol, (x, y), geom), (geom.num_context, 1))
+    for j, (dx, dy) in enumerate(geom.shifts):
         nx, ny = x + dx, y + dy
-        if nx < 0 or ny < 0 or nx + ps > vol.shape[1] or ny + ps > vol.shape[0]:
-            vectors[j] = raw
-            clipped.append(True)
-        else:
-            vectors[j] = raw - extract_patch_vector(vol, (nx, ny), geom)
-            clipped.append(False)
-    return ContextSet(vectors, tuple(clipped))
+        if j and 0 <= nx <= vol.shape[1] - ps and 0 <= ny <= vol.shape[0] - ps:
+            vectors[j] -= extract_patch_vector(vol, (nx, ny), geom)
+    return vectors

@@ -21,7 +21,6 @@ reference.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ from scipy import linalg
 from scipy.linalg import blas
 from scipy.sparse import linalg as sparse_linalg
 
-from .errors import DegenerateFit, InvalidComponents, InvalidInput
+from .errors import DegenerateFit, InvalidComponents, InvalidInput, check_integer
 
 # Condition-number ceiling for the score Gram matrix before a fit is
 # declared degenerate.
@@ -67,9 +66,7 @@ class LatentConfig:
     ridge: float = 1e-10
 
     def __post_init__(self):
-        c = self.components
-        if isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 1:
-            raise InvalidInput(f"components must be an integer >= 1, got {c!r}")
+        check_integer("components", self.components, 1)
         if not 0.0 <= self.ridge <= 1.0:  # NaN fails too
             raise InvalidInput(f"ridge must lie in [0, 1], got {self.ridge}")
 

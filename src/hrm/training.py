@@ -20,7 +20,8 @@ import numpy as np
 from scipy import ndimage
 
 from . import pls
-from .errors import DegenerateFit, IncompatibleModel, InvalidDataset, InvalidInput
+from .errors import (DegenerateFit, IncompatibleModel, InvalidDataset, InvalidInput,
+                     check_integer)
 from .features import CROP_MARGIN, PatchGeometry, compute_channels, patch_windows
 from .image_io import to_grey
 # Not called here: perfbench counts training-time patch extractions
@@ -172,9 +173,9 @@ def sample_patches(
     grids, free = [], []  # negatives: (canvas_id, width), flat top-lefts in it
     # a top-left's raw and neighbor windows, widened by the channels' margin,
     # read [top-left + lo, top-left + hi) on each axis (x, y)
-    offsets = np.array(((0, 0),) + geom.neighbor_offsets)
-    lo = offsets.min(axis=0) - CROP_MARGIN
-    hi = offsets.max(axis=0) + ps + CROP_MARGIN
+    shifts = np.array(geom.shifts)
+    lo = shifts.min(axis=0) - CROP_MARGIN
+    hi = shifts.max(axis=0) + ps + CROP_MARGIN
 
     for idx, (_, boxes) in enumerate(entries):
         img = canvases[idx]
@@ -316,6 +317,7 @@ def train_from_samples(
     predictor matrix is in memory at once, which matters for real patch
     dimensionalities.
     """
+    check_integer("workers", workers, 1)
     ps = geom.patch_size
     cid, (x, y), votes, reference_box = _checked(sample_set, ps)
 
@@ -333,7 +335,7 @@ def train_from_samples(
         h, w = canvas.shape[:2]
         pixels = patch_windows(np.arange(h * w).reshape(h, w, 1), ps)
         covered = np.zeros((h, w), dtype=bool)
-        for dx, dy in ((0, 0),) + geom.neighbor_offsets:
+        for dx, dy in geom.shifts:
             _, ny, nx = inside(rows, pixels.shape, dx, dy)
             covered.reshape(-1)[pixels[ny, nx]] = True
         crop = tuple(
@@ -364,7 +366,7 @@ def train_from_samples(
                 out = X[block].reshape(raw.shape + values.shape[1:])
                 np.take(values, raw, axis=0, out=out, mode="clip")  # all in range
             if j:
-                rows, ny, nx = inside(rows, windows.shape, *geom.neighbor_offsets[j - 1])
+                rows, ny, nx = inside(rows, windows.shape, *geom.shifts[j])
                 X[rows] -= values[windows[ny, nx]].reshape(-1, d)
         return X
 

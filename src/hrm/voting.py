@@ -22,7 +22,6 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import InvalidInput
-from .features import ContextSet
 from .training import ModelBank
 
 
@@ -126,17 +125,18 @@ def patch_weight(labels: np.ndarray):
     return np.count_nonzero(labels > 0, axis=-1) / labels.shape[-1]
 
 
-def cast_votes(context: ContextSet, bank: ModelBank, loc) -> PatchVotes:
-    """Run every voting and label regressor on one patch's context set."""
+def cast_votes(context: np.ndarray, bank: ModelBank, loc) -> PatchVotes:
+    """Run every voting and label regressor on one patch's (m+1, d) context
+    matrix (:func:`~hrm.features.context_vectors`)."""
     geom = bank.geometry
     expected = (geom.num_context, geom.vector_length)
-    if context.vectors.shape != expected:
+    if np.shape(context) != expected:
         raise InvalidInput(
-            f"context set has shape {context.vectors.shape}, bank expects {expected}"
+            f"context matrix has shape {np.shape(context)}, bank expects {expected}"
         )
     out = np.array(
         [v @ bank.coefficients[:, j] + bank.intercepts[j]
-         for j, v in enumerate(context.vectors)]
+         for j, v in enumerate(context)]
     )  # (m+1, 3)
     votes, labels = out[:, :2], out[:, 2]
     return PatchVotes(np.asarray(loc, dtype=np.float64), votes, labels, patch_weight(labels))

@@ -1,11 +1,13 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hrm import config
 from hrm.config import PipelineConfig, SynthSpec, load_config, load_synth_spec
-from hrm.errors import InvalidInput, ParseError
+from hrm.detect import VotingConfig
+from hrm.errors import InvalidInput, InvalidSpec, ParseError
 from hrm.features import PatchGeometry
 from hrm.pls import LatentConfig
 
@@ -206,6 +208,43 @@ class TestPipelineConfig:
     def test_rejects_negative_seed(self):
         with pytest.raises(InvalidInput):
             config.TrainingConfig(seed=-1)
+
+
+class TestIntegerSettings:
+    """Each integer setting refuses a float or a bool with its class's own
+    error, and takes a NumPy integer."""
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda: VotingConfig(stride=1.5), InvalidInput),
+        (lambda: VotingConfig(stride=2.0), InvalidInput),
+        (lambda: VotingConfig(maxima_radius=2.5), InvalidInput),
+        (lambda: VotingConfig(stride=True), InvalidInput),
+        (lambda: PatchGeometry(4.5), InvalidInput),
+        (lambda: PatchGeometry(True, ()), InvalidInput),
+        (lambda: PatchGeometry(5, ((4.7, 0),)), InvalidInput),
+        (lambda: PatchGeometry(5, ((0, True),)), InvalidInput),
+        (lambda: LatentConfig(components=2.5), InvalidInput),
+        (lambda: config.TrainingConfig(n_pos=2.5), InvalidInput),
+        (lambda: config.TrainingConfig(n_neg=3.0), InvalidInput),
+        (lambda: config.TrainingConfig(seed=0.5), InvalidInput),
+        (lambda: SynthSpec(scenes=2.5), InvalidSpec),
+        (lambda: SynthSpec(canvas_width=224.5), InvalidSpec),
+        (lambda: SynthSpec(canvas_height=True), InvalidSpec),
+        (lambda: SynthSpec(min_objects=0.5), InvalidSpec),
+        (lambda: SynthSpec(max_objects=3.5), InvalidSpec),
+    ])
+    def test_refuses_non_integers(self, make, error):
+        with pytest.raises(error, match="must be an integer"):
+            make()
+
+    def test_takes_numpy_integers(self):
+        i = np.int64
+        assert VotingConfig(stride=i(2), maxima_radius=np.int32(3)).stride == 2
+        geom = PatchGeometry(np.int32(5), ((i(5), np.int16(-2)),))
+        assert geom.neighbor_offsets == ((5, -2),)
+        assert all(type(v) is int for v in geom.neighbor_offsets[0])
+        assert config.TrainingConfig(n_pos=i(4), n_neg=i(4), seed=i(0)).n_pos == 4
+        assert SynthSpec(scenes=i(2), canvas_width=i(64), max_objects=i(1)).scenes == 2
 
 
 class TestReadmeExamples:

@@ -1,5 +1,6 @@
 import importlib
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -80,13 +81,35 @@ def assert_rows_are_oracle(field, oracle):
         assert a.weight == b.weight
 
 
+def pass_two_starts(img, geom, stride, field):
+    """The starts (x, y) pass 2 must compute for the gated-on patches of
+    `field`: per stride coset, in the order its first context appears, the
+    in-image starts that some gated-on patch's context in that coset reads,
+    each once and in row-major order.  No call when no patch fits."""
+    ps = geom.patch_size
+    n_y, n_x = img.shape[0] - ps + 1, img.shape[1] - ps + 1
+    if n_y < 1 or n_x < 1:
+        return []
+    cosets = {}
+    for dx, dy in geom.shifts:
+        cosets.setdefault((dx % stride, dy % stride), set()).add((dx, dy))
+    on = [(round(x - ps / 2), round(y - ps / 2)) for x, y in field.locations]
+    return [
+        sorted({(x + dx, y + dy) for x, y in on for dx, dy in shifts
+                if 0 <= x + dx < n_x and 0 <= y + dy < n_y},
+               key=lambda s: (s[1], s[0]))
+        for shifts in cosets.values()
+    ]
+
+
 def assert_matches_oracle(img, geom, stride, rng, gate):
     """compute_patch_votes equals the per-patch context oracle, with the label
     intercepts shifted so that the gate cuts the sorted peaks (the patches'
     largest labels) at fraction `gate`: 0 gates every patch on, 1 every one
     off.  The cut lies midway between two peaks or one unit outside them all,
     never on a peak: there the gate would hang on the summation order of the
-    label, which the oracle and the filter bank need not share.
+    label, which the oracle and the filter bank need not share.  Pass 2's
+    :func:`_responses` calls must read exactly :func:`pass_two_starts`.
 
     Returns the number of gated-on patches and of grid starts.
     """
@@ -98,8 +121,17 @@ def assert_matches_oracle(img, geom, stride, rng, gate):
     shift = -cuts[round(gate * (len(cuts) - 1))]  # a patch is on iff peak > -shift
     bank = random_linear_bank(geom, np.random.default_rng(seed), shift)
     oracle = oracle_votes(img, bank, stride)
-    field = compute_patch_votes(img, bank, VotingConfig(stride=stride))
+    module, calls = importlib.import_module("hrm.detect"), []
+    responses = module._responses
+
+    def spy(vol, ps, rows, cols, coef):
+        calls.append(list(zip(cols.tolist(), rows.tolist())))
+        return responses(vol, ps, rows, cols, coef)
+
+    with mock.patch.object(module, "_responses", spy):
+        field = compute_patch_votes(img, bank, VotingConfig(stride=stride))
     assert_rows_are_oracle(field, oracle)
+    assert calls == pass_two_starts(img, geom, stride, field)
     return len(field), len(oracle)
 
 

@@ -28,9 +28,19 @@ class TestPatchGeometry:
                     if (dx, dy) != (0, 0):
                         assert (dx, dy) in offs
 
+    def test_shifts_are_self_then_neighbors(self):
+        geom = features.PatchGeometry(5, ((5, 0), (-3, 2)))
+        assert geom.shifts == ((0, 0), (5, 0), (-3, 2))
+        assert len(geom.shifts) == geom.num_context
+
     def test_vector_length(self):
         assert features.PatchGeometry(16).vector_length == 6656
         assert features.PatchGeometry(5).vector_length == 5 * 5 * 26
+
+    @pytest.mark.parametrize("offset", [(1, 2, 3), (4,), ()])
+    def test_offsets_must_be_pairs(self, offset):
+        with pytest.raises(InvalidInput, match="pairs"):
+            features.PatchGeometry(5, ((5, 0), offset))
 
     def test_duplicate_offsets_rejected(self):
         with pytest.raises(InvalidInput):
@@ -130,6 +140,18 @@ class TestHogChannels:
         img[8:, :] = 1.0
         bins = features.hog_bin_map(img)
         assert bins[8, 8] == 4
+
+    def test_colour_gives_the_bins_of_its_grey(self):
+        # the (H, W) bins that base_channels reads, not Sobel across colour planes
+        rgb = np.random.default_rng(8).random((12, 10, 3))
+        bins = features.hog_bin_map(rgb)
+        assert bins.shape == (12, 10)
+        assert np.array_equal(bins, features.hog_bin_map(image_io.to_grey(rgb)))
+
+    @pytest.mark.parametrize("shape", [(7,), (4, 5, 2), (2, 3, 4, 3)])
+    def test_other_shapes_refused(self, shape):
+        with pytest.raises(InvalidInput):
+            features.hog_bin_map(np.zeros(shape))
 
     def test_bins_are_those_of_the_channels(self):
         # the unscaled Sobel gives the same angles: Sobel/8 is an exact scaling
@@ -282,14 +304,14 @@ class TestContextVectors:
         geom = features.PatchGeometry(5, ((5, 0), (0, 5)))
         ctx = features.context_vectors(vol, (10, 10), geom)
         raw = features.extract_patch_vector(vol, (10, 10), geom)
-        assert np.array_equal(ctx.vectors[0], raw)
-        assert len(ctx.vectors) == geom.num_context == 3
+        assert np.array_equal(ctx[0], raw)
+        assert ctx.shape == (geom.num_context, geom.vector_length) == (3, 650)
 
     def test_constant_image_differences_zero(self):
         vol = features.compute_channels(np.full((20, 20), 0.3))
         geom = features.PatchGeometry(5)
         ctx = features.context_vectors(vol, (7, 7), geom)
-        assert np.max(np.abs(ctx.vectors)) == 0.0
+        assert np.max(np.abs(ctx)) == 0.0
 
     def test_difference_oracle(self):
         vol = features.compute_channels(random_image(14))
@@ -298,15 +320,15 @@ class TestContextVectors:
         for j, (dx, dy) in enumerate(geom.neighbor_offsets, start=1):
             raw = features.extract_patch_vector(vol, (10, 10), geom)
             nb = features.extract_patch_vector(vol, (10 + dx, 10 + dy), geom)
-            assert np.array_equal(ctx.vectors[j], raw - nb)
-            assert not ctx.clipped[j]
+            assert np.array_equal(ctx[j], raw - nb)
 
     def test_clipped_neighbor_is_raw(self):
         vol = features.compute_channels(random_image(15, 16, 16))
         geom = features.PatchGeometry(5, ((-8, 0), (5, 0)))
         ctx = features.context_vectors(vol, (2, 2), geom)
-        assert ctx.clipped == (False, True, False)
-        assert np.array_equal(ctx.vectors[1], ctx.vectors[0])
+        assert np.array_equal(ctx[1], ctx[0])
+        nb = features.extract_patch_vector(vol, (7, 2), geom)
+        assert np.array_equal(ctx[2], ctx[0] - nb)
 
     def test_center_out_of_bounds(self):
         vol = features.compute_channels(random_image(16, 16, 16))

@@ -16,7 +16,7 @@ from hrm.errors import (
     MissingAsset,
     ParseError,
 )
-from hrm.features import EXTRACTOR_VERSION, ContextSet, PatchGeometry
+from hrm.features import EXTRACTOR_VERSION, PatchGeometry
 from hrm.training import ModelBank
 
 
@@ -401,8 +401,7 @@ class TestModelIO:
         model_io.save_model(path, bank)
         back = model_io.load_model(path)
         x = np.random.default_rng(6).standard_normal((2, bank.geometry.vector_length))
-        ctx = ContextSet(x, (False, False))
-        a, b = (voting.cast_votes(ctx, k, (0.0, 0.0)) for k in (bank, back))
+        a, b = (voting.cast_votes(x, k, (0.0, 0.0)) for k in (bank, back))
         assert np.array_equal(a.votes, b.votes)
         assert np.array_equal(a.labels, b.labels)
 

@@ -107,7 +107,7 @@ def context_rows(ss, geom):
     """Rows (n, m+1, d) from the per-patch oracle, in the set's order."""
     vols = [compute_channels(c) for c in ss.canvases]
     return np.array(
-        [context_vectors(vols[c], xy, geom).vectors
+        [context_vectors(vols[c], xy, geom)
          for c, xy in zip(ss.canvas_ids, ss.topleft)]
     )
 
@@ -423,6 +423,13 @@ class TestTrainBank:
         assert live["calls"] == len(np.unique(ss.canvas_ids)) > 2
         assert 1 <= live["peak"] <= workers
         assert live["now"] == 0
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
+    def test_workers_must_be_a_positive_integer(self, workers):
+        ss = training.sample_patches([scene_entry(21)], 8, 8, GEOM, seed=1)
+        with pytest.raises(InvalidInput, match="workers"):
+            training.train_from_samples(ss, GEOM, pls.LatentConfig(components=3),
+                                        workers=workers)
 
     def test_matches_fits_at_every_start(self):
         # every patch start of a small canvas, so each neighbor bound is hit

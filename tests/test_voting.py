@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from hrm import pls, voting
 from hrm.errors import InvalidInput
-from hrm.features import ContextSet, PatchGeometry
+from hrm.features import PatchGeometry
 from hrm.training import ModelBank
 
 
@@ -92,19 +92,19 @@ class TestCastVotes:
         geom, hrms, lrms = constant_fits(votes_out, labels_out)
         bank = ModelBank.from_fits(hrms, lrms, geom)
         dim = geom.vector_length
-        ctx = ContextSet(np.random.default_rng(0).random((3, dim)), (False,) * 3)
+        ctx = np.random.default_rng(0).random((3, dim))
         pv = voting.cast_votes(ctx, bank, (10.0, 20.0))
         for j in range(3):
-            assert np.allclose(pv.votes[j], pls.predict(hrms[j], ctx.vectors[j]))
+            assert np.allclose(pv.votes[j], pls.predict(hrms[j], ctx[j]))
             assert pv.labels[j] == pytest.approx(
-                float(pls.predict(lrms[j], ctx.vectors[j])[0])
+                float(pls.predict(lrms[j], ctx[j])[0])
             )
         assert pv.weight == pytest.approx(2.0 / 3.0)
 
     def test_context_count_mismatch(self):
         geom, hrms, lrms = constant_fits([(0, 0)] * 3, [1.0] * 3)
         bank = ModelBank.from_fits(hrms, lrms, geom)
-        ctx = ContextSet(np.zeros((2, geom.vector_length)), (False, False))
+        ctx = np.zeros((2, geom.vector_length))
         with pytest.raises(InvalidInput):
             voting.cast_votes(ctx, bank, (0, 0))
 
