@@ -22,18 +22,18 @@ from hrm.cli import main as hrm
 from hrm.config import load_config
 from hrm.dataset import load_dataset
 from hrm.detect import detect
-from hrm.evaluate import box_from_hypothesis, evaluate, iou
+from hrm.evaluate import IOU_THRESHOLD, box_from_hypothesis, evaluate, iou
 from hrm.model_io import load_model
 
 C6 = Path(__file__).resolve().parent / "c6"
 
 
-def box_hits(detected_boxes, boxes, iou_threshold):
-    """Per box, how many detected boxes match it best, at IoU >= the threshold."""
+def box_hits(detected_boxes, boxes):
+    """Per box, how many detected boxes match it best, at IoU >= IOU_THRESHOLD."""
     hits = [0] * len(boxes)
     for d in detected_boxes:
         overlaps = [iou(d, b) for b in boxes]
-        if overlaps and max(overlaps) >= iou_threshold:
+        if overlaps and max(overlaps) >= IOU_THRESHOLD:
             hits[overlaps.index(max(overlaps))] += 1
     return hits
 
@@ -71,15 +71,15 @@ def experiment(config, train_spec, test_spec, train_seed, test_seed):
             res = detect(img, bank, cfg.scales, cfg.voting, image_id=name)
             detections += res.detections
             truth[name] = list(boxes)
-            hits = box_hits([d.box for d in res.detections], boxes, cfg.iou_threshold)
+            hits = box_hits([d.box for d in res.detections], boxes)
             dup_fused += sum(max(h - 1, 0) for h in hits)
             pre = [box_from_hypothesis(h.center, h.scale, bank.reference_box)
                    for h in res.hypotheses_prefusion]
-            hits = box_hits(pre, boxes, cfg.iou_threshold)
+            hits = box_hits(pre, boxes)
             objs_with_prefusion_dup += sum(1 for h in hits if h >= 2)
     detect_s = time.perf_counter() - t
 
-    report = evaluate(detections, truth, cfg.iou_threshold)
+    report = evaluate(detections, truth)
     _, precision, recall = report.pr_points[-1] if report.pr_points else (0, 0.0, 0.0)
     return 0, dict(
         steps=steps, scenes=len(truth), detect_s=detect_s,

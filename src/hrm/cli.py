@@ -180,7 +180,7 @@ def _read_detections(path) -> list:
 
 def cmd_eval(args) -> int:
     _check_out(args.out)
-    cfg = load_config(args.config)
+    load_config(args.config)  # refuses a malformed config; eval reads no key
     ds = load_dataset(args.annotations)
     detections = _read_detections(args.detections)
     # det.tsv names images by file name alone, so names must be unique
@@ -189,7 +189,7 @@ def cmd_eval(args) -> int:
         if paths.setdefault(p.name, p) != p:
             raise errors.ParseError(f"{paths[p.name]} and {p} share a file name")
     ground_truth = {p.name: list(boxes) for p, boxes in ds.entries}
-    report = evaluate(detections, ground_truth, cfg.iou_threshold)
+    report = evaluate(detections, ground_truth)
 
     csv = "threshold,precision,recall\n" + "".join(
         f"{t:.6f},{p:.6f},{r:.6f}\n" for t, p, r in report.pr_points

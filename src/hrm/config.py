@@ -8,7 +8,7 @@ section or key is a ParseError, and ``#`` after whitespace starts a comment.
 [features] is the model's PatchGeometry: training records it in the
 model, and detection reads it from there.  The accumulator cell, its
 smoothing and fusion's kernel bandwidth are not keys: detection fixes them
-(:func:`~hrm.detect.detect`).
+(:func:`~hrm.detect.detect`), as ``evaluate`` fixes IoU 0.5 for ``hrm eval``.
 """
 
 from __future__ import annotations
@@ -19,8 +19,11 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from .detect import VotingConfig
-from .errors import InvalidInput, InvalidSpec, MissingAsset, ParseError, check_integer
+from .errors import (InvalidInput, InvalidSpec, MissingAsset, ParseError, check_integer,
+                     check_real)
 from .features import PatchGeometry
 from .pls import LatentConfig
 from .voting import ScaleSet
@@ -36,22 +39,20 @@ class TrainingConfig:
     def __post_init__(self):
         for name, minimum in (("n_pos", 1), ("n_neg", 1), ("seed", 0)):
             check_integer(name, getattr(self, name), minimum)
+        if not isinstance(self.scale_normalize, (bool, np.bool_)):
+            raise InvalidInput(
+                f"scale_normalize must be a bool, got {self.scale_normalize!r}")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """The settings of a config file, one dataclass per section's fields."""
+
     pls: LatentConfig = field(default_factory=LatentConfig)
     geometry: PatchGeometry = field(default_factory=PatchGeometry)
     training: TrainingConfig = field(default_factory=TrainingConfig)
     scales: ScaleSet = field(default_factory=ScaleSet)
     voting: VotingConfig = field(default_factory=VotingConfig)
-    iou_threshold: float = 0.5
-
-    def __post_init__(self):
-        if not 0 < self.iou_threshold <= 1:
-            raise InvalidInput(
-                f"iou_threshold must be in (0, 1], got {self.iou_threshold}"
-            )
 
     def check_training(self) -> None:
         """Refuse a ``components`` that training could not fit.
@@ -86,16 +87,13 @@ class SynthSpec:
             check_integer(name, getattr(self, name), minimum, InvalidSpec)
         if not self.scales or not all(0 < s < math.inf for s in self.scales):
             raise InvalidSpec("need at least one scale, all finite and positive")
-        if not 0 <= self.noise < math.inf:
-            raise InvalidSpec(f"noise must be finite and >= 0, got {self.noise}")
+        check_real("noise", self.noise, 0, error=InvalidSpec)
 
 
 def _reader(key, tp):
-    """How to read ``key``'s INI text as type ``tp``; None for a nested config."""
+    """How to read ``key``'s INI text as type ``tp``."""
     if tp in (int, float, bool):
         return tp  # bool is read with getboolean
-    if get_origin(tp) is not tuple:
-        return None
     item = get_args(tp)[0]
     if get_origin(item) is not tuple:
         return lambda text: tuple(item(v) for v in text.split())
@@ -109,22 +107,18 @@ def _reader(key, tp):
     return pairs
 
 
-def _readers(cls) -> dict:
-    """The reader of each field of ``cls`` that an INI key can set."""
-    hints = get_type_hints(cls)
-    readers = {f.name: _reader(f.name, hints[f.name]) for f in fields(cls)}
-    return {key: read for key, read in readers.items() if read is not None}
-
-
-# Each section and the dataclasses its keys fill.
+# Each section and the dataclasses its keys fill, in PipelineConfig's field order.
 _SECTIONS = {
     "pls": (LatentConfig,),
     "features": (PatchGeometry,),
     "training": (TrainingConfig,),
     "voting": (ScaleSet, VotingConfig),
-    "pipeline": (PipelineConfig,),  # its scalars; the rest are sections
 }
-_READERS = {cls: _readers(cls) for cls in (*sum(_SECTIONS.values(), ()), SynthSpec)}
+# Every field of these dataclasses is a key, read by its field's type.
+_READERS = {
+    cls: {f.name: _reader(f.name, get_type_hints(cls)[f.name]) for f in fields(cls)}
+    for cls in (*sum(_SECTIONS.values(), ()), SynthSpec)
+}
 _KEYS = {
     name: {key for cls in classes for key in _READERS[cls]}
     for name, classes in _SECTIONS.items()
@@ -154,9 +148,9 @@ def _read_ini(path, keys) -> configparser.ConfigParser:
     return parser
 
 
-def _build(parser, name, cls, **defaults):
-    """``cls`` from ``defaults`` and the keys of section ``name``, read as typed."""
-    values = dict(defaults)
+def _build(parser, name, cls):
+    """``cls`` from the keys of section ``name``, read as typed."""
+    values = {}
     s = parser[name] if parser.has_section(name) else {}
     for key, read in _READERS[cls].items():
         if key in s:
@@ -176,15 +170,8 @@ def load_config(path=None) -> PipelineConfig:
             raise ParseError(f"config file not found: {path}")
         parser = _read_ini(path, _KEYS)
 
-    pls = _build(parser, "pls", LatentConfig)
-    geometry = _build(parser, "features", PatchGeometry)
-    training = _build(parser, "training", TrainingConfig)
-    scales = _build(parser, "voting", ScaleSet)
-    voting = _build(parser, "voting", VotingConfig)
-    return _build(
-        parser, "pipeline", PipelineConfig, pls=pls, geometry=geometry,
-        training=training, scales=scales, voting=voting,
-    )
+    return PipelineConfig(*(_build(parser, name, cls)
+                            for name, classes in _SECTIONS.items() for cls in classes))
 
 
 def load_synth_spec(path) -> SynthSpec:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, check_integer
+from .errors import InvalidInput, check_integer, check_real
 from .evaluate import Detection, box_from_hypothesis
 from .features import compute_channels, patch_windows
 # Not called here: perfbench counts detection-time patch extractions
@@ -61,10 +61,7 @@ class VotingConfig:
         check_integer("stride", self.stride)
         if not 1 <= self.stride < 2**63:
             raise InvalidInput(f"stride must be in [1, 2**63), got {self.stride}")
-        if not 0 <= self.min_score_fraction <= 1:
-            raise InvalidInput(
-                f"min_score_fraction must be in [0, 1], got {self.min_score_fraction}"
-            )
+        check_real("min_score_fraction", self.min_score_fraction, 0, 1)
         check_integer("maxima_radius", self.maxima_radius, 1)
 
 

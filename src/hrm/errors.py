@@ -1,6 +1,7 @@
 """Exception types shared across the package, each with its ``hrm`` exit
-code, and the one check that a setting is an integer."""
+code, and the checks that a setting is an integer or a real number."""
 
+import math
 import numbers
 
 
@@ -65,3 +66,12 @@ def check_integer(name: str, value, minimum=None, error=InvalidInput) -> None:
             or minimum is not None and value < minimum):
         at_least = "" if minimum is None else f" >= {minimum}"
         raise error(f"{name} must be an integer{at_least}, got {value!r}")
+
+
+def check_real(name: str, value, low, high=math.inf, error=InvalidInput) -> None:
+    """Raise ``error`` unless ``value`` is a finite ``numbers.Real`` other than
+    a bool, in [low, high]: NumPy floats pass, and True, "0.5" or NaN do not."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (low <= value <= high and math.isfinite(value))):
+        span = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise error(f"{name} must be a finite real number {span}, got {value!r}")

@@ -1,9 +1,9 @@
 """Precision-recall evaluation with greedy IoU matching.
 
 Detections are matched to ground-truth boxes in descending score order; a
-detection is a true positive when it overlaps an unmatched box with IoU
-at or above the configured threshold.  The equal error rate is the value
-at the precision = recall crossing, linearly interpolated.
+detection is a true positive when it overlaps an unmatched box with IoU at
+or above the fixed :data:`IOU_THRESHOLD`.  The equal error rate is the
+value at the precision = recall crossing, linearly interpolated.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+IOU_THRESHOLD = 0.5  # the PASCAL VOC overlap at which a detection matches
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ def iou(a, b) -> float:
     return inter / union
 
 
-def match_detections(detections, ground_truth, iou_threshold: float = 0.5):
+def match_detections(detections, ground_truth):
     """Greedy matching by descending score.
 
     ground_truth: {image_id: [box, ...]}.  Returns a boolean TP flag per
@@ -63,7 +65,7 @@ def match_detections(detections, ground_truth, iou_threshold: float = 0.5):
     tp_flags = []
     for det in ordered:
         boxes = unmatched.get(det.image_id, [])
-        best, best_iou = None, iou_threshold
+        best, best_iou = None, IOU_THRESHOLD
         for k, box in enumerate(boxes):
             v = iou(det.box, box)
             if v >= best_iou:
@@ -76,10 +78,10 @@ def match_detections(detections, ground_truth, iou_threshold: float = 0.5):
     return ordered, np.array(tp_flags, dtype=bool)
 
 
-def evaluate(detections, ground_truth, iou_threshold: float = 0.5) -> EvalReport:
+def evaluate(detections, ground_truth) -> EvalReport:
     """Sweep thresholds over detection scores to build the PR curve."""
     n_gt = sum(len(b) for b in ground_truth.values())
-    ordered, tp = match_detections(detections, ground_truth, iou_threshold)
+    ordered, tp = match_detections(detections, ground_truth)
 
     if not ordered or n_gt == 0:
         return EvalReport((), 0.0, len(ordered), n_gt)

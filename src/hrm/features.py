@@ -177,6 +177,8 @@ def patch_windows(vol: np.ndarray, patch_size: int) -> np.ndarray:
 
 
 def _check_patch(vol: np.ndarray, topleft, patch_size: int) -> tuple[int, int]:
+    for v in topleft:
+        check_integer("a patch coordinate", v)
     x, y = int(topleft[0]), int(topleft[1])
     h, w = vol.shape[:2]
     if x < 0 or y < 0 or x + patch_size > w or y + patch_size > h:

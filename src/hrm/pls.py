@@ -28,7 +28,8 @@ from scipy import linalg
 from scipy.linalg import blas
 from scipy.sparse import linalg as sparse_linalg
 
-from .errors import DegenerateFit, InvalidComponents, InvalidInput, check_integer
+from .errors import (DegenerateFit, InvalidComponents, InvalidInput, check_integer,
+                     check_real)
 
 # Condition-number ceiling for the score Gram matrix before a fit is
 # declared degenerate.
@@ -67,8 +68,7 @@ class LatentConfig:
 
     def __post_init__(self):
         check_integer("components", self.components, 1)
-        if not 0.0 <= self.ridge <= 1.0:  # NaN fails too
-            raise InvalidInput(f"ridge must lie in [0, 1], got {self.ridge}")
+        check_real("ridge", self.ridge, 0, 1)
 
 
 def _as_matrix(a, name: str, finite: bool = True) -> np.ndarray:

@@ -565,6 +565,8 @@ class TestDetectCommand:
         ("scales = 0.75 1.0", "scales = nan"),
         ("scales = 0.75 1.0", "scales = 1 inf"),
         ("stride = 2", "stride = 2\nmin_score_fraction = nan"),
+        # a config that still carries the retired [pipeline] iou_threshold
+        # is refused by name, whatever its value
         ("stride = 2", "stride = 2\n[pipeline]\niou_threshold = nan"),
         # a config that still carries the retired bin_size and [fusion]
         # bandwidth keys, here with a nan bandwidth, is refused all the same
@@ -601,12 +603,13 @@ class TestDetectCommand:
         ("voting", "bin_size = 4"),
         ("voting", "smoothing = 1.5"),
         ("fusion", "bandwidth = 8"),
+        ("pipeline", "iou_threshold = 0.5"),
     ])
     def test_removed_key_is_input_error(self, workspace, tmp_path, capsys,
                                         section, line):
-        # the filter, the kernel, the accumulator cell, its smoothing and the
-        # kernel bandwidth are fixed, so even their old defaults are refused
-        # rather than ignored
+        # the filter, the kernel, the accumulator cell, its smoothing, the
+        # kernel bandwidth and the match IoU are fixed, so even their old
+        # defaults are refused rather than ignored
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(f"[{section}]\n{line}\n")
         assert main(["detect", "--config", str(cfg),
@@ -745,6 +748,26 @@ class TestEvalCommand:
                      "--annotations", str(workspace / "scenes" / "annotations.txt"),
                      "--out", str(tmp_path / "pr.csv")]) == 0
         assert (tmp_path / "pr.csv").read_bytes() == (workspace / "pr.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_retired_iou_threshold_is_input_error(self, workspace, tmp_path, capsys,
+                                                  command):
+        # eval matches at the fixed IoU 0.5, and every command that reads a
+        # config refuses the key that set it, even at its old default (detect
+        # in TestDetectCommand::test_removed_key_is_input_error)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(CONFIG + "\n[pipeline]\niou_threshold = 0.5\n")
+        annotations = ["--annotations", str(workspace / "scenes" / "annotations.txt")]
+        inputs = {
+            "train": annotations,
+            "eval": ["--detections", str(workspace / "det.tsv"), *annotations],
+        }
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), *inputs[command],
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key 'iou_threshold' in section [pipeline]" in err
+        assert not out.exists()
 
     def test_csv_format(self, workspace):
         lines = (workspace / "pr.csv").read_text().splitlines()

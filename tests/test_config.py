@@ -24,7 +24,6 @@ class TestDefaults:
         assert cfg.training.n_pos == cfg.training.n_neg == 12000
         assert cfg.scales.scales == (0.75, 1.0, 1.25, 1.5)
         assert cfg.voting.stride == 1
-        assert cfg.iou_threshold == 0.5
 
     def test_dataclass_defaults_match_loader(self):
         assert load_config(None) == PipelineConfig()
@@ -38,7 +37,6 @@ class TestFileParsing:
             "[features]\npatch_size = 6\nneighbor_offsets = 6 0 -6 0\n"
             "[training]\nn_pos = 100\nn_neg = 50\nseed = 9\n"
             "[voting]\nscales = 0.5 1.0 2.0\nstride = 2\nmaxima_radius = 2\n"
-            "[pipeline]\niou_threshold = 0.4\n"
         )
         cfg = load_config(path)
         assert cfg.pls.components == 8 and cfg.pls.ridge == 0.5
@@ -47,7 +45,6 @@ class TestFileParsing:
         assert cfg.training.n_pos == 100
         assert cfg.scales.scales == (0.5, 1.0, 2.0)
         assert cfg.voting.stride == 2 and cfg.voting.maxima_radius == 2
-        assert cfg.iou_threshold == 0.4
 
     def test_partial_file_keeps_other_defaults(self, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -96,6 +93,20 @@ class TestFileParsing:
         with pytest.raises(ParseError, match=r"unknown config section \[fusion\]"):
             load_config(path)
 
+    def test_retired_pipeline_section_is_unknown(self, tmp_path):
+        # the match IoU is a constant of evaluate, so no key needs [pipeline]
+        path = tmp_path / "cfg.ini"
+        path.write_text("[pipeline]\n")
+        with pytest.raises(ParseError, match=r"unknown config section \[pipeline\]"):
+            load_config(path)
+
+    def test_retired_iou_threshold_is_unknown(self, tmp_path):
+        # refused by name, not range-checked
+        path = tmp_path / "cfg.ini"
+        path.write_text("[pipeline]\niou_threshold = nan\n")
+        with pytest.raises(ParseError, match=r"'iou_threshold' in section \[pipeline\]"):
+            load_config(path)
+
     def test_default_section_is_unknown(self, tmp_path):
         # configparser would copy [DEFAULT] keys into every section
         path = tmp_path / "cfg.ini"
@@ -120,7 +131,6 @@ class TestFileParsing:
         "[training]\nseed = -1\n",
         "[voting]\nscales = 1 inf\n",
         "[voting]\nmin_score_fraction = 1.5\n",
-        "[pipeline]\niou_threshold = nan\n",
     ])
     def test_invalid_value(self, tmp_path, text):
         path = tmp_path / "cfg.ini"
@@ -147,7 +157,6 @@ class TestEveryKey:
             "min_score_fraction": 0.2,
             "maxima_radius": 5,
         },
-        "pipeline": {"iou_threshold": 0.4},
     }
 
     @staticmethod
@@ -163,7 +172,7 @@ class TestEveryKey:
         # [voting] fills two dataclasses: ScaleSet takes scales
         return {
             "pls": cfg.pls, "features": cfg.geometry, "training": cfg.training,
-            "voting": cfg.voting, "scales": cfg.scales, "pipeline": cfg,
+            "voting": cfg.voting, "scales": cfg.scales,
         }
 
     def test_every_key_lands_on_its_field(self, tmp_path):
@@ -184,14 +193,6 @@ class TestEveryKey:
 
 
 class TestPipelineConfig:
-    @pytest.mark.parametrize("iou", [0.0, -0.1, 1.0001, float("nan")])
-    def test_rejects_iou_threshold(self, iou):
-        with pytest.raises(InvalidInput):
-            PipelineConfig(iou_threshold=iou)
-
-    def test_accepts_iou_threshold_one(self):
-        assert PipelineConfig(iou_threshold=1.0).iou_threshold == 1.0
-
     @pytest.mark.parametrize("n_pos, patch_size", [(150, 6), (30, 1)])
     def test_components_bound(self, n_pos, patch_size):
         # voting models see n_pos centered rows of patch_size^2 * 26 columns
@@ -245,6 +246,38 @@ class TestIntegerSettings:
         assert all(type(v) is int for v in geom.neighbor_offsets[0])
         assert config.TrainingConfig(n_pos=i(4), n_neg=i(4), seed=i(0)).n_pos == 4
         assert SynthSpec(scenes=i(2), canvas_width=i(64), max_objects=i(1)).scenes == 2
+
+
+class TestRealSettings:
+    """Each real-valued setting refuses a bool, a string or a value out of its
+    range with its class's own error, and takes a NumPy float; a bool
+    setting refuses anything but a bool."""
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda: LatentConfig(ridge=True), InvalidInput),
+        (lambda: LatentConfig(ridge="0.5"), InvalidInput),
+        (lambda: LatentConfig(ridge=float("nan")), InvalidInput),
+        (lambda: VotingConfig(min_score_fraction=True), InvalidInput),
+        (lambda: VotingConfig(min_score_fraction="0.1"), InvalidInput),
+        (lambda: SynthSpec(noise=True), InvalidSpec),
+        (lambda: SynthSpec(noise="0.01"), InvalidSpec),
+        (lambda: SynthSpec(noise=float("inf")), InvalidSpec),
+    ], ids=["ridge-True", "ridge-str", "ridge-nan", "min_score_fraction-True",
+            "min_score_fraction-str", "noise-True", "noise-str", "noise-inf"])
+    def test_refuses_non_reals(self, make, error):
+        with pytest.raises(error, match="must be a finite real number"):
+            make()
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_scale_normalize_refuses_non_bools(self, value):
+        with pytest.raises(InvalidInput, match="scale_normalize must be a bool"):
+            config.TrainingConfig(scale_normalize=value)
+
+    def test_takes_numpy_values(self):
+        assert LatentConfig(ridge=np.float32(0.5)).ridge == 0.5
+        assert VotingConfig(min_score_fraction=np.float64(0.1)).min_score_fraction == 0.1
+        assert SynthSpec(noise=np.float64(0.0)).noise == 0.0
+        assert config.TrainingConfig(scale_normalize=np.bool_(True)).scale_normalize
 
 
 class TestReadmeExamples:

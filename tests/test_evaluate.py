@@ -43,12 +43,15 @@ class TestMatching:
         assert tp.tolist() == [True, False]
 
     def test_iou_threshold_respected(self):
+        # a box matches at IoU >= IOU_THRESHOLD = 0.5, the boundary included
+        assert ev.IOU_THRESHOLD == 0.5
         gt = {"a": [(0, 0, 10, 10)]}
-        d = det("a", (6, 0, 16, 10), 1.0)  # IoU = 4/16 = 0.25
-        _, tp = ev.match_detections([d], gt, iou_threshold=0.5)
-        assert tp.tolist() == [False]
-        _, tp = ev.match_detections([d], gt, iou_threshold=0.2)
+        d = det("a", (0, 0, 10, 20), 1.0)  # IoU = 100/200 = 0.5 exactly
+        _, tp = ev.match_detections([d], gt)
         assert tp.tolist() == [True]
+        d = det("a", (0, 0, 10, 21), 1.0)  # IoU = 100/210 < 0.5
+        _, tp = ev.match_detections([d], gt)
+        assert tp.tolist() == [False]
 
     def test_wrong_image_never_matches(self):
         gt = {"a": [(0, 0, 10, 10)]}

@@ -283,6 +283,15 @@ class TestExtractPatchVector:
         with pytest.raises(OutOfBounds):
             features.extract_patch_vector(vol, (-1, 0), geom)
 
+    @pytest.mark.parametrize("topleft", [(2.7, 3), (2, 3.2), (2.0, 3), (True, 3)])
+    def test_non_integer_corner_is_refused(self, topleft):
+        # both per-patch oracles refuse it rather than truncate it
+        vol = features.compute_channels(random_image(12))
+        geom = features.PatchGeometry(5, ((5, 0),))
+        for oracle in (features.extract_patch_vector, features.context_vectors):
+            with pytest.raises(InvalidInput, match="patch coordinate must be an integer"):
+                oracle(vol, topleft, geom)
+
 
 class TestPatchWindows:
     @pytest.mark.parametrize("ps", [1, 2, 3, 4, 5])
