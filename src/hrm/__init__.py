@@ -11,7 +11,7 @@ from .errors import HRMError
 from .features import PatchGeometry, compute_channels
 from .fusion import fuse, npmi
 from .pls import LatentConfig, RegressionModel, bpls_fit, pls_fit, predict
-from .training import ModelBank, sample_patches, train_from_samples
+from .training import ModelBank, TrainingConfig, sample_patches, train_from_samples
 from .voting import Hypothesis, ScaleSet, accumulate_cuboid, find_maxima
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "PatchGeometry",
     "RegressionModel",
     "ScaleSet",
+    "TrainingConfig",
     "VotingConfig",
     "accumulate_cuboid",
     "bpls_fit",

@@ -1,6 +1,6 @@
 """Command-line interface: train, detect, eval, synth.
 
-``train`` passes the config's ``[training]`` settings to
+``train`` passes the config's ``[training]`` settings whole to
 :func:`~hrm.training.sample_patches`, which derives the reference box from
 the annotated boxes, and :func:`~hrm.training.train_from_samples` stores that
 box in the model; ``detect`` boxes each hypothesis at its level times it.
@@ -101,14 +101,7 @@ def cmd_train(args) -> int:
     cfg.check_training()
     ds = load_dataset(args.annotations)
     entries = [(img, list(boxes)) for _, img, boxes in ds.load_entries()]
-    samples = sample_patches(
-        entries,
-        cfg.training.n_pos,
-        cfg.training.n_neg,
-        cfg.geometry,
-        cfg.training.seed,
-        cfg.training.scale_normalize,
-    )
+    samples = sample_patches(entries, cfg.geometry, cfg.training)
     bank = train_from_samples(samples, cfg.geometry, cfg.pls, workers=_worker_count())
     save_model(args.out, bank)
     n = bank.geometry.num_context
@@ -130,6 +123,9 @@ def cmd_detect(args) -> int:
         paths = [image_dir]
     else:
         raise errors.MissingAsset(str(image_dir))
+    for p in paths:  # det.tsv splits at tabs and line breaks, annotations at spaces
+        if p.name.split() != [p.name]:
+            raise errors.InvalidInput(f"image name {p.name!r} holds whitespace")
 
     def run(path):
         img = load_image(path)
@@ -204,19 +200,15 @@ def cmd_synth(args) -> int:
     spec = load_synth_spec(args.spec)
     if args.seed < 0:
         raise errors.InvalidInput(f"--seed must be >= 0, got {args.seed}")
-    size = (spec.canvas_width, spec.canvas_height)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scenes = random_scenes(args.seed, spec.scenes, size, spec.noise, spec.scales,
-                           spec.min_objects, spec.max_objects)
     lines = []
-    for idx, (img, boxes) in enumerate(scenes):
+    for idx, (img, boxes) in enumerate(random_scenes(spec, args.seed)):
         name = f"scene_{idx:04d}.pgm"
         write_pgm(out_dir / name, img)
-        coord_text = " ".join(" ".join(str(v) for v in b) for b in boxes)
-        lines.append(f"{name} {coord_text}".rstrip())
+        lines.append(" ".join([name] + [str(v) for b in boxes for v in b]))
     atomic_write(out_dir / "annotations.txt", ("\n".join(lines) + "\n").encode("utf-8"))
-    print(f"{spec.scenes} scenes -> {out_dir}")
+    print(f"{len(lines)} scenes -> {out_dir}")
     return 0
 
 

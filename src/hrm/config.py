@@ -1,8 +1,10 @@
 """Key-value configuration files (INI sections mirror module names).
 
-Each section fills the fields of its dataclasses: a key is a field name,
-its value is read as the field's type (an int, float or bool, or a
-whitespace-separated tuple of numbers), and an absent key keeps the
+Each section fills the fields of its dataclasses, each defined beside the
+function it configures (``TrainingConfig`` in :mod:`hrm.training`,
+``SynthSpec`` in :mod:`hrm.synth`); this module only reads them from INI.
+A key is a field name, read as the field's type (an int, float or bool,
+or a whitespace-separated tuple of numbers); an absent key keeps the
 field's default.  README.md's INI block lists every key.  An unknown
 section or key is a ParseError, and ``#`` after whitespace starts a comment.
 [features] is the model's PatchGeometry: training records it in the
@@ -14,34 +16,17 @@ smoothing and fusion's kernel bandwidth are not keys: detection fixes them
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-import numpy as np
-
 from .detect import VotingConfig
-from .errors import (InvalidInput, InvalidSpec, MissingAsset, ParseError, check_integer,
-                     check_real)
+from .errors import InvalidInput, MissingAsset, ParseError
 from .features import PatchGeometry
 from .pls import LatentConfig
+from .synth import SynthSpec
+from .training import TrainingConfig
 from .voting import ScaleSet
-
-
-@dataclass(frozen=True)
-class TrainingConfig:
-    n_pos: int = 12000
-    n_neg: int = 12000
-    seed: int = 0
-    scale_normalize: bool = False
-
-    def __post_init__(self):
-        for name, minimum in (("n_pos", 1), ("n_neg", 1), ("seed", 0)):
-            check_integer(name, getattr(self, name), minimum)
-        if not isinstance(self.scale_normalize, (bool, np.bool_)):
-            raise InvalidInput(
-                f"scale_normalize must be a bool, got {self.scale_normalize!r}")
 
 
 @dataclass(frozen=True)
@@ -67,27 +52,6 @@ class PipelineConfig:
                 f"components must be <= min(n_pos - 1, patch_size^2 * 26) = {bound}, "
                 f"got {self.pls.components}"
             )
-
-
-@dataclass(frozen=True)
-class SynthSpec:
-    """The [synth] section of an ``hrm synth`` spec file."""
-
-    scenes: int = 10
-    canvas_width: int = 224
-    canvas_height: int = 224
-    noise: float = 0.02
-    min_objects: int = 1
-    max_objects: int = 3
-    scales: tuple[float, ...] = (0.75, 1.0, 1.25, 1.5)
-
-    def __post_init__(self):
-        for name, minimum in (("scenes", 0), ("canvas_width", 1), ("canvas_height", 1),
-                              ("min_objects", 0), ("max_objects", self.min_objects)):
-            check_integer(name, getattr(self, name), minimum, InvalidSpec)
-        if not self.scales or not all(0 < s < math.inf for s in self.scales):
-            raise InvalidSpec("need at least one scale, all finite and positive")
-        check_real("noise", self.noise, 0, error=InvalidSpec)
 
 
 def _reader(key, tp):
@@ -123,7 +87,6 @@ _KEYS = {
     name: {key for cls in classes for key in _READERS[cls]}
     for name, classes in _SECTIONS.items()
 }
-_SYNTH_KEYS = {"synth": set(_READERS[SynthSpec])}
 
 
 def _read_ini(path, keys) -> configparser.ConfigParser:
@@ -179,7 +142,7 @@ def load_synth_spec(path) -> SynthSpec:
     path = Path(path)
     if not path.is_file():
         raise MissingAsset(str(path))
-    parser = _read_ini(path, _SYNTH_KEYS)
+    parser = _read_ini(path, {"synth": set(_READERS[SynthSpec])})
     if not parser.has_section("synth"):
         raise ParseError(f"{path}: missing [synth] section")
     return _build(parser, "synth", SynthSpec)

@@ -40,8 +40,8 @@ def conditional_prob(h_i: Hypothesis, h_j: Hypothesis, votes, bandwidth: float) 
     """
     if not 0 < bandwidth < math.inf:
         raise InvalidInput(f"bandwidth must be finite and positive, got {bandwidth}")
-    if h_i.scale <= 0 or h_j.scale <= 0:
-        raise InvalidInput("hypothesis scales must be positive")
+    if not (0 < h_i.scale < math.inf and 0 < h_j.scale < math.inf):  # NaN fails too
+        raise InvalidInput("hypothesis scales must be finite and positive")
     field = VoteField.of(votes)
     total = field.total_weight
     if total <= 0:
@@ -68,12 +68,12 @@ def npmi(
     (the full accumulated vote mass).  Boundary behavior: identical
     support gives 1, independence 0, disjoint support -1.
     """
-    if total_mass <= 0:
-        raise InvalidInput("total_mass must be positive")
+    if not 0 < total_mass < math.inf:  # NaN fails too
+        raise InvalidInput(f"total_mass must be finite and positive, got {total_mass}")
     p_i = max(h_i.score / total_mass, PROBABILITY_FLOOR)
     p_j = max(h_j.score / total_mass, PROBABILITY_FLOOR)
-    if p_i >= 1.0 or p_j >= 1.0:
-        raise InvalidInput("hypothesis probabilities must stay below 1")
+    if not (p_i < 1.0 and p_j < 1.0):  # a NaN score fails too
+        raise InvalidInput("hypothesis scores must be finite and below total_mass")
 
     cond = conditional_prob(h_i, h_j, votes, bandwidth)
     if cond <= PROBABILITY_FLOOR:

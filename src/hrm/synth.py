@@ -3,18 +3,44 @@
 The template is rendered analytically at any scale (bright disk, dark
 horizontal bar, bright corner square) so it carries distinct oriented
 edges.  Scenes add low-frequency background clutter and optional pixel
-noise; everything is deterministic per seed, as is :func:`random_scenes`.
+noise; everything is deterministic per seed, as is :func:`random_scenes`,
+which draws the scenes of a :class:`SynthSpec`, an ``hrm synth`` spec.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy import ndimage
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, check_integer, check_real
 from .evaluate import iou
 
 TEMPLATE_SIZE = 40  # box side at scale 1.0
+
+
+@dataclass(frozen=True)
+class SynthSpec:
+    """The [synth] section of an ``hrm synth`` spec: what :func:`random_scenes` draws."""
+
+    scenes: int = 10
+    canvas_width: int = 224
+    canvas_height: int = 224
+    noise: float = 0.02
+    min_objects: int = 1
+    max_objects: int = 3
+    scales: tuple[float, ...] = (0.75, 1.0, 1.25, 1.5)
+
+    def __post_init__(self):
+        for name, minimum in (("scenes", 0), ("canvas_width", 1), ("canvas_height", 1),
+                              ("min_objects", 0), ("max_objects", self.min_objects)):
+            check_integer(name, getattr(self, name), minimum, InvalidSpec)
+        for s in self.scales:
+            check_real("scales", s, 0, error=InvalidSpec)
+        if not self.scales or 0 in self.scales:
+            raise InvalidSpec("need at least one scale, all finite and positive")
+        check_real("noise", self.noise, 0, error=InvalidSpec)
 
 
 def render_template(scale: float = 1.0) -> np.ndarray:
@@ -112,12 +138,13 @@ def random_scene(
     return specs
 
 
-def random_scenes(seed: int, count: int, size: tuple[int, int], noise: float,
-                  scales, min_objects: int = 1, max_objects: int = 3):
-    """Yield ``count`` scenes as (image, boxes).  One generator draws, per scene,
-    the object count, then the placements, then the :func:`synth_scene` seed."""
+def random_scenes(spec: SynthSpec, seed: int):
+    """Yield ``spec.scenes`` scenes as (image, boxes) under a seed >= 0.  One generator
+    draws, per scene, the object count, then the placements, then the scene seed."""
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    for _ in range(count):
-        n_obj = int(rng.integers(min_objects, max_objects + 1))
-        specs = random_scene(rng, n_obj, scales, size)
-        yield synth_scene(specs, size, noise, seed=int(rng.integers(0, 2**31)))
+    size = (spec.canvas_width, spec.canvas_height)
+    for _ in range(spec.scenes):
+        n_obj = int(rng.integers(spec.min_objects, spec.max_objects + 1))
+        specs = random_scene(rng, n_obj, spec.scales, size)
+        yield synth_scene(specs, size, spec.noise, seed=int(rng.integers(0, 2**31)))

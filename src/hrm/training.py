@@ -1,14 +1,15 @@
 """Patch sampling, context-encoded training sets, and model-bank fitting.
 
-Positive patches are drawn (without replacement) from inside annotated
-boxes and carry a voting vector pointing from the patch center to the box
-center.  Negative patches avoid every box.  The sampler also owns the
-reference box, the median annotated box: scale-normalized sampling resizes
-every box to the reference box's mean side, the sample set carries the
-box, and the bank stores it as the size that detection level 1 stands
-for.  Each patch contributes m+1 context-encoded rows; the location models
-(voting targets) are fitted on positive rows only, while the label models
-see both classes.
+:func:`sample_patches` draws patches as its :class:`TrainingConfig` says.
+Positives are drawn (without replacement) from inside annotated boxes and
+carry a voting vector pointing from the patch center to the box center.
+Negatives avoid every box.  The sampler also owns the reference box, the
+median annotated box: scale-normalized sampling resizes every box to the
+reference box's mean side, the sample set carries the box, and the bank
+stores it as the size that detection level 1 stands for.  Each patch
+contributes m+1 context-encoded rows; the location models (voting
+targets) are fitted on positive rows only, while the label models see
+both classes.
 """
 
 from __future__ import annotations
@@ -27,6 +28,24 @@ from .image_io import to_grey
 # Not called here: perfbench counts training-time patch extractions
 # through this name, and with the window gathers that count is 0.
 from .features import extract_patch_vector  # noqa: F401
+
+
+@dataclass(frozen=True)
+class TrainingConfig:
+    """The [training] settings: how many positive and negative patches to
+    draw, the seed, and whether to resize each box to the reference box."""
+
+    n_pos: int = 12000
+    n_neg: int = 12000
+    seed: int = 0
+    scale_normalize: bool = False
+
+    def __post_init__(self):
+        for name, minimum in (("n_pos", 1), ("n_neg", 1), ("seed", 0)):
+            check_integer(name, getattr(self, name), minimum)
+        if not isinstance(self.scale_normalize, (bool, np.bool_)):
+            raise InvalidInput(
+                f"scale_normalize must be a bool, got {self.scale_normalize!r}")
 
 
 @dataclass(frozen=True)
@@ -133,21 +152,14 @@ def _draw(rng, sizes, n):
     return pool, flat - bounds[pool]
 
 
-def sample_patches(
-    entries,
-    n_pos: int,
-    n_neg: int,
-    geom: PatchGeometry,
-    seed: int = 0,
-    scale_normalize: bool = False,
-) -> SampleSet:
-    """Draw n_pos positive and n_neg negative patches from (image, boxes) pairs.
+def sample_patches(entries, geom: PatchGeometry, cfg: TrainingConfig) -> SampleSet:
+    """Draw cfg.n_pos positive and cfg.n_neg negative patches from (image, boxes) pairs.
 
     ``entries`` may be any iterable of the pairs, a generator too: it is
     read once.  The canvases are the images' grey (:func:`to_grey`), so RGB
     is accepted.  Boxes are integer (x0, y0, x1, y1).  The reference box is
     the median box width and height, each over all boxes.  With
-    ``scale_normalize``, each box is resized to the reference box's mean
+    ``cfg.scale_normalize``, each box is resized to the reference box's mean
     side before positive sampling: the image is resized by the ratio of
     that side to the box's mean side, and the window of the rescaled image
     that the box's positives read is added to the sample set as a canvas:
@@ -155,11 +167,11 @@ def sample_patches(
     channels there equal the whole rescaled image's.  A box without a
     patch inside it adds no canvas.  Each class is drawn without
     replacement from all its candidate top-lefts, and its draws are ordered
-    by canvas and position.  Deterministic under a fixed seed.  A set
+    by canvas and position.  Deterministic under ``cfg.seed``.  A set
     without boxes is refused, as it has no positives.
     """
     ps = geom.patch_size
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     entries = list(entries)
     sides = np.array([(x1 - x0, y1 - y0) for _, boxes in entries
                       for x0, y0, x1, y1 in boxes], dtype=np.intp).reshape(-1, 2)
@@ -187,7 +199,7 @@ def sample_patches(
         for box in boxes:
             x0, y0, x1, y1 = box
             factor = 1.0
-            if scale_normalize:
+            if cfg.scale_normalize:
                 factor = ref_side / (((x1 - x0) + (y1 - y0)) / 2.0)
             rescaled = abs(factor - 1.0) > 1e-3
             h, w = img.shape
@@ -214,19 +226,19 @@ def sample_patches(
     grids = np.array(grids, dtype=np.intp).reshape(-1, 2)
     pos_sizes = blocks[:, 3] * blocks[:, 4]
     neg_sizes = [len(f) for f in free]
-    for kind, have, need in (("positive", pos_sizes.sum(), n_pos),
-                             ("negative", sum(neg_sizes), n_neg)):
+    for kind, have, need in (("positive", pos_sizes.sum(), cfg.n_pos),
+                             ("negative", sum(neg_sizes), cfg.n_neg)):
         if have < need:
             raise InvalidDataset(f"only {have} distinct {kind} patches, need {need}")
 
     # a positive block's draws run row by row over its nx columns
-    k, local = _draw(rng, pos_sizes, n_pos)
+    k, local = _draw(rng, pos_sizes, cfg.n_pos)
     pos_ids, x0, y0, nx, _ = blocks[k].T
     pos = np.stack([x0 + local % nx, y0 + local // nx], axis=1)
     votes = np.array(centers, dtype=np.float64).reshape(-1, 2)[k] - (pos + ps / 2.0)
 
     # the draws are sorted, so each pool's are one run
-    k, local = _draw(rng, neg_sizes, n_neg)
+    k, local = _draw(rng, neg_sizes, cfg.n_neg)
     runs = np.split(local, np.searchsorted(k, np.arange(1, len(free))))
     neg_ids, width = grids[k].T
     at = np.concatenate([np.empty(0, np.intp)] + [f[i] for f, i in zip(free, runs)])

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 from scipy import ndimage
 
-from .errors import InvalidInput
+from .errors import InvalidInput, check_integer, check_real
 from .training import ModelBank
 
 
@@ -32,9 +32,10 @@ class ScaleSet:
     scales: tuple[float, ...] = (0.75, 1.0, 1.25, 1.5)
 
     def __post_init__(self):
+        for v in self.scales:
+            check_real("scales", v, 0)
         s = tuple(float(v) for v in self.scales)
-        in_range = all(0 < v < np.inf for v in s)
-        if not s or not in_range or any(b <= a for a, b in zip(s, s[1:])):
+        if not s or 0 in s or any(b <= a for a, b in zip(s, s[1:])):
             raise InvalidInput("scales must be finite, positive and strictly increasing")
         object.__setattr__(self, "scales", s)
 
@@ -154,9 +155,11 @@ def accumulate_cuboid(
     ``all_votes`` is a VoteField or a sequence of PatchVotes, stacked by
     :meth:`VoteField.of`, which keeps only patches of nonzero weight.  Each
     vote carries mass weight / (m+1).  Landings outside the grid are
-    dropped and counted.  ``level_mass`` sums every vote's mass.  Optional
-    Gaussian smoothing (sigma in cells) is applied per level afterward.
+    dropped and counted.  ``level_mass`` sums every vote's mass.  Gaussian
+    smoothing (sigma in cells, >= 0; 0 skips it) is applied per level afterward.
     """
+    check_integer("bin_size", bin_size, 1)
+    check_real("smoothing", smoothing, 0)
     field = VoteField.of(all_votes)
     width, height = image_size
     gw = -(-width // bin_size)
@@ -198,9 +201,10 @@ def find_maxima(cuboid: HoughCuboid, min_score: float, radius: int = 3):
     A cell qualifies when it holds votes (a score above 0) and strictly
     exceeds every neighbor within ``radius`` cells (Chebyshev) in its own
     level.  Hypothesis centers are cell centers mapped back to image pixels.
+    ``min_score`` is finite and >= 0, and ``radius`` an integer >= 1.
     """
-    if radius < 1:
-        raise InvalidInput("radius must be >= 1")
+    check_real("min_score", min_score, 0)
+    check_integer("radius", radius, 1)
     # A radius of the larger grid side already spans the whole level.
     radius = min(radius, max(cuboid.levels.shape[1:]))
     footprint = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)

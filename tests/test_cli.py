@@ -206,7 +206,7 @@ class TestTrainCommand:
         from hrm.config import load_config
         from hrm.dataset import load_dataset
         from hrm.model_io import save_model
-        from hrm.training import sample_patches, train_from_samples
+        from hrm.training import TrainingConfig, sample_patches, train_from_samples
 
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(CONFIG.replace("seed = 0", "seed = 0\nscale_normalize = true"))
@@ -215,8 +215,8 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "cli.hrmb")]) == 0
         cfg = load_config(cfg_path)
         entries = [(img, boxes) for _, img, boxes in load_dataset(ann).load_entries()]
-        samples = sample_patches(entries, cfg.training.n_pos, cfg.training.n_neg,
-                                 cfg.geometry, cfg.training.seed, scale_normalize=True)
+        samples = sample_patches(entries, cfg.geometry, TrainingConfig(
+            cfg.training.n_pos, cfg.training.n_neg, cfg.training.seed, scale_normalize=True))
         assert len(samples.canvases) > len(entries)  # some boxes were rescaled
         save_model(tmp_path / "lib.hrmb", train_from_samples(samples, cfg.geometry, cfg.pls))
         assert (tmp_path / "lib.hrmb").read_bytes() == (tmp_path / "cli.hrmb").read_bytes()
@@ -406,6 +406,23 @@ class TestDetectCommand:
             x, y, scale, _, *box = (float(v) for v in parts[1:])
             want = box_from_hypothesis((x, y), scale, ref)
             assert box == pytest.approx(want, abs=1e-5)
+
+    @pytest.mark.parametrize("name", ["a\tb.pgm", "c\fd.pgm", "e f.pgm"])
+    def test_whitespace_image_name_is_input_error(self, workspace, tmp_path,
+                                                  monkeypatch, capsys, name):
+        # det.tsv and annotations could not name it, so eval could never read it
+        def never(*args, **kwargs):
+            raise AssertionError("detected before checking the image names")
+
+        images = tmp_path / "images"
+        images.mkdir()
+        shutil.copy(workspace / "scenes" / "scene_0000.pgm", images / "ok.pgm")
+        shutil.copy(workspace / "scenes" / "scene_0000.pgm", images / name)
+        monkeypatch.setattr(cli, "detect", never)
+        assert main(["detect", "--model", str(workspace / "model.hrmb"),
+                     "--images", str(images), "--out", str(tmp_path / "det.tsv")]) == 2
+        assert repr(name) in capsys.readouterr().err
+        assert not (tmp_path / "det.tsv").exists()
 
     def test_writes_no_sidecar(self, workspace):
         assert [p.name for p in workspace.glob("det.tsv*")] == ["det.tsv"]

@@ -262,8 +262,11 @@ class TestRealSettings:
         (lambda: SynthSpec(noise=True), InvalidSpec),
         (lambda: SynthSpec(noise="0.01"), InvalidSpec),
         (lambda: SynthSpec(noise=float("inf")), InvalidSpec),
+        (lambda: SynthSpec(scales=("1",)), InvalidSpec),
+        (lambda: SynthSpec(scales=(True,)), InvalidSpec),
     ], ids=["ridge-True", "ridge-str", "ridge-nan", "min_score_fraction-True",
-            "min_score_fraction-str", "noise-True", "noise-str", "noise-inf"])
+            "min_score_fraction-str", "noise-True", "noise-str", "noise-inf",
+            "scales-str", "scales-True"])
     def test_refuses_non_reals(self, make, error):
         with pytest.raises(error, match="must be a finite real number"):
             make()

@@ -69,6 +69,14 @@ class TestConditionalProb:
         with pytest.raises(InvalidInput):
             fusion.conditional_prob(h, bad, [voter((1.0, 1.0), 1.0)], BANDWIDTH)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_scale_guard_refuses_non_finite(self, scale):
+        h = Hypothesis((5.0, 5.0), 1.0, 1.0)
+        bad = Hypothesis((5.0, 5.0), scale, 1.0)
+        for pair in ((h, bad), (bad, h)):
+            with pytest.raises(InvalidInput, match="scales"):
+                fusion.conditional_prob(*pair, [voter((1.0, 1.0), 1.0)], BANDWIDTH)
+
 
 class TestNpmi:
     def test_identical_support_gives_one(self):
@@ -110,6 +118,21 @@ class TestNpmi:
             fusion.npmi(h_i, h_j, votes, BANDWIDTH, total_mass=50.0)
         with pytest.raises(InvalidInput):
             fusion.npmi(h_j, h_i, votes, BANDWIDTH, total_mass=0.0)
+
+    @pytest.mark.parametrize("total_mass", [float("nan"), float("inf"), -1.0])
+    def test_refuses_bad_total_mass(self, total_mass):
+        h_i = Hypothesis((10.0, 10.0), 1.0, 5.0)
+        h_j = Hypothesis((12.0, 10.0), 1.0, 5.0)
+        with pytest.raises(InvalidInput, match="total_mass"):
+            fusion.npmi(h_i, h_j, [voter((10.0, 10.0), 1.0)], BANDWIDTH, total_mass)
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf")])
+    def test_refuses_bad_scores(self, score):
+        h = Hypothesis((10.0, 10.0), 1.0, 5.0)
+        bad = Hypothesis((12.0, 10.0), 1.0, score)
+        for pair in ((h, bad), (bad, h)):
+            with pytest.raises(InvalidInput, match="score"):
+                fusion.npmi(*pair, [voter((10.0, 10.0), 1.0)], BANDWIDTH, 50.0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10_000_000))
@@ -205,6 +228,16 @@ class TestFuse:
         h = Hypothesis((5.0, 5.0), 1.0, 1.0)
         votes = [voter((1.0, 1.0), 0.0), voter((9.0, 3.0), 0.0)]
         assert fusion.fuse([h], votes, BANDWIDTH, total_mass=10.0) == [h]
+
+    def test_infinite_total_mass_is_refused(self):
+        # an infinite mass floors both probabilities, which made this
+        # independent pair look dependent
+        a = Hypothesis((5.0, 5.0), 1.0, 2.0)
+        b = Hypothesis((47.0, 5.0), 1.0, 1.0)
+        votes = [voter((5.0, 5.0), 1.0), voter((47.0, 5.0), 1.0)]
+        assert fusion.fuse([a, b], votes, BANDWIDTH, total_mass=10.0) == [a, b]
+        with pytest.raises(InvalidInput, match="total_mass"):
+            fusion.fuse([a, b], votes, BANDWIDTH, total_mass=float("inf"))
 
     def test_pair_with_zero_support_raises(self):
         a = Hypothesis((5.0, 5.0), 1.0, 2.0)

@@ -42,7 +42,8 @@ def test_training_fits_pass_their_rows_first(monkeypatch):
     monkeypatch.setattr(pls, "bpls_fit", recorded)
     geom = PatchGeometry(5, ((5, 0), (0, 5)))
     img = np.random.default_rng(0).random((40, 40))
-    ss = training.sample_patches([(img, [(10, 10, 30, 30)])], 8, 5, geom, seed=0)
+    ss = training.sample_patches([(img, [(10, 10, 30, 30)])], geom,
+                                 training.TrainingConfig(8, 5, seed=0))
     training.train_from_samples(ss, geom, pls.LatentConfig(components=3))
     p = geom.vector_length
     assert shapes == [(8, p), (13, p)] * geom.num_context
@@ -53,7 +54,8 @@ def trained():
     """A bank trained on one image, and that image."""
     geom = PatchGeometry(5, ((5, 0), (0, 5)))
     img = np.random.default_rng(0).random((40, 40))
-    ss = training.sample_patches([(img, [(10, 10, 30, 30)])], 30, 30, geom, seed=0)
+    ss = training.sample_patches([(img, [(10, 10, 30, 30)])], geom,
+                                 training.TrainingConfig(30, 30, seed=0))
     return training.train_from_samples(ss, geom, pls.LatentConfig(components=3)), img
 
 

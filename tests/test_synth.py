@@ -3,7 +3,7 @@ import pytest
 
 from hrm import synth
 from hrm.cli import main
-from hrm.errors import InvalidSpec
+from hrm.errors import InvalidInput, InvalidSpec
 from hrm.evaluate import iou
 from hrm.image_io import write_pgm
 
@@ -97,6 +97,15 @@ class TestRandomScene:
 
 
 class TestRandomScenes:
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_refuses_bad_seed_before_a_scene(self, seed, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("drew a scene before checking the seed")
+
+        monkeypatch.setattr(synth, "random_scene", never)
+        with pytest.raises(InvalidInput, match="seed"):
+            next(synth.random_scenes(synth.SynthSpec(), seed))
+
     def test_reproduces_hrm_synth_bytes(self, tmp_path):
         spec = tmp_path / "spec.ini"
         spec.write_text("[synth]\nscenes = 4\ncanvas_width = 120\ncanvas_height = 100\n"
@@ -106,7 +115,7 @@ class TestRandomScenes:
                      "--out", str(tmp_path / "cli")]) == 0
         lines = []
         for idx, (img, boxes) in enumerate(
-            synth.random_scenes(11, 4, (120, 100), 0.02, (0.75, 1.0), 0, 2)
+            synth.random_scenes(synth.SynthSpec(4, 120, 100, 0.02, 0, 2, (0.75, 1.0)), 11)
         ):
             name = f"scene_{idx:04d}.pgm"
             write_pgm(tmp_path / name, img)

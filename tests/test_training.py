@@ -16,7 +16,8 @@ from hrm.features import (
 )
 from hrm.image_io import LUMA
 from hrm.model_io import load_model, save_model
-from hrm.synth import random_scenes, synth_scene
+from hrm.synth import SynthSpec, random_scenes, synth_scene
+from hrm.training import TrainingConfig
 
 PS = 5
 GEOM = PatchGeometry(PS, ((PS, 0), (0, PS)))
@@ -136,7 +137,7 @@ def replaced(ss, **arrays):
 class TestSamplePatches:
     def test_counts_and_labels(self):
         entries = [scene_entry(0), scene_entry(1)]
-        ss = training.sample_patches(entries, 40, 60, GEOM, seed=7)
+        ss = training.sample_patches(entries, GEOM, TrainingConfig(40, 60, seed=7))
         assert ss.canvas_ids.shape == (100,)
         assert ss.topleft.shape == (100, 2)
         assert ss.votes.shape == (40, 2)
@@ -154,7 +155,8 @@ class TestSamplePatches:
                                seed=seed + i)
                    for i, (cs, sc) in enumerate(zip(centers, scales))]
         normalize = median is not None
-        ss = training.sample_patches(entries, 60, 90, GEOM, seed, normalize)
+        ss = training.sample_patches(entries, GEOM,
+                                     TrainingConfig(60, 90, seed, normalize))
         canvases, samples, box = reference_samples(entries, 60, 90, GEOM, seed, normalize)
         assert ss.reference_box == box
         if normalize:
@@ -176,15 +178,15 @@ class TestSamplePatches:
 
     def test_deterministic_under_seed(self):
         entries = [scene_entry(2)]
-        a = training.sample_patches(entries, 20, 20, GEOM, seed=3)
-        b = training.sample_patches(entries, 20, 20, GEOM, seed=3)
+        a = training.sample_patches(entries, GEOM, TrainingConfig(20, 20, seed=3))
+        b = training.sample_patches(entries, GEOM, TrainingConfig(20, 20, seed=3))
         for name in ("canvas_ids", "topleft", "votes"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_positives_inside_negatives_outside(self):
         box = (20, 16, 44, 40)
         entries = [scene_entry(3, box)]
-        ss = training.sample_patches(entries, 30, 30, GEOM, seed=1)
+        ss = training.sample_patches(entries, GEOM, TrainingConfig(30, 30, seed=1))
         x0, y0, x1, y1 = box
         for i, (px, py) in enumerate(ss.topleft):
             inside = x0 <= px and y0 <= py and px + PS <= x1 and py + PS <= y1
@@ -195,7 +197,7 @@ class TestSamplePatches:
         box = (20, 16, 44, 40)
         cx, cy = 32.0, 28.0
         entries = [scene_entry(4, box)]
-        ss = training.sample_patches(entries, 25, 5, GEOM, seed=2)
+        ss = training.sample_patches(entries, GEOM, TrainingConfig(25, 5, seed=2))
         expected = np.array([cx, cy]) - (ss.topleft[:25] + PS / 2.0)
         assert np.allclose(ss.votes, expected)
 
@@ -204,14 +206,14 @@ class TestSamplePatches:
         # whose center coincides with the box center
         img = np.random.default_rng(5).random((32, 32))
         entries = [(img, [(10, 12, 10 + PS, 12 + PS)])]
-        ss = training.sample_patches(entries, 1, 1, GEOM, seed=0)
+        ss = training.sample_patches(entries, GEOM, TrainingConfig(1, 1, seed=0))
         assert tuple(ss.topleft[0]) == (10, 12)
         assert np.array_equal(ss.votes, np.zeros((1, 2)))
 
     def test_voting_bounded_by_box_diagonal(self):
         box = (20, 16, 44, 40)
         entries = [scene_entry(6, box)]
-        ss = training.sample_patches(entries, 50, 5, GEOM, seed=4)
+        ss = training.sample_patches(entries, GEOM, TrainingConfig(50, 5, seed=4))
         diag = np.hypot(box[2] - box[0], box[3] - box[1])
         assert np.all(np.linalg.norm(ss.votes, axis=1) <= diag)
 
@@ -220,20 +222,21 @@ class TestSamplePatches:
         img = np.random.default_rng(7).random((32, 32))
         entries = [(img, [(0, 0, 32, 28)])]
         with pytest.raises(InvalidDataset):
-            training.sample_patches(entries, 1, 10_000, GEOM, seed=0)
+            training.sample_patches(entries, GEOM, TrainingConfig(1, 10_000, seed=0))
 
     def test_insufficient_positives(self):
         img = np.random.default_rng(8).random((32, 32))
         entries = [(img, [(10, 10, 10 + PS, 10 + PS)])]
         with pytest.raises(InvalidDataset):
-            training.sample_patches(entries, 2, 1, GEOM, seed=0)
+            training.sample_patches(entries, GEOM, TrainingConfig(2, 1, seed=0))
 
     def test_scale_normalization_adds_canvas(self):
         # a 2x-median box triggers a rescaled canvas for its positives;
         # the median-sized boxes keep their own canvases
         entries = [scene_entry(9, (12, 12, 52, 52)), scene_entry(10, (22, 22, 42, 42)),
                    scene_entry(11, (22, 22, 42, 42))]
-        ss = training.sample_patches(entries, 30, 10, GEOM, seed=0, scale_normalize=True)
+        ss = training.sample_patches(entries, GEOM,
+                                     TrainingConfig(30, 10, seed=0, scale_normalize=True))
         assert ss.reference_box == (20.0, 20.0)
         assert len(ss.canvases) == 4
         # the 40-px box becomes (6, 6, 26, 26) on a 32 x 32 zoom: its top-lefts
@@ -253,8 +256,8 @@ class TestSamplePatches:
                                  noise=0.01, seed=31)
         boxes = list(boxes) + [(220, 220, 224, 224)]  # at the far corner, clipped
         n_pos = 3 * (40 - PS + 1) ** 2  # every box is 40 px on its canvas
-        ss = training.sample_patches([(img, boxes)], n_pos, 200, geom, seed=2,
-                                     scale_normalize=True)
+        ss = training.sample_patches(
+            [(img, boxes)], geom, TrainingConfig(n_pos, 200, seed=2, scale_normalize=True))
         assert ss.reference_box == (40.0, 40.0)
         assert len(ss.canvases) == 3
         span = 2 * PS  # offsets from -PS to +PS, the raw window's 0 between
@@ -306,16 +309,18 @@ class TestSamplePatches:
         # width and height each take their own median, over every image's boxes
         img = np.random.default_rng(10).random((96, 96))
         entries = [(img, boxes[:2]), (img, boxes[2:])]
-        ss = training.sample_patches(entries, 5, 5, GEOM, seed=0, scale_normalize=normalize)
+        ss = training.sample_patches(
+            entries, GEOM, TrainingConfig(5, 5, seed=0, scale_normalize=normalize))
         assert ss.reference_box == median
         assert all(type(v) is float for v in ss.reference_box)
 
     def test_generator_is_read_once(self):
         # a generator of scenes samples exactly as the list of the same scenes
-        spec = (600, 4, (128, 128), 0.01, (0.75, 1.0), 1, 2)
+        spec = SynthSpec(4, 128, 128, 0.01, 1, 2, (0.75, 1.0))
         geom = PatchGeometry(4)
-        ss = training.sample_patches(random_scenes(*spec), 10, 10, geom)
-        expected = training.sample_patches(list(random_scenes(*spec)), 10, 10, geom)
+        ss = training.sample_patches(random_scenes(spec, 600), geom, TrainingConfig(10, 10))
+        expected = training.sample_patches(list(random_scenes(spec, 600)), geom,
+                                           TrainingConfig(10, 10))
         assert np.array_equal(ss.topleft, expected.topleft)
         assert np.array_equal(ss.votes, expected.votes)
         assert ss.reference_box == expected.reference_box
@@ -324,7 +329,8 @@ class TestSamplePatches:
         # no positives, and no median of an empty box list (a RuntimeWarning)
         img = np.random.default_rng(11).random((32, 32))
         with pytest.raises(InvalidDataset, match="no annotated boxes"):
-            training.sample_patches([(img, []), (img, [])], 1, 1, GEOM, scale_normalize=True)
+            training.sample_patches([(img, []), (img, [])], GEOM,
+                                    TrainingConfig(1, 1, scale_normalize=True))
 
 
 class TestColourImages:
@@ -342,8 +348,8 @@ class TestColourImages:
     def test_samples_and_bank_equal_the_greys(self):
         rgb = self.rgb_entries()
         grey = [(img @ LUMA, boxes) for img, boxes in rgb]
-        a, b = (training.sample_patches(e, 20, 30, GEOM, seed=4, scale_normalize=True)
-                for e in (rgb, grey))
+        sampling = TrainingConfig(20, 30, seed=4, scale_normalize=True)
+        a, b = (training.sample_patches(e, GEOM, sampling) for e in (rgb, grey))
         assert len(a.canvases) == len(b.canvases) == 4  # two rescaled canvases
         for x, y in zip(a.canvases, b.canvases):
             assert np.array_equal(x, y)
@@ -357,13 +363,14 @@ class TestColourImages:
     @pytest.mark.parametrize("shape", [(64, 64, 4), (64, 64, 1), (64,), (2, 64, 64, 3)])
     def test_other_shapes_refused(self, shape):
         with pytest.raises(InvalidInput):
-            training.sample_patches([(np.zeros(shape), [(20, 16, 44, 40)])], 5, 5, GEOM)
+            training.sample_patches([(np.zeros(shape), [(20, 16, 44, 40)])], GEOM,
+                                    TrainingConfig(5, 5))
 
 
 class TestTrainBank:
     def test_bank_structure(self):
         entries = [scene_entry(13)]
-        ss = training.sample_patches(entries, 10, 10, GEOM, seed=0)
+        ss = training.sample_patches(entries, GEOM, TrainingConfig(10, 10, seed=0))
         cfg = pls.LatentConfig(components=4)
         bank = training.train_from_samples(ss, GEOM, cfg)
         assert bank.geometry.num_context == GEOM.num_context == 3
@@ -388,8 +395,7 @@ class TestTrainBank:
         # every X_j built from the per-patch oracle, fitted directly
         geom = PatchGeometry(PS, offsets)
         ss = training.sample_patches(
-            entries, 8, 8, geom, seed=1, scale_normalize=scale_normalize
-        )
+            entries, geom, TrainingConfig(8, 8, seed=1, scale_normalize=scale_normalize))
         cfg = pls.LatentConfig(components=3)
         a = oracle_bank(ss, geom, cfg)
         b = training.train_from_samples(ss, geom, cfg)
@@ -417,7 +423,7 @@ class TestTrainBank:
 
         monkeypatch.setattr(training, "compute_channels", tracked)
         entries = [scene_entry(s) for s in (21, 22, 23, 24)]
-        ss = training.sample_patches(entries, 16, 16, GEOM, seed=1)
+        ss = training.sample_patches(entries, GEOM, TrainingConfig(16, 16, seed=1))
         training.train_from_samples(ss, GEOM, pls.LatentConfig(components=3),
                                     workers=workers)
         assert live["calls"] == len(np.unique(ss.canvas_ids)) > 2
@@ -426,7 +432,8 @@ class TestTrainBank:
 
     @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
     def test_workers_must_be_a_positive_integer(self, workers):
-        ss = training.sample_patches([scene_entry(21)], 8, 8, GEOM, seed=1)
+        ss = training.sample_patches([scene_entry(21)], GEOM,
+                                     TrainingConfig(8, 8, seed=1))
         with pytest.raises(InvalidInput, match="workers"):
             training.train_from_samples(ss, GEOM, pls.LatentConfig(components=3),
                                         workers=workers)
@@ -453,7 +460,7 @@ class TestTrainBank:
         # row space, so training votes are reproduced exactly
         geom = PatchGeometry(PS, ())
         entries = [scene_entry(15)]
-        ss = training.sample_patches(entries, 8, 8, geom, seed=2)
+        ss = training.sample_patches(entries, geom, TrainingConfig(8, 8, seed=2))
         cfg = pls.LatentConfig(components=7)
         bank = training.train_from_samples(ss, geom, cfg)
         pred = head_votes(bank, context_rows(ss, geom)[:8, 0, :])
@@ -462,7 +469,7 @@ class TestTrainBank:
     def test_pls_and_bpls_agree_on_full_rank_fit(self):
         geom = PatchGeometry(PS, ())
         entries = [scene_entry(16)]
-        ss = training.sample_patches(entries, 8, 8, geom, seed=3)
+        ss = training.sample_patches(entries, geom, TrainingConfig(8, 8, seed=3))
         cfg = pls.LatentConfig(components=7)
         bank = training.train_from_samples(ss, geom, cfg)
         X = context_rows(ss, geom)[:8, 0, :]
@@ -472,7 +479,8 @@ class TestTrainBank:
 
     @pytest.mark.parametrize("label", [+1, -1])
     def test_one_class_refused(self, label):
-        ss = training.sample_patches([scene_entry(26)], 8, 8, GEOM, seed=3)
+        ss = training.sample_patches([scene_entry(26)], GEOM,
+                                     TrainingConfig(8, 8, seed=3))
         one = slice(None, 8) if label > 0 else slice(8, None)
         votes = ss.votes if label > 0 else ss.votes[:0]
         with pytest.raises(InvalidDataset, match="both labels"):
@@ -486,7 +494,8 @@ class TestTrainBank:
     @pytest.mark.parametrize("corner", [(-1, 3), (3, -1), (64 - PS + 1, 3), (3, 64 - PS + 1)])
     def test_window_off_canvas_refused(self, row, corner):
         # a positive (row 0) or negative (row 12) that would train on zeros
-        ss = training.sample_patches([scene_entry(29)], 8, 8, GEOM, seed=1)
+        ss = training.sample_patches([scene_entry(29)], GEOM,
+                                     TrainingConfig(8, 8, seed=1))
         topleft = ss.topleft.copy()
         topleft[row] = corner
         with pytest.raises(InvalidDataset, match="window must lie on its canvas"):
@@ -497,7 +506,8 @@ class TestTrainBank:
     @pytest.mark.parametrize("canvas_id", [-1, 1])
     def test_canvas_id_out_of_range_refused(self, canvas_id):
         # -1 would read the last canvas, 1 is past the end of one canvas
-        ss = training.sample_patches([scene_entry(30)], 8, 8, GEOM, seed=2)
+        ss = training.sample_patches([scene_entry(30)], GEOM,
+                                     TrainingConfig(8, 8, seed=2))
         ids = ss.canvas_ids.copy()
         ids[3] = canvas_id
         with pytest.raises(InvalidDataset, match="canvas ids"):
@@ -509,7 +519,8 @@ class TestTrainBank:
                                      ("40", "40"), (True, True)])
     def test_unsaveable_reference_box_refused(self, box):
         # a box that load_model would refuse never reaches a model file
-        ss = training.sample_patches([scene_entry(31)], 8, 8, GEOM, seed=3)
+        ss = training.sample_patches([scene_entry(31)], GEOM,
+                                     TrainingConfig(8, 8, seed=3))
         with pytest.raises(InvalidDataset, match="reference box"):
             training.train_from_samples(
                 replaced(ss, reference_box=box), GEOM, pls.LatentConfig(components=3)
@@ -517,7 +528,8 @@ class TestTrainBank:
 
     @pytest.mark.parametrize("box", [(0, 0), (24.0, 35.5)])
     def test_reference_box_reaches_the_model_file(self, tmp_path, box):
-        ss = training.sample_patches([scene_entry(31)], 8, 8, GEOM, seed=3)
+        ss = training.sample_patches([scene_entry(31)], GEOM,
+                                     TrainingConfig(8, 8, seed=3))
         bank = training.train_from_samples(
             replaced(ss, reference_box=box), GEOM, pls.LatentConfig(components=3)
         )
@@ -526,7 +538,8 @@ class TestTrainBank:
         assert load_model(tmp_path / "bank.hrmb").reference_box == box
 
     def test_positive_without_vote_refused(self):
-        ss = training.sample_patches([scene_entry(31)], 8, 8, GEOM, seed=3)
+        ss = training.sample_patches([scene_entry(31)], GEOM,
+                                     TrainingConfig(8, 8, seed=3))
         votes = ss.votes.copy()
         votes[5] = np.nan
         with pytest.raises(InvalidDataset, match="finite vote"):
@@ -544,7 +557,8 @@ class TestTrainBank:
     ], ids=["vote-width", "vote-rank", "topleft-width", "float-topleft",
             "id-rank", "id-count"])
     def test_malformed_arrays_refused(self, arrays):
-        ss = training.sample_patches([scene_entry(32)], 8, 8, GEOM, seed=4)
+        ss = training.sample_patches([scene_entry(32)], GEOM,
+                                     TrainingConfig(8, 8, seed=4))
         with pytest.raises(InvalidDataset, match="sample set needs"):
             training.train_from_samples(
                 replaced(ss, **arrays), GEOM, pls.LatentConfig(components=3)
@@ -557,7 +571,7 @@ class TestTrainBank:
         # with the fits' moments and blocks, stays near 1.3 n d 8.
         geom = PatchGeometry(4, ((4, 0), (0, 4)))
         entries = [scene_entry(s) for s in range(16)]
-        ss = training.sample_patches(entries, 4000, 4000, geom, seed=0)
+        ss = training.sample_patches(entries, geom, TrainingConfig(4000, 4000, seed=0))
         n, d = len(ss.canvas_ids), geom.vector_length
         pixels = sum(c.size for c in ss.canvases) * N_CHANNELS * 8  # >= compacted
         tracemalloc.start()
@@ -569,7 +583,8 @@ class TestTrainBank:
         assert peak < pixels + 1.5 * n * d * 8
 
     def test_single_negative_trains(self):
-        ss = training.sample_patches([scene_entry(27)], 8, 1, GEOM, seed=4)
+        ss = training.sample_patches([scene_entry(27)], GEOM,
+                                     TrainingConfig(8, 1, seed=4))
         cfg = pls.LatentConfig(components=3)
         bank = training.train_from_samples(ss, GEOM, cfg)
         assert np.array_equal(bank.coefficients, oracle_bank(ss, GEOM, cfg).coefficients)
@@ -587,7 +602,8 @@ class TestTrainBank:
         # a 40- and a 20-px box, each rescaled to the 30-px median
         entries = [synth_scene([(28, 28, 1.0), (72, 72, 0.5)], (96, 96), noise=0.01,
                                seed=28)]
-        ss = training.sample_patches(entries, 8, 8, GEOM, seed=1, scale_normalize=True)
+        ss = training.sample_patches(entries, GEOM,
+                                     TrainingConfig(8, 8, seed=1, scale_normalize=True))
         training.train_from_samples(ss, GEOM, pls.LatentConfig(components=3))
         assert len(ss.canvases) == len(shapes) == 3
         assert all(shapes[k] != ss.canvases[k].shape for k in (1, 2))
@@ -609,7 +625,8 @@ class TestTrainBank:
 
         for name in calls:
             monkeypatch.setattr(pls, name, counted(name))
-        ss = training.sample_patches([scene_entry(18)], 8, 8, GEOM, seed=5)
+        ss = training.sample_patches([scene_entry(18)], GEOM,
+                                     TrainingConfig(8, 8, seed=5))
         training.train_from_samples(ss, GEOM, pls.LatentConfig(components=3))
         m = len(GEOM.neighbor_offsets)
         assert calls == {"bpls_fit": 2 * (m + 1), "dominant_eigenvectors": 2 * (m + 1)}
@@ -619,7 +636,7 @@ class TestTrainBank:
         blobs = []
         for run in range(2):
             entries = [scene_entry(18)]
-            ss = training.sample_patches(entries, 8, 8, GEOM, seed=5)
+            ss = training.sample_patches(entries, GEOM, TrainingConfig(8, 8, seed=5))
             bank = training.train_from_samples(ss, GEOM, cfg)
             path = tmp_path / f"bank{run}.hrmb"
             save_model(path, bank)

@@ -56,6 +56,15 @@ class TestScaleSet:
         with pytest.raises(InvalidInput):
             voting.ScaleSet(scales)
 
+    @pytest.mark.parametrize("scales", [("1",), (True, 2.0), (1.0, "2")])
+    def test_rejects_non_reals(self, scales):
+        # float() would read each as a number
+        with pytest.raises(InvalidInput, match="scales"):
+            voting.ScaleSet(scales)
+
+    def test_takes_numpy_values(self):
+        assert voting.ScaleSet((np.float32(0.5), np.int64(2))).scales == (0.5, 2.0)
+
 
 class TestPatchWeight:
     def test_extremes(self):
@@ -294,6 +303,15 @@ class TestAccumulateCuboid:
             assert np.count_nonzero(~inside & (m == 0)) > 0  # zero-mass votes fell off
             assert cub.dropped[s] == np.count_nonzero(~inside & (m != 0)) > 0
 
+    @pytest.mark.parametrize("bin_size, smoothing", [
+        (0, 0.0), (2.5, 0.0), (True, 0.0), (4, -1.0), (4, float("nan")),
+        (4, float("inf")), (4, "1.5"),
+    ])
+    def test_refuses_bad_cells_and_smoothing(self, bin_size, smoothing):
+        pv = patch((10.0, 10.0), [(1.0, 0.0)], [1.0])
+        with pytest.raises(InvalidInput):
+            voting.accumulate_cuboid([pv], voting.ScaleSet(), (40, 40), bin_size, smoothing)
+
     def test_empty_votes(self):
         cub = voting.accumulate_cuboid([], voting.ScaleSet(), (32, 32), 4, 0.0)
         assert cub.levels.shape == (4, 8, 8)
@@ -396,6 +414,14 @@ class TestFindMaxima:
     def test_radius_guard(self):
         with pytest.raises(InvalidInput):
             voting.find_maxima(self.make_cuboid(np.zeros((1, 4, 4))), 0.0, radius=0)
+
+    @pytest.mark.parametrize("min_score, radius", [
+        (0.0, 2.5), (0.0, True), (float("nan"), 1), (float("inf"), 1), (-0.5, 1),
+    ])
+    def test_refuses_bad_min_score_and_radius(self, min_score, radius):
+        cuboid = self.make_cuboid(np.eye(4)[None])
+        with pytest.raises(InvalidInput):
+            voting.find_maxima(cuboid, min_score, radius)
 
     def test_sorted_by_descending_score(self):
         rng = np.random.default_rng(8)
