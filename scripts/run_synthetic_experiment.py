@@ -68,7 +68,7 @@ def experiment(config, train_spec, test_spec, train_seed, test_seed):
         detections, truth, dup_fused, objs_with_prefusion_dup = [], {}, 0, 0
         for path, img, boxes in load_dataset(f"{test}/annotations.txt").load_entries():
             name = Path(path).name  # the image id of hrm detect and hrm eval
-            res = detect(img, bank, cfg.scales, cfg.voting, image_id=name)
+            res = detect(img, bank, cfg.voting, image_id=name)
             detections += res.detections
             truth[name] = list(boxes)
             hits = box_hits([d.box for d in res.detections], boxes)

@@ -6,13 +6,13 @@ hypotheses across scales are removed by normalized pointwise mutual
 information.
 """
 
-from .detect import DetectionResult, VotingConfig
+from .detect import DetectionResult
 from .errors import HRMError
 from .features import PatchGeometry, compute_channels
 from .fusion import fuse, npmi
 from .pls import LatentConfig, RegressionModel, bpls_fit, pls_fit, predict
 from .training import ModelBank, TrainingConfig, sample_patches, train_from_samples
-from .voting import Hypothesis, ScaleSet, accumulate_cuboid, find_maxima
+from .voting import Hypothesis, VotingConfig, accumulate_cuboid, find_maxima
 
 __all__ = [
     "DetectionResult",
@@ -22,7 +22,6 @@ __all__ = [
     "ModelBank",
     "PatchGeometry",
     "RegressionModel",
-    "ScaleSet",
     "TrainingConfig",
     "VotingConfig",
     "accumulate_cuboid",

@@ -102,7 +102,7 @@ def cmd_train(args) -> int:
     ds = load_dataset(args.annotations)
     entries = [(img, list(boxes)) for _, img, boxes in ds.load_entries()]
     samples = sample_patches(entries, cfg.geometry, cfg.training)
-    bank = train_from_samples(samples, cfg.geometry, cfg.pls, workers=_worker_count())
+    bank = train_from_samples(samples, cfg.pls, workers=_worker_count())
     save_model(args.out, bank)
     n = bank.geometry.num_context
     print(f"trained {n} voting + {n} label models -> {args.out}")
@@ -129,7 +129,7 @@ def cmd_detect(args) -> int:
 
     def run(path):
         img = load_image(path)
-        result = detect(img, bank, cfg.scales, cfg.voting, image_id=path.name)
+        result = detect(img, bank, cfg.voting, image_id=path.name)
         return path.name, result.detections
 
     workers, blas_threads = _detect_plan(len(paths))

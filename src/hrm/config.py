@@ -1,8 +1,9 @@
 """Key-value configuration files (INI sections mirror module names).
 
-Each section fills the fields of its dataclasses, each defined beside the
+Each section fills the fields of one dataclass, defined beside the
 function it configures (``TrainingConfig`` in :mod:`hrm.training`,
-``SynthSpec`` in :mod:`hrm.synth`); this module only reads them from INI.
+``VotingConfig`` in :mod:`hrm.voting`, ``SynthSpec`` in :mod:`hrm.synth`),
+which takes it whole; this module only reads them from INI.
 A key is a field name, read as the field's type (an int, float or bool,
 or a whitespace-separated tuple of numbers); an absent key keeps the
 field's default.  README.md's INI block lists every key.  An unknown
@@ -20,23 +21,21 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .detect import VotingConfig
 from .errors import InvalidInput, MissingAsset, ParseError
 from .features import PatchGeometry
 from .pls import LatentConfig
 from .synth import SynthSpec
 from .training import TrainingConfig
-from .voting import ScaleSet
+from .voting import VotingConfig
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The settings of a config file, one dataclass per section's fields."""
+    """The settings of a config file, one dataclass per section."""
 
     pls: LatentConfig = field(default_factory=LatentConfig)
     geometry: PatchGeometry = field(default_factory=PatchGeometry)
     training: TrainingConfig = field(default_factory=TrainingConfig)
-    scales: ScaleSet = field(default_factory=ScaleSet)
     voting: VotingConfig = field(default_factory=VotingConfig)
 
     def check_training(self) -> None:
@@ -71,22 +70,19 @@ def _reader(key, tp):
     return pairs
 
 
-# Each section and the dataclasses its keys fill, in PipelineConfig's field order.
+# Each section and the dataclass its keys fill, in PipelineConfig's field order.
 _SECTIONS = {
-    "pls": (LatentConfig,),
-    "features": (PatchGeometry,),
-    "training": (TrainingConfig,),
-    "voting": (ScaleSet, VotingConfig),
+    "pls": LatentConfig,
+    "features": PatchGeometry,
+    "training": TrainingConfig,
+    "voting": VotingConfig,
 }
 # Every field of these dataclasses is a key, read by its field's type.
 _READERS = {
     cls: {f.name: _reader(f.name, get_type_hints(cls)[f.name]) for f in fields(cls)}
-    for cls in (*sum(_SECTIONS.values(), ()), SynthSpec)
+    for cls in (*_SECTIONS.values(), SynthSpec)
 }
-_KEYS = {
-    name: {key for cls in classes for key in _READERS[cls]}
-    for name, classes in _SECTIONS.items()
-}
+_KEYS = {name: set(_READERS[cls]) for name, cls in _SECTIONS.items()}
 
 
 def _read_ini(path, keys) -> configparser.ConfigParser:
@@ -133,8 +129,7 @@ def load_config(path=None) -> PipelineConfig:
             raise ParseError(f"config file not found: {path}")
         parser = _read_ini(path, _KEYS)
 
-    return PipelineConfig(*(_build(parser, name, cls)
-                            for name, classes in _SECTIONS.items() for cls in classes))
+    return PipelineConfig(*(_build(parser, name, cls) for name, cls in _SECTIONS.items()))
 
 
 def load_synth_spec(path) -> SynthSpec:

@@ -12,7 +12,8 @@ views of the volume and copies no window (:func:`_grid_responses`).  Pass
 GEMMs over the grid rows they lie on.  The votes stay in one VoteField of
 stacked arrays from the filter bank to the end of fusion.  It holds only the
 gated-on patches, the only ones with vote mass, and accumulation and
-fusion read it as given.
+fusion read it as given.  Detection reads the bank's geometry and one
+:class:`~hrm.voting.VotingConfig`, the [voting] section.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, check_integer, check_real
 from .evaluate import Detection, box_from_hypothesis
 from .features import compute_channels, patch_windows
 # Not called here: perfbench counts detection-time patch extractions
@@ -32,8 +32,8 @@ from .image_io import to_grey
 from .training import ModelBank
 from .voting import (
     HoughCuboid,
-    ScaleSet,
     VoteField,
+    VotingConfig,
     accumulate_cuboid,
     find_maxima,
     patch_weight,
@@ -47,22 +47,6 @@ from .voting import (
 # 10.7/10.7.  At 1 MB and below the spread between rounds exceeds the
 # differences.
 _BLOCK_BYTES = 1 << 20
-
-
-@dataclass(frozen=True)
-class VotingConfig:
-    """Dense-sampling and maxima settings."""
-
-    stride: int = 1
-    min_score_fraction: float = 0.05  # of the global cuboid maximum
-    maxima_radius: int = 3  # cells
-
-    def __post_init__(self):
-        check_integer("stride", self.stride)
-        if not 1 <= self.stride < 2**63:
-            raise InvalidInput(f"stride must be in [1, 2**63), got {self.stride}")
-        check_real("min_score_fraction", self.min_score_fraction, 0, 1)
-        check_integer("maxima_radius", self.maxima_radius, 1)
 
 
 @dataclass
@@ -250,8 +234,7 @@ def compute_patch_votes(image, bank: ModelBank, cfg: VotingConfig) -> VoteField:
 def detect(
     image,
     bank: ModelBank,
-    scales: ScaleSet = ScaleSet(),
-    voting_cfg: VotingConfig = VotingConfig(),
+    cfg: VotingConfig = VotingConfig(),
     image_id: str = "",
 ) -> DetectionResult:
     """Run the full detection pipeline on one image; detections in rank order.
@@ -260,10 +243,10 @@ def detect(
     defaults, and fusion's kernel bandwidth is two cells.
     """
     image = np.asarray(image, dtype=np.float64)
-    patch_votes = compute_patch_votes(image, bank, voting_cfg)
-    cuboid = accumulate_cuboid(patch_votes, scales, (image.shape[1], image.shape[0]))
-    min_score = voting_cfg.min_score_fraction * float(cuboid.levels.max())
-    hypotheses = find_maxima(cuboid, min_score, voting_cfg.maxima_radius)
+    patch_votes = compute_patch_votes(image, bank, cfg)
+    cuboid = accumulate_cuboid(patch_votes, cfg, (image.shape[1], image.shape[0]))
+    min_score = cfg.min_score_fraction * float(cuboid.levels.max())
+    hypotheses = find_maxima(cuboid, min_score, cfg.maxima_radius)
 
     # no vote mass: every level is 0, so no hypotheses and no pair to fuse
     total_mass = float(cuboid.level_mass.sum())

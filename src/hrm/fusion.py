@@ -40,8 +40,9 @@ def conditional_prob(h_i: Hypothesis, h_j: Hypothesis, votes, bandwidth: float) 
     """
     if not 0 < bandwidth < math.inf:
         raise InvalidInput(f"bandwidth must be finite and positive, got {bandwidth}")
-    if not (0 < h_i.scale < math.inf and 0 < h_j.scale < math.inf):  # NaN fails too
-        raise InvalidInput("hypothesis scales must be finite and positive")
+    if not (0 < h_i.scale < math.inf and 0 < h_j.scale < math.inf  # NaN fails too
+            and np.isfinite([h_i.center, h_j.center]).all()):
+        raise InvalidInput("hypothesis scales must be finite and positive, centers finite")
     field = VoteField.of(votes)
     total = field.total_weight
     if total <= 0:
@@ -91,11 +92,16 @@ def fuse(hypotheses, votes, bandwidth: float, total_mass: float):
     Pairs are visited in :meth:`Hypothesis.rank` order of the stronger
     member; removed hypotheses take part in no further pairs.  The support,
     the votes as one VoteField, is stacked once, so ZeroSupport is raised
-    only when a pair is evaluated.  Returns survivors in rank order.
+    only when a pair is evaluated; ``bandwidth`` and ``total_mass`` are
+    checked whenever there is a hypothesis.  Returns survivors in rank order.
     """
+    ranked = sorted(hypotheses, key=Hypothesis.rank)
+    for name, v in (("bandwidth", bandwidth), ("total_mass", total_mass)):
+        if ranked and not 0 < v < math.inf:  # NaN fails too
+            raise InvalidInput(f"{name} must be finite and positive, got {v}")
     support = VoteField.of(votes)
     survivors = []
-    for h in sorted(hypotheses, key=Hypothesis.rank):
+    for h in ranked:
         if all(npmi(s, h, support, bandwidth, total_mass) <= 0 for s in survivors):
             survivors.append(h)
     return survivors

@@ -121,13 +121,11 @@ def load_model(path) -> ModelBank:
     intercepts = _read_array(r)
     if r.pos != len(data):
         raise CorruptModel("trailing bytes after model data")
-    if not (np.isfinite(coefficients).all() and np.isfinite(intercepts).all()):
-        raise CorruptModel("coefficients and intercepts must be finite")
     try:
         geometry = PatchGeometry(patch_size, offsets)
     except InvalidInput as e:
         raise CorruptModel(f"patch geometry: {e}") from None
     try:
         return ModelBank(coefficients, intercepts, geometry, (ref_w, ref_h))
-    except InvalidInput as e:  # the reference box
+    except InvalidInput as e:  # the reference box or a non-finite head
         raise CorruptModel(str(e)) from None

@@ -6,8 +6,9 @@ carry a voting vector pointing from the patch center to the box center.
 Negatives avoid every box.  The sampler also owns the reference box, the
 median annotated box: scale-normalized sampling resizes every box to the
 reference box's mean side, the sample set carries the box, and the bank
-stores it as the size that detection level 1 stands for.  Each patch
-contributes m+1 context-encoded rows; the location models (voting
+stores it as the size that detection level 1 stands for.  The set also
+carries the PatchGeometry it was drawn for, which training fits.  Each
+patch contributes m+1 context-encoded rows; the location models (voting
 targets) are fitted on positive rows only, while the label models see
 both classes.
 """
@@ -56,7 +57,8 @@ class SampleSet:
     ``canvases[canvas_ids[i]]``.  The first ``len(votes)`` rows are the
     positives, ``votes`` holding each one's vector from patch center to box
     center; the rest are negatives.  ``reference_box`` is the (width,
-    height) that the trained bank's detection level 1 stands for.  With
+    height) that the trained bank's detection level 1 stands for, and
+    ``geometry`` the PatchGeometry the set was drawn for.  With
     per-object scale normalization the canvases include rescaled windows of
     training images, one per box that is not at that size: each is only the
     part of the rescaled image that its box's samples read, plus the margin
@@ -68,6 +70,7 @@ class SampleSet:
     topleft: np.ndarray  # (n, 2)
     votes: np.ndarray  # (n_pos, 2)
     reference_box: tuple[float, float]
+    geometry: PatchGeometry
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,7 @@ class ModelBank:
     outputs, then label model j's output.
     intercepts: (m+1, 3), so context j predicts ``x_j @ B_j + intercepts[j]``.
     reference_box: the (width, height) that detection level 1 stands for,
-    finite and >= 0 as a model file needs, or InvalidInput.
+    finite and >= 0 as a model file needs, with a finite head, or InvalidInput.
     """
 
     coefficients: np.ndarray
@@ -96,6 +99,8 @@ class ModelBank:
                 f"head shapes {self.coefficients.shape}, {self.intercepts.shape} "
                 f"do not match the patch geometry's {shapes[0]}, {shapes[1]}"
             )
+        if not (np.isfinite(self.coefficients).all() and np.isfinite(self.intercepts).all()):
+            raise InvalidInput("coefficients and intercepts must be finite")
 
     @classmethod
     def from_fits(cls, hrms, lrms, geometry, reference_box=(0.0, 0.0)) -> ModelBank:
@@ -250,6 +255,7 @@ def sample_patches(entries, geom: PatchGeometry, cfg: TrainingConfig) -> SampleS
         np.concatenate([pos, np.stack([x, y], axis=1)]),
         votes,
         (ref_w, ref_h),
+        geom,
     )
 
 
@@ -283,11 +289,14 @@ def fit_context(
     return hrm, fit(X, label, "label")
 
 
-def _checked(ss: SampleSet, ps: int):
+def _checked(ss: SampleSet):
     """The set's canvas ids, top-lefts (x, y), votes and reference box, or
-    InvalidDataset unless it has both classes, a finite vote per positive,
-    every window on an existing canvas and a reference box that a model
-    file can hold (finite and >= 0)."""
+    InvalidDataset unless it has a PatchGeometry, both classes, a finite
+    vote per positive, every window on an existing canvas and a reference
+    box that a model file can hold (finite and >= 0)."""
+    if not isinstance(ss.geometry, PatchGeometry):
+        raise InvalidDataset(f"a sample set needs a PatchGeometry, got {ss.geometry!r}")
+    ps = ss.geometry.patch_size
     cid, topleft, votes = (np.asarray(a) for a in (ss.canvas_ids, ss.topleft, ss.votes))
     if not (cid.ndim == 1 and topleft.shape == (len(cid), 2)
             and votes.ndim == 2 and votes.shape[1] == 2
@@ -309,14 +318,10 @@ def _checked(ss: SampleSet, ps: int):
             _reference_box(ss.reference_box, InvalidDataset))
 
 
-def train_from_samples(
-    sample_set: SampleSet,
-    geom: PatchGeometry,
-    cfg: pls.LatentConfig,
-    workers: int = 1,
-) -> ModelBank:
-    """Fit the voting and label models of every context and stack them,
-    with the set's reference box.
+def train_from_samples(sample_set: SampleSet, cfg: pls.LatentConfig,
+                       workers: int = 1) -> ModelBank:
+    """Fit the voting and label models of every context of the set's
+    geometry and stack them, with the set's geometry and reference box.
 
     Rows keep the set's order, positives first.  Each used canvas is one
     task on ``workers`` threads: it computes the feature volume of
@@ -330,8 +335,9 @@ def train_from_samples(
     dimensionalities.
     """
     check_integer("workers", workers, 1)
+    cid, (x, y), votes, reference_box = _checked(sample_set)
+    geom = sample_set.geometry
     ps = geom.patch_size
-    cid, (x, y), votes, reference_box = _checked(sample_set, ps)
 
     def inside(rows, grid, dx, dy):
         """Rows whose window at top-left + (dx, dy) is in ``grid``, and its (y, x)."""

@@ -9,8 +9,8 @@ weight 0 casts no mass, so no field holds one, and accumulation and fusion
 read every row.  :class:`PatchVotes` and :func:`cast_votes` are the
 per-patch form and oracle.  A single pass over the image fills S
 accumulator grids at once: a vote ``v`` cast from patch center ``l`` lands
-at ``l + scale_s * v`` in level ``s``.  Maxima and fusion order hypotheses
-by one key, :meth:`Hypothesis.rank`.
+at ``l + scale_s * v`` in level ``s``, one per :class:`VotingConfig` scale.
+Maxima and fusion order hypotheses by one key, :meth:`Hypothesis.rank`.
 """
 
 from __future__ import annotations
@@ -26,9 +26,13 @@ from .training import ModelBank
 
 
 @dataclass(frozen=True)
-class ScaleSet:
-    """The detection scales: level s is an object s times the training size."""
+class VotingConfig:
+    """The [voting] settings: dense sampling, maxima, and the scales (level s
+    is an object ``scales[s]`` times the training size)."""
 
+    stride: int = 1
+    min_score_fraction: float = 0.05  # of the global cuboid maximum
+    maxima_radius: int = 3  # cells
     scales: tuple[float, ...] = (0.75, 1.0, 1.25, 1.5)
 
     def __post_init__(self):
@@ -38,6 +42,11 @@ class ScaleSet:
         if not s or 0 in s or any(b <= a for a, b in zip(s, s[1:])):
             raise InvalidInput("scales must be finite, positive and strictly increasing")
         object.__setattr__(self, "scales", s)
+        check_integer("stride", self.stride)
+        if not 1 <= self.stride < 2**63:
+            raise InvalidInput(f"stride must be in [1, 2**63), got {self.stride}")
+        check_real("min_score_fraction", self.min_score_fraction, 0, 1)
+        check_integer("maxima_radius", self.maxima_radius, 1)
 
 
 @dataclass(frozen=True)
@@ -113,7 +122,7 @@ class HoughCuboid:
     """
 
     levels: np.ndarray
-    scales: ScaleSet
+    scales: tuple[float, ...]
     bin_size: int
     level_mass: np.ndarray
     dropped: np.ndarray
@@ -145,7 +154,7 @@ def cast_votes(context: np.ndarray, bank: ModelBank, loc) -> PatchVotes:
 
 def accumulate_cuboid(
     all_votes,
-    scales: ScaleSet,
+    cfg: VotingConfig,
     image_size: tuple[int, int],
     bin_size: int = 4,
     smoothing: float = 1.5,
@@ -153,18 +162,21 @@ def accumulate_cuboid(
     """Bin every (patch, vote, scale) landing point into the S-level cuboid.
 
     ``all_votes`` is a VoteField or a sequence of PatchVotes, stacked by
-    :meth:`VoteField.of`, which keeps only patches of nonzero weight.  Each
-    vote carries mass weight / (m+1).  Landings outside the grid are
-    dropped and counted.  ``level_mass`` sums every vote's mass.  Gaussian
-    smoothing (sigma in cells, >= 0; 0 skips it) is applied per level afterward.
+    :meth:`VoteField.of`, which keeps only patches of nonzero weight, and
+    ``image_size`` the (width, height), integers >= 1.  Each vote carries
+    mass weight / (m+1).  Landings outside the grid are dropped and counted.
+    ``level_mass`` sums every vote's mass.  Gaussian smoothing (sigma in
+    cells, >= 0; 0 skips it) is applied per level afterward.
     """
+    for side in image_size:
+        check_integer("image_size", side, 1)
+    width, height = image_size
     check_integer("bin_size", bin_size, 1)
     check_real("smoothing", smoothing, 0)
     field = VoteField.of(all_votes)
-    width, height = image_size
     gw = -(-width // bin_size)
     gh = -(-height // bin_size)
-    S = len(scales.scales)
+    S = len(cfg.scales)
     levels = np.zeros((S, gh, gw))
     level_mass = np.zeros(S)
     dropped = np.zeros(S, dtype=np.int64)
@@ -175,7 +187,7 @@ def accumulate_cuboid(
         m = np.repeat(field.weights / mplus1, mplus1)  # per vote
         level_mass[:] = m.sum()
 
-        for s, sigma in enumerate(scales.scales):
+        for s, sigma in enumerate(cfg.scales):
             landing = locs[:, None, :] + sigma * votes  # (n, m+1, 2)
             # bounds-tested as floats: a cell past int64 has no defined cast
             cells = np.floor(landing / bin_size)
@@ -192,7 +204,7 @@ def accumulate_cuboid(
         for s in range(S):
             levels[s] = ndimage.gaussian_filter(levels[s], smoothing, mode="constant")
 
-    return HoughCuboid(levels, scales, bin_size, level_mass, dropped)
+    return HoughCuboid(levels, cfg.scales, bin_size, level_mass, dropped)
 
 
 def find_maxima(cuboid: HoughCuboid, min_score: float, radius: int = 3):
@@ -211,7 +223,7 @@ def find_maxima(cuboid: HoughCuboid, min_score: float, radius: int = 3):
     footprint[radius, radius] = False
 
     out = []
-    for s, sigma in enumerate(cuboid.scales.scales):
+    for s, sigma in enumerate(cuboid.scales):
         level = cuboid.levels[s]
         neigh = ndimage.maximum_filter(
             level, footprint=footprint, mode="constant", cval=-np.inf

@@ -15,7 +15,7 @@ import pytest
 
 from hrm import fusion, pls, voting
 from hrm.cli import main as cli_main
-from hrm.voting import Hypothesis, PatchVotes, ScaleSet
+from hrm.voting import Hypothesis, PatchVotes, VotingConfig
 
 
 def in_model_regression(rng, n, p, c, q=2, noise=0.05):
@@ -125,7 +125,7 @@ class TestCriterion4MultiScaleGeometry:
                           voting.patch_weight(labels))
 
     def test_landing_positions_all_default_scales(self):
-        scales = ScaleSet()  # 0.75, 1, 1.25, 1.5 with train scale 1
+        scales = VotingConfig()  # 0.75, 1, 1.25, 1.5 with train scale 1
         rng = np.random.default_rng(105)
         pvs = [
             self.patch(rng.uniform(20, 60, 2), rng.uniform(-10, 10, (3, 2)),
@@ -151,7 +151,7 @@ class TestCriterion4MultiScaleGeometry:
                        rng.standard_normal(4))
             for _ in range(30)
         ]
-        cub = voting.accumulate_cuboid(pvs, ScaleSet(), (80, 80), 1, 0.0)
+        cub = voting.accumulate_cuboid(pvs, VotingConfig(), (80, 80), 1, 0.0)
         oracle = np.zeros((80, 80))
         for pv in pvs:
             for v in pv.votes:
@@ -159,7 +159,7 @@ class TestCriterion4MultiScaleGeometry:
                     np.floor(pv.location[1] + v[1]))
                 if 0 <= x < 80 and 0 <= y < 80:
                     oracle[y, x] += pv.weight / 4.0
-        level_at_unit = cub.levels[list(ScaleSet().scales).index(1.0)]
+        level_at_unit = cub.levels[list(VotingConfig().scales).index(1.0)]
         assert np.array_equal(level_at_unit != 0, oracle != 0)
         assert np.allclose(level_at_unit, oracle)
         print("\n[criterion 4] PASS  vote landing geometry exact at all "

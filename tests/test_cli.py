@@ -218,7 +218,7 @@ class TestTrainCommand:
         samples = sample_patches(entries, cfg.geometry, TrainingConfig(
             cfg.training.n_pos, cfg.training.n_neg, cfg.training.seed, scale_normalize=True))
         assert len(samples.canvases) > len(entries)  # some boxes were rescaled
-        save_model(tmp_path / "lib.hrmb", train_from_samples(samples, cfg.geometry, cfg.pls))
+        save_model(tmp_path / "lib.hrmb", train_from_samples(samples, cfg.pls))
         assert (tmp_path / "lib.hrmb").read_bytes() == (tmp_path / "cli.hrmb").read_bytes()
 
     def test_missing_annotations_is_input_error(self, workspace, tmp_path):

@@ -22,7 +22,7 @@ class TestDefaults:
         assert cfg.geometry.patch_size == 16
         assert cfg.geometry.num_context == 17
         assert cfg.training.n_pos == cfg.training.n_neg == 12000
-        assert cfg.scales.scales == (0.75, 1.0, 1.25, 1.5)
+        assert cfg.voting.scales == (0.75, 1.0, 1.25, 1.5)
         assert cfg.voting.stride == 1
 
     def test_dataclass_defaults_match_loader(self):
@@ -43,7 +43,7 @@ class TestFileParsing:
         assert cfg.geometry.patch_size == 6
         assert cfg.geometry.neighbor_offsets == ((6, 0), (-6, 0))
         assert cfg.training.n_pos == 100
-        assert cfg.scales.scales == (0.5, 1.0, 2.0)
+        assert cfg.voting.scales == (0.5, 1.0, 2.0)
         assert cfg.voting.stride == 2 and cfg.voting.maxima_radius == 2
 
     def test_partial_file_keeps_other_defaults(self, tmp_path):
@@ -169,10 +169,9 @@ class TestEveryKey:
 
     @staticmethod
     def owners(cfg):
-        # [voting] fills two dataclasses: ScaleSet takes scales
         return {
             "pls": cfg.pls, "features": cfg.geometry, "training": cfg.training,
-            "voting": cfg.voting, "scales": cfg.scales,
+            "voting": cfg.voting,
         }
 
     def test_every_key_lands_on_its_field(self, tmp_path):
@@ -187,9 +186,8 @@ class TestEveryKey:
         defaults = self.owners(load_config(None))
         for section, keys in self.VALUES.items():
             for key, want in keys.items():
-                owner = "scales" if key == "scales" else section
-                assert getattr(defaults[owner], key) != want, (section, key)
-                assert getattr(parsed[owner], key) == want, (section, key)
+                assert getattr(defaults[section], key) != want, (section, key)
+                assert getattr(parsed[section], key) == want, (section, key)
 
 
 class TestPipelineConfig:

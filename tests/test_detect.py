@@ -12,7 +12,7 @@ from hrm.detect import VotingConfig, compute_patch_votes, detect
 from hrm.errors import InvalidInput
 from hrm.features import PatchGeometry, compute_channels, context_vectors
 from hrm.training import ModelBank
-from hrm.voting import ScaleSet, cast_votes
+from hrm.voting import cast_votes
 
 PS = 5
 GEOM = PatchGeometry(PS, ((PS, 0), (0, -PS)))
@@ -309,7 +309,7 @@ class TestDetect:
 
     def test_fully_gated_image_yields_nothing(self):
         img = np.random.default_rng(3).random((24, 24))
-        result = detect(img, constant_bank(-1.0), ScaleSet((1.0,)))
+        result = detect(img, constant_bank(-1.0), VotingConfig(scales=(1.0,)))
         assert result.detections == []
         assert result.total_mass == 0.0
         assert float(result.cuboid.levels.max()) == 0.0
@@ -319,13 +319,18 @@ class TestDetect:
         # neighbor on the grid: no votes must not make a 0-score detection
         bank = random_linear_bank(PatchGeometry(6, ((6, 0),)), np.random.default_rng(0))
         img = np.random.default_rng(3).random((4, 4))
-        result = detect(img, bank, ScaleSet((1.0, 1.25)))
+        result = detect(img, bank, VotingConfig(scales=(1.0, 1.25)))
         assert result.cuboid.levels.shape == (2, 1, 1)
         assert result.hypotheses_prefusion == [] and result.detections == []
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 50), (50, 0)])
+    def test_empty_image_is_refused(self, shape):
+        with pytest.raises(InvalidInput, match="image_size"):
+            detect(np.zeros(shape), fitted_bank())
+
     def test_detections_sorted_and_boxed(self):
         img = np.random.default_rng(3).random((64, 64))  # two detections
-        result = detect(img, fitted_bank(2), ScaleSet((1.0, 1.25)), VotingConfig(stride=2))
+        result = detect(img, fitted_bank(2), VotingConfig(stride=2, scales=(1.0, 1.25)))
         scores = [d.score for d in result.detections]
         assert len(scores) > 1 and scores == sorted(scores, reverse=True)
         for d in result.detections:
@@ -335,7 +340,7 @@ class TestDetect:
 
     def test_fusion_never_adds_detections(self):
         img = np.random.default_rng(3).random((64, 64))  # fusion drops two of four
-        result = detect(img, fitted_bank(2), ScaleSet((1.0, 1.25)), VotingConfig(stride=2))
+        result = detect(img, fitted_bank(2), VotingConfig(stride=2, scales=(1.0, 1.25)))
         hypotheses = {(h.center, h.scale, h.score) for h in result.hypotheses_prefusion}
         kept = [(d.center, d.scale, d.score) for d in result.detections]
         assert len(kept) < len(result.hypotheses_prefusion)
@@ -352,14 +357,14 @@ class TestDetect:
 
         monkeypatch.setattr(m, "fuse", spy)
         img = np.random.default_rng(3).random((64, 64))
-        result = detect(img, fitted_bank(2), ScaleSet((1.0, 1.25)), VotingConfig(stride=2))
+        result = detect(img, fitted_bank(2), VotingConfig(stride=2, scales=(1.0, 1.25)))
         assert result.cuboid.bin_size == 4
         assert seen == [8.0]
 
     def test_deterministic(self):
         img = np.random.default_rng(6).random((20, 20))
         bank = fitted_bank()
-        a = detect(img, bank, ScaleSet((1.0,)), VotingConfig(stride=2))
-        b = detect(img, bank, ScaleSet((1.0,)), VotingConfig(stride=2))
+        a = detect(img, bank, VotingConfig(stride=2, scales=(1.0,)))
+        b = detect(img, bank, VotingConfig(stride=2, scales=(1.0,)))
         assert a.detections == b.detections
         assert np.array_equal(a.cuboid.levels, b.cuboid.levels)

@@ -78,6 +78,20 @@ class TestConditionalProb:
                 fusion.conditional_prob(*pair, [voter((1.0, 1.0), 1.0)], BANDWIDTH)
 
 
+    @pytest.mark.parametrize("center", [
+        (float("nan"), 5.0), (float("inf"), 5.0), (5.0, -float("inf")),
+    ])
+    def test_refuses_non_finite_center(self, center):
+        h = Hypothesis((5.0, 5.0), 1.0, 1.0)
+        bad = Hypothesis(center, 1.0, 0.5)
+        votes = [voter((1.0, 1.0), 1.0)]
+        for pair in ((h, bad), (bad, h)):
+            with pytest.raises(InvalidInput, match="centers"):
+                fusion.conditional_prob(*pair, votes, BANDWIDTH)
+        with pytest.raises(InvalidInput, match="centers"):  # through every pair
+            fusion.fuse([h, bad], votes, BANDWIDTH, 10.0)
+
+
 class TestNpmi:
     def test_identical_support_gives_one(self):
         # equal probabilities with a full conditional: npmi must be 1
@@ -182,6 +196,18 @@ class TestFuse:
 
     def test_empty(self):
         assert fusion.fuse([], [], BANDWIDTH, total_mass=1.0) == []
+
+    @pytest.mark.parametrize("bandwidth, total_mass, match", [
+        (-1.0, float("nan"), "bandwidth"), (float("inf"), 10.0, "bandwidth"),
+        (BANDWIDTH, float("nan"), "total_mass"), (BANDWIDTH, 0.0, "total_mass"),
+    ])
+    def test_lone_hypothesis_checks_like_a_pair(self, bandwidth, total_mass, match):
+        h = Hypothesis((5.0, 5.0), 1.0, 1.0)
+        votes = [voter((1.0, 1.0), 1.0)]
+        for hyps in ([h], [h, Hypothesis((9.0, 5.0), 1.0, 0.5)]):
+            with pytest.raises(InvalidInput, match=match):
+                fusion.fuse(hyps, votes, bandwidth, total_mass)
+        assert fusion.fuse([], [], BANDWIDTH, 0.0) == []  # detect's form when nothing voted
 
     def test_duplicate_removed_keeps_stronger(self):
         votes, strong, weak, _ = self.make_duplicates()

@@ -358,6 +358,17 @@ class TestModelIO:
         with pytest.raises(CorruptModel, match="finite"):
             model_io.load_model(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("head", ["coefficients", "intercepts"])
+    def test_bank_refuses_unsaveable_head(self, head, value):
+        # so save_model never writes a head that load_model refuses
+        bank = random_bank(6)
+        arrays = {"coefficients": bank.coefficients.copy(),
+                  "intercepts": bank.intercepts.copy()}
+        arrays[head].flat[3] = value
+        with pytest.raises(InvalidInput, match="finite"):
+            ModelBank(geometry=bank.geometry, **arrays)
+
     @pytest.mark.parametrize("box", [
         (np.nan, -3.0), (np.nan, 24.0), (24.0, -3.0), (np.inf, 24.0), (24.0, -np.inf),
     ])

@@ -44,7 +44,7 @@ def test_training_fits_pass_their_rows_first(monkeypatch):
     img = np.random.default_rng(0).random((40, 40))
     ss = training.sample_patches([(img, [(10, 10, 30, 30)])], geom,
                                  training.TrainingConfig(8, 5, seed=0))
-    training.train_from_samples(ss, geom, pls.LatentConfig(components=3))
+    training.train_from_samples(ss, pls.LatentConfig(components=3))
     p = geom.vector_length
     assert shapes == [(8, p), (13, p)] * geom.num_context
 
@@ -56,7 +56,7 @@ def trained():
     img = np.random.default_rng(0).random((40, 40))
     ss = training.sample_patches([(img, [(10, 10, 30, 30)])], geom,
                                  training.TrainingConfig(30, 30, seed=0))
-    return training.train_from_samples(ss, geom, pls.LatentConfig(components=3)), img
+    return training.train_from_samples(ss, pls.LatentConfig(components=3)), img
 
 
 @pytest.mark.parametrize("label_shift", [0.0, -1e3], ids=["gated", "empty"])
@@ -68,14 +68,13 @@ def test_vote_hooks_read_the_field(trained, label_shift):
     intercepts[:, 2] += label_shift
     bank = training.ModelBank(trained_bank.coefficients, intercepts,
                               trained_bank.geometry)
-    cfg = detect.VotingConfig(stride=2)
+    cfg = detect.VotingConfig(stride=2, scales=(1.0, 1.25))
     field = detect.compute_patch_votes(img, bank, cfg)
-    scales = voting.ScaleSet((1.0, 1.25))
-    cuboid = voting.accumulate_cuboid(field, scales, (40, 40), 4, 0.0)
+    cuboid = voting.accumulate_cuboid(field, cfg, (40, 40), 4, 0.0)
 
     tracer = _spans.Tracer()
     _spans._patches(tracer, (img, bank, cfg), {}, field)
-    _spans._cuboid(tracer, (field, scales, (40, 40), 4, 0.0), {}, cuboid)
+    _spans._cuboid(tracer, (field, cfg, (40, 40), 4, 0.0), {}, cuboid)
     counters = tracer.snapshot()["counters"]
     assert counters["patches"] == counters["patches_accumulated"] == len(field)
     assert counters["votes_cast"] == len(field) * bank.geometry.num_context * 2

@@ -130,7 +130,7 @@ def head_votes(bank, X):
 def replaced(ss, **arrays):
     """ss with some of its arrays replaced."""
     fields = dict(canvas_ids=ss.canvas_ids, topleft=ss.topleft, votes=ss.votes,
-                  reference_box=ss.reference_box)
+                  reference_box=ss.reference_box, geometry=ss.geometry)
     return training.SampleSet(ss.canvases, **{**fields, **arrays})
 
 
@@ -271,9 +271,9 @@ class TestSamplePatches:
                                      for a, b in zip(ss.canvases[1:], whole)])
         reference = training.SampleSet((img, *whole), ss.canvas_ids,
                                        ss.topleft + shift[ss.canvas_ids], ss.votes,
-                                       ss.reference_box)
+                                       ss.reference_box, ss.geometry)
         cfg = pls.LatentConfig(components=3)
-        a, b = (training.train_from_samples(s, geom, cfg) for s in (ss, reference))
+        a, b = (training.train_from_samples(s, cfg) for s in (ss, reference))
         assert np.array_equal(a.coefficients, b.coefficients)
         assert np.array_equal(a.intercepts, b.intercepts)
 
@@ -356,7 +356,7 @@ class TestColourImages:
         for name in ("canvas_ids", "topleft", "votes"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
         cfg = pls.LatentConfig(components=3)
-        bank_a, bank_b = (training.train_from_samples(ss, GEOM, cfg) for ss in (a, b))
+        bank_a, bank_b = (training.train_from_samples(ss, cfg) for ss in (a, b))
         assert np.array_equal(bank_a.coefficients, bank_b.coefficients)
         assert np.array_equal(bank_a.intercepts, bank_b.intercepts)
 
@@ -372,7 +372,7 @@ class TestTrainBank:
         entries = [scene_entry(13)]
         ss = training.sample_patches(entries, GEOM, TrainingConfig(10, 10, seed=0))
         cfg = pls.LatentConfig(components=4)
-        bank = training.train_from_samples(ss, GEOM, cfg)
+        bank = training.train_from_samples(ss, cfg)
         assert bank.geometry.num_context == GEOM.num_context == 3
         assert bank.coefficients.shape == (GEOM.vector_length, 3, 3)
         assert bank.intercepts.shape == (3, 3)
@@ -398,7 +398,7 @@ class TestTrainBank:
             entries, geom, TrainingConfig(8, 8, seed=1, scale_normalize=scale_normalize))
         cfg = pls.LatentConfig(components=3)
         a = oracle_bank(ss, geom, cfg)
-        b = training.train_from_samples(ss, geom, cfg)
+        b = training.train_from_samples(ss, cfg)
         assert np.array_equal(a.coefficients, b.coefficients)
         assert np.array_equal(a.intercepts, b.intercepts)
 
@@ -424,7 +424,7 @@ class TestTrainBank:
         monkeypatch.setattr(training, "compute_channels", tracked)
         entries = [scene_entry(s) for s in (21, 22, 23, 24)]
         ss = training.sample_patches(entries, GEOM, TrainingConfig(16, 16, seed=1))
-        training.train_from_samples(ss, GEOM, pls.LatentConfig(components=3),
+        training.train_from_samples(ss, pls.LatentConfig(components=3),
                                     workers=workers)
         assert live["calls"] == len(np.unique(ss.canvas_ids)) > 2
         assert 1 <= live["peak"] <= workers
@@ -435,7 +435,7 @@ class TestTrainBank:
         ss = training.sample_patches([scene_entry(21)], GEOM,
                                      TrainingConfig(8, 8, seed=1))
         with pytest.raises(InvalidInput, match="workers"):
-            training.train_from_samples(ss, GEOM, pls.LatentConfig(components=3),
+            training.train_from_samples(ss, pls.LatentConfig(components=3),
                                         workers=workers)
 
     def test_matches_fits_at_every_start(self):
@@ -447,11 +447,11 @@ class TestTrainBank:
         i = np.r_[1 : len(starts) : 2, 0 : len(starts) : 2]
         ss = training.SampleSet(
             (img,), np.zeros(len(i), dtype=np.intp), np.array(starts)[i],
-            np.stack([i, -i], axis=1)[: len(starts) // 2] / 7.0, (12.0, 12.0),
+            np.stack([i, -i], axis=1)[: len(starts) // 2] / 7.0, (12.0, 12.0), geom,
         )
         cfg = pls.LatentConfig(components=3)
         a = oracle_bank(ss, geom, cfg)
-        b = training.train_from_samples(ss, geom, cfg)
+        b = training.train_from_samples(ss, cfg)
         assert np.array_equal(a.coefficients, b.coefficients)
         assert np.array_equal(a.intercepts, b.intercepts)
 
@@ -462,7 +462,7 @@ class TestTrainBank:
         entries = [scene_entry(15)]
         ss = training.sample_patches(entries, geom, TrainingConfig(8, 8, seed=2))
         cfg = pls.LatentConfig(components=7)
-        bank = training.train_from_samples(ss, geom, cfg)
+        bank = training.train_from_samples(ss, cfg)
         pred = head_votes(bank, context_rows(ss, geom)[:8, 0, :])
         assert np.max(np.abs(pred - ss.votes)) <= 1e-6
 
@@ -471,7 +471,7 @@ class TestTrainBank:
         entries = [scene_entry(16)]
         ss = training.sample_patches(entries, geom, TrainingConfig(8, 8, seed=3))
         cfg = pls.LatentConfig(components=7)
-        bank = training.train_from_samples(ss, geom, cfg)
+        bank = training.train_from_samples(ss, cfg)
         X = context_rows(ss, geom)[:8, 0, :]
         reference = pls.pls_fit(X, ss.votes, cfg.components)
         d = np.abs(pls.predict(reference, X) - head_votes(bank, X))
@@ -487,7 +487,7 @@ class TestTrainBank:
             training.train_from_samples(
                 replaced(ss, canvas_ids=ss.canvas_ids[one], topleft=ss.topleft[one],
                          votes=votes),
-                GEOM, pls.LatentConfig(components=3),
+                pls.LatentConfig(components=3),
             )
 
     @pytest.mark.parametrize("row", [0, 12])
@@ -500,7 +500,7 @@ class TestTrainBank:
         topleft[row] = corner
         with pytest.raises(InvalidDataset, match="window must lie on its canvas"):
             training.train_from_samples(
-                replaced(ss, topleft=topleft), GEOM, pls.LatentConfig(components=3)
+                replaced(ss, topleft=topleft), pls.LatentConfig(components=3)
             )
 
     @pytest.mark.parametrize("canvas_id", [-1, 1])
@@ -512,7 +512,7 @@ class TestTrainBank:
         ids[3] = canvas_id
         with pytest.raises(InvalidDataset, match="canvas ids"):
             training.train_from_samples(
-                replaced(ss, canvas_ids=ids), GEOM, pls.LatentConfig(components=3)
+                replaced(ss, canvas_ids=ids), pls.LatentConfig(components=3)
             )
 
     @pytest.mark.parametrize("box", [(np.nan, 1.0), (1.0, -1.0), (np.inf, 2.0), (2.0,),
@@ -523,7 +523,7 @@ class TestTrainBank:
                                      TrainingConfig(8, 8, seed=3))
         with pytest.raises(InvalidDataset, match="reference box"):
             training.train_from_samples(
-                replaced(ss, reference_box=box), GEOM, pls.LatentConfig(components=3)
+                replaced(ss, reference_box=box), pls.LatentConfig(components=3)
             )
 
     @pytest.mark.parametrize("box", [(0, 0), (24.0, 35.5)])
@@ -531,7 +531,7 @@ class TestTrainBank:
         ss = training.sample_patches([scene_entry(31)], GEOM,
                                      TrainingConfig(8, 8, seed=3))
         bank = training.train_from_samples(
-            replaced(ss, reference_box=box), GEOM, pls.LatentConfig(components=3)
+            replaced(ss, reference_box=box), pls.LatentConfig(components=3)
         )
         assert bank.reference_box == box
         save_model(tmp_path / "bank.hrmb", bank)
@@ -544,7 +544,7 @@ class TestTrainBank:
         votes[5] = np.nan
         with pytest.raises(InvalidDataset, match="finite vote"):
             training.train_from_samples(
-                replaced(ss, votes=votes), GEOM, pls.LatentConfig(components=3)
+                replaced(ss, votes=votes), pls.LatentConfig(components=3)
             )
 
     @pytest.mark.parametrize("arrays", [
@@ -561,8 +561,28 @@ class TestTrainBank:
                                      TrainingConfig(8, 8, seed=4))
         with pytest.raises(InvalidDataset, match="sample set needs"):
             training.train_from_samples(
-                replaced(ss, **arrays), GEOM, pls.LatentConfig(components=3)
+                replaced(ss, **arrays), pls.LatentConfig(components=3)
             )
+
+    @pytest.mark.parametrize("geometry", [None, 5, ((PS, 0), (0, PS))])
+    def test_set_without_geometry_refused(self, geometry):
+        ss = training.sample_patches([scene_entry(32)], GEOM,
+                                     TrainingConfig(8, 8, seed=4))
+        with pytest.raises(InvalidDataset, match="PatchGeometry"):
+            training.train_from_samples(
+                replaced(ss, geometry=geometry), pls.LatentConfig(components=3)
+            )
+
+    def test_bank_has_the_sets_geometry(self):
+        # a rescaled canvas holds only what the set's own windows read, so
+        # the set is trained for the geometry it was drawn for
+        geom = PatchGeometry(PS, ((4, 0), (-4, 0), (0, 4)))
+        entries = [synth_scene([(16, 32, 0.6), (60, 40, 1.0)], (96, 64), noise=0.01,
+                               seed=14)]
+        ss = training.sample_patches(
+            entries, geom, TrainingConfig(8, 8, seed=1, scale_normalize=True))
+        bank = training.train_from_samples(ss, pls.LatentConfig(components=3))
+        assert bank.geometry == ss.geometry == geom
 
     def test_one_context_matrix_resident(self):
         # tracemalloc sees NumPy's buffers.  At ps 4 and n = 8000 an (n, d)
@@ -576,7 +596,7 @@ class TestTrainBank:
         pixels = sum(c.size for c in ss.canvases) * N_CHANNELS * 8  # >= compacted
         tracemalloc.start()
         try:
-            training.train_from_samples(ss, geom, pls.LatentConfig(components=3))
+            training.train_from_samples(ss, pls.LatentConfig(components=3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -586,7 +606,7 @@ class TestTrainBank:
         ss = training.sample_patches([scene_entry(27)], GEOM,
                                      TrainingConfig(8, 1, seed=4))
         cfg = pls.LatentConfig(components=3)
-        bank = training.train_from_samples(ss, GEOM, cfg)
+        bank = training.train_from_samples(ss, cfg)
         assert np.array_equal(bank.coefficients, oracle_bank(ss, GEOM, cfg).coefficients)
 
     def test_channels_cover_only_the_sampled_region(self, monkeypatch):
@@ -604,7 +624,7 @@ class TestTrainBank:
                                seed=28)]
         ss = training.sample_patches(entries, GEOM,
                                      TrainingConfig(8, 8, seed=1, scale_normalize=True))
-        training.train_from_samples(ss, GEOM, pls.LatentConfig(components=3))
+        training.train_from_samples(ss, pls.LatentConfig(components=3))
         assert len(ss.canvases) == len(shapes) == 3
         assert all(shapes[k] != ss.canvases[k].shape for k in (1, 2))
         assert sum(h * w for h, w in shapes) < sum(c.size for c in ss.canvases)
@@ -627,7 +647,7 @@ class TestTrainBank:
             monkeypatch.setattr(pls, name, counted(name))
         ss = training.sample_patches([scene_entry(18)], GEOM,
                                      TrainingConfig(8, 8, seed=5))
-        training.train_from_samples(ss, GEOM, pls.LatentConfig(components=3))
+        training.train_from_samples(ss, pls.LatentConfig(components=3))
         m = len(GEOM.neighbor_offsets)
         assert calls == {"bpls_fit": 2 * (m + 1), "dominant_eigenvectors": 2 * (m + 1)}
 
@@ -637,7 +657,7 @@ class TestTrainBank:
         for run in range(2):
             entries = [scene_entry(18)]
             ss = training.sample_patches(entries, GEOM, TrainingConfig(8, 8, seed=5))
-            bank = training.train_from_samples(ss, GEOM, cfg)
+            bank = training.train_from_samples(ss, cfg)
             path = tmp_path / f"bank{run}.hrmb"
             save_model(path, bank)
             blobs.append(path.read_bytes())

@@ -35,17 +35,19 @@ def patch(loc, votes, labels):
 
 
 class TestScaleSet:
+    """The detection scales, ``VotingConfig.scales``."""
+
     def test_defaults(self):
-        s = voting.ScaleSet()
+        s = voting.VotingConfig()
         assert s.scales == (0.75, 1.0, 1.25, 1.5)
 
     def test_rejects_unsorted(self):
         with pytest.raises(InvalidInput):
-            voting.ScaleSet((1.0, 0.5))
+            voting.VotingConfig(scales=(1.0, 0.5))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidInput):
-            voting.ScaleSet((0.0, 1.0))
+            voting.VotingConfig(scales=(0.0, 1.0))
 
     @pytest.mark.parametrize("scales", [
         (float("nan"),),
@@ -54,16 +56,16 @@ class TestScaleSet:
     ])
     def test_rejects_non_finite(self, scales):
         with pytest.raises(InvalidInput):
-            voting.ScaleSet(scales)
+            voting.VotingConfig(scales=scales)
 
     @pytest.mark.parametrize("scales", [("1",), (True, 2.0), (1.0, "2")])
     def test_rejects_non_reals(self, scales):
         # float() would read each as a number
         with pytest.raises(InvalidInput, match="scales"):
-            voting.ScaleSet(scales)
+            voting.VotingConfig(scales=scales)
 
     def test_takes_numpy_values(self):
-        assert voting.ScaleSet((np.float32(0.5), np.int64(2))).scales == (0.5, 2.0)
+        assert voting.VotingConfig(scales=(np.float32(0.5), np.int64(2))).scales == (0.5, 2.0)
 
 
 class TestPatchWeight:
@@ -174,7 +176,7 @@ class TestAccumulateCuboid:
         # vote (d, 0) from location l lands at l + scale * (d, 0)
         d = 6.0
         pv = patch((10.0, 10.0), [(d, 0.0)], [1.0])
-        scales = voting.ScaleSet((1.5,))
+        scales = voting.VotingConfig(scales=(1.5,))
         cub = voting.accumulate_cuboid([pv], scales, (40, 40), bin_size=1,
                                        smoothing=0.0)
         assert cub.levels[0, 10, 19] == pytest.approx(1.0)
@@ -185,8 +187,8 @@ class TestAccumulateCuboid:
         # has no defined value; each is dropped and counted, without a warning
         pvs = [patch((10.0, 10.0), [(3.0, -2.0), (-0.5, 4.0)], [1.0, 1.0]),
                patch((20.0, 5.0), [(1.0, 1.0), (7.0, 0.25)], [1.0, -1.0])]
-        cub = voting.accumulate_cuboid(pvs, voting.ScaleSet((1.0, 1e300)), (40, 40),
-                                       bin_size=4, smoothing=0.0)
+        cub = voting.accumulate_cuboid(pvs, voting.VotingConfig(scales=(1.0, 1e300)),
+                                       (40, 40), bin_size=4, smoothing=0.0)
         assert cub.level_mass[1] == cub.level_mass[0] == pytest.approx(1.5)
         assert cub.levels[1].sum() == 0.0 and cub.dropped[1] == 4
         assert cub.levels[0].sum() == pytest.approx(1.5) and cub.dropped[0] == 0
@@ -199,10 +201,10 @@ class TestAccumulateCuboid:
             for _ in range(10)
         ]
         multi = voting.accumulate_cuboid(
-            pvs, voting.ScaleSet((0.5, 1.0, 2.0)), (48, 48), 1, 0.0
+            pvs, voting.VotingConfig(scales=(0.5, 1.0, 2.0)), (48, 48), 1, 0.0
         )
         single = voting.accumulate_cuboid(
-            pvs, voting.ScaleSet((1.0,)), (48, 48), 1, 0.0
+            pvs, voting.VotingConfig(scales=(1.0,)), (48, 48), 1, 0.0
         )
         assert np.array_equal(multi.levels[1], single.levels[0])
 
@@ -219,7 +221,7 @@ class TestAccumulateCuboid:
             patch(loc, [target - np.asarray(loc)] * 2, labels)
             for loc, labels in configs
         ]
-        cub = voting.accumulate_cuboid(pvs, voting.ScaleSet((1.0,)),
+        cub = voting.accumulate_cuboid(pvs, voting.VotingConfig(scales=(1.0,)),
                                        (40, 40), 1, 0.0)
         assert cub.levels[0, 20, 20] == pytest.approx(1.0 + 0.5 + 0.0)
 
@@ -230,7 +232,7 @@ class TestAccumulateCuboid:
                   rng.standard_normal(4))
             for _ in range(20)
         ]
-        cub = voting.accumulate_cuboid(pvs, voting.ScaleSet(), (64, 64), 4, 1.5)
+        cub = voting.accumulate_cuboid(pvs, voting.VotingConfig(), (64, 64), 4, 1.5)
         total_weight = sum(pv.weight for pv in pvs)
         assert np.allclose(cub.level_mass, total_weight)
         # accumulated mass = level mass minus what fell off the grid
@@ -249,10 +251,10 @@ class TestAccumulateCuboid:
             for pv in pvs
         ]
         base = voting.accumulate_cuboid(
-            pvs, voting.ScaleSet((0.75, 1.0, 1.5)), (64, 64), 1, 0.0
+            pvs, voting.VotingConfig(scales=(0.75, 1.0, 1.5)), (64, 64), 1, 0.0
         )
         cov = voting.accumulate_cuboid(
-            scaled, voting.ScaleSet((0.75 / lam, 1.0 / lam, 1.5 / lam)),
+            scaled, voting.VotingConfig(scales=(0.75 / lam, 1.0 / lam, 1.5 / lam)),
             (64, 64), 1, 0.0,
         )
         assert np.array_equal(base.levels, cov.levels)
@@ -264,7 +266,7 @@ class TestAccumulateCuboid:
                   rng.standard_normal(5))
             for _ in range(25)
         ]
-        scales = voting.ScaleSet((1.25,))
+        scales = voting.VotingConfig(scales=(1.25,))
         cub = voting.accumulate_cuboid(pvs, scales, (60, 60), 1, 0.0)
 
         oracle = np.zeros((60, 60))
@@ -286,7 +288,7 @@ class TestAccumulateCuboid:
         votes = rng.standard_normal((r, mplus1, 2)) * 30
         weights = (labels > 0).sum(axis=1) / mplus1
         pvs = [voting.PatchVotes(*row) for row in zip(locations, votes, labels, weights)]
-        scales = voting.ScaleSet((0.75, 1.0, 1.5))
+        scales = voting.VotingConfig(scales=(0.75, 1.0, 1.5))
         cub = voting.accumulate_cuboid(pvs, scales, size, bin_size, 0.0)
 
         gw, gh = -(-size[0] // bin_size), -(-size[1] // bin_size)
@@ -310,10 +312,16 @@ class TestAccumulateCuboid:
     def test_refuses_bad_cells_and_smoothing(self, bin_size, smoothing):
         pv = patch((10.0, 10.0), [(1.0, 0.0)], [1.0])
         with pytest.raises(InvalidInput):
-            voting.accumulate_cuboid([pv], voting.ScaleSet(), (40, 40), bin_size, smoothing)
+            voting.accumulate_cuboid([pv], voting.VotingConfig(), (40, 40), bin_size, smoothing)
+
+    @pytest.mark.parametrize("size", [(40.5, 40), (-8, 40), (0, 0), (40, 0), (True, 40)])
+    def test_refuses_bad_image_size(self, size):
+        pv = patch((10.0, 10.0), [(1.0, 0.0)], [1.0])
+        with pytest.raises(InvalidInput, match="image_size"):
+            voting.accumulate_cuboid([pv], voting.VotingConfig(), size)
 
     def test_empty_votes(self):
-        cub = voting.accumulate_cuboid([], voting.ScaleSet(), (32, 32), 4, 0.0)
+        cub = voting.accumulate_cuboid([], voting.VotingConfig(), (32, 32), 4, 0.0)
         assert cub.levels.shape == (4, 8, 8)
         assert cub.levels.sum() == 0.0
 
@@ -324,7 +332,7 @@ class TestAccumulateCuboid:
                   rng.standard_normal(3))
             for _ in range(10)
         ]
-        cub = voting.accumulate_cuboid(pvs, voting.ScaleSet(), (48, 48), 4, 1.5)
+        cub = voting.accumulate_cuboid(pvs, voting.VotingConfig(), (48, 48), 4, 1.5)
         assert np.all(np.isfinite(cub.levels))
         assert np.all(cub.levels >= 0)
 
@@ -332,7 +340,7 @@ class TestAccumulateCuboid:
 class TestFindMaxima:
     def make_cuboid(self, levels, bin_size=1):
         levels = np.asarray(levels, dtype=np.float64)
-        scales = voting.ScaleSet(tuple(1.0 + 0.25 * s for s in range(levels.shape[0])))
+        scales = tuple(1.0 + 0.25 * s for s in range(levels.shape[0]))
         return voting.HoughCuboid(
             levels, scales, bin_size,
             np.ones(levels.shape[0]), np.zeros(levels.shape[0], dtype=np.int64),
